@@ -12,7 +12,7 @@ normalizes to the empty word evaluates to a carrier element.
 
 from .errors import GroupError
 from .groups import FiniteGroup, GroupHom
-from .words import FactorSignature, WordHom, evaluate
+from .words import FactorSignature, WordHom
 
 
 class GroupAction:
@@ -202,10 +202,6 @@ def action_from_extension(ext: SplitExtension) -> GroupAction:
     return GroupAction(ext.base, ext.kernel_group, table)
 
 
-def canonical_extension(action: GroupAction) -> SplitExtension:
-    return semidirect_product(action)
-
-
 def extension_iso(ext: SplitExtension) -> GroupHom:
     """Isomorphism from the semidirect product of the derived action onto the total group.
 
@@ -275,7 +271,7 @@ def action_core_eval(action: GroupAction, w) -> int:
     _check_action_word(action, w)
     ext = semidirect_product(action)
     wh = WordHom(w.sig, [ext.s, ext.k], ext.total)
-    e = evaluate(w, wh)
+    e = wh.evaluate(w)
     if ext.p.table[e] != ext.base.identity:
         raise GroupError("word does not project trivially to the actor")
     lookup = {ext.k.table[x]: x for x in range(action.carrier.order)}
@@ -296,7 +292,7 @@ def action_core_consistency(action: GroupAction, max_len: int = 4) -> int:
     lookup = {ext.k.table[x]: x for x in range(action.carrier.order)}
     count = 0
     for w in enumerate_flat_words(sig, max_len):
-        via_ext = lookup[evaluate(w, wh)]
+        via_ext = lookup[wh.evaluate(w)]
         via_word = action_core_word(action, w)
         if via_ext != via_word:
             raise GroupError(f"evaluation routes disagree on {w!r}")

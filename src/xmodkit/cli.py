@@ -12,11 +12,13 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 a checked property is falsified or a
 searched section provably does not exist, 2 malformed input, 3 a search
-budget ran out before the question was settled.  Budget exhaustion is never
+budget ran out before the question was settled, 4 an internal invariant
+failed (a bug in xmodkit, not in the input).  Budget exhaustion is never
 reported as nonexistence.
 
 Every subcommand accepts --json PATH to write a machine-readable report
-("-" for stdout); the human summary always goes to stdout.
+("-" for stdout); the human summary always goes to stdout.  lift and audit,
+the subcommands that run budgeted searches, also accept --budget N.
 """
 
 import argparse
@@ -26,7 +28,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import BudgetExhausted, DefinitionError, GroupError
+from .errors import BudgetExhausted, DefinitionError, GroupError, InvariantBreach
 from .defs import load_definitions
 from .xmod import (
     check_axioms, check_axioms_wordlevel, check_ternary, pi0, pi0_comparison,
@@ -345,6 +347,8 @@ def build_parser():
     def common(sp):
         sp.add_argument("--json", metavar="PATH",
                         help="write a JSON report to PATH ('-' for stdout)")
+
+    def budget(sp):
         sp.add_argument("--budget", type=int, default=None,
                         help="node budget for backtracking searches")
 
@@ -372,6 +376,7 @@ def build_parser():
     sp.add_argument("--cross-check", action="store_true",
                     help="also run the generic fiber search")
     common(sp)
+    budget(sp)
     sp.set_defaults(func=cmd_lift)
 
     sp = sub.add_parser("condp", help="exponent-4 projectivity studies")
@@ -396,6 +401,7 @@ def build_parser():
     sp.add_argument("--ternary-len", type=int, default=6,
                     help="ternary depth for the corpus sweep (default 6)")
     common(sp)
+    budget(sp)
     sp.set_defaults(func=cmd_audit)
     return p
 
@@ -413,6 +419,9 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except InvariantBreach as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

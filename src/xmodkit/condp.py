@@ -309,10 +309,6 @@ def check_P_instance_xmod(ses: XModSplitSES, oracle=None) -> dict:
 # -- the nine-object pipeline ----------------------------------------------------
 
 
-def _linear_zero(m: LinearMapZ4) -> bool:
-    return m.is_zero()
-
-
 def pipeline_diagram_P(f, s) -> dict:
     """Free modules on a split set surjection, with the kernel row certified.
 
@@ -408,8 +404,8 @@ def pipeline_diagram_P(f, s) -> dict:
                         == compose_linear(pX, incl_tot)),
         "inclusion-s": (compose_linear(incl_tot, sZ)
                         == compose_linear(sX, incl)),
-        "kernel-killed": _linear_zero(compose_linear(vf, incl)),
-        "kernel-total-killed": _linear_zero(compose_linear(vf_tot, incl_tot)),
+        "kernel-killed": compose_linear(vf, incl).is_zero(),
+        "kernel-total-killed": compose_linear(vf_tot, incl_tot).is_zero(),
     }
     kernel_projective = {
         "flat": projective_z4(Zr),

@@ -113,7 +113,7 @@ def axiom_corpus():
     out.append(("bad:peiffer:D4-over-1",
                 CrossedModule(trivial_action(one, D4), trivial_hom(D4, one),
                               check=False), False))
-    A3sub, A3incl = _subgroup_of(S3, a3)
+    A3sub, A3incl = subgroup(S3, a3)
     out.append(("bad:equivariance:A3-in-S3-trivial-action",
                 CrossedModule(trivial_action(S3, A3sub), A3incl,
                               check=False), False))
@@ -126,10 +126,6 @@ def axiom_corpus():
                 CrossedModule(trivial_action(D4, V), Vincl,
                               check=False), False))
     return out
-
-
-def _subgroup_of(G, elems):
-    return subgroup(G, elems)
 
 
 def _z3_in_z6():
@@ -153,7 +149,7 @@ def _k4_in_d4(D4):
 
 
 def split_ses_corpus():
-    """Product split short exact sequences b -> a x b -> a, 24 of them."""
+    """Product split short exact sequences b -> a x b -> a, 30 of them."""
     S3 = symmetric_group(3)
     Z2 = cyclic_group(2)
     Z3 = cyclic_group(3)

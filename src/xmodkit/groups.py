@@ -8,7 +8,8 @@ associative by construction anyway.
 
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: plain hom enumeration, section searches, constrained lifts and
-isomorphism searches all go through ``search_homs``.
+isomorphism searches all go through ``search_homs``.  Every section and every
+lift along a surjection is found by ``lifts``, the one search over fibers.
 """
 from __future__ import annotations
 
@@ -491,23 +492,7 @@ def symmetric_group(n):
 
 def alternating_group(n):
     S = symmetric_group(n)
-    # even permutations = kernel of the sign map; compute sign by counting cycles
-    def sign(perm):
-        seen = [False] * len(perm)
-        s = 1
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                s = -s
-        return s
-    # recover each element's permutation via names is clumsy; regenerate instead
+    # generate from 3-cycles: recovering permutations from names is clumsy
     three = tuple([1, 2, 0] + list(range(3, n))) if n >= 3 else tuple(range(n))
     perms = [three]
     if n >= 4:
@@ -698,22 +683,40 @@ def enumerate_homs(G, H, budget=None):
             for phi in search_homs(G, H.mul, H.identity, cands, budget=budget)]
 
 
+def lifts(p, u, budget=None, allow=None):
+    """Yield the value tuple of every hom v with p(v(x)) = u(x) for all x.
+
+    p: A -> B and u: X -> B share their target.  Candidates for v(x) are the
+    fiber of p over u(x) in increasing index order, narrowed to the a with
+    allow(x, a) when given, so lifts come out in `search_homs` order.  An
+    empty fiber over some u(x) rules out every lift without a search.
+    Running to the end proves there are no further lifts; BudgetExhausted
+    passes through.
+    """
+    if p.target is not u.target:
+        raise GroupError("lifting needs a common target")
+    A, X = p.source, u.source
+    fibers = [[] for _ in range(p.target.order)]
+    for a in range(A.order):
+        fibers[p.table[a]].append(a)
+    if any(not fibers[b] for b in u.table):
+        return
+    if allow is None:
+        cands = lambda x: fibers[u.table[x]]
+    else:
+        cands = lambda x: [a for a in fibers[u.table[x]] if allow(x, a)]
+    for phi in search_homs(X, A.mul, A.identity, cands, budget=budget):
+        yield tuple(phi[x] for x in range(X.order))
+
+
 def find_section(f, budget=None):
     """A hom s with f(s(q)) = q for all q, or None once the search is exhausted.
 
-    Candidate images are the fibers of f, so any multiplicative completion is
-    automatically a section.  Raises BudgetExhausted instead of guessing.
+    A section is a lift of the identity along f.  Raises BudgetExhausted
+    instead of guessing.
     """
-    src, tgt = f.source, f.target
-    fibers = [[] for _ in range(tgt.order)]
-    for x in range(src.order):
-        fibers[f.table[x]].append(x)
-    if any(not fb for fb in fibers):
-        return None  # not surjective
-
-    for phi in search_homs(tgt, src.mul, src.identity, lambda q: fibers[q],
-                           budget=budget):
-        return hom_from_dict(tgt, src, phi)
+    for table in lifts(f, identity_hom(f.target), budget=budget):
+        return GroupHom(f.target, f.source, table, check=False)
     return None
 
 

@@ -11,11 +11,10 @@ nonexistence is proven at the stated budget-free scale.  Running out of budget
 raises BudgetExhausted instead; the two outcomes are never conflated.
 """
 
-from .errors import BudgetExhausted, GroupError, InvariantBreach
+from .errors import GroupError, InvariantBreach
 from .actions import semidirect_product, trivial_action
 from .groups import (
-    GroupHom, enumerate_homs, identity_hom, is_z4_module, search_homs,
-    z4_module,
+    GroupHom, enumerate_homs, identity_hom, is_z4_module, lifts, z4_module,
 )
 from .xmod import CrossedModule, XModMorphism, morphism_witness
 
@@ -32,16 +31,7 @@ class SSEMorphism:
         self.fT = fT
         self.base = src.codomain()
         if check:
-            w = morphism_witness(src, tgt, fT, identity_hom(self.base))
-            if w is not None:
-                kind, data = w
-                if kind == "square":
-                    raise GroupError(
-                        f"boundary square fails at t={src.domain().names[data]}")
-                g, t = data
-                raise GroupError(
-                    f"equivariance fails at (g={self.base.names[g]}, "
-                    f"t={src.domain().names[t]})")
+            XModMorphism(src, tgt, fT, identity_hom(self.base))
 
     def as_xmod_morphism(self) -> XModMorphism:
         return XModMorphism(self.src, self.tgt, self.fT,
@@ -105,38 +95,15 @@ def enumerate_sse_morphisms(src: CrossedModule, tgt: CrossedModule,
     return out
 
 
-def _equivariant(mor_src: CrossedModule, mor_tgt: CrossedModule, table) -> bool:
-    act1 = mor_src.action.table
-    act2 = mor_tgt.action.table
-    for g in range(mor_src.codomain().order):
-        r1 = act1[g]
-        r2 = act2[g]
-        for t in range(mor_src.domain().order):
-            if table[r1[t]] != r2[table[t]]:
-                return False
-    return True
-
-
 def brute_force_section(mor: SSEMorphism, budget=None):
     """A section of a regular epi over the base, or None when none exists.
 
-    Candidate images are fibers of the carrier map, which already forces the
-    section law and the boundary square; equivariance is filtered afterwards.
-    Exhausting the search proves nonexistence; BudgetExhausted passes through.
+    A section is a lift of the identity along the epi.  Exhausting the
+    search proves nonexistence; BudgetExhausted passes through.
     """
     if not is_regular_epi(mor):
         raise GroupError("sections are only searched under regular epis")
-    A, B = mor.src.domain(), mor.tgt.domain()
-    fibers = [[] for _ in range(B.order)]
-    for t in range(A.order):
-        fibers[mor.fT.table[t]].append(t)
-    for phi in search_homs(B, A.mul, A.identity, lambda t: fibers[t],
-                           budget=budget):
-        table = tuple(phi[i] for i in range(B.order))
-        if _equivariant(mor.tgt, mor.src, table):
-            return SSEMorphism(mor.tgt, mor.src,
-                               GroupHom(B, A, table, check=False), check=False)
-    return None
+    return lift_along(mor, identity_sse(mor.tgt), budget=budget)
 
 
 def lift_along(epi: SSEMorphism, u: SSEMorphism, budget=None):
@@ -149,18 +116,14 @@ def lift_along(epi: SSEMorphism, u: SSEMorphism, budget=None):
         raise GroupError("the morphism to lift must land in the epi target")
     if u.base is not epi.base:
         raise GroupError("lifting needs a common base")
-    X, A, B = u.src.domain(), epi.src.domain(), epi.tgt.domain()
-    fibers = [[] for _ in range(B.order)]
-    for t in range(A.order):
-        fibers[epi.fT.table[t]].append(t)
-    if any(not fb for fb in fibers):
+    if not epi.fT.is_surjective():
         raise GroupError("can only lift along a surjection")
-    for phi in search_homs(X, A.mul, A.identity,
-                           lambda t: fibers[u.fT.table[t]], budget=budget):
-        table = tuple(phi[i] for i in range(X.order))
-        if _equivariant(u.src, epi.src, table):
-            return SSEMorphism(u.src, epi.src,
-                               GroupHom(X, A, table, check=False), check=False)
+    X, A = u.src.domain(), epi.src.domain()
+    ident = identity_hom(epi.base)
+    for table in lifts(epi.fT, u.fT, budget=budget):
+        v = GroupHom(X, A, table, check=False)
+        if morphism_witness(u.src, epi.src, v, ident) is None:
+            return SSEMorphism(u.src, epi.src, v, check=False)
     return None
 
 

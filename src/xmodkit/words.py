@@ -71,7 +71,7 @@ class FactorSignature:
 
 
 class Word:
-    """A reduced word; construct through `word` or `normalize`, not directly."""
+    """A reduced word; construct through `normalize`, not directly."""
 
     __slots__ = ("sig", "letters")
 
@@ -116,10 +116,6 @@ def normalize(sig, letters):
         else:
             out.append((s, v))
     return Word(sig, tuple(out))
-
-
-def word(sig, letters):
-    return normalize(sig, letters)
 
 
 def empty_word(sig):
@@ -203,10 +199,6 @@ class WordHom:
         for s, v in w.letters:
             out = mul(out, self.maps[s].table[v])
         return out
-
-
-def evaluate(w, word_hom):
-    return word_hom.evaluate(w)
 
 
 def map_word(w, tgt_sig, value_maps):

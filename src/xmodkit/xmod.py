@@ -66,47 +66,45 @@ class CrossedModule:
         return f"<CrossedModule {self.label}>"
 
 
-def precrossed_witness(action: GroupAction, boundary: GroupHom):
-    """First (g, t) with d(g.t) != g d(t) g^-1, or None."""
+def equivariance_failures(action: GroupAction, boundary: GroupHom):
+    """Every (g, t) with d(g.t) != g d(t) g^-1, in index order."""
     G = action.actor
     d = boundary.table
     for g in range(G.order):
         row = action.table[g]
         for t in range(action.carrier.order):
             if d[row[t]] != G.conj(g, d[t]):
-                return (g, t)
-    return None
+                yield (g, t)
 
 
-def peiffer_witness(action: GroupAction, boundary: GroupHom):
-    """First (t, t') with (d t).t' != t t' t^-1, or None."""
+def peiffer_failures(action: GroupAction, boundary: GroupHom):
+    """Every (t, t') with (d t).t' != t t' t^-1, in index order."""
     T = action.carrier
     d = boundary.table
     for t in range(T.order):
         row = action.table[d[t]]
         for u in range(T.order):
             if row[u] != T.conj(t, u):
-                return (t, u)
-    return None
+                yield (t, u)
+
+
+def precrossed_witness(action: GroupAction, boundary: GroupHom):
+    """First (g, t) with d(g.t) != g d(t) g^-1, or None."""
+    return next(equivariance_failures(action, boundary), None)
+
+
+def peiffer_witness(action: GroupAction, boundary: GroupHom):
+    """First (t, t') with (d t).t' != t t' t^-1, or None."""
+    return next(peiffer_failures(action, boundary), None)
 
 
 def check_axioms(xm: CrossedModule) -> dict:
     """Elementwise audit over all pairs; collects every violation."""
-    action, boundary = xm.action, xm.boundary
-    G, T = action.actor, action.carrier
-    d = boundary.table
-    pre = []
-    for g in range(G.order):
-        row = action.table[g]
-        for t in range(T.order):
-            if d[row[t]] != G.conj(g, d[t]):
-                pre.append((G.names[g], T.names[t]))
-    pf = []
-    for t in range(T.order):
-        row = action.table[d[t]]
-        for u in range(T.order):
-            if row[u] != T.conj(t, u):
-                pf.append((T.names[t], T.names[u]))
+    G, T = xm.codomain(), xm.domain()
+    pre = [(G.names[g], T.names[t])
+           for g, t in equivariance_failures(xm.action, xm.boundary)]
+    pf = [(T.names[t], T.names[u])
+          for t, u in peiffer_failures(xm.action, xm.boundary)]
     return {
         "equivariance_violations": pre,
         "peiffer_violations": pf,
@@ -339,11 +337,6 @@ def compose_morphisms(f: XModMorphism, g: XModMorphism) -> XModMorphism:
         raise GroupError("morphism composition mismatch")
     return XModMorphism(g.src, f.tgt, compose(f.fT, g.fT), compose(f.fG, g.fG),
                         check=False)
-
-
-def square_to_morphism(src: CrossedModule, tgt: CrossedModule, fT: GroupHom,
-                       fG: GroupHom) -> XModMorphism:
-    return XModMorphism(src, tgt, fT, fG)
 
 
 def enumerate_xmod_morphisms(src: CrossedModule, tgt: CrossedModule,

@@ -15,7 +15,7 @@ from xmodkit.groups import (
 )
 from xmodkit.words import (
     FactorSignature, WordHom, enumerate_cosmash_words, enumerate_words,
-    evaluate, fold_left, fold_right, fold_word, in_binary_cosmash,
+    fold_left, fold_right, fold_word, in_binary_cosmash,
     in_ternary_cosmash, map_word, regroup_first_two, collapse_regrouped,
     single,
 )
@@ -27,7 +27,7 @@ from xmodkit.xmod import (
 from xmodkit.actions import trivial_action
 from xmodkit.sse import is_regular_epi, total_map
 from xmodkit.lifting import (
-    find_xmod_section, free_universal_morphism, hom_bijection_check,
+    FreeXModMorphism, find_xmod_section, hom_bijection_check,
     projective_section, pullback_section,
 )
 from xmodkit.condp import (
@@ -158,7 +158,7 @@ def test_free_xmod_adjunction():
          hom(Z4, Z2, {1: 1}), hom(Z4, Z2, {1: 1})),
     ]
     for H, xm, f, g in cases:
-        mor = free_universal_morphism(H, xm, f, g)
+        mor = FreeXModMorphism(H, xm, f, g)
         rep = mor.verify(6)
         assert rep["ok"], rep
         assert rep["square_violations"] == [] and rep["unit_ok"]
@@ -232,7 +232,7 @@ def test_word_identities_and_preimages():
     for w in members:
         lf = fold_left(w)
         assert in_binary_cosmash(lf) or not len(lf)
-        assert evaluate(lf, WordHom(lf.sig, (a, b), S3)) == evaluate(w, full)
+        assert WordHom(lf.sig, (a, b), S3).evaluate(lf) == full.evaluate(w)
         rf = fold_right(w)
         assert in_binary_cosmash(rf) or not len(rf)
         r = regroup_first_two(w)

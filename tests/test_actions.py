@@ -8,7 +8,7 @@ from xmodkit.groups import (
 from xmodkit.actions import (
     GroupAction, SplitExtension, action_core_consistency, action_core_eval,
     action_core_word, action_from_extension, action_from_function,
-    action_signature, canonical_extension, conjugation_action,
+    action_signature, conjugation_action,
     conjugation_action_on, extension_iso, semidirect_product, trivial_action,
 )
 from xmodkit.words import parse_word
@@ -74,7 +74,7 @@ def test_split_extension_validation():
 def test_action_extension_round_trip():
     for act in (inversion(Z2, Z3), inversion(Z2, Z4), trivial_action(Z3, Z4),
                 conjugation_action(symmetric_group(3))):
-        ext = canonical_extension(act)
+        ext = semidirect_product(act)
         assert action_from_extension(ext) == act
 
 

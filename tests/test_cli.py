@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from xmodkit.cli import main
 from xmodkit.defs import parse_definitions, load_definitions, tokenize_names
-from xmodkit.errors import DefinitionError
+from xmodkit.errors import DefinitionError, InvariantBreach
 from xmodkit.groups import find_isomorphism, symmetric_group
 
 SAMPLE = """\
@@ -265,3 +266,32 @@ def test_audit_quick(capsys):
     assert "projective sections: 24/24" in out
     assert "pullback sections: 12/12" in out
     assert "VERDICT: pass" in out
+
+
+def test_readme_demo_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    demo = tmp_path / "demo.defs"
+    demo.write_text(next(b for b in blocks if "[group V]" in b))
+    for argv in (["check", str(demo)], ["pi0", str(demo)],
+                 ["lift", str(demo)],
+                 ["condp", "z4-pipeline", "--input", str(demo)]):
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_internal_error_exit_code(sample, monkeypatch, capsys):
+    def broken(xm):
+        raise InvariantBreach("injected")
+
+    monkeypatch.setattr("xmodkit.cli.pi0_comparison", broken)
+    assert main(["pi0", sample]) == 4
+    assert "internal error: injected" in capsys.readouterr().err
+
+
+def test_budget_only_where_searched(sample):
+    for argv in (["condp", "non-schreier", "--budget", "1"],
+                 ["check", sample, "--budget", "1"],
+                 ["pi0", sample, "--budget", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

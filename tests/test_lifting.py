@@ -11,8 +11,8 @@ from xmodkit.corpus import (
     pullback_section_corpus,
 )
 from xmodkit.lifting import (
-    FreeXModMorphism, find_xmod_section, free_universal_morphism,
-    hom_bijection_check, inclusion_extension, inclusion_xmod,
+    FreeXModMorphism, find_xmod_section, hom_bijection_check,
+    inclusion_extension, inclusion_xmod,
     projective_section, pullback_section,
 )
 from xmodkit.words import FactorSignature, single
@@ -160,7 +160,7 @@ def test_free_morphism_values():
     inv = S3.index_of("(1 2)")
     f = hom(Z2, S3, {1: inv})
     g = hom(Z2, S3, {1: inv})
-    mor = free_universal_morphism(Z2, xm, f, g)
+    mor = FreeXModMorphism(Z2, xm, f, g)
     sig = FactorSignature((Z2, Z2))
     # base-slot conjugate of a carrier letter evaluates through the action
     for h in range(2):

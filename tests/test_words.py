@@ -4,10 +4,10 @@ from xmodkit.errors import GroupError
 from xmodkit.groups import GroupHom, cyclic_group, hom, symmetric_group
 from xmodkit.words import (
     FactorSignature, Word, WordHom, commutator, delete_slot, empty_word,
-    enumerate_cosmash_words, enumerate_flat_words, enumerate_words, evaluate,
+    enumerate_cosmash_words, enumerate_flat_words, enumerate_words,
     fold_left, fold_right, fold_word, format_word, in_binary_cosmash,
     in_flat, in_ternary_cosmash, map_word, normalize, parse_word,
-    regroup_first_two, collapse_regrouped, single, word,
+    regroup_first_two, collapse_regrouped, single,
 )
 
 Z2 = cyclic_group(2)
@@ -50,14 +50,14 @@ def test_normalize_rules():
     assert normalize(sig, ((0, 1), (0, 3))).letters == ()
     assert normalize(sig, ((0, 1), (0, 1))).letters == ((0, 2),)
     assert normalize(sig, ((0, 1), (1, 2), (1, 1), (0, 3))).letters == ()
-    w = word(sig, ((0, 1), (1, 2), (0, 3)))
+    w = normalize(sig, ((0, 1), (1, 2), (0, 3)))
     assert w.letters == ((0, 1), (1, 2), (0, 3))
 
 
 def test_word_algebra():
     sig = FactorSignature((Z4, Z3))
-    u = word(sig, ((0, 1), (1, 2)))
-    v = word(sig, ((1, 1), (0, 3)))
+    u = normalize(sig, ((0, 1), (1, 2)))
+    v = normalize(sig, ((1, 1), (0, 3)))
     assert (u * v).letters == ()
     assert u.inverse().letters == ((1, 1), (0, 3))
     assert (u * u.inverse()).letters == ()
@@ -65,20 +65,20 @@ def test_word_algebra():
     c = commutator(single(sig, 0, 1), single(sig, 1, 1))
     assert c.letters == ((0, 1), (1, 1), (0, 3), (1, 2))
     with pytest.raises(GroupError):
-        u * word(FactorSignature((Z3, Z4)), ())
+        u * normalize(FactorSignature((Z3, Z4)), ())
 
 
 def test_signature_equality_is_structural():
     a = FactorSignature((Z4, Z3))
     b = FactorSignature((Z4, Z3))
     assert a == b and hash(a) == hash(b)
-    assert word(a, ((0, 1),)) == word(b, ((0, 1),))
+    assert normalize(a, ((0, 1),)) == normalize(b, ((0, 1),))
     assert a != FactorSignature((Z3, Z4))
 
 
 def test_format_parse_round_trip():
     sig = FactorSignature((Z4, Z3))
-    w = word(sig, ((0, 1), (1, 2), (0, 3)))
+    w = normalize(sig, ((0, 1), (1, 2), (0, 3)))
     assert format_word(w) == "(0:1 1:2 0:3)"
     assert parse_word(sig, format_word(w)) == w
     assert parse_word(sig, "()") == empty_word(sig)
@@ -97,9 +97,9 @@ def test_word_hom_evaluation():
     f = hom(Z2, S3, {1: S3.index_of("(1 2)")})
     g = hom(Z3, S3, {1: S3.index_of("(1 2 3)")})
     wh = WordHom(sig, (f, g), S3)
-    w = word(sig, ((0, 1), (1, 1)))
-    assert evaluate(w, wh) == S3.mul(f(1), g(1))
-    assert evaluate(empty_word(sig), wh) == S3.identity
+    w = normalize(sig, ((0, 1), (1, 1)))
+    assert wh.evaluate(w) == S3.mul(f(1), g(1))
+    assert wh.evaluate(empty_word(sig)) == S3.identity
     with pytest.raises(GroupError):
         WordHom(sig, (f,), S3)
 
@@ -111,8 +111,8 @@ def test_projection_and_membership():
     assert not in_binary_cosmash(single(sig, 0, 1))
     assert delete_slot(c, 0).letters == ()
     assert delete_slot(c, 1).letters == ()
-    assert in_flat(word(sig, ((1, 1),)))
-    assert not in_flat(word(sig, ((0, 1), (1, 1))))
+    assert in_flat(normalize(sig, ((1, 1),)))
+    assert not in_flat(normalize(sig, ((0, 1), (1, 1))))
 
     tsig = FactorSignature((Z2, Z2, Z2))
     assert in_ternary_cosmash(empty_word(tsig))
@@ -124,7 +124,7 @@ def test_projection_and_membership():
 
 def test_map_and_fold_words():
     sig = FactorSignature((Z4, Z4))
-    w = word(sig, ((0, 1), (1, 2), (0, 3)))
+    w = normalize(sig, ((0, 1), (1, 2), (0, 3)))
     doubled = map_word(w, sig, (lambda v: (2 * v) % 4, lambda v: v))
     assert doubled.letters == ((0, 2), (1, 2), (0, 2))
     # slot merge is evaluation in the target factor
@@ -144,8 +144,8 @@ def test_fold_left_right_against_evaluation():
         S3 = symmetric_group(3)
         a = hom(Z4, S3, {1: S3.index_of("(1 2)")})  # order 2 image kills 4-torsion
         b = hom(Z3, S3, {1: S3.index_of("(1 2 3)")})
-        before = evaluate(w, WordHom(sig3, (a, a, b), S3))
-        after = evaluate(f, WordHom(f.sig, (a, b), S3))
+        before = WordHom(sig3, (a, a, b), S3).evaluate(w)
+        after = WordHom(f.sig, (a, b), S3).evaluate(f)
         assert before == after
 
     sigR = FactorSignature((Z3, Z4, Z4))
@@ -153,7 +153,7 @@ def test_fold_left_right_against_evaluation():
         f = fold_right(w)
         assert f.sig == FactorSignature((Z3, Z4))
     with pytest.raises(GroupError):
-        fold_left(word(FactorSignature((Z4, Z3, Z4)), ()))
+        fold_left(normalize(FactorSignature((Z4, Z3, Z4)), ()))
 
 
 def test_regroup_and_collapse():

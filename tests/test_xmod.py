@@ -15,7 +15,7 @@ from xmodkit.xmod import (
     enumerate_xmod_morphisms, identity_morphism, module_xmod,
     morphism_witness, peiffer_witness, pi0, pi0_comparison, pi0_map,
     pi0_preserves_split_ses, pi0_via_coequalizer, precrossed_witness,
-    product_split_ses, relabel_xmod, square_to_morphism, xmod_from_normal_subgroup,
+    product_split_ses, relabel_xmod, xmod_from_normal_subgroup,
     xmod_kernel, xmod_product,
 )
 
@@ -125,7 +125,7 @@ def test_morphisms():
     idT = GroupHom(Z3, Z3, (0, 1, 2))
     killG = GroupHom(Z2, Z2, (0, 0))
     with pytest.raises(GroupError):
-        square_to_morphism(mx, mx, idT, killG)
+        XModMorphism(mx, mx, idT, killG)
     assert morphism_witness(mx, mx, idT, killG) == ("equivariance", (1, 1))
 
 
