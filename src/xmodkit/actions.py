@@ -5,13 +5,16 @@ every actor element acts as an automorphism.  Split extensions package a
 kernel embedding, a retraction, and a section; the two views are equivalent
 and both directions of the translation are implemented and cross-checked.
 
+``GroupAction`` and ``SplitExtension`` validate by default, where data
+enters; the constructions here are correct by theorem and build unchecked.
+
 Word evaluation convention: words live over the two-slot signature
 (actor, carrier), slot 0 for the actor.  Any word whose slot-0 projection
 normalizes to the empty word evaluates to a carrier element.
 """
 
 from .errors import GroupError
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, identity_hom
 from .words import FactorSignature, WordHom
 
 
@@ -90,28 +93,24 @@ def action_from_function(actor: FiniteGroup, carrier: FiniteGroup, fn) -> GroupA
 
 
 def conjugation_action(G: FiniteGroup) -> GroupAction:
-    return action_from_function(G, G, G.conj)
+    return conjugation_action_on(identity_hom(G))
 
 
 def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     """Action of the codomain on the domain by conjugation through `embedding`.
 
-    The embedding must be injective with normal image.
+    The embedding must be injective with normal image; both are checked here.
     """
     H, G = embedding.source, embedding.target
     if not embedding.is_injective():
         raise GroupError("embedding is not injective")
-    lookup = {embedding.table[h]: h for h in range(H.order)}
-    table = []
-    for g in range(G.order):
-        row = []
-        for x in range(H.order):
-            c = G.conj(g, embedding.table[x])
-            if c not in lookup:
-                raise GroupError("image of the embedding is not a normal subgroup")
-            row.append(lookup[c])
-        table.append(row)
-    return GroupAction(G, H, table)
+    lookup = {y: h for h, y in enumerate(embedding.table)}
+    try:
+        table = [[lookup[G.conj(g, y)] for y in embedding.table] for g in range(G.order)]
+    except KeyError:
+        raise GroupError("image of the embedding is not a normal subgroup") from None
+    # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
+    return GroupAction(G, H, table, check=False)
 
 
 class SplitExtension:
@@ -177,29 +176,20 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
                 for g2 in range(m):
                     row[x2 * m + g2] = base + mg1[g2]
     names = [f"{X.names[x]}|{G.names[g]}" for x in range(n) for g in range(m)]
-    E = FiniteGroup(table, names=names, label=f"{X.label}:{G.label}")
+    # associative because the action is by automorphisms; k, p, s split by construction
+    E = FiniteGroup(table, names=names, label=f"{X.label}:{G.label}", check=False)
     k = GroupHom(X, E, tuple(x * m + G.identity for x in range(n)), check=False)
     p = GroupHom(E, G, tuple(e % m for e in range(size)), check=False)
     s = GroupHom(G, E, tuple(X.identity * m + g for g in range(m)), check=False)
-    return SplitExtension(k, p, s)
+    return SplitExtension(k, p, s, check=False)
 
 
 def action_from_extension(ext: SplitExtension) -> GroupAction:
     """Conjugation of the section through the kernel embedding."""
-    k, s = ext.k, ext.s
-    E = ext.total
-    lookup = {k.table[x]: x for x in range(ext.kernel_group.order)}
-    table = []
-    for g in range(ext.base.order):
-        sg = s.table[g]
-        row = []
-        for x in range(ext.kernel_group.order):
-            c = E.conj(sg, k.table[x])
-            if c not in lookup:
-                raise GroupError("conjugate left the embedded kernel")
-            row.append(lookup[c])
-        table.append(row)
-    return GroupAction(ext.base, ext.kernel_group, table)
+    conj = conjugation_action_on(ext.k).table
+    # the conjugation action pulled back along the hom s is again an action
+    return GroupAction(ext.base, ext.kernel_group, [conj[e] for e in ext.s.table],
+                       check=False)
 
 
 def extension_iso(ext: SplitExtension) -> GroupHom:

@@ -17,8 +17,9 @@ failed (a bug in xmodkit, not in the input).  Budget exhaustion is never
 reported as nonexistence.
 
 Every subcommand accepts --json PATH to write a machine-readable report
-("-" for stdout); the human summary always goes to stdout.  lift and audit,
-the subcommands that run budgeted searches, also accept --budget N.
+("-" for stdout), also on exit 2, 3 or 4 (ok false, the error, null results);
+the human summary goes to stdout.  lift and audit, the subcommands that run
+budgeted searches, also accept --budget N.
 """
 
 import argparse
@@ -64,31 +65,42 @@ def _digest(path):
     return h.hexdigest()
 
 
-def _emit(args, command, results, ok, started, *, exit_code=None):
-    """Write the JSON report (if asked) and return the exit code."""
-    code = exit_code if exit_code is not None else (0 if ok else 1)
+def _write_report(args, results, ok, code, error=None):
+    """Write the JSON report to args.json ("-" for stdout)."""
     report = {
         "tool": "xmodkit",
         "version": __version__,
-        "command": command,
+        "command": f"condp {args.mode}" if args.command == "condp" else args.command,
         "ok": ok,
         "exit_code": code,
-        "elapsed_seconds": round(time.perf_counter() - started, 3),
-        "results": results,
+        "elapsed_seconds": round(time.perf_counter() - args.started, 3),
     }
+    if error is not None:
+        report["error"] = error
+    report["results"] = results
     path = getattr(args, "input", None)
     if path:
         report["input"] = path
-        report["input_sha256"] = _digest(path)
+        try:
+            report["input_sha256"] = _digest(path)
+        except OSError:
+            pass  # an unreadable input is what the error reports
     if getattr(args, "seed", None) is not None:
         report["seed"] = args.seed
     if args.json == "-":
         json.dump(report, sys.stdout, indent=2, default=_json_safe)
         sys.stdout.write("\n")
-    elif args.json:
+    else:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, default=_json_safe)
         print(f"report written to {args.json}")
+
+
+def _emit(args, results, ok):
+    """Write the JSON report (if asked) and return the exit code."""
+    code = 0 if ok else 1
+    if args.json:
+        _write_report(args, results, ok, code)
     print(f"VERDICT: {'pass' if ok else 'falsified'}")
     return code
 
@@ -101,7 +113,6 @@ def _first(lst):
 
 
 def cmd_check(args):
-    started = time.perf_counter()
     defs = load_definitions(args.input, check_xmods=False)
     xmods = defs.of_kind("xmod")
     if not xmods:
@@ -139,14 +150,13 @@ def cmd_check(args):
               f"(eq viol {entry['elementwise']['equivariance_violations']}, "
               f"pf viol {entry['elementwise']['peiffer_violations']}, "
               f"{entry['wordlevel']['words']} words at L={args.word_len})")
-    return _emit(args, "check", results, all(r["ok"] for r in results), started)
+    return _emit(args, results, all(r["ok"] for r in results))
 
 
 # -- pi0 ---------------------------------------------------------------------
 
 
 def cmd_pi0(args):
-    started = time.perf_counter()
     defs = load_definitions(args.input)
     xmods = defs.of_kind("xmod")
     if not xmods:
@@ -169,14 +179,13 @@ def cmd_pi0(args):
         print(f"pi0 {name}: order {Q.order}, "
               f"{'abelian' if Q.commutative else 'nonabelian'}, "
               f"coequalizer route {'agrees' if agree else 'DISAGREES'}")
-    return _emit(args, "pi0", results, all(r["coequalizer_route_agrees"] for r in results), started)
+    return _emit(args, results, all(r["coequalizer_route_agrees"] for r in results))
 
 
 # -- lift ---------------------------------------------------------------------
 
 
 def cmd_lift(args):
-    started = time.perf_counter()
     defs = load_definitions(args.input)
     mors = defs.of_kind("morphism")
     if args.name:
@@ -201,7 +210,7 @@ def cmd_lift(args):
         results.append(entry)
         print(f"lift {name} [{args.algorithm}]: {cert.status}")
     ok = all(r["certificate"]["status"] == "success" for r in results)
-    return _emit(args, "lift", results, ok, started)
+    return _emit(args, results, ok)
 
 
 # -- condp ---------------------------------------------------------------------
@@ -215,7 +224,6 @@ def _parse_int_list(text, what):
 
 
 def cmd_condp(args):
-    started = time.perf_counter()
     results = {}
     if args.mode == "z4-pipeline":
         jobs = []
@@ -263,14 +271,13 @@ def cmd_condp(args):
         print(f"preservation: split rows {rep['split_rows']['count']} ok, "
               f"left-exactness failures {rep['left_exactness_failures']}")
         ok = rep["ok"]
-    return _emit(args, f"condp {args.mode}", results, ok, started)
+    return _emit(args, results, ok)
 
 
 # -- audit ----------------------------------------------------------------------
 
 
 def cmd_audit(args):
-    started = time.perf_counter()
     results = {}
     entries = axiom_corpus()
     agree = all(check_axioms(xm)["ok"] == valid
@@ -330,7 +337,7 @@ def cmd_audit(args):
         print(f"projectivity survey: {len(survey)} classes, criterion and "
               f"oracle agree {s_ok}")
         ok = ok and s_ok
-    return _emit(args, "audit", results, ok, started)
+    return _emit(args, results, ok)
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -408,20 +415,19 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
-    except DefinitionError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except GroupError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except (DefinitionError, GroupError) as exc:
+        code, error = 2, f"input error: {exc}"
     except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, f"budget exhausted: {exc}"
     except InvariantBreach as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+        code, error = 4, f"internal error: {exc}"
+    print(error, file=sys.stderr)
+    if args.json:
+        _write_report(args, None, False, code, error=error)
+    return code
 
 
 if __name__ == "__main__":

@@ -302,8 +302,7 @@ def check_P_instance(ext: SplitExtension, oracle=None) -> dict:
 
 def check_P_instance_xmod(ses: XModSplitSES, oracle=None) -> dict:
     """The same transfer check on the carrier level of a split crossed-module row."""
-    ext = SplitExtension(ses.kappa.fT, ses.pi.fT, ses.sigma.fT)
-    return check_P_instance(ext, oracle)
+    return check_P_instance(ses.ext_T, oracle)
 
 
 # -- the nine-object pipeline ----------------------------------------------------
@@ -389,10 +388,11 @@ def pipeline_diagram_P(f, s) -> dict:
         "Y": split_exact_z4(kY, pY, sY),
         "kernel": split_exact_z4(kZ, pZ, sZ),
     }
+    column = split_exact_z4(incl, vf, vs)  # the flat and base columns are one row
     columns = {
-        "flat": split_exact_z4(incl, vf, vs),
+        "flat": column,
         "total": split_exact_z4(incl_tot, vf_tot, vs_tot),
-        "base": split_exact_z4(incl, vf, vs),
+        "base": column,
     }
     squares = {
         "projection": compose_linear(vf, pX) == compose_linear(pY, vf_tot),
@@ -407,11 +407,9 @@ def pipeline_diagram_P(f, s) -> dict:
         "kernel-killed": compose_linear(vf, incl).is_zero(),
         "kernel-total-killed": compose_linear(vf_tot, incl_tot).is_zero(),
     }
-    kernel_projective = {
-        "flat": projective_z4(Zr),
-        "total": projective_z4(ZT),
-        "base": projective_z4(Zr),
-    }
+    zr_projective = projective_z4(Zr)
+    kernel_projective = {"flat": zr_projective, "total": projective_z4(ZT),
+                         "base": zr_projective}
 
     materialized = None
     if 1 <= r <= 2:

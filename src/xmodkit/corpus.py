@@ -12,7 +12,7 @@ from .groups import (
     symmetric_group, trivial_group, trivial_hom,
 )
 from .actions import (
-    action_from_extension, action_from_function, semidirect_product,
+    GroupAction, action_from_extension, action_from_function, semidirect_product,
     trivial_action,
 )
 from .xmod import (
@@ -239,8 +239,8 @@ def collapse_epi(ext, K):
     psi = action_from_extension(ext)
     QK = direct_product(Q, K)[0]
     m = K.order
-    act2 = action_from_function(
-        P, QK, lambda p, x: psi.table[p][x // m] * m + x % m)
+    act2 = GroupAction(P, QK, [[row[x // m] * m + x % m for x in range(QK.order)]
+                               for row in psi.table], check=False)  # valid, as above
     ext2 = semidirect_product(act2)
     src = inclusion_xmod(ext2)
     tgt = inclusion_xmod(ext)

@@ -1,10 +1,10 @@
 """Finite groups as dense multiplication tables.
 
 Carriers are index ranges 0..order-1 and tables are tuples of tuples, so every
-structural question is settled by exhaustion.  Associativity is checked on all
-triples up to order 64 and on a deterministic sample above that; everything
-built by the constructors here (quotients, pullbacks, semidirect products) is
-associative by construction anyway.
+structural question is settled by exhaustion.  Tables are validated where
+they enter: ``FiniteGroup`` checks associativity (all triples up to order 64,
+a deterministic sample above) and ``GroupHom`` the hom law, by default.  The
+constructions here are correct by theorem and pass ``check=False``.
 
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: plain hom enumeration, section searches, constrained lifts and
@@ -382,7 +382,8 @@ def quotient(G, elems, label=None):
     table = [[seen[G.table[a][b]] for b in reps] for a in reps]
     names = ["[" + G.names[r] + "]" for r in reps]
     Q = FiniteGroup(table, names, label=label or f"{G.label}/{len(es)}", check=False)
-    proj = GroupHom(G, Q, tuple(seen[g] for g in range(G.order)))
+    # g -> gN is a hom because N is normal
+    proj = GroupHom(G, Q, tuple(seen[g] for g in range(G.order)), check=False)
     return Q, proj
 
 
@@ -491,15 +492,14 @@ def symmetric_group(n):
 
 
 def alternating_group(n):
-    S = symmetric_group(n)
-    # generate from 3-cycles: recovering permutations from names is clumsy
-    three = tuple([1, 2, 0] + list(range(3, n))) if n >= 3 else tuple(range(n))
-    perms = [three]
-    if n >= 4:
-        for k in range(1, n - 2):
-            c = list(range(n))
-            c[k], c[k + 1], c[k + 2] = c[k + 1], c[k + 2], c[k]
-            perms.append(tuple(c))
+    if n > 5:
+        raise GroupError("alternating groups supported up to degree 5")
+    # the 3-cycles (k k+1 k+2) generate; the identity covers n < 3
+    perms = [tuple(range(n))]
+    for k in range(n - 2):
+        c = list(range(n))
+        c[k], c[k + 1], c[k + 2] = c[k + 1], c[k + 2], c[k]
+        perms.append(tuple(c))
     return from_permutations(perms, n, label=f"A{n}")
 
 
@@ -547,21 +547,25 @@ def is_z4_module(G):
 
 
 def z4_module(n4, n2, label=None):
-    """(Z/4)^n4 + (Z/2)^n2 as a dense-table group; element names are digit strings."""
+    """(Z/4)^n4 + (Z/2)^n2 as a dense-table group; element names are digit strings.
+
+    Built in mixed radix one factor at a time, first factor most significant:
+    (a, x) + (b, y) = (a + b, (x + y) % m) at index a*m + x.
+    """
     moduli = (4,) * n4 + (2,) * n2
-    order = 1
-    for m in moduli:
-        order *= m
+    order = math.prod(moduli)
     if order > MAX_ORDER:
         raise GroupError(f"module order {order} exceeds cap {MAX_ORDER}")
-    digits = list(itertools.product(*(range(m) for m in moduli)))
-    idx = {d: i for i, d in enumerate(digits)}
-    table = [[idx[tuple((a + b) % m for a, b, m in zip(da, db, moduli))]
-              for db in digits] for da in digits]
-    names = ["".join(map(str, d)) if d else "0" for d in digits]
-    if not moduli:
-        names = ["0"]
-    return FiniteGroup(table, names=names,
+    table, names = [(0,)], [""]
+    for m in moduli:
+        # row (a, x) is the block blocks[x][v] for each v = old[a][b]; sharing the
+        # blocks keeps one int object per value and x rather than one per cell
+        blocks = [[tuple(v * m + (x + y) % m for y in range(m)) for v in range(len(table))]
+                  for x in range(m)]
+        table = [tuple(itertools.chain.from_iterable(blocks[x][v] for v in row))
+                 for row in table for x in range(m)]
+        names = [s + str(x) for s in names for x in range(m)]
+    return FiniteGroup(table, names=names if moduli else ["0"],
                        label=label or f"M(4^{n4}.2^{n2})", check=False)
 
 

@@ -245,7 +245,8 @@ def xmod_product(a: CrossedModule, b: CrossedModule):
 def product_split_ses(a: CrossedModule, b: CrossedModule) -> "XModSplitSES":
     """The canonical split short exact sequence b -> a x b -> a."""
     _, inj1, inj2, proj1, _ = xmod_product(a, b)
-    return XModSplitSES(inj2, proj1, inj1)
+    # product injections and projections are split exact on both levels
+    return XModSplitSES(inj2, proj1, inj1, check=False)
 
 
 def relabel_xmod(xm: CrossedModule, perm_T, perm_G) -> CrossedModule:
@@ -453,7 +454,7 @@ def xmod_kernel(mor: XModMorphism):
 
 
 class XModSplitSES:
-    """kappa then pi with section sigma, split exact at both levels."""
+    """kappa then pi with section sigma, split exact at both levels ext_T, ext_G."""
 
     def __init__(self, kappa: XModMorphism, pi: XModMorphism,
                  sigma: XModMorphism, *, check: bool = True):
@@ -465,9 +466,9 @@ class XModSplitSES:
                 raise GroupError("kappa must land in the domain of pi")
             if sigma.src is not pi.tgt or sigma.tgt is not pi.src:
                 raise GroupError("sigma must section pi")
-            # levelwise split extensions enforce exactness and the splitting
-            SplitExtension(kappa.fT, pi.fT, sigma.fT)
-            SplitExtension(kappa.fG, pi.fG, sigma.fG)
+        # validating the levelwise extensions enforces exactness and the splitting
+        self.ext_T = SplitExtension(kappa.fT, pi.fT, sigma.fT, check=check)
+        self.ext_G = SplitExtension(kappa.fG, pi.fG, sigma.fG, check=check)
 
     def __repr__(self):
         return (f"<XModSplitSES {self.kappa.src.label} -> "

@@ -156,6 +156,18 @@ def test_strict_vs_lenient_xmod_parsing(tmp_path):
     assert "B" in defs
 
 
+def test_parser_validates_actions_and_normal_subgroups():
+    head = SAMPLE.split("[action flip]")[0]
+    translation = "[action bad]\nactor: Z2\ncarrier: V\ntable:\n  e a b ab\n  a e ab b\n"
+    with pytest.raises(DefinitionError, match="invalid action table"):
+        parse_definitions(head + translation)
+    s3 = "[group S3]\ndegree: 3\nperms: (1 2); (1 2 3)\n\n[xmod X]\ngroup: S3\n"
+    with pytest.raises(DefinitionError, match="not a normal subgroup: image of the"):
+        parse_definitions(s3 + "normal: e (1 2)\n")
+    with pytest.raises(DefinitionError, match="not a normal subgroup: subset not closed"):
+        parse_definitions(s3 + "normal: e (1 2 3)\n")
+
+
 def test_check_command_exit_codes(sample, tmp_path, capsys):
     assert main(["check", sample]) == 0
     out = capsys.readouterr().out
@@ -194,6 +206,34 @@ def test_check_json_report(sample, tmp_path, capsys):
     rep2 = json.loads(rep2_path.read_text())
     assert rep2["input_sha256"] == digest
     assert rep2["results"] == rep["results"]
+
+
+def test_json_report_on_error_exits(sample, tmp_path, capsys):
+    rep_path = tmp_path / "budget.json"
+    assert main(["audit", "--quick", "--budget", "1", "--json", str(rep_path)]) == 3
+    capsys.readouterr()
+    rep = json.loads(rep_path.read_text())
+    assert rep["command"] == "audit" and rep["ok"] is False
+    assert rep["exit_code"] == 3 and rep["results"] is None
+    assert rep["error"].startswith("budget exhausted: ")
+
+    bad = tmp_path / "bad_table.defs"
+    bad.write_text("[group G]\nelements: a b\ntable:\n  a b\n  b b\n")
+    rep_path = tmp_path / "input.json"
+    assert main(["check", str(bad), "--json", str(rep_path)]) == 2
+    capsys.readouterr()
+    rep = json.loads(rep_path.read_text())
+    assert rep["command"] == "check" and rep["ok"] is False
+    assert rep["exit_code"] == 2 and rep["results"] is None
+    assert "invalid multiplication table" in rep["error"]
+    assert rep["input"] == str(bad) and len(rep["input_sha256"]) == 64
+
+    missing = str(tmp_path / "missing.defs")
+    assert main(["pi0", missing, "--json", str(rep_path)]) == 2
+    capsys.readouterr()
+    rep = json.loads(rep_path.read_text())
+    assert rep["error"].startswith("input error: cannot read")
+    assert rep["input"] == missing and "input_sha256" not in rep
 
 
 def test_pi0_command(sample, capsys):

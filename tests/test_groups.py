@@ -40,6 +40,13 @@ def test_stock_group_profiles():
         assert sorted(G.elem_orders) == orders
 
 
+def test_alternating_group_cap():
+    assert alternating_group(4).order == 12
+    assert alternating_group(5).order == 60
+    with pytest.raises(GroupError, match="alternating"):
+        alternating_group(6)
+
+
 def test_symmetric_group_names():
     S3 = symmetric_group(3)
     assert S3.names[0] == "e"
