@@ -645,7 +645,7 @@ def search_homs(src, target_mul, target_identity, candidates, *, prescribed=None
     cand_lists = [list(candidates(g)) for g in seq]
     nodes = 0
 
-    def rec(i, phi, used):
+    def rec(rec, i, phi, used):  # passed itself: a self-closure is a reference cycle
         nonlocal nodes
         if i == len(seq):
             yield dict(phi)
@@ -661,9 +661,9 @@ def search_homs(src, target_mul, target_identity, candidates, *, prescribed=None
             phi2[g] = h
             used2 = set(used) | {h} if used is not None else None
             if _hom_closure(src, target_mul, phi2, [g], used=used2) is None:
-                yield from rec(i + 1, phi2, used2)
+                yield from rec(rec, i + 1, phi2, used2)
 
-    yield from rec(0, phi0, set(phi0.values()) if injective else None)
+    yield from rec(rec, 0, phi0, set(phi0.values()) if injective else None)
 
 
 def hom_from_dict(src, tgt, phi):

@@ -353,7 +353,7 @@ def _kernel_words(sig, max_len, keeps):
     shift = _SLOT_SHIFT
     mask = _VAL_MASK
 
-    def rec(prev_slot, remaining, total_h):
+    def rec(rec, prev_slot, remaining, total_h):  # no self-closure, as in search_homs
         if total_h == 0:
             out.append(tuple(cur))
         if remaining == 0:
@@ -434,7 +434,7 @@ def _kernel_words(sig, max_len, keeps):
                     else:
                         st[-1] = (s << shift) | nt
                 cur.append((s, v))
-                rec(s, r1, base + delta)
+                rec(rec, s, r1, base + delta)
                 cur.pop()
                 for (st, _top, _must), nt, old in zip(merge, new_tops, tops_backup):
                     if nt is None:
@@ -444,7 +444,7 @@ def _kernel_words(sig, max_len, keeps):
                 for st in pushes:
                     st.pop()
 
-    rec(-1, max_len, 0)
+    rec(rec, -1, max_len, 0)
     out.sort(key=lambda ls: (len(ls), ls))
     return [Word(sig, ls) for ls in out]
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from xmodkit.errors import BudgetExhausted, GroupError
@@ -245,3 +247,17 @@ def test_z4_modules():
     assert not is_z4_module(cyclic_group(8))
     assert len(z4_module_classes(64)) == 16
     assert z4_module_classes(4) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+
+
+def test_searches_leave_no_reference_cycles():
+    """A finished or abandoned hom search is freed by reference counting, so
+    the tables it closed over go at once, not at a later cyclic collection."""
+    G, H = cyclic_group(4), z4_module(1, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_homs(G, H)) == 8
+        next(search_homs(G, H.mul, H.identity, lambda g: range(H.order)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from xmodkit.errors import GroupError
@@ -226,3 +228,15 @@ def test_enumeration_is_sorted_and_capped():
     assert keys == sorted(keys)
     with pytest.raises(GroupError):
         enumerate_words(sig, 13)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    """The word enumeration is freed by reference counting alone."""
+    sig = FactorSignature((Z3, Z2))
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_cosmash_words(sig, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
