@@ -208,6 +208,36 @@ def test_search_prescribed():
                             prescribed={2: 1})) == []
 
 
+def test_search_budget_edges():
+    """The node budgets at which whole searches just fit, pinned: one node
+    per candidate tried at a non-prescribed level."""
+    src, tgt = z4_module(3, 0), z4_module(1, 1)
+    assert len(enumerate_homs(src, tgt, budget=584)) == 512
+    with pytest.raises(BudgetExhausted):
+        enumerate_homs(src, tgt, budget=583)
+    S4 = symmetric_group(4)
+    assert len(enumerate_homs(S4, S4, budget=272)) == 58
+    with pytest.raises(BudgetExhausted):
+        enumerate_homs(S4, S4, budget=271)
+    D4xZ4 = direct_product(dihedral_group(4), cyclic_group(4))[0]
+    assert find_isomorphism(D4xZ4, D4xZ4, budget=9) is not None
+    with pytest.raises(BudgetExhausted):
+        find_isomorphism(D4xZ4, D4xZ4, budget=8)
+
+
+def test_hom_refusals():
+    Z2, Z4 = cyclic_group(2), cyclic_group(4)
+    with pytest.raises(GroupError, match="identity must map to the identity"):
+        hom(Z4, Z4, {0: 1, 1: 1})
+    with pytest.raises(GroupError, match="images violate a relation"):
+        hom(Z2, Z4, {1: 1})
+    with pytest.raises(GroupError, match="images violate a relation"):
+        hom(Z4, Z4, {2: 1})  # 2 + 2 = 0 but 1 + 1 = 2
+    with pytest.raises(GroupError, match="do not generate the source group"):
+        hom(Z4, Z4, {2: 2})
+    assert hom(Z4, Z4, {0: 0, 1: 3}).table == (0, 3, 2, 1)
+
+
 def test_find_section():
     Z4, Z2 = cyclic_group(4), cyclic_group(2)
     mod2 = GroupHom(Z4, Z2, (0, 1, 0, 1))
