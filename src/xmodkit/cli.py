@@ -23,6 +23,7 @@ budgeted searches, also accept --budget N.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -343,6 +344,7 @@ def cmd_audit(args):
 # -- plumbing ---------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: each one is a web of reference cycles
 def build_parser():
     p = argparse.ArgumentParser(
         prog="xmodkit",

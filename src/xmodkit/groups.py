@@ -7,9 +7,12 @@ a deterministic sample above) and ``GroupHom`` the hom law, by default.  The
 constructions here are correct by theorem and pass ``check=False``.
 
 The backtracking homomorphism search at the bottom is the engine for most of
-the package: plain hom enumeration, section searches, constrained lifts and
-isomorphism searches all go through ``search_homs``.  Every section and every
-lift along a surjection is found by ``lifts``, the one search over fibers.
+the package: ``hom``, hom enumeration, section searches, constrained lifts and
+isomorphism searches all go through ``search_homs``.  It checks generator
+images along Cayley edges z = x*s planned once per search, since a map with
+f(xs) = f(x)f(s) for all x and generators s is a hom: O(|G|.|gens|) work per
+full assignment.  Every section and every lift along a surjection is found by
+``lifts``, the one search over fibers.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ class FiniteGroup:
         if n > MAX_ORDER:
             raise GroupError(f"order {n} exceeds the dense-table cap {MAX_ORDER}")
         for row in table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise GroupError("multiplication table is not square over 0..n-1")
         self.order = n
         self.table = table
@@ -52,23 +55,19 @@ class FiniteGroup:
             raise GroupError("need exactly one name per element")
         self.names = names
 
-        ident = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                ident = e
-                break
+        elems = tuple(range(n))
+        ident = next((e for e in elems if table[e] == elems
+                      and tuple(row[e] for row in table) == elems), None)
         if ident is None:
             raise GroupError("table has no identity element")
         self.identity = ident
 
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if table[x][y] == ident and table[y][x] == ident:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
+        inv = []
+        for x, row in enumerate(table):
+            y = row.index(ident) if ident in row else None
+            if y is None or table[y][x] != ident:
                 raise GroupError(f"element {x} has no inverse")
+            inv.append(y)
         self._inv = tuple(inv)
 
         if check:
@@ -126,9 +125,6 @@ class FiniteGroup:
             out.append(k)
         return tuple(out)
 
-    def elem_order(self, x):
-        return self.elem_orders[x]
-
     @cached_property
     def commutative(self):
         t = self.table
@@ -162,9 +158,6 @@ class FiniteGroup:
     def generators(self):
         """Greedy generating sequence: largest element order first, ties by least index."""
         return generating_sequence(self, (self.identity,))
-
-    def name_of(self, x):
-        return self.names[x]
 
     @cached_property
     def _name_index(self):
@@ -282,19 +275,15 @@ def hom(src, tgt, images):
 
     Raises GroupError when the images violate a relation or fail to generate.
     """
-    phi = {src.identity: tgt.identity}
-    for g, h in images.items():
-        if phi.get(g, h) != h:
-            raise GroupError("identity must map to the identity")
-        phi[g] = h
-    conflict = _hom_closure(src, tgt.mul, phi, [g for g in phi if g != src.identity])
-    if conflict is not None:
-        a, b = conflict
-        raise GroupError(
-            f"images violate a relation at ({src.names[a]},{src.names[b]})")
-    if len(phi) != src.order:
+    if images.get(src.identity, tgt.identity) != tgt.identity:
+        raise GroupError("identity must map to the identity")
+
+    def unassigned(g):  # asked for only once the images have passed every relation
         raise GroupError("the given elements do not generate the source group")
-    return GroupHom(src, tgt, tuple(phi[i] for i in range(src.order)), check=False)
+
+    for table in search_homs(src, tgt.mul, tgt.identity, unassigned, prescribed=images):
+        return GroupHom(src, tgt, table, check=False)
+    raise GroupError("images violate a relation")
 
 
 # -- subgroups, quotients, pullbacks ----------------------------------------
@@ -585,89 +574,89 @@ def z4_module_classes(max_order):
 # -- backtracking homomorphism search -----------------------------------------
 
 
-def _hom_closure(src, target_mul, phi, new_elems, used=None):
-    """Extend the partial hom `phi` over products, checking consistency.
-
-    phi maps src elements to target elements and must already contain
-    new_elems.  Mutates phi in place.  Returns None on success or a witness
-    pair (a, b) with phi(a*b) != phi(a)*phi(b) (or an injectivity collision
-    when `used` is given).
-    """
-    st = src.table
-    frontier = list(new_elems)
-    while frontier:
-        nxt = []
-        snapshot = list(phi.items())
-        for y in frontier:
-            fy = phi[y]
-            for x, fx in snapshot:
-                for a, b, fa, fb in ((x, y, fx, fy), (y, x, fy, fx)):
-                    z = st[a][b]
-                    w = target_mul(fa, fb)
-                    fz = phi.get(z)
-                    if fz is None:
-                        phi[z] = w
-                        if used is not None:
-                            if w in used:
-                                return (a, b)
-                            used.add(w)
-                        nxt.append(z)
-                    elif fz != w:
-                        return (a, b)
-        frontier = nxt
-    return None
+def _cayley_level(t, elems, gens):
+    """Cayley edges that grow the subgroup `elems` (identity first, extended in
+    place, gens[-1] first) to <elems, gens[-1]>: old elements step along the
+    new generator, new ones along all of `gens`.  An edge (defines, z, x, s)
+    has z = x*s with x reached before; it defines f(z) where z is met first
+    and checks it elsewhere."""
+    g = gens[-1]
+    old = len(elems)
+    elems.append(g)
+    seen = set(elems)
+    edges = []
+    i = 1  # the identity steps along g to g itself, whose image is the choice
+    while i < len(elems):
+        x = elems[i]
+        for s in gens if i >= old else (g,):
+            z = t[x][s]
+            defines = z not in seen
+            edges.append((defines, z, x, s))
+            if defines:
+                seen.add(z)
+                elems.append(z)
+        i += 1
+    return edges
 
 
 def search_homs(src, target_mul, target_identity, candidates, *, prescribed=None,
                 budget=None, injective=False):
-    """Yield full hom dicts src-element -> target-element by backtracking.
+    """Yield the value tuple of every hom from src, by backtracking.
 
     Generators are the deterministic greedy sequence outside the subgroup
     spanned by `prescribed`; `candidates(gen)` lists allowed images in the
     order they are tried, so output order is lexicographic in the
-    generator-image tuple.  Raises BudgetExhausted when the node budget runs
-    out; a completed iteration proves the enumeration exhaustive.
+    generator-image tuple.  Each level's Cayley edges are planned once per
+    search; a node sets its generator's image and walks the edges in one
+    flat map, which deeper levels overwrite, so nothing is copied or undone.
+    Raises BudgetExhausted when the node budget runs out; a completed
+    iteration proves the enumeration exhaustive.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    phi0 = {src.identity: target_identity}
-    if prescribed:
-        for k, v in prescribed.items():
-            if phi0.get(k, v) != v:
+    phi = [None] * src.order
+    phi[src.identity] = target_identity
+    elems, gens = [src.identity], []
+
+    def walk(edges, size):
+        for defines, z, x, s in edges:
+            w = target_mul(phi[x], phi[s])
+            if defines:
+                phi[z] = w
+            elif phi[z] != w:
+                return False
+        return not injective or len({phi[x] for x in elems[:size]}) == size
+
+    for k, v in (prescribed or {}).items():
+        if phi[k] is None:  # not yet in the subgroup: a level of its own
+            gens.append(k)
+            edges = _cayley_level(src.table, elems, gens)
+            phi[k] = v
+            if not walk(edges, len(elems)):
                 return
-            phi0[k] = v
-        used0 = set(phi0.values()) if injective else None
-        if injective and len(used0) != len(phi0):
+        elif phi[k] != v:
             return
-        if _hom_closure(src, target_mul, phi0,
-                        [k for k in phi0 if k != src.identity], used=used0) is not None:
-            return
-    seq = generating_sequence(src, phi0.keys())
-    cand_lists = [list(candidates(g)) for g in seq]
+    levels = []
+    for g in generating_sequence(src, elems):
+        gens.append(g)
+        edges = _cayley_level(src.table, elems, gens)
+        levels.append((g, list(candidates(g)), edges, len(elems)))
     nodes = 0
 
-    def rec(rec, i, phi, used):  # passed itself: a self-closure is a reference cycle
+    def rec(rec, i):  # passed itself: a self-closure is a reference cycle
         nonlocal nodes
-        if i == len(seq):
-            yield dict(phi)
+        if i == len(levels):
+            yield tuple(phi)
             return
-        g = seq[i]
-        for h in cand_lists[i]:
+        g, cands, edges, size = levels[i]
+        for h in cands:
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted(f"hom search exceeded {budget} nodes")
-            if used is not None and h in used:
-                continue
-            phi2 = dict(phi)
-            phi2[g] = h
-            used2 = set(used) | {h} if used is not None else None
-            if _hom_closure(src, target_mul, phi2, [g], used=used2) is None:
-                yield from rec(rec, i + 1, phi2, used2)
+            phi[g] = h
+            if walk(edges, size):
+                yield from rec(rec, i + 1)
 
-    yield from rec(rec, 0, phi0, set(phi0.values()) if injective else None)
-
-
-def hom_from_dict(src, tgt, phi):
-    return GroupHom(src, tgt, tuple(phi[i] for i in range(src.order)), check=False)
+    yield from rec(rec, 0)
 
 
 def enumerate_homs(G, H, budget=None):
@@ -683,8 +672,8 @@ def enumerate_homs(G, H, budget=None):
         og = orders[g]
         return [h for h in range(H.order) if og % horders[h] == 0]
 
-    return [hom_from_dict(G, H, phi)
-            for phi in search_homs(G, H.mul, H.identity, cands, budget=budget)]
+    return [GroupHom(G, H, table, check=False)
+            for table in search_homs(G, H.mul, H.identity, cands, budget=budget)]
 
 
 def lifts(p, u, budget=None, allow=None):
@@ -709,8 +698,7 @@ def lifts(p, u, budget=None, allow=None):
         cands = lambda x: fibers[u.table[x]]
     else:
         cands = lambda x: [a for a in fibers[u.table[x]] if allow(x, a)]
-    for phi in search_homs(X, A.mul, A.identity, cands, budget=budget):
-        yield tuple(phi[x] for x in range(X.order))
+    yield from search_homs(X, A.mul, A.identity, cands, budget=budget)
 
 
 def find_section(f, budget=None):
@@ -730,10 +718,10 @@ def find_retraction(f, budget=None):
     if not f.is_injective():
         return None
     prescribed = {f.table[t]: t for t in range(src.order)}
-    cands = lambda g: list(range(src.order))
-    for phi in search_homs(tgt, src.mul, src.identity, cands,
-                           prescribed=prescribed, budget=budget):
-        return hom_from_dict(tgt, src, phi)
+    cands = lambda g: range(src.order)
+    for table in search_homs(tgt, src.mul, src.identity, cands,
+                             prescribed=prescribed, budget=budget):
+        return GroupHom(tgt, src, table, check=False)
     return None
 
 
@@ -752,30 +740,33 @@ def find_isomorphism(G, H, budget=None):
         og = orders[g]
         return [h for h in range(H.order) if horders[h] == og]
 
-    for phi in search_homs(G, H.mul, H.identity, cands, budget=budget, injective=True):
-        return hom_from_dict(G, H, phi)
+    for table in search_homs(G, H.mul, H.identity, cands, budget=budget, injective=True):
+        return GroupHom(G, H, table, check=False)
     return None
 
 
 def normal_subgroups(G):
-    """All normal subgroups, each as a sorted element tuple.
+    """All normal subgroups, each as a sorted element tuple, by (size, elements).
 
-    Normal subgroups are unions of conjugacy classes, so close each subset of
-    classes and deduplicate.  Desk scale only.
+    A normal subgroup is generated by the conjugacy classes it contains, and
+    a subgroup generated by normal subsets is normal.  So joining each class
+    onto each subgroup found, starting from the trivial one, reaches them all.
     """
     classes = []
     seen = set()
     for x in range(G.order):
-        if x in seen:
-            continue
-        cls = frozenset(G.conj(g, x) for g in range(G.order))
-        seen |= cls
-        classes.append(cls)
-    found = set()
-    for r in range(len(classes) + 1):
-        for combo in itertools.combinations(classes, r):
-            gen = set().union(*combo) if combo else set()
-            sub = G.closure(gen | {G.identity})
-            if is_normal(G, sub):
-                found.add(tuple(sorted(sub)))
-    return sorted(found, key=lambda s: (len(s), s))
+        if x not in seen:
+            cls = frozenset(G.conj(g, x) for g in range(G.order))
+            seen |= cls
+            classes.append(cls)
+    found = {frozenset((G.identity,))}
+    work = list(found)
+    while work:
+        N = work.pop()
+        for cls in classes:
+            if not cls <= N:
+                M = G.closure(N | cls)
+                if M not in found:
+                    found.add(M)
+                    work.append(M)
+    return sorted((tuple(sorted(N)) for N in found), key=lambda s: (len(s), s))

@@ -33,10 +33,6 @@ class SSEMorphism:
         if check:
             XModMorphism(src, tgt, fT, identity_hom(self.base))
 
-    def as_xmod_morphism(self) -> XModMorphism:
-        return XModMorphism(self.src, self.tgt, self.fT,
-                            identity_hom(self.base), check=False)
-
     def __call__(self, t: int) -> int:
         return self.fT.table[t]
 

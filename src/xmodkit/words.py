@@ -33,10 +33,6 @@ class FactorSignature:
     def __len__(self):
         return len(self.factors)
 
-    def identity_in(self, i):
-        f = self.factors[i]
-        return f.identity if isinstance(f, FiniteGroup) else Word(f, ())
-
     def is_identity_in(self, i, v):
         f = self.factors[i]
         if isinstance(f, FiniteGroup):

@@ -269,15 +269,17 @@ def relabel_xmod(xm: CrossedModule, perm_T, perm_G) -> CrossedModule:
           for x in range(T.order)]
     tG = [[perm_G[G.table[invG[x]][invG[y]]] for y in range(G.order)]
           for x in range(G.order)]
+    # transport of a crossed module along bijections is a crossed module
     T2 = FiniteGroup(tT, names=[T.names[invT[i]] for i in range(T.order)],
-                     label=T.label + "'")
+                     label=T.label + "'", check=False)
     G2 = FiniteGroup(tG, names=[G.names[invG[i]] for i in range(G.order)],
-                     label=G.label + "'")
+                     label=G.label + "'", check=False)
     act = GroupAction(G2, T2, [[perm_T[xm.action.table[invG[g]][invT[t]]]
-                                for t in range(T.order)] for g in range(G.order)])
+                                for t in range(T.order)] for g in range(G.order)],
+                      check=False)
     d = GroupHom(T2, G2, tuple(perm_G[xm.boundary.table[invT[t]]]
-                               for t in range(T.order)))
-    return CrossedModule(act, d, label=xm.label + "'")
+                               for t in range(T.order)), check=False)
+    return CrossedModule(act, d, check=False, label=xm.label + "'")
 
 
 # -- morphisms ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -274,6 +275,21 @@ def test_lift_json_certificate(sample, tmp_path, capsys):
     assert cert["status"] == "success" and cert["ok"] is True
     assert cert["equations"]["ternary-equivariance"] is True
     assert "section" in cert
+
+
+def test_commands_leave_no_reference_cycles(capsys):
+    """Repeated commands are freed by reference counting: the parser, a web
+    of argparse cycles, is built once per process, not once per call."""
+    main(["condp", "preservation"])
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["condp", "preservation"]) == 0
+        assert main(["condp", "non-schreier", "--seed", "1"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_condp_command(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import gc
+import itertools
 
 import pytest
 
+from xmodkit.actions import action_from_function, semidirect_product
 from xmodkit.errors import BudgetExhausted, GroupError
 from xmodkit.groups import (
     FiniteGroup, GroupHom, alternating_group, compose, cyclic_group,
@@ -61,6 +63,14 @@ def test_table_validation():
         FiniteGroup(((0, 0), (0, 0)))  # no identity
     with pytest.raises(GroupError):
         FiniteGroup(((0, 1), (1, 1)))  # 1 has no inverse
+    with pytest.raises(GroupError, match="no identity"):
+        FiniteGroup(((0, 1), (0, 1)))  # both rows fix everything, no column does
+    with pytest.raises(GroupError, match="element 1 has no inverse"):
+        FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 1, 0)))  # 1*2 = 0 but 2*1 = 1
+    for bad in (((0, 1), (1,)), ((0, 1), (1, 0, 1)), ((0, 1), (1, 2)),
+                ((0, 1), (-1, 0)), ((0,), (0,))):
+        with pytest.raises(GroupError, match="not square over 0..n-1"):
+            FiniteGroup(bad, check=False)
     # smallest nonassociative loop: identity and inverses exist, law fails
     loop = (
         (0, 1, 2, 3, 4),
@@ -142,6 +152,34 @@ def test_normal_subgroup_profiles():
     assert sorted(len(ns) for ns in normal_subgroups(dihedral_group(4))) == [1, 2, 4, 4, 4, 8]
     assert sorted(len(ns) for ns in normal_subgroups(quaternion_group())) == [1, 2, 4, 4, 4, 8]
     assert sorted(len(ns) for ns in normal_subgroups(symmetric_group(3))) == [1, 3, 6]
+
+
+def _normal_subgroups_by_subsets(G):
+    """Reference: close every subset of conjugacy classes, keep the normal ones."""
+    classes = {frozenset(G.conj(g, x) for g in range(G.order)) for x in range(G.order)}
+    found = set()
+    for r in range(len(classes) + 1):
+        for combo in itertools.combinations(classes, r):
+            sub = G.closure(set().union({G.identity}, *combo))
+            if is_normal(G, sub):
+                found.add(tuple(sorted(sub)))
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def test_normal_subgroups_match_subsets_of_classes():
+    Z2, Z4 = cyclic_group(2), cyclic_group(4)
+    Q8, D4, S4 = quaternion_group(), dihedral_group(4), symmetric_group(4)
+    Z4sZ4 = semidirect_product(action_from_function(
+        Z4, Z4, lambda g, x: (-x) % 4 if g % 2 else x)).total
+    for G in (symmetric_group(3), S4, alternating_group(5), symmetric_group(5),
+              D4, Q8, dihedral_group(16), direct_product(Q8, Z2)[0],
+              direct_product(D4, Z2)[0], direct_product(S4, Z2)[0], Z4sZ4):
+        assert normal_subgroups(G) == _normal_subgroups_by_subsets(G), G.label
+
+
+def test_normal_subgroups_of_elementary_abelian_32():
+    # every subgroup is normal: the Gaussian binomials [5,k]_2 sum to 374
+    assert len(normal_subgroups(z4_module(0, 5))) == 1 + 31 + 155 + 155 + 31 + 1
 
 
 def test_direct_product_and_pullback():

@@ -6,9 +6,11 @@ such a result with the validating public constructor, so a construction that
 stopped being correct would fail the suite rather than pass silently.
 """
 import itertools
+import random
 
 import pytest
 
+from xmodkit import condp
 from xmodkit.actions import (
     GroupAction, SplitExtension, action_from_extension, conjugation_action,
     conjugation_action_on, semidirect_product, trivial_action,
@@ -22,6 +24,7 @@ from xmodkit.groups import (
     normal_subgroups, quaternion_group, quotient, symmetric_group, z4_module,
     z4_module_classes,
 )
+from xmodkit.xmod import CrossedModule, relabel_xmod
 
 
 def _revalidate(action):
@@ -126,3 +129,40 @@ def test_z4_module_refuses_above_cap():
         z4_module(5, 1)
     with pytest.raises(GroupError, match=f"exceeds cap {MAX_ORDER}"):
         z4_module(0, 11)
+
+
+def _revalidate_xmod(xm):
+    T = FiniteGroup(xm.domain().table)
+    G = FiniteGroup(xm.codomain().table)
+    act = GroupAction(G, T, xm.action.table)
+    CrossedModule(act, GroupHom(T, G, xm.boundary.table))
+
+
+def _seeded_relabel(xm, seed):
+    rng = random.Random(seed)
+    pT = list(range(xm.domain().order))
+    pG = list(range(xm.codomain().order))
+    rng.shuffle(pT)
+    rng.shuffle(pG)
+    return relabel_xmod(xm, pT, pG)
+
+
+def test_relabel_xmod_of_valid_corpus():
+    valid = [xm for _, xm, ok in axiom_corpus() if ok]
+    assert len(valid) > 30
+    for i, xm in enumerate(valid):
+        _revalidate_xmod(_seeded_relabel(xm, i))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_relabel_xmod_of_non_schreier_demo(seed, monkeypatch):
+    made = []
+
+    def recording_relabel(*args):
+        made.append(relabel_xmod(*args))
+        return made[-1]
+
+    monkeypatch.setattr(condp, "relabel_xmod", recording_relabel)
+    assert condp.non_schreier_demo(relabel_seed=seed)["relabel_matches"]
+    assert [(xm.domain().order, xm.codomain().order) for xm in made] == [(16, 64)]
+    _revalidate_xmod(made[0])
