@@ -1,9 +1,13 @@
 import gc
+import hashlib
 
 import pytest
 
+from xmodkit.corpus import axiom_corpus
 from xmodkit.errors import GroupError
-from xmodkit.groups import GroupHom, cyclic_group, hom, symmetric_group
+from xmodkit.groups import (
+    GroupHom, cyclic_group, dihedral_group, hom, subgroup, symmetric_group,
+)
 from xmodkit.words import (
     FactorSignature, Word, WordHom, commutator, delete_slot, empty_word,
     enumerate_cosmash_words, enumerate_flat_words, enumerate_words,
@@ -187,6 +191,12 @@ def test_enumeration_against_naive_oracle():
         (FactorSignature((Z3, Z3)), 4, [], enumerate_words),
         (FactorSignature((Z2, Z2, Z2)), 10, [{0, 1}, {0, 2}, {1, 2}],
          enumerate_cosmash_words),
+        (FactorSignature((Z2, Z3, Z2)), 10, [{0, 1}, {0, 2}, {1, 2}],
+         enumerate_cosmash_words),
+        (FactorSignature((Z3, Z2, Z2)), 10, [{0, 1}, {0, 2}, {1, 2}],
+         enumerate_cosmash_words),
+        (FactorSignature((Z3, Z2)), 8, [{0}, {1}], enumerate_cosmash_words),
+        (FactorSignature((Z3, Z2)), 8, [{0}], enumerate_flat_words),
     ]
     for sig, L, keeps, enum in cases:
         mine = [w.letters for w in enum(sig, L)]
@@ -204,6 +214,73 @@ def test_enumeration_frozen_counts():
     t444 = enumerate_cosmash_words(FactorSignature((Z4, Z4, Z4)), 10)
     assert len(t444) == 811
     assert sorted(set(len(w) for w in t444)) == [0, 10]
+
+
+def _digest(words):
+    return hashlib.sha256(repr([w.letters for w in words]).encode()).hexdigest()[:16]
+
+
+# (G, T, T) at length 8, (G, T) and (T, T) at length 4: the signatures `check`
+# enumerates for each inclusion and conjugation module of the axiom corpus
+LIBRARY_DIGESTS = {
+    "normal:S3:1": ("b18a48f02566e615", "b18a48f02566e615", "b18a48f02566e615"),
+    "normal:S3:3": ("b18a48f02566e615", "7c89ee68aee73799", "1c393bf80c996f78"),
+    "normal:S3:6": ("b18a48f02566e615", "73d64c3962257484", "73d64c3962257484"),
+    "normal:S4:1": ("b18a48f02566e615", "b18a48f02566e615", "b18a48f02566e615"),
+    "normal:S4:4": ("b18a48f02566e615", "87e6256e5ade17d1", "e0df4f84cb054ed7"),
+    "normal:S4:12": ("b18a48f02566e615", "cef08183ac218188", "0665704139027853"),
+    "normal:S4:24": ("b18a48f02566e615", "54e188f09d3b2f6d", "54e188f09d3b2f6d"),
+    "normal:D4:1": ("b18a48f02566e615", "b18a48f02566e615", "b18a48f02566e615"),
+    "normal:D4:2": ("b18a48f02566e615", "5af8126dc5632ab9", "f6857b50d5fcbd3f"),
+    "normal:D4:4": ("b18a48f02566e615", "dc8af95a88b19321", "e0df4f84cb054ed7"),
+    "normal:D4:4.1": ("b18a48f02566e615", "dc8af95a88b19321", "e0df4f84cb054ed7"),
+    "normal:D4:4.2": ("b18a48f02566e615", "b746a330f4322dd2", "ae38a9fc1ba1105d"),
+    "normal:D4:8": ("b18a48f02566e615", "692ed67c8984eb92", "692ed67c8984eb92"),
+    "normal:Q8:1": ("b18a48f02566e615", "b18a48f02566e615", "b18a48f02566e615"),
+    "normal:Q8:2": ("b18a48f02566e615", "7d8987c83884322c", "f6857b50d5fcbd3f"),
+    "normal:Q8:4": ("b18a48f02566e615", "6e7ffb7e95dd8c00", "1fea044eb53183c4"),
+    "normal:Q8:4.1": ("b18a48f02566e615", "6e7ffb7e95dd8c00", "1fea044eb53183c4"),
+    "normal:Q8:4.2": ("b18a48f02566e615", "6e7ffb7e95dd8c00", "1fea044eb53183c4"),
+    "normal:Q8:8": ("b18a48f02566e615", "0de4be09fcfbcdbd", "0de4be09fcfbcdbd"),
+    "conj:S3": ("b18a48f02566e615", "73d64c3962257484", "73d64c3962257484"),
+    "conj:D4": ("b18a48f02566e615", "692ed67c8984eb92", "692ed67c8984eb92"),
+    "conj:Q8": ("b18a48f02566e615", "0de4be09fcfbcdbd", "0de4be09fcfbcdbd"),
+    "conj:Z4": ("b18a48f02566e615", "ae38a9fc1ba1105d", "ae38a9fc1ba1105d"),
+}
+
+
+def test_enumeration_digests_on_library_modules():
+    seen = {}
+    for name, xm, _valid in axiom_corpus():
+        if name.startswith(("normal:", "conj:")):
+            G, T = xm.codomain(), xm.domain()
+            seen[name] = (
+                _digest(enumerate_cosmash_words(FactorSignature((G, T, T)), 8)),
+                _digest(enumerate_cosmash_words(FactorSignature((G, T)), 4)),
+                _digest(enumerate_cosmash_words(FactorSignature((T, T)), 4)))
+    assert seen == LIBRARY_DIGESTS
+
+
+def test_enumeration_digests_at_length_ten():
+    S3 = symmetric_group(3)
+    A3 = subgroup(S3, [x for x in range(6) if S3.elem_orders[x] in (1, 3)])[0]
+    D4 = dihedral_group(4)
+    got = [(len(ws), _digest(ws)) for ws in (
+        enumerate_cosmash_words(FactorSignature(fs), 10)
+        for fs in ((Z2, Z2, Z2), (Z4, Z4, Z4), (S3, A3, A3), (D4, D4, D4)))]
+    assert got == [(31, "073d23cb3fb2482c"), (811, "30351f43a8e8545e"),
+                   (601, "0cbeb5f3f3fd8caf"), (10291, "90b0d3fd4902cf51")]
+
+
+def test_flat_and_plain_enumeration_digests():
+    S3 = symmetric_group(3)
+    got = [(len(ws), _digest(ws)) for ws in (
+        enumerate_flat_words(FactorSignature((Z4, S3)), 7),
+        enumerate_flat_words(FactorSignature((S3, Z2)), 8),
+        enumerate_words(FactorSignature((Z2, Z3)), 8),
+        enumerate_words(FactorSignature((S3, Z3)), 6))]
+    assert got == [(8571, "01021424b4289d68"), (417, "880537b357062dfb"),
+                   (106, "935645ac150182a6"), (2998, "a17d5bc1a88ef57c")]
 
 
 def test_ternary_short_lengths_only_empty():
