@@ -110,6 +110,14 @@ def _first(lst):
     return lst[0] if lst else None
 
 
+def _ternary_reach(tern, max_len):
+    """What a ternary check covered; only the empty word is a vacuous check."""
+    if tern is None:
+        return "skipped"
+    nonempty = tern["words"] - 1  # the empty word is always enumerated
+    return f"{nonempty} non-empty words at L={max_len}{'' if nonempty else ', vacuous'}"
+
+
 # -- check ------------------------------------------------------------------
 
 
@@ -150,7 +158,8 @@ def cmd_check(args):
         print(f"check {name}: {state} "
               f"(eq viol {entry['elementwise']['equivariance_violations']}, "
               f"pf viol {entry['elementwise']['peiffer_violations']}, "
-              f"{entry['wordlevel']['words']} words at L={args.word_len})")
+              f"{entry['wordlevel']['words']} words at L={args.word_len}, "
+              f"ternary {_ternary_reach(tern, args.ternary_len)})")
     return _emit(args, results, all(r["ok"] for r in results))
 
 
@@ -287,11 +296,15 @@ def cmd_audit(args):
     results["axiom_corpus"] = {"entries": len(entries), "checkers_agree": agree}
     print(f"axiom corpus: {len(entries)} entries, checkers agree {agree}")
 
-    dirty = [name for name, xm, valid in entries
-             if valid and not check_ternary(xm, args.ternary_len)["ok"]]
+    terns = [(name, check_ternary(xm, args.ternary_len))
+             for name, xm, valid in entries if valid]
+    dirty = [name for name, tern in terns if not tern["ok"]]
     results["ternary"] = {"max_len": args.ternary_len, "violations": dirty}
-    print(f"ternary law: clean at L={args.ternary_len} "
-          f"except {dirty if dirty else 'none'}")
+    nonempty = sum(tern["words"] - 1 for _, tern in terns)
+    verdict = (f"violations in {dirty}" if dirty else "clean" if nonempty
+               else "vacuous, only the empty word checked")
+    print(f"ternary law: {nonempty} non-empty words at L={args.ternary_len} "
+          f"over {len(terns)} modules, {verdict}")
 
     mors = sse_morphism_corpus()
     epis = sum(1 for m in mors if is_regular_epi(m))

@@ -184,20 +184,23 @@ class FiniteGroup:
 
 
 def generating_sequence(G, covered):
-    """Extend the subgroup generated by `covered` to all of G, greedily."""
-    seq = []
-    known = G.closure(covered)
+    """Extend the subgroup generated by `covered` to all of G, greedily.
+
+    Each pick is the element of largest order, then least index, outside the
+    subgroup so far, which grows along Cayley edges (_cayley_level).
+    """
     orders = G.elem_orders
-    while len(known) < G.order:
-        best, best_key = None, None
-        for x in range(G.order):
-            if x in known:
-                continue
-            key = (orders[x], -x)
-            if best_key is None or key > best_key:
-                best, best_key = x, key
-        seq.append(best)
-        known = G.closure(set(known) | {best})
+    elems, gens, seq, known = [G.identity], [], [], {G.identity}
+    pending = iter(covered)
+    while len(elems) < G.order:
+        g = next((x for x in pending if x not in known), None)
+        if g is None:
+            g = max((x for x in range(G.order) if x not in known),
+                    key=lambda x: (orders[x], -x))
+            seq.append(g)
+        gens.append(g)
+        _cayley_level(G.table, elems, gens)
+        known.update(elems)
     return tuple(seq)
 
 

@@ -318,19 +318,74 @@ def _check_enum_args(sig, max_len):
             raise GroupError("can only enumerate over plain group slots")
 
 
-_SLOT_SHIFT = 10
-_VAL_MASK = (1 << _SLOT_SHIFT) - 1
+_DIST_TABLES = {}  # (slot count, kept slots) -> _distance_table(...)
+
+
+def _distance_table(k, keeps):
+    """Fewest letters that empty every stack, per abstract state of _kernel_words.
+
+    A stack on at most two slots alternates, so its slot pattern is 0 when
+    empty, else 1 + bottom * cap + height - 1 over its sorted slots, or
+    `dead` past cap = MAX_ENUM_LEN // 2, a height no word that short can
+    reach and then clear.  State (prev, patterns) has index prev + 1 +
+    sum(weights[p] * patterns[p]).  push[p][c][s] is the pattern after a
+    letter in slot s lands on pattern c, or -1 when s is c's top slot, where
+    the letter merges or cancels.  dist (255 past MAX_ENUM_LEN) is filled by
+    a breadth-first search back from the empty states; a move's reverse is
+    a move in the same slot (push and cancel undo each other).
+    """
+    key = (k, tuple(tuple(sorted(keep)) for keep in keeps))
+    if key in _DIST_TABLES:
+        return _DIST_TABLES[key]
+    cap, push, below, weights, size = MAX_ENUM_LEN // 2, [], [], [], k + 1
+    for slots in key[1]:
+        w = len(slots)
+        dead = 1 + w * cap
+        rows = [[1 + slots.index(s) * cap if s in slots else dead for s in range(k)]]
+        for c in range(1, dead):
+            b, h = divmod(c - 1, cap)
+            rows.append([-1 if s == slots[(b + h) % w] else dead if h + 1 == cap
+                         else c + 1 for s in range(k)])
+        push.append(rows + [[dead] * k])
+        below.append([0] + [c - 1 if (c - 1) % cap else 0 for c in range(1, dead)])
+        weights.append(size)
+        size *= dead + 1
+    touch = [[p for p, slots in enumerate(key[1]) if s in slots] for s in range(k)]
+    dist = bytearray([255]) * size
+    frontier = range(k + 1)  # any previous slot, every stack empty
+    for d in range(MAX_ENUM_LEN + 1):
+        for y in frontier:
+            dist[y] = d
+        found = set()
+        for y in frontier:
+            s = y % (k + 1) - 1
+            if s < 0:
+                continue
+            pre = [y - s - 1]
+            for p in touch[s]:
+                c = y // weights[p] % len(push[p])
+                t = push[p][c][s]
+                moves = (c, below[p][c]) if t < 0 else (t,) if t < len(below[p]) else ()
+                pre = [x + weights[p] * (e - c) for x in pre for e in moves]
+            found.update(x + q for x in pre for q in range(k + 1)
+                         if q != s + 1 and dist[x + q] == 255)
+        frontier = found
+    _DIST_TABLES[key] = dist, weights, push
+    return dist, weights, push
 
 
 def _kernel_words(sig, max_len, keeps):
     """Reduced words of length <= max_len whose kept-slot projections all vanish.
 
     keeps is a list of slot sets; for each, the projection deleting the other
-    slots must normalize to the empty word.  Pruned DFS; per projection stack
-    of height h, only letters in its slots can shorten it and by at most one,
-    so h must never exceed the compatible remaining-letter count.  A stack
-    pinned at exactly its budget whose top slot equals the letter just placed
-    is dead: the forced immediate cancellation would break reducedness.
+    slots must normalize to the empty word.  The DFS holds each projection's
+    reduction stack as linked cells (value, pattern, rest) and skips a child
+    whose abstract state, the previous slot and each stack's slot pattern,
+    needs more letters to empty every stack than remain (_distance_table).
+    No word is lost: a letter in a stack's top slot cancels or merges there,
+    any other letter pushes, and the abstract moves allow each of these, so
+    every real completion is an abstract one of the same length.  When only
+    a cancellation keeps the child alive, the value must invert a top.
     """
     _check_enum_args(sig, max_len)
     k = len(sig)
@@ -339,108 +394,53 @@ def _kernel_words(sig, max_len, keeps):
     invs = [f._inv for f in factors]
     idents = [f.identity for f in factors]
     values = [[v for v in range(f.order) if v != f.identity] for f in factors]
-    nstacks = len(keeps)
+    dist, weights, push = _distance_table(k, keeps)
     touch = [tuple(p for p, keep in enumerate(keeps) if s in keep) for s in range(k)]
-    untouched = [tuple(p for p in range(nstacks) if p not in touch[s]) for s in range(k)]
-    max_touch = max((len(t) for t in touch), default=0) or 1
-    stacks = [[] for _ in range(nstacks)]
-    out = []
-    cur = []
-    shift = _SLOT_SHIFT
-    mask = _VAL_MASK
+    out, cur = [], []
 
-    def rec(rec, prev_slot, remaining, total_h):  # no self-closure, as in search_homs
-        if total_h == 0:
+    def rec(rec, prev, remaining, code, stacks):  # no self-closure, as in search_homs
+        if code == 0:
             out.append(tuple(cur))
         if remaining == 0:
             return
         r1 = remaining - 1
-        sum_cap = max_touch * r1
         for s in range(k):
-            if s == prev_slot:
+            if s == prev:
                 continue
-            ok = True
-            for p in untouched[s]:
-                if len(stacks[p]) > r1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # classify the touched stacks for this slot
-            merge = []      # (stack, top value, forced-cancel flag)
-            pushes = []
-            blocked = False
+            base, pushes, merges = code + s + 1, [], []
             for p in touch[s]:
-                st = stacks[p]
-                h = len(st)
-                if h and (st[-1] >> shift) == s:
-                    if h - 1 > r1:
-                        blocked = True
-                        break
-                    # at h >= r1 a non-cancelling merge leaves the top in
-                    # slot s at full budget: dead, so the value is forced
-                    merge.append((st, st[-1] & mask, h >= r1))
+                c = stacks[p][1] if stacks[p] else 0
+                t = push[p][c][s]
+                if t < 0:
+                    merges.append(p)
                 else:
-                    # push puts slot s on top; h+1 == r1 is the dead case
-                    if h + 1 >= r1:
-                        blocked = True
-                        break
-                    pushes.append(st)
-            if blocked:
+                    base += weights[p] * (t - c)
+                    pushes.append((p, t))
+            mul, ident = muls[s], idents[s]
+            if dist[base] <= r1:
+                vals = values[s]
+            elif merges:
+                vals = sorted({invs[s][stacks[p][0]] for p in merges})
+            else:
                 continue
-            mul_s = muls[s]
-            ident_s = idents[s]
-            inv_s = invs[s]
-            forced = None
-            for _st, top, must in merge:
-                if must:
-                    need = inv_s[top]
-                    if forced is not None and forced != need:
-                        forced = -1
-                        break
-                    forced = need
-            if forced == -1:
-                continue
-            vals = (forced,) if forced is not None else values[s]
-            base = total_h + len(pushes)
             for v in vals:
-                delta = 0
-                bad = False
-                new_tops = []
-                for st, top, _must in merge:
-                    m = mul_s[top][v]
-                    if m == ident_s:
-                        delta -= 1
-                        new_tops.append(None)
+                new, child = list(stacks), base
+                for p, t in pushes:
+                    new[p] = (v, t, stacks[p])
+                for p in merges:
+                    top, c, rest = stacks[p]
+                    m = mul[top][v]
+                    if m != ident:
+                        new[p] = (m, c, rest)
                     else:
-                        if len(st) > r1:
-                            bad = True
-                            break
-                        new_tops.append(m)
-                if bad or base + delta > sum_cap:
-                    continue
-                packed = (s << shift) | v
-                for st in pushes:
-                    st.append(packed)
-                tops_backup = []
-                for (st, top, _must), nt in zip(merge, new_tops):
-                    tops_backup.append(st[-1])
-                    if nt is None:
-                        st.pop()
-                    else:
-                        st[-1] = (s << shift) | nt
-                cur.append((s, v))
-                rec(rec, s, r1, base + delta)
-                cur.pop()
-                for (st, _top, _must), nt, old in zip(merge, new_tops, tops_backup):
-                    if nt is None:
-                        st.append(old)
-                    else:
-                        st[-1] = old
-                for st in pushes:
-                    st.pop()
+                        new[p] = rest
+                        child += weights[p] * ((rest[1] if rest else 0) - c)
+                if dist[child] <= r1:
+                    cur.append((s, v))
+                    rec(rec, s, r1, child - s - 1, new)
+                    cur.pop()
 
-    rec(rec, -1, max_len, 0)
+    rec(rec, -1, max_len, 0, [None] * len(keeps))
     out.sort(key=lambda ls: (len(ls), ls))
     return [Word(sig, ls) for ls in out]
 

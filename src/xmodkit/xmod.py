@@ -9,9 +9,10 @@ boundary hom T -> G satisfying, elementwise,
 Both laws also have word-level forms quantified over cosmash words, checked
 here by enumeration: the binary forms at modest length and a ternary form
 whose two evaluation routes must agree on every ternary cosmash word.  The
-ternary audit is the expensive one; its default length keeps the search
-tractable while still covering every word a violation could hide in at that
-scale.
+shortest non-empty ternary cosmash word has length 10, so at the default
+length 8 the ternary check sees only the empty word and is vacuous; its
+"words" count says so.  Non-empty ternary words at short lengths come from
+the bracket words [[g, t], t'] of `lifting._ternary_morphism_audit`.
 """
 
 from .errors import GroupError

@@ -188,6 +188,17 @@ def test_check_command_exit_codes(sample, tmp_path, capsys):
     assert main(["check", str(empty)]) == 2
 
 
+def test_check_summary_counts_ternary_words(sample, capsys):
+    assert main(["check", sample]) == 0
+    out = capsys.readouterr().out
+    assert ("check M: ok (eq viol 0, pf viol 0, 26 words at L=4, "
+            "ternary 0 non-empty words at L=8, vacuous)") in out
+    assert main(["check", sample, "--ternary-len", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "ternary 270 non-empty words at L=10)" in out
+    assert "vacuous" not in out
+
+
 def test_check_json_report(sample, tmp_path, capsys):
     rep_path = tmp_path / "report.json"
     assert main(["check", sample, "--json", str(rep_path)]) == 0
@@ -318,6 +329,8 @@ def test_audit_quick(capsys):
     assert main(["audit", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "axiom corpus: 54 entries, checkers agree True" in out
+    assert ("ternary law: 0 non-empty words at L=6 over 48 modules, "
+            "vacuous, only the empty word checked") in out
     assert "158 morphisms, 44 regular epis" in out
     assert "projective sections: 24/24" in out
     assert "pullback sections: 12/12" in out

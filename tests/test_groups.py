@@ -97,6 +97,31 @@ def test_generating_sequence_greedy():
     assert gens == generating_sequence(S4, (S4.identity,))
 
 
+def _closure_picks(G, covered):
+    """The greedy picks, each closing everything covered so far afresh."""
+    seq = []
+    known = G.closure(covered)
+    while len(known) < G.order:
+        best = max((x for x in range(G.order) if x not in known),
+                   key=lambda x: (G.elem_orders[x], -x))
+        seq.append(best)
+        known = G.closure(set(known) | {best})
+    return tuple(seq)
+
+
+def test_generating_sequence_matches_closure_picks():
+    groups = [z4_module(n4, n2) for n4, n2 in z4_module_classes(1024)]
+    groups += [symmetric_group(4), alternating_group(5),
+               direct_product(dihedral_group(4), cyclic_group(4))[0]]
+    for G in groups:
+        big = max(range(G.order), key=lambda x: (G.elem_orders[x], x))
+        covers = [(G.identity,)]
+        if G.order < 1024:  # the closure oracle takes a third of a second there
+            covers += [(big,), sorted(G.closure((big, G.order - 1)))]
+        for covered in covers:
+            assert generating_sequence(G, covered) == _closure_picks(G, covered)
+
+
 def test_hom_validation_and_composition():
     Z4 = cyclic_group(4)
     Z2 = cyclic_group(2)
