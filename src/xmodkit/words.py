@@ -328,11 +328,12 @@ def _distance_table(k, keeps):
     empty, else 1 + bottom * cap + height - 1 over its sorted slots, or
     `dead` past cap = MAX_ENUM_LEN // 2, a height no word that short can
     reach and then clear.  State (prev, patterns) has index prev + 1 +
-    sum(weights[p] * patterns[p]).  push[p][c][s] is the pattern after a
-    letter in slot s lands on pattern c, or -1 when s is c's top slot, where
-    the letter merges or cancels.  dist (255 past MAX_ENUM_LEN) is filled by
-    a breadth-first search back from the empty states; a move's reverse is
-    a move in the same slot (push and cancel undo each other).
+    sum(weights[p] * patterns[p]).  Returns (dist, weights, push, touch):
+    push[p][c][s] is the pattern after a letter in slot s lands on pattern
+    c, or -1 when s is c's top slot, where the letter merges or cancels;
+    touch[s] lists the stacks keeping slot s.  dist (255 past MAX_ENUM_LEN)
+    is filled by a breadth-first search back from the empty states, as a
+    push and a cancel undo each other and a merge undoes itself.
     """
     key = (k, tuple(tuple(sorted(keep)) for keep in keeps))
     if key in _DIST_TABLES:
@@ -350,7 +351,7 @@ def _distance_table(k, keeps):
         below.append([0] + [c - 1 if (c - 1) % cap else 0 for c in range(1, dead)])
         weights.append(size)
         size *= dead + 1
-    touch = [[p for p, slots in enumerate(key[1]) if s in slots] for s in range(k)]
+    touch = [tuple(p for p, slots in enumerate(key[1]) if s in slots) for s in range(k)]
     dist = bytearray([255]) * size
     frontier = range(k + 1)  # any previous slot, every stack empty
     for d in range(MAX_ENUM_LEN + 1):
@@ -370,8 +371,8 @@ def _distance_table(k, keeps):
             found.update(x + q for x in pre for q in range(k + 1)
                          if q != s + 1 and dist[x + q] == 255)
         frontier = found
-    _DIST_TABLES[key] = dist, weights, push
-    return dist, weights, push
+    _DIST_TABLES[key] = dist, weights, push, touch
+    return _DIST_TABLES[key]
 
 
 def _kernel_words(sig, max_len, keeps):
@@ -394,8 +395,7 @@ def _kernel_words(sig, max_len, keeps):
     invs = [f._inv for f in factors]
     idents = [f.identity for f in factors]
     values = [[v for v in range(f.order) if v != f.identity] for f in factors]
-    dist, weights, push = _distance_table(k, keeps)
-    touch = [tuple(p for p, keep in enumerate(keeps) if s in keep) for s in range(k)]
+    dist, weights, push, touch = _distance_table(k, keeps)
     out, cur = [], []
 
     def rec(rec, prev, remaining, code, stacks):  # no self-closure, as in search_homs
