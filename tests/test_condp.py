@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from xmodkit import condp
 from xmodkit.errors import GroupError
 from xmodkit.groups import cyclic_group, z4_module
 from xmodkit.actions import semidirect_product, trivial_action
@@ -164,3 +168,46 @@ def test_transfer_seeded():
     assert again == rep
     other = theorem_P_transfer_check(seed=3, count=6)
     assert other["ok"]
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_pipeline_reports_pinned():
+    reports = [pipeline_diagram_P(f, s) for f, s in pipeline_pairs(3)]
+    assert _digest(reports) == (
+        "19ef5cf96ee28ebfe21c11a309a13f4e800dfed4bf4d69de47ccd792e08a0ef0")
+    assert _digest(pipeline_diagram_P([0, 0, 1, 1], [0, 2])) == (
+        "f6b4e76541a8084e777bf9fee81420ade6299b67aa08b3efacdfc7ccd95db63e")
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "bcbaa160b7b0adc1b16c5ab9cc50b8ace2cc50cf21f213f8f7aba74e671ea03b"),
+    (2, "8b9cbfaae456c6ffcfe874661777a4fa1987411c28c3662e49a4f4ce7e2daeab"),
+    (3, "ff21bf51f87880911441ca35cc8cebf0cb8882d5a9fff376f4edec6288252c3b"),
+    (4, "fc31c758f7285dd0a96912ecb83fc8d99d6465d7b0cdab73d69392935c498da6"),
+    (5, "6f4bf72c32102cb835e9202b412c446d657080def23b038aa85d2f0355b9973f"),
+])
+def test_relabeled_merge_cover_tables_pinned(seed, digest, monkeypatch):
+    """The merge cover the relabeled demo certifies, as (fT, fG) tables."""
+    epis = []
+    real = condp.projective_section
+
+    def recording(epi, ext, **kw):
+        epis.append((epi.fT.table, epi.fG.table))
+        return real(epi, ext, **kw)
+
+    monkeypatch.setattr(condp, "projective_section", recording)
+    assert non_schreier_demo(relabel_seed=seed)["ok"]
+    assert len(epis) == 8  # four family members, plain then relabeled
+    assert hashlib.sha256(repr(epis[-1]).encode()).hexdigest() == digest
+
+
+def test_transfer_instances_pinned():
+    rep = theorem_P_transfer_check(0, 30)
+    assert (rep["vacuous"], rep["oracle_checked"], rep["counterexamples"]) == (
+        16, 10, 0)
+    assert [r["mode"] for r in rep["instances"][:3]] == ["free", "mixed", "product"]
+    assert _digest(rep["instances"]) == (
+        "4b486def3f673a2aa349d14952a0cc667f5d801f3816101e9df88c01bfd203af")

@@ -166,3 +166,13 @@ def test_relabel_xmod_of_non_schreier_demo(seed, monkeypatch):
     assert condp.non_schreier_demo(relabel_seed=seed)["relabel_matches"]
     assert [(xm.domain().order, xm.codomain().order) for xm in made] == [(16, 64)]
     _revalidate_xmod(made[0])
+
+
+@pytest.mark.parametrize("n4, n2", [
+    c for c in z4_module_classes(MAX_ORDER) if 4 ** sum(c) <= MAX_ORDER])
+def test_free_module_cover_is_a_surjective_hom(n4, n2):
+    M = z4_module(n4, n2)
+    R, epi = condp.free_module_cover(M)
+    assert R.order == 4 ** len(M.generators)
+    GroupHom(R, M, epi.table)
+    assert epi.is_surjective()
