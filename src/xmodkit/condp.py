@@ -5,27 +5,31 @@ modules, projectivity of the middle object transfers to the kernel.  Here
 projective means free, which a counting criterion detects: the square of the
 two-torsion count equals the order exactly when no Z/2 summand is present.
 An independent oracle (does the free cover split?) cross-validates the
-criterion wherever the cover fits under the dense-table order cap.
+criterion wherever the cover (`groups.free_module_cover`) fits under the
+dense-table order cap.
 
 Dense multiplication tables stop at order 1024, but the nine-object pipeline
 diagram needs modules of order up to 4^8.  `ModuleZ4` carries those as digit
-tuples with `LinearMapZ4` homs given on the basis; only the small kernel row
-is ever materialized back into dense tables for the section constructions.
+tuples with `LinearMapZ4` homs given on the basis; every row is the split
+doubled row of one module and every vertical map of the totals a doubled
+map.  Only the small kernel row is ever materialized back into dense tables
+for the section constructions.
 """
 
 import itertools
 import random
 
-from .errors import GroupError, InvariantBreach
+from .errors import GroupError
 from .groups import (
     GroupHom, cyclic_group, direct_product, find_isomorphism, find_section,
-    is_z4_module, trivial_group, z4_module, z4_module_classes,
+    free_module_cover, is_z4_module, symmetric_group, trivial_group, z4_module,
+    z4_module_classes,
 )
 from .actions import SplitExtension, semidirect_product, trivial_action
 from .xmod import (
-    XModMorphism, XModSplitSES, conjugation_xmod, discrete_xmod,
-    identity_morphism, module_xmod, pi0, pi0_map, pi0_preserves_split_ses,
-    product_split_ses, relabel_xmod, xmod_from_normal_subgroup, xmod_kernel,
+    XModMorphism, conjugation_xmod, discrete_xmod, identity_morphism,
+    module_xmod, pi0, pi0_map, pi0_preserves_split_ses, product_split_ses,
+    relabel_xmod, xmod_from_normal_subgroup, xmod_kernel, xmod_product,
 )
 from .lifting import (
     find_xmod_section, inclusion_extension, inclusion_xmod, projective_section,
@@ -226,34 +230,13 @@ def projective_z4(M) -> bool:
     return tor * tor == M.order
 
 
-def free_module_cover(M):
-    """Free exponent-four cover of a dense module: one Z/4 per greedy generator."""
-    if not is_z4_module(M):
-        raise GroupError("cover needs exponent dividing four")
-    gens = M.generators
-    R = z4_module(len(gens), 0)
-    if not gens:
-        return R, GroupHom(R, M, (M.identity,), check=False)
-    table = []
-    for r in range(R.order):
-        acc = M.identity
-        for i, ch in enumerate(R.names[r]):
-            acc = M.mul(acc, M.power(gens[i], int(ch)))
-        table.append(acc)
-    epi = GroupHom(R, M, tuple(table), check=False)
-    if not epi.is_surjective():
-        raise InvariantBreach("generator decode failed to cover the module")
-    return R, epi
-
-
 def lifting_oracle_z4(M) -> bool:
     """Projectivity by definition: does the free cover split over M?
 
     Exhaustive, so both answers are proofs.  Raises GroupError when the cover
     order would exceed the dense-table cap (six or more generators).
     """
-    R, epi = free_module_cover(M)
-    return find_section(epi) is not None
+    return find_section(free_module_cover(M)[1]) is not None
 
 
 def projectivity_survey(max_order: int = 64) -> list:
@@ -262,6 +245,8 @@ def projectivity_survey(max_order: int = 64) -> list:
     The section oracle runs wherever the free cover fits under the cap and
     must agree; classes whose cover is too large carry oracle None.
     """
+    if max_order < 1:
+        raise GroupError(f"survey order cap {max_order} is below one")
     rows = []
     for n4, n2 in z4_module_classes(max_order):
         M = z4_module(n4, n2)
@@ -281,15 +266,14 @@ def projectivity_survey(max_order: int = 64) -> list:
 # -- the transfer property on instances -----------------------------------------
 
 
-def check_P_instance(ext: SplitExtension, oracle=None) -> dict:
+def check_P_instance(ext: SplitExtension) -> dict:
     """Projectivity of the middle must transfer to the kernel in a split row.
 
     Rows whose middle is not projective are vacuous for the implication and
     reported as such, never as failures.
     """
-    judge = oracle or projective_z4
-    mid = judge(ext.total)
-    ker = judge(ext.kernel_group)
+    mid = projective_z4(ext.total)
+    ker = projective_z4(ext.kernel_group)
     return {
         "middle": ext.total.label,
         "kernel": ext.kernel_group.label,
@@ -300,12 +284,29 @@ def check_P_instance(ext: SplitExtension, oracle=None) -> dict:
     }
 
 
-def check_P_instance_xmod(ses: XModSplitSES, oracle=None) -> dict:
-    """The same transfer check on the carrier level of a split crossed-module row."""
-    return check_P_instance(ses.ext_T, oracle)
-
-
 # -- the nine-object pipeline ----------------------------------------------------
+
+
+def _doubled_row(M: ModuleZ4):
+    """M + M with its split row M -k-> M + M -p-> M, section s.
+
+    The base block comes first and the flat block second: p projects onto
+    the base block, s embeds into it and k embeds into the flat block.
+    """
+    T = ModuleZ4(M.factor_orders * 2, label=f"{M.label}+{M.label}")
+    b, z = M.basis(), M.zero()
+    k = LinearMapZ4(M, T, tuple(z + v for v in b), check=False)
+    p = LinearMapZ4(T, M, b + tuple(z for _ in b), check=False)
+    s = LinearMapZ4(M, T, tuple(v + z for v in b), check=False)
+    return T, k, p, s
+
+
+def _doubled_map(f: LinearMapZ4) -> LinearMapZ4:
+    """f + f between the doubled source and target, block by block."""
+    z, imgs = f.tgt.zero(), f.basis_images
+    return LinearMapZ4(
+        ModuleZ4(f.src.factor_orders * 2), ModuleZ4(f.tgt.factor_orders * 2),
+        tuple(v + z for v in imgs) + tuple(z + v for v in imgs), check=False)
 
 
 def pipeline_diagram_P(f, s) -> dict:
@@ -336,29 +337,12 @@ def pipeline_diagram_P(f, s) -> dict:
 
     FX = ModuleZ4((4,) * nX, label="F(X)")
     FY = ModuleZ4((4,) * nY, label="F(Y)")
-    TX = ModuleZ4((4,) * (2 * nX), label="F(X)+F(X)")
-    TY = ModuleZ4((4,) * (2 * nY), label="F(Y)+F(Y)")
     bX, bY = FX.basis(), FY.basis()
-    zX, zY = FX.zero(), FY.zero()
-
-    # rows put the base block first and the flat block second
-    kX = LinearMapZ4(FX, TX, tuple(zX + v for v in bX), check=False)
-    pX = LinearMapZ4(TX, FX, bX + tuple(zX for _ in bX), check=False)
-    sX = LinearMapZ4(FX, TX, tuple(v + zX for v in bX), check=False)
-    kY = LinearMapZ4(FY, TY, tuple(zY + v for v in bY), check=False)
-    pY = LinearMapZ4(TY, FY, bY + tuple(zY for _ in bY), check=False)
-    sY = LinearMapZ4(FY, TY, tuple(v + zY for v in bY), check=False)
-
+    TX, kX, pX, sX = _doubled_row(FX)
+    TY, kY, pY, sY = _doubled_row(FY)
     vf = LinearMapZ4(FX, FY, tuple(bY[f[x]] for x in range(nX)), check=False)
     vs = LinearMapZ4(FY, FX, tuple(bX[s[y]] for y in range(nY)), check=False)
-    vf_tot = LinearMapZ4(
-        TX, TY,
-        tuple(bY[f[x]] + zY for x in range(nX))
-        + tuple(zY + bY[f[x]] for x in range(nX)), check=False)
-    vs_tot = LinearMapZ4(
-        TY, TX,
-        tuple(bX[s[y]] + zX for y in range(nY))
-        + tuple(zX + bX[s[y]] for y in range(nY)), check=False)
+    vf_tot, vs_tot = _doubled_map(vf), _doubled_map(vs)
 
     in_s = set(s)
     free_pos = [x for x in range(nX) if x not in in_s]
@@ -371,17 +355,9 @@ def pipeline_diagram_P(f, s) -> dict:
         return tuple(v)
 
     Zr = ModuleZ4((4,) * r, label="Z")
-    ZT = ModuleZ4((4,) * (2 * r), label="Z+Z")
-    bZ, zZ = Zr.basis(), Zr.zero()
-    kZ = LinearMapZ4(Zr, ZT, tuple(zZ + v for v in bZ), check=False)
-    pZ = LinearMapZ4(ZT, Zr, bZ + tuple(zZ for _ in bZ), check=False)
-    sZ = LinearMapZ4(Zr, ZT, tuple(v + zZ for v in bZ), check=False)
-
+    ZT, kZ, pZ, sZ = _doubled_row(Zr)
     incl = LinearMapZ4(Zr, FX, tuple(diff(x) for x in free_pos), check=False)
-    incl_tot = LinearMapZ4(
-        ZT, TX,
-        tuple(diff(x) + zX for x in free_pos)
-        + tuple(zX + diff(x) for x in free_pos), check=False)
+    incl_tot = _doubled_map(incl)
 
     rows = {
         "X": split_exact_z4(kX, pX, sX),
@@ -466,8 +442,17 @@ def pipeline_pairs(max_size: int = 3) -> list:
 # -- a relatively projective pair that is not free-shaped ------------------------
 
 
-def _digit_index(G):
-    return {G.names[i]: i for i in range(G.order)}
+def _digit_hom(src, tgt, fn):
+    """Hom between digit-named dense modules from a digit-tuple function."""
+
+    def parse(G, x):
+        return tuple(int(ch) for ch in G.names[x]) if G.order > 1 else ()
+
+    def unparse(digits):
+        return "".join(map(str, digits)) if digits else "0"
+
+    return GroupHom(src, tgt, tuple(
+        tgt.index_of(unparse(fn(parse(src, x)))) for x in range(src.order)))
 
 
 def _free_inclusion(m: int, n: int):
@@ -501,43 +486,27 @@ def _merge_cover_epi(xm) -> XModMorphism:
 
     The base map sends (a, b, c, d) to (a + c, b + c, d); its restriction to
     the embedded carriers merges the third coordinate into the first two.
+    Both maps are read off element names, so a relabeled pair gets the same
+    cover.
     """
-    G, T = xm.codomain(), xm.domain()
-    gidx = _digit_index(G)
+    src = _free_inclusion(3, 4)
+    fG = _digit_hom(src.codomain(), xm.codomain(), lambda d: (
+        (d[0] + d[2]) % 4, (d[1] + d[2]) % 4, d[3]))
+    T = xm.domain()
     tlook = {xm.boundary.table[t]: t for t in range(T.order)}
-    G2 = z4_module(4, 0)
-    elems2 = [g for g in range(G2.order) if G2.names[g][3] == "0"]
-    src = xmod_from_normal_subgroup(G2, elems2)
-    T2 = src.domain()
-
-    def merge(a, b, c, d):
-        return gidx[f"{(a + c) % 4}{(b + c) % 4}{d}"]
-
-    fG = GroupHom(G2, G, tuple(
-        merge(*(int(ch) for ch in G2.names[e])) for e in range(G2.order)))
-    fT = GroupHom(T2, T, tuple(
-        tlook[merge(*(int(ch) for ch in G2.names[src.boundary.table[t]]))]
-        for t in range(T2.order)))
+    fT = GroupHom(src.domain(), T, tuple(
+        tlook[fG.table[g]] for g in src.boundary.table))
     return XModMorphism(src, xm, fT, fG)
 
 
-def _demo_verdicts(xm, perms=None, template=None) -> dict:
+def _demo_verdicts(xm) -> dict:
     ext = inclusion_extension(xm)
     family = {
         "identity": identity_morphism(xm),
         "collapse-Z2": collapse_epi(ext, cyclic_group(2)),
         "collapse-Z4": collapse_epi(ext, cyclic_group(4)),
+        "merge-cover": _merge_cover_epi(xm),
     }
-    if perms is None:
-        family["merge-cover"] = _merge_cover_epi(xm)
-    else:
-        base = _merge_cover_epi(template)
-        pT, pG = perms
-        fT = GroupHom(base.fT.source, xm.domain(),
-                      tuple(pT[v] for v in base.fT.table))
-        fG = GroupHom(base.fG.source, xm.codomain(),
-                      tuple(pG[v] for v in base.fG.table))
-        family["merge-cover"] = XModMorphism(base.src, xm, fT, fG)
     return {name: projective_section(epi, ext, ternary_len=4).status
             for name, epi in family.items()}
 
@@ -569,8 +538,7 @@ def non_schreier_demo(relabel_seed=None) -> dict:
         pG = list(range(xm.codomain().order))
         rng.shuffle(pT)
         rng.shuffle(pG)
-        xm2 = relabel_xmod(xm, pT, pG)
-        verdicts2 = _demo_verdicts(xm2, perms=(pT, pG), template=xm)
+        verdicts2 = _demo_verdicts(relabel_xmod(xm, pT, pG))
         out["relabeled_family"] = verdicts2
         out["relabel_matches"] = verdicts2 == verdicts
         ok = ok and out["relabel_matches"]
@@ -579,20 +547,6 @@ def non_schreier_demo(relabel_seed=None) -> dict:
 
 
 # -- cokernel behavior ------------------------------------------------------------
-
-
-def _digit_hom(src, tgt, fn):
-    """Hom between digit-named dense modules from a digit-tuple function."""
-    tidx = _digit_index(tgt)
-
-    def parse(G, x):
-        return tuple(int(ch) for ch in G.names[x]) if G.order > 1 else ()
-
-    def unparse(digits):
-        return "".join(map(str, digits)) if digits else "0"
-
-    return GroupHom(src, tgt, tuple(
-        tidx[unparse(fn(parse(src, x)))] for x in range(src.order)))
 
 
 def pi0_preservation_suite() -> dict:
@@ -682,8 +636,6 @@ def pi0_preservation_suite() -> dict:
 
 def _epi_kernel_pairs():
     """Levelwise epis with computable kernels for the right-exactness rows."""
-    from .groups import symmetric_group
-
     out = []
     S3 = symmetric_group(3)
     a3 = [x for x in range(6) if S3.elem_orders[x] in (1, 3)]
@@ -706,7 +658,6 @@ def _epi_kernel_pairs():
 
     a = xmod_from_normal_subgroup(S3, a3)
     b = discrete_xmod(Z4)
-    from .xmod import xmod_product
     prod, _, _, proj1, _ = xmod_product(a, b)
     out.append(("product-projection", proj1))
 
@@ -732,6 +683,8 @@ def theorem_P_transfer_check(seed: int = 0, count: int = 30) -> dict:
     and carrier-level rows of products of module crossed modules.  Every
     instance must satisfy "middle projective implies kernel projective".
     """
+    if count < 1:
+        raise GroupError(f"a sweep of {count} instances checks nothing")
     rng = random.Random(seed)
     instances = []
     counterexamples = 0
@@ -739,24 +692,26 @@ def theorem_P_transfer_check(seed: int = 0, count: int = 30) -> dict:
     oracle_checked = 0
     for i in range(count):
         mode = ("free", "mixed", "product")[i % 3]
-        if mode == "free":
-            a = rng.randint(0, 2)
-            b = rng.randint(1, 3)
-            base = z4_module(a, 0)
-            kern = z4_module(b, 0)
+        if mode == "product":
+            ma = z4_module(rng.randint(0, 1), rng.randint(0, 1))
+            mb = z4_module(rng.randint(0, 1), rng.randint(0, 1))
+            xa = module_xmod(trivial_action(cyclic_group(2), ma))
+            xb = module_xmod(trivial_action(cyclic_group(2), mb))
+            ext = product_split_ses(xa, xb).ext_T
+        else:
+            if mode == "free":
+                base = z4_module(rng.randint(0, 2), 0)
+                kern = z4_module(rng.randint(1, 3), 0)
+            else:
+                base = z4_module(rng.randint(0, 1), rng.randint(1, 2))
+                kern = z4_module(rng.randint(0, 2), rng.randint(0, 1))
             ext = semidirect_product(trivial_action(base, kern))
-            rep = check_P_instance(ext)
-            rep["mode"] = mode
-            if rep["vacuous"]:
-                counterexamples += 1  # free middles are never vacuous
-        elif mode == "mixed":
-            base = z4_module(rng.randint(0, 1), rng.randint(1, 2))
-            kern = z4_module(rng.randint(0, 2), rng.randint(0, 1))
-            ext = semidirect_product(trivial_action(base, kern))
-            rep = check_P_instance(ext)
-            rep["mode"] = mode
-            if not rep["vacuous"]:
-                counterexamples += 1  # the base has a Z/2 summand
+        rep = check_P_instance(ext)
+        rep["mode"] = mode
+        # free middles are never vacuous; mixed bases carry a Z/2 summand
+        if mode != "product" and rep["vacuous"] != (mode == "mixed"):
+            counterexamples += 1
+        if mode == "mixed":
             try:
                 agrees = lifting_oracle_z4(ext.total) == rep["middle_projective"]
                 rep["oracle_agrees"] = agrees
@@ -765,13 +720,6 @@ def theorem_P_transfer_check(seed: int = 0, count: int = 30) -> dict:
                     counterexamples += 1
             except GroupError:
                 rep["oracle_agrees"] = None
-        else:
-            ma = z4_module(rng.randint(0, 1), rng.randint(0, 1))
-            mb = z4_module(rng.randint(0, 1), rng.randint(0, 1))
-            xa = module_xmod(trivial_action(cyclic_group(2), ma))
-            xb = module_xmod(trivial_action(cyclic_group(2), mb))
-            rep = check_P_instance_xmod(product_split_ses(xa, xb))
-            rep["mode"] = mode
         vacuous += rep["vacuous"]
         if not rep["ok"]:
             counterexamples += 1

@@ -21,7 +21,7 @@ import math
 import random
 from functools import cached_property
 
-from .errors import BudgetExhausted, GroupError
+from .errors import BudgetExhausted, GroupError, InvariantBreach
 
 MAX_ORDER = 1024
 ASSOC_EXHAUSTIVE_LIMIT = 64
@@ -561,6 +561,29 @@ def z4_module(n4, n2, label=None):
                        label=label or f"M(4^{n4}.2^{n2})", check=False)
 
 
+def free_module_cover(M):
+    """Free exponent-four cover of a dense module: one Z/4 per greedy generator.
+
+    The cover element named by digits a_1..a_n goes to the sum of a_i times
+    generator i, a hom by construction; surjectivity is what a wrong
+    generating sequence would break.
+    """
+    if not is_z4_module(M):
+        raise GroupError("cover needs exponent dividing four")
+    gens = M.generators
+    R = z4_module(len(gens), 0, label=f"F{len(gens)}")
+    table = []
+    for name in R.names:
+        acc = M.identity
+        for g, ch in zip(gens, name):
+            acc = M.mul(acc, M.power(g, int(ch)))
+        table.append(acc)
+    epi = GroupHom(R, M, table, check=False)
+    if not epi.is_surjective():
+        raise InvariantBreach("generator decode failed to cover the module")
+    return R, epi
+
+
 def z4_module_classes(max_order):
     """All (n4, n2) with 4^n4 * 2^n2 <= max_order, in lexicographic order."""
     out = []
@@ -616,6 +639,8 @@ def search_homs(src, target_mul, target_identity, candidates, *, prescribed=None
     iteration proves the enumeration exhaustive.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 0:
+        raise GroupError(f"search budget {budget} is negative")
     phi = [None] * src.order
     phi[src.identity] = target_identity
     elems, gens = [src.identity], []

@@ -37,15 +37,18 @@ from .groups import (
 # every xmodkit module that holds it, this one included.
 from .groups import search_homs
 from .actions import (
-    SplitExtension, action_from_extension, action_core_word,
-    conjugation_action_on, semidirect_product,
+    SplitExtension, action_from_extension, conjugation_action_on,
+    semidirect_product,
 )
 from .words import (
     FactorSignature, WordHom, commutator, enumerate_cosmash_words,
-    enumerate_flat_words, enumerate_words, fold_word, format_word, in_flat,
+    enumerate_flat_words, enumerate_words, format_word, in_flat,
     in_ternary_cosmash, map_word, single,
 )
-from .xmod import CrossedModule, XModMorphism, morphism_witness, pi0, pi0_map
+from .xmod import (
+    CrossedModule, XModMorphism, morphism_witness, pi0, pi0_map,
+    precrossed_witness, ternary_routes,
+)
 
 
 class SectionCertificate:
@@ -116,7 +119,8 @@ def _require_inclusion(xm: CrossedModule):
     """Refuse anything but an injective boundary acting by conjugation."""
     if not xm.boundary.is_injective():
         raise GroupError("inclusion form needs an injective boundary")
-    if conjugation_action_on(xm.boundary) != xm.action:
+    # with d injective, d(g.t) = g d(t) g^-1 says exactly g.t = d^-1(g d(t) g^-1)
+    if precrossed_witness(xm.action, xm.boundary) is not None:
         raise GroupError("action is not conjugation through the boundary")
 
 
@@ -237,22 +241,14 @@ def _ternary_morphism_audit(mor: XModMorphism, max_len: int):
     EA, QA = A.codomain(), A.domain()
     GB, TB = B.codomain(), B.domain()
     sigA = FactorSignature((EA, QA, QA))
-    outA = FactorSignature((EA, QA))
     sigB = FactorSignature((GB, TB, TB))
-    outB = FactorSignature((GB, TB))
-    dA, dB = A.boundary.table, B.boundary.table
     fG, fT = mor.fG.table, mor.fT.table
     letter_maps = (lambda v: fG[v], lambda v: fT[v], lambda v: fT[v])
-    ident = lambda v: v
+    routes_A, routes_B = ternary_routes(A), ternary_routes(B)
 
     def check(w):
-        rA = action_core_word(A.action, fold_word(w, outA, (0, 1, 1)))
-        lA = action_core_word(A.action, fold_word(
-            w, outA, (0, 0, 1), (ident, lambda v: dA[v], ident)))
-        w2 = map_word(w, sigB, letter_maps)
-        rB = action_core_word(B.action, fold_word(w2, outB, (0, 1, 1)))
-        lB = action_core_word(B.action, fold_word(
-            w2, outB, (0, 0, 1), (ident, lambda v: dB[v], ident)))
+        rA, lA = routes_A(w)
+        rB, lB = routes_B(map_word(w, sigB, letter_maps))
         if not (rA == lA and rB == lB and fT[rA] == rB):
             raise InvariantBreach(f"ternary audit failed on {format_word(w)}")
 

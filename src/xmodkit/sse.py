@@ -4,7 +4,8 @@ A crossed module (T -> G) is the same thing as the split extension
 T x| G -> G with its canonical section, and a morphism over the base G is a
 carrier-level hom commuting with boundaries and the action while G stays put.
 This module works in that slice: regular epis, section searches, relative
-projectivity, and free covers.
+projectivity, and free covers, whose carrier map is the free exponent-4 cover
+of `groups.free_module_cover`.
 
 Search semantics: a returned None means the search space was exhausted, so
 nonexistence is proven at the stated budget-free scale.  Running out of budget
@@ -14,7 +15,8 @@ raises BudgetExhausted instead; the two outcomes are never conflated.
 from .errors import GroupError, InvariantBreach
 from .actions import semidirect_product, trivial_action
 from .groups import (
-    GroupHom, enumerate_homs, identity_hom, is_z4_module, lifts, z4_module,
+    GroupHom, compose, enumerate_homs, free_module_cover, identity_hom,
+    is_z4_module, lifts,
 )
 from .xmod import CrossedModule, XModMorphism, morphism_witness
 
@@ -48,7 +50,6 @@ def compose_sse(f: SSEMorphism, g: SSEMorphism) -> SSEMorphism:
     """f after g."""
     if g.tgt is not f.src:
         raise GroupError("composition mismatch")
-    from .groups import compose
     return SSEMorphism(g.src, f.tgt, compose(f.fT, g.fT), check=False)
 
 
@@ -186,43 +187,26 @@ class FreeSSE:
 def free_cover(xm: CrossedModule) -> FreeSSE:
     """Free cover of a trivially-acted crossed module with exponent-4 carrier.
 
-    Takes the greedy generating sequence of the carrier, builds the free
-    commutative exponent-4 group on it, and covers by sending basis vectors to
-    the generators.  The boundary of the cover is the composite, so the cover
-    map is a regular epi over the base by construction.
+    The carrier map is `groups.free_module_cover`, which sends the basis of
+    the free commutative exponent-4 group to the carrier's greedy generators.
+    The boundary of the cover is the composite, so the cover map is a regular
+    epi over the base by construction.
     """
     T, G = xm.domain(), xm.codomain()
     if not is_z4_module(T):
         raise GroupError("free covers live over commutative exponent-4 carriers")
     if not xm.action.is_trivial():
         raise GroupError("free covers here require a trivial action")
-    gens = list(T.generators)
-    n = len(gens)
-    R = z4_module(n, 0, label=f"F{n}")
-    # cover: digit vector (a_1..a_n) -> sum a_i * gens[i]; names are the digit
-    # strings, most significant first, so decode through them
-    cover_table = []
-    for r in range(R.order):
-        acc = T.identity
-        for i, ch in enumerate(R.names[r] if n else ""):
-            acc = T.mul(acc, T.power(gens[i], int(ch)))
-        cover_table.append(acc)
-    phi = GroupHom(R, T, tuple(cover_table))
-    if not phi.is_surjective():
-        raise InvariantBreach("generating sequence failed to cover the carrier")
-    dR = GroupHom(R, G, tuple(xm.boundary.table[phi.table[r]]
-                              for r in range(R.order)), check=False)
-    F = CrossedModule(trivial_action(G, R), dR, check=False,
+    R, phi = free_module_cover(T)
+    F = CrossedModule(trivial_action(G, R), compose(xm.boundary, phi), check=False,
                       label=f"F({xm.label})")
     mor = SSEMorphism(F, xm, phi, check=False)
     # witnesses: a greedy generating sequence of the kernel
-    ker = sorted(phi.kernel_elements)
-    wits = []
-    spanned = R.closure([])
-    for w in ker:
-        if w in spanned:
-            continue
-        wits.append(w)
-        spanned = R.closure(set(spanned) | {w})
+    wits, spanned = [], R.closure([])
+    for w in sorted(phi.kernel_elements):
+        if w not in spanned:
+            wits.append(w)
+            spanned = R.closure(spanned | {w})
+    n = len(T.generators)
     basis = ["0" * i + "1" + "0" * (n - i - 1) for i in range(n)]
-    return FreeSSE(mor, basis, gens, wits)
+    return FreeSSE(mor, basis, T.generators, wits)

@@ -311,6 +311,8 @@ def collapse_regrouped(w, pair_hom, outer_target_sig):
 
 
 def _check_enum_args(sig, max_len):
+    if max_len < 0:
+        raise GroupError(f"enumeration length {max_len} is negative")
     if max_len > MAX_ENUM_LEN:
         raise GroupError(f"enumeration length {max_len} exceeds cap {MAX_ENUM_LEN}")
     for f in sig.factors:

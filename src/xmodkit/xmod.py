@@ -160,26 +160,42 @@ def check_axioms_wordlevel(xm: CrossedModule, max_len: int = 4) -> dict:
     }
 
 
-def check_ternary(xm: CrossedModule, max_len: int = 8) -> dict:
-    """Ternary law over (G, T, T) cosmash words.
+def ternary_routes(xm: CrossedModule):
+    """The two evaluations of (G, T, T) words of xm, as w -> (right, left).
 
-    Route one folds the two T slots by multiplication and takes the core
-    evaluation.  Route two first pushes the middle slot through the boundary
-    into the actor slot, then evaluates.  Both land in T and must agree on
-    every ternary cosmash word.
+    Route one (right) folds the two T slots by multiplication and takes the
+    core evaluation.  Route two (left) first pushes the middle slot through
+    the boundary into the actor slot, then evaluates.  Both land in T.
+    """
+    out_sig = FactorSignature((xm.codomain(), xm.domain()))
+    d = xm.boundary.table
+    push = (lambda v: v, lambda v: d[v], lambda v: v)
+
+    def routes(w):
+        return (action_core_word(xm.action, fold_word(w, out_sig, (0, 1, 1))),
+                action_core_word(xm.action, fold_word(w, out_sig, (0, 0, 1), push)))
+    return routes
+
+
+def check_ternary(xm: CrossedModule, max_len: int = 8) -> dict:
+    """Ternary law over (G, T, T) cosmash words: both `ternary_routes` agree.
+
+    On valid input the law holds on the bracket words: for s = [g, t] in T,
+    equivariance gives d(s) = [g, d t] and Peiffer gives d(s).t' = s t' s^-1,
+    so [[g, t], t'] = [[g, d t], t'].  So on input that passed
+    `check_axioms` this check audits the word layer (`fold_word`,
+    `action_core_word`), and on merely precrossed input it detects Peiffer
+    failures at s in [G, T].
     """
     G, T = xm.codomain(), xm.domain()
-    d = xm.boundary
     sig = FactorSignature((G, T, T))
-    out_sig = FactorSignature((G, T))
+    routes = ternary_routes(xm)
     viol = []
     n = 0
     for w in enumerate_cosmash_words(sig, max_len):
         n += 1
-        right = fold_word(w, out_sig, (0, 1, 1))
-        left = fold_word(w, out_sig, (0, 0, 1),
-                         (lambda v: v, lambda v: d.table[v], lambda v: v))
-        if action_core_word(xm.action, right) != action_core_word(xm.action, left):
+        right, left = routes(w)
+        if right != left:
             viol.append(format_word(w))
     return {"max_len": max_len, "words": n, "violations": viol, "ok": not viol}
 

@@ -364,3 +364,23 @@ def test_budget_only_where_searched(sample):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "SAMPLE", "--word-len", "-1", "--ternary-len", "-5"],
+     "enumeration length -1 is negative"),
+    (["check", "SAMPLE", "--ternary-len", "-5"], "enumeration length -5 is negative"),
+    (["audit", "--ternary-len", "-3"], "enumeration length -3 is negative"),
+    (["condp", "transfer", "--count", "0"], "a sweep of 0 instances"),
+    (["condp", "transfer", "--max-order", "0"], "survey order cap 0 is below one"),
+    (["audit", "--budget", "-1"], "search budget -1 is negative"),
+])
+def test_bad_numbers_are_input_errors(argv, message, sample, tmp_path, capsys):
+    """Nothing checked on an empty range, and no budget exhaustion below zero."""
+    rep_path = tmp_path / "bad.json"
+    argv = [sample if a == "SAMPLE" else a for a in argv]
+    assert main(argv + ["--json", str(rep_path)]) == 2
+    assert message in capsys.readouterr().err
+    rep = json.loads(rep_path.read_text())
+    assert rep["exit_code"] == 2 and rep["ok"] is False and rep["results"] is None
+    assert rep["error"].startswith("input error: ")

@@ -5,13 +5,13 @@ import pytest
 
 from xmodkit import condp
 from xmodkit.errors import GroupError
-from xmodkit.groups import cyclic_group, z4_module
+from xmodkit.groups import cyclic_group, free_module_cover, z4_module
 from xmodkit.actions import semidirect_product, trivial_action
 from xmodkit.condp import (
-    LinearMapZ4, ModuleZ4, check_P_instance, compose_linear, free_module_cover,
-    identity_linear, lifting_oracle_z4, non_schreier_demo,
-    pi0_preservation_suite, pipeline_diagram_P, pipeline_pairs, projective_z4,
-    projectivity_survey, split_exact_z4, theorem_P_transfer_check, zero_linear,
+    LinearMapZ4, ModuleZ4, check_P_instance, compose_linear, identity_linear,
+    lifting_oracle_z4, non_schreier_demo, pi0_preservation_suite,
+    pipeline_diagram_P, pipeline_pairs, projective_z4, projectivity_survey,
+    split_exact_z4, theorem_P_transfer_check, zero_linear,
 )
 
 

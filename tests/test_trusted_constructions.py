@@ -21,8 +21,8 @@ from xmodkit.corpus import (
 from xmodkit.errors import GroupError
 from xmodkit.groups import (
     FiniteGroup, GroupHom, MAX_ORDER, cyclic_group, dihedral_group,
-    normal_subgroups, quaternion_group, quotient, symmetric_group, z4_module,
-    z4_module_classes,
+    free_module_cover, normal_subgroups, quaternion_group, quotient,
+    symmetric_group, z4_module, z4_module_classes,
 )
 from xmodkit.xmod import CrossedModule, relabel_xmod
 
@@ -172,7 +172,7 @@ def test_relabel_xmod_of_non_schreier_demo(seed, monkeypatch):
     c for c in z4_module_classes(MAX_ORDER) if 4 ** sum(c) <= MAX_ORDER])
 def test_free_module_cover_is_a_surjective_hom(n4, n2):
     M = z4_module(n4, n2)
-    R, epi = condp.free_module_cover(M)
+    R, epi = free_module_cover(M)
     assert R.order == 4 ** len(M.generators)
     GroupHom(R, M, epi.table)
     assert epi.is_surjective()
