@@ -4,7 +4,8 @@ from xmodkit.errors import GroupError
 from xmodkit.groups import cyclic_group, direct_product, hom, symmetric_group
 from xmodkit.actions import semidirect_product, trivial_action
 from xmodkit.xmod import (
-    conjugation_xmod, identity_morphism, module_xmod, xmod_from_normal_subgroup,
+    CrossedModule, conjugation_xmod, identity_morphism, module_xmod,
+    xmod_from_normal_subgroup,
 )
 from xmodkit.corpus import (
     no_section_fixture, projective_section_corpus, pullback_no_section_fixture,
@@ -55,6 +56,12 @@ def test_inclusion_extension_refusals():
     # Z2 inside Z4: the cokernel projection has no splitting
     with pytest.raises(GroupError, match="does not split"):
         inclusion_extension(xmod_from_normal_subgroup(Z4, {0, 2}))
+    # A3 inside S3 with S3 acting trivially: injective, but not conjugation
+    a3 = a3_inclusion()
+    fixed = CrossedModule(trivial_action(a3.codomain(), a3.domain()), a3.boundary,
+                          check=False)
+    with pytest.raises(GroupError, match="not conjugation through the boundary"):
+        inclusion_extension(fixed)
 
 
 def test_projective_corpus_certificates():
