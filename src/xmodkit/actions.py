@@ -7,14 +7,20 @@ and both directions of the translation are implemented and cross-checked.
 
 ``GroupAction`` and ``SplitExtension`` validate by default, where data
 enters; the constructions here are correct by theorem and build unchecked.
+Their tables are built a row at a time with ``groups.gatherer``: a
+semidirect-product row is a chain of blocks shared by every row with the
+same actor element, and a conjugation row reads one column of the image
+rows through the conjugating element's row.
 
 Word evaluation convention: words live over the two-slot signature
 (actor, carrier), slot 0 for the actor.  Any word whose slot-0 projection
 normalizes to the empty word evaluates to a carrier element.
 """
 
+import itertools
+
 from .errors import GroupError
-from .groups import FiniteGroup, GroupHom, identity_hom
+from .groups import FiniteGroup, GroupHom, gatherer, identity_hom
 from .words import FactorSignature, WordHom
 
 
@@ -104,11 +110,15 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     H, G = embedding.source, embedding.target
     if not embedding.is_injective():
         raise GroupError("embedding is not injective")
-    lookup = {y: h for h, y in enumerate(embedding.table)}
-    try:
-        table = [[lookup[G.conj(g, y)] for y in embedding.table] for g in range(G.order)]
-    except KeyError:
-        raise GroupError("image of the embedding is not a normal subgroup") from None
+    preimage = [None] * G.order
+    for h, y in enumerate(embedding.table):
+        preimage[y] = h
+    t = G.table
+    # g y g^-1 = g (y g^-1): column c of the image rows holds every y c
+    cols = tuple(zip(*gatherer(embedding.table)(t)))
+    table = [gatherer(gatherer(cols[G.inv(g)])(t[g]))(preimage) for g in range(G.order)]
+    if any(None in row for row in table):
+        raise GroupError("image of the embedding is not a normal subgroup")
     # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
     return GroupAction(G, H, table, check=False)
 
@@ -164,17 +174,16 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     act = action.table
     mulX, mulG = X.table, G.table
     size = n * m
-    table = [[0] * size for _ in range(size)]
-    for x1 in range(n):
-        for g1 in range(m):
-            row = table[x1 * m + g1]
-            actg1 = act[g1]
-            mx1 = mulX[x1]
-            mg1 = mulG[g1]
-            for x2 in range(n):
-                base = mx1[actg1[x2]] * m
-                for g2 in range(m):
-                    row[x2 * m + g2] = base + mg1[g2]
+    # row (x1, g1) is the chain of blocks blocks[g1][v] over v = x1 (g1.x2);
+    # each block is picked from a slice of one shared index tuple, so the
+    # table holds one int object per element rather than one per cell
+    indices = tuple(range(size))
+    blocks = [[pick(indices[i:i + m]) for i in range(0, size, m)]
+              for pick in map(gatherer, mulG)]
+    twists = [gatherer(row) for row in act]
+    chain = itertools.chain.from_iterable
+    table = [tuple(chain(gatherer(twists[g1](mulX[x1]))(blocks[g1])))
+             for x1 in range(n) for g1 in range(m)]
     names = [f"{X.names[x]}|{G.names[g]}" for x in range(n) for g in range(m)]
     # associative because the action is by automorphisms; k, p, s split by construction
     E = FiniteGroup(table, names=names, label=f"{X.label}:{G.label}", check=False)

@@ -432,6 +432,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
+        # refused up front, so no command or algorithm can ignore a bad length
+        for length in (getattr(args, "word_len", 0), getattr(args, "ternary_len", 0)):
+            if length < 0:
+                raise GroupError(f"enumeration length {length} is negative")
         return args.func(args)
     except (DefinitionError, GroupError) as exc:
         code, error = 2, f"input error: {exc}"

@@ -67,9 +67,6 @@ class ModuleZ4:
         return tuple((a + b) % o
                      for a, b, o in zip(x, y, self.factor_orders))
 
-    def neg(self, x):
-        return tuple((-a) % o for a, o in zip(x, self.factor_orders))
-
     def scale(self, n, x):
         return tuple((n * a) % o for a, o in zip(x, self.factor_orders))
 
@@ -150,13 +147,6 @@ class LinearMapZ4:
             frontier = nxt
         return seen
 
-    def kernel_elements(self):
-        zero = self.tgt.zero()
-        return [x for x in self.src.elements() if self.apply(x) == zero]
-
-    def is_injective(self):
-        return len(self.image_span()) == self.src.order
-
     def is_zero(self):
         zero = self.tgt.zero()
         return all(v == zero for v in self.basis_images)
@@ -168,15 +158,6 @@ class LinearMapZ4:
 
     def __repr__(self):
         return f"LinearMapZ4({self.src.label} -> {self.tgt.label})"
-
-
-def identity_linear(M: ModuleZ4) -> LinearMapZ4:
-    return LinearMapZ4(M, M, M.basis(), check=False)
-
-
-def zero_linear(src: ModuleZ4, tgt: ModuleZ4) -> LinearMapZ4:
-    return LinearMapZ4(src, tgt, tuple(tgt.zero() for _ in range(src.rank)),
-                       check=False)
 
 
 def compose_linear(f: LinearMapZ4, g: LinearMapZ4) -> LinearMapZ4:
@@ -230,13 +211,14 @@ def projective_z4(M) -> bool:
     return tor * tor == M.order
 
 
-def lifting_oracle_z4(M) -> bool:
+def lifting_oracle_z4(M, free=None) -> bool:
     """Projectivity by definition: does the free cover split over M?
 
     Exhaustive, so both answers are proofs.  Raises GroupError when the cover
-    order would exceed the dense-table cap (six or more generators).
+    order would exceed the dense-table cap (six or more generators).  `free`
+    is passed on to `free_module_cover`.
     """
-    return find_section(free_module_cover(M)[1]) is not None
+    return find_section(free_module_cover(M, free)[1]) is not None
 
 
 def projectivity_survey(max_order: int = 64) -> list:
@@ -248,13 +230,14 @@ def projectivity_survey(max_order: int = 64) -> list:
     if max_order < 1:
         raise GroupError(f"survey order cap {max_order} is below one")
     rows = []
+    free = {}  # rank -> free module, each built once per survey
     for n4, n2 in z4_module_classes(max_order):
         M = z4_module(n4, n2)
         crit = projective_z4(M)
         row = {"n4": n4, "n2": n2, "order": M.order,
                "criterion": crit, "expected": n2 == 0}
         try:
-            row["oracle"] = lifting_oracle_z4(M)
+            row["oracle"] = lifting_oracle_z4(M, free)
         except GroupError:
             row["oracle"] = None
         row["ok"] = (row["criterion"] == row["expected"]
@@ -690,6 +673,7 @@ def theorem_P_transfer_check(seed: int = 0, count: int = 30) -> dict:
     counterexamples = 0
     vacuous = 0
     oracle_checked = 0
+    free = {}  # rank -> free module, each built once per sweep
     for i in range(count):
         mode = ("free", "mixed", "product")[i % 3]
         if mode == "product":
@@ -713,7 +697,7 @@ def theorem_P_transfer_check(seed: int = 0, count: int = 30) -> dict:
             counterexamples += 1
         if mode == "mixed":
             try:
-                agrees = lifting_oracle_z4(ext.total) == rep["middle_projective"]
+                agrees = lifting_oracle_z4(ext.total, free) == rep["middle_projective"]
                 rep["oracle_agrees"] = agrees
                 oracle_checked += 1
                 if not agrees:

@@ -12,8 +12,8 @@ from .groups import (
     symmetric_group, trivial_group, trivial_hom,
 )
 from .actions import (
-    GroupAction, action_from_extension, action_from_function, semidirect_product,
-    trivial_action,
+    GroupAction, action_from_extension, action_from_function, conjugation_action,
+    semidirect_product, trivial_action,
 )
 from .xmod import (
     CrossedModule, XModMorphism, conjugation_xmod, discrete_xmod,
@@ -125,6 +125,26 @@ def axiom_corpus():
     out.append(("bad:equivariance:V4-in-D4-trivial-action",
                 CrossedModule(trivial_action(D4, V), Vincl,
                               check=False), False))
+    return out
+
+
+def ternary_fixtures():
+    """Precrossed modules on which the ternary law can fail, with controls.
+
+    Each group acts on itself by conjugation with the trivial boundary:
+    equivariant, but Peiffer fails on every non-commuting pair.  By the
+    argument in `xmod.check_ternary`, the bracket words then detect Peiffer
+    failures at s in [G, T].  S3 has such failures and fires; D4 and Q8 have
+    nilpotency class 2, so every triple commutator is trivial and they stay
+    clean.  Returns (name, precrossed module, fires) triples.  Kept out of
+    `axiom_corpus`, whose entries and counts are pinned elsewhere.
+    """
+    out = []
+    for G, fires in ((symmetric_group(3), True), (dihedral_group(4), False),
+                     (quaternion_group(), False)):
+        xm = CrossedModule(conjugation_action(G), trivial_hom(G, G), check=False,
+                           label=f"({G.label}=>{G.label},1)")
+        out.append((f"ternary:conj-trivial:{G.label}", xm, fires))
     return out
 
 

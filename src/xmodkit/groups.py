@@ -6,6 +6,13 @@ they enter: ``FiniteGroup`` checks associativity (all triples up to order 64,
 a deterministic sample above) and ``GroupHom`` the hom law, by default.  The
 constructions here are correct by theorem and pass ``check=False``.
 
+Dense tables are built and checked a row at a time, never a cell at a time.
+``gatherer`` turns an index tuple into one C call that reads a sequence at
+those indices; ``z4_module`` chains shared blocks of one index tuple into
+each row, ``free_module_cover`` decodes its values a generator at a time,
+and ``GroupHom`` compares each source row read through the map with the
+matching target row, looking for the failing cell only once a row differs.
+
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: ``hom``, hom enumeration, section searches, constrained lifts and
 isomorphism searches all go through ``search_homs``.  It checks generator
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from functools import cached_property
 
@@ -127,8 +135,7 @@ class FiniteGroup:
 
     @cached_property
     def commutative(self):
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        return tuple(zip(*self.table)) == self.table
 
     @cached_property
     def exponent(self):
@@ -183,6 +190,23 @@ class FiniteGroup:
         return f"<FiniteGroup {self.label} order {self.order}>"
 
 
+def gatherer(indices):
+    """The map seq -> tuple(seq[i] for i in indices), one C call per sequence.
+
+    Dense tables are built and checked a row at a time through these: a row
+    read through a hom, or a block of rows picked by a row of indices.
+    """
+    if len(indices) == 1:  # itemgetter of one index returns the item bare
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return operator.itemgetter(*indices)
+
+
+def first_difference(xs, ys):
+    """The first index where two rows differ; the witness of a failed row check."""
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+
 def generating_sequence(G, covered):
     """Extend the subgroup generated by `covered` to all of G, greedily.
 
@@ -216,15 +240,16 @@ class GroupHom:
         if check:
             if table[source.identity] != target.identity:
                 raise GroupError("map does not preserve the identity")
-            st, tt = source.table, target.table
-            for a in range(source.order):
-                fa = table[a]
-                ra = st[a]
-                for b in range(source.order):
-                    if table[ra[b]] != tt[fa][table[b]]:
-                        raise GroupError(
-                            f"not a homomorphism at "
-                            f"({source.names[a]},{source.names[b]})")
+            through_f = gatherer(table)
+            for a, row in enumerate(source.table):
+                # f(a*b) = f(a)*f(b) for every b: the image of row a is row f(a)
+                # of the target read through f
+                lhs, rhs = gatherer(row)(table), through_f(target.table[table[a]])
+                if lhs != rhs:
+                    b = first_difference(lhs, rhs)
+                    raise GroupError(
+                        f"not a homomorphism at "
+                        f"({source.names[a]},{source.names[b]})")
         self.source = source
         self.target = target
         self.table = table
@@ -542,42 +567,52 @@ def z4_module(n4, n2, label=None):
     """(Z/4)^n4 + (Z/2)^n2 as a dense-table group; element names are digit strings.
 
     Built in mixed radix one factor at a time, first factor most significant:
-    (a, x) + (b, y) = (a + b, (x + y) % m) at index a*m + x.
+    (a, x) + (b, y) = (a + b, (x + y) % m) at index a*m + x.  Row (a, x) is
+    the chain of blocks blocks[x][v] over the row v = old[a][b]; each block
+    is a slice of one shared tuple of indices, so the table holds one int
+    object per element rather than one per cell.
     """
     moduli = (4,) * n4 + (2,) * n2
     order = math.prod(moduli)
     if order > MAX_ORDER:
         raise GroupError(f"module order {order} exceeds cap {MAX_ORDER}")
+    indices = tuple(range(order))
     table, names = [(0,)], [""]
     for m in moduli:
-        # row (a, x) is the block blocks[x][v] for each v = old[a][b]; sharing the
-        # blocks keeps one int object per value and x rather than one per cell
-        blocks = [[tuple(v * m + (x + y) % m for y in range(m)) for v in range(len(table))]
-                  for x in range(m)]
-        table = [tuple(itertools.chain.from_iterable(blocks[x][v] for v in row))
-                 for row in table for x in range(m)]
+        size = len(table) * m
+        blocks = [[gatherer([(x + y) % m for y in range(m)])(indices[i:i + m])
+                   for i in range(0, size, m)] for x in range(m)]
+        table = [tuple(itertools.chain.from_iterable(pick(blocks[x])))
+                 for pick in map(gatherer, table) for x in range(m)]
         names = [s + str(x) for s in names for x in range(m)]
     return FiniteGroup(table, names=names if moduli else ["0"],
                        label=label or f"M(4^{n4}.2^{n2})", check=False)
 
 
-def free_module_cover(M):
+def free_module_cover(M, free=None):
     """Free exponent-four cover of a dense module: one Z/4 per greedy generator.
 
     The cover element named by digits a_1..a_n goes to the sum of a_i times
     generator i, a hom by construction; surjectivity is what a wrong
-    generating sequence would break.
+    generating sequence would break.  The values are decoded in the mixed
+    radix of `z4_module`, one generator at a time: each value so far is
+    followed by its sums with the four multiples of the next generator.
+    `free`, a dict from rank to free module, shares the covers built across
+    the calls of one caller; it is filled as covers are built.
     """
     if not is_z4_module(M):
         raise GroupError("cover needs exponent dividing four")
     gens = M.generators
-    R = z4_module(len(gens), 0, label=f"F{len(gens)}")
-    table = []
-    for name in R.names:
-        acc = M.identity
-        for g, ch in zip(gens, name):
-            acc = M.mul(acc, M.power(g, int(ch)))
-        table.append(acc)
+    n = len(gens)
+    R = free.get(n) if free is not None else None
+    if R is None:
+        R = z4_module(n, 0, label=f"F{n}")
+        if free is not None:
+            free[n] = R
+    table = (M.identity,)
+    for g in gens:
+        multiples = gatherer([M.power(g, k) for k in range(4)])
+        table = tuple(itertools.chain.from_iterable(map(multiples, gatherer(table)(M.table))))
     epi = GroupHom(R, M, table, check=False)
     if not epi.is_surjective():
         raise InvariantBreach("generator decode failed to cover the module")

@@ -14,10 +14,11 @@ and restricts to the carriers.
 
 Both run exhaustive backtracking searches, so a failure status is a proof of
 nonexistence, not a timeout; running out of budget raises instead.  Both
-re-verify every claimed equation before reporting success.  A verification
-failure after successful searches cannot be caused by input that passed the
-preconditions, so it raises InvariantBreach rather than returning a bad
-certificate.
+re-verify every claimed equation before reporting success.  The hom law of
+a constructed section goes through ``GroupHom(check=True)``, which compares
+the dense tables a row at a time.  A verification failure after successful
+searches cannot be caused by input that passed the preconditions, so it
+raises InvariantBreach rather than returning a bad certificate.
 
 The free-object calculus works with words, because free crossed modules on a
 nontrivial group have infinite carriers.  A pair of homs (f: H -> T,
@@ -185,18 +186,14 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
         q = klook[E.mul(e, E.inv(ext.s.table[p]))]
         gG[e] = G.mul(d[gT[q]], g1[p])
 
-    # (iv) re-verify every equation; any failure here is a bug, never input
+    # (iv) re-verify every equation; any failure here is a bug, never input.
+    # The formula must define a hom: GroupHom checks the law row by row.
+    try:
+        gG_hom = GroupHom(E, G, tuple(gG))
+    except GroupError:
+        raise InvariantBreach("section verification failed: coequalizer-formula") from None
     eqs = {}
-    hom_ok = True
-    for a in range(E.order):
-        row, ga = E.table[a], gG[a]
-        for b in range(E.order):
-            if gG[row[b]] != G.mul(ga, gG[b]):
-                hom_ok = False
-                break
-        if not hom_ok:
-            break
-    eqs["coequalizer-formula"] = hom_ok and all(
+    eqs["coequalizer-formula"] = all(
         gG[E.mul(ext.k.table[q], ext.s.table[p])] == G.mul(d[gT[q]], g1[p])
         for q in range(Q.order) for p in range(P.order))
     eqs["lifting-over-fG"] = all(
@@ -209,7 +206,6 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
     eqs["boundary-square"] = all(gG[ext.k.table[q]] == d[gT[q]]
                                  for q in range(Q.order))
     gT_hom = GroupHom(Q, T, tuple(gT), check=False)
-    gG_hom = GroupHom(E, G, tuple(gG), check=False)
     eqs["equivariance-elementwise"] = (
         morphism_witness(epi.tgt, src, gT_hom, gG_hom) is None)
     for name, okay in eqs.items():

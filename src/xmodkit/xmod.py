@@ -22,8 +22,8 @@ from .actions import (
 )
 from .groups import (
     FiniteGroup, GroupHom, compose, direct_product, enumerate_homs,
-    identity_hom, kernel, normal_closure, quotient, subgroup, trivial_group,
-    trivial_hom,
+    first_difference, gatherer, identity_hom, kernel, normal_closure, quotient,
+    subgroup, trivial_group, trivial_hom,
 )
 from .words import (
     FactorSignature, WordHom, enumerate_cosmash_words, fold_word, format_word,
@@ -68,14 +68,19 @@ class CrossedModule:
 
 
 def equivariance_failures(action: GroupAction, boundary: GroupHom):
-    """Every (g, t) with d(g.t) != g d(t) g^-1, in index order."""
+    """Every (g, t) with d(g.t) != g d(t) g^-1, in index order.
+
+    Compared a row of g at a time; only a row that differs is searched.
+    """
     G = action.actor
     d = boundary.table
-    for g in range(G.order):
-        row = action.table[g]
-        for t in range(action.carrier.order):
-            if d[row[t]] != G.conj(g, d[t]):
-                yield (g, t)
+    # g d(t) g^-1 = g (d(t) g^-1): column c of the image rows holds every d(t) c
+    cols = tuple(zip(*gatherer(d)(G.table)))
+    for g, row in enumerate(action.table):
+        lhs = gatherer(row)(d)
+        rhs = gatherer(cols[G.inv(g)])(G.table[g])
+        if lhs != rhs:
+            yield from ((g, t) for t, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def peiffer_failures(action: GroupAction, boundary: GroupHom):
@@ -309,15 +314,17 @@ def morphism_witness(src: CrossedModule, tgt: CrossedModule, fT: GroupHom,
         raise GroupError("fT endpoints do not match the crossed modules")
     if fG.source is not src.codomain() or fG.target is not tgt.codomain():
         raise GroupError("fG endpoints do not match the crossed modules")
-    for t in range(src.domain().order):
-        if tgt.boundary.table[fT.table[t]] != fG.table[src.boundary.table[t]]:
-            return ("square", t)
-    for g in range(src.codomain().order):
-        frow = src.action.table[g]
-        grow = tgt.action.table[fG.table[g]]
-        for t in range(src.domain().order):
-            if fT.table[frow[t]] != grow[fT.table[t]]:
-                return ("equivariance", (g, t))
+    # both laws are compared a row at a time; only a row that differs is searched
+    through_fT = gatherer(fT.table)
+    lhs = through_fT(tgt.boundary.table)
+    rhs = gatherer(src.boundary.table)(fG.table)
+    if lhs != rhs:
+        return ("square", first_difference(lhs, rhs))
+    for g, frow in enumerate(src.action.table):
+        lhs = gatherer(frow)(fT.table)
+        rhs = through_fT(tgt.action.table[fG.table[g]])
+        if lhs != rhs:
+            return ("equivariance", (g, first_difference(lhs, rhs)))
     return None
 
 

@@ -374,6 +374,8 @@ def test_budget_only_where_searched(sample):
     (["condp", "transfer", "--count", "0"], "a sweep of 0 instances"),
     (["condp", "transfer", "--max-order", "0"], "survey order cap 0 is below one"),
     (["audit", "--budget", "-1"], "search budget -1 is negative"),
+    (["lift", "SAMPLE", "--algorithm", "pullback-section", "--ternary-len", "-1"],
+     "enumeration length -1 is negative"),
 ])
 def test_bad_numbers_are_input_errors(argv, message, sample, tmp_path, capsys):
     """Nothing checked on an empty range, and no budget exhaustion below zero."""

@@ -3,10 +3,12 @@ from collections import Counter
 from xmodkit.corpus import (
     axiom_corpus, no_section_fixture, projective_section_corpus,
     pullback_no_section_fixture, pullback_section_corpus, split_ses_corpus,
-    sse_morphism_corpus,
+    sse_morphism_corpus, ternary_fixtures,
 )
 from xmodkit.sse import brute_force_section, compose_sse, is_regular_epi
-from xmodkit.xmod import check_axioms, check_axioms_wordlevel, pi0_preserves_split_ses
+from xmodkit.xmod import (
+    check_axioms, check_axioms_wordlevel, check_ternary, pi0_preserves_split_ses,
+)
 
 
 def test_axiom_corpus_shape():
@@ -116,3 +118,22 @@ def test_pullback_corpus_shape():
         assert m.fT.is_surjective() and m.fG.is_surjective()
     fix = pullback_no_section_fixture()
     assert fix.fG.is_surjective()
+
+
+def test_ternary_fixture_fires_and_controls_stay_clean():
+    """Conjugation with the trivial boundary: the ternary law fails on S3 at
+    L=10, not on the class-2 controls D4 and Q8, and nowhere at L=8."""
+    fixtures = {name.rsplit(":", 1)[1]: (xm, fires)
+                for name, xm, fires in ternary_fixtures()}
+    assert sorted(fixtures) == ["D4", "Q8", "S3"]
+    counts = {}
+    for label, (xm, fires) in fixtures.items():
+        rep = check_ternary(xm, 10)
+        counts[label] = (len(rep["violations"]), rep["words"])
+        assert rep["ok"] is not fires
+        short = check_ternary(xm, 8)
+        assert short["words"] == 1 and short["ok"]  # vacuous: the empty word only
+    assert counts == {"S3": (1620, 3751), "D4": (0, 10291), "Q8": (0, 10291)}
+    axioms = check_axioms(fixtures["S3"][0])
+    assert len(axioms["peiffer_violations"]) == 18
+    assert axioms["equivariance_violations"] == []

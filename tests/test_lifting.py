@@ -1,7 +1,8 @@
 import pytest
 
-from xmodkit.errors import GroupError
-from xmodkit.groups import cyclic_group, direct_product, hom, symmetric_group
+from xmodkit import lifting
+from xmodkit.errors import GroupError, InvariantBreach
+from xmodkit.groups import cyclic_group, direct_product, hom, symmetric_group, z4_module
 from xmodkit.actions import semidirect_product, trivial_action
 from xmodkit.xmod import (
     CrossedModule, conjugation_xmod, identity_morphism, module_xmod,
@@ -209,3 +210,20 @@ def test_hom_bijection_frozen_counts():
     v4 = direct_product(Z2, cyclic_group(2))[0]
     r3 = hom_bijection_check(v4, a3_inclusion())
     assert r3["ok"]
+
+
+def test_step_iv_refuses_a_formula_that_is_not_a_hom(monkeypatch):
+    """A carrier section that is not a hom makes the coequalizer formula a
+    non-hom, which step (iv) must catch through GroupHom's row check."""
+    ext = semidirect_product(trivial_action(z4_module(1, 0), z4_module(1, 0)))
+    real_lifts = lifting.lifts
+
+    def bent_lifts(p, u, **kwargs):
+        for table in real_lifts(p, u, **kwargs):
+            # (0, 1, 3, 2) fixes the identity but is not additive on Z/4
+            yield (0, 1, 3, 2) if u.source is ext.kernel_group else table
+
+    monkeypatch.setattr(lifting, "lifts", bent_lifts)
+    with pytest.raises(InvariantBreach,
+                       match="section verification failed: coequalizer-formula"):
+        projective_section(identity_morphism(inclusion_xmod(ext)), ext)

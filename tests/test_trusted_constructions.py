@@ -4,6 +4,10 @@ The package validates tables where they enter and builds its own results
 with check=False when they are correct by theorem.  Each test here rebuilds
 such a result with the validating public constructor, so a construction that
 stopped being correct would fail the suite rather than pass silently.
+
+The dense tables are built and checked a row at a time.  The per-cell
+formulas they replaced are kept here as references, and the row-level
+builders and checks must agree with them cell for cell, witness for witness.
 """
 import itertools
 import random
@@ -17,14 +21,18 @@ from xmodkit.actions import (
 )
 from xmodkit.corpus import (
     axiom_corpus, collapse_epi, projective_section_corpus, split_ses_corpus,
+    ternary_fixtures,
 )
 from xmodkit.errors import GroupError
 from xmodkit.groups import (
     FiniteGroup, GroupHom, MAX_ORDER, cyclic_group, dihedral_group,
-    free_module_cover, normal_subgroups, quaternion_group, quotient,
-    symmetric_group, z4_module, z4_module_classes,
+    free_module_cover, identity_hom, normal_subgroups, quaternion_group, quotient,
+    subgroup, symmetric_group, trivial_hom, z4_module, z4_module_classes,
 )
-from xmodkit.xmod import CrossedModule, relabel_xmod
+from xmodkit.xmod import (
+    CrossedModule, equivariance_failures, identity_morphism, morphism_witness,
+    relabel_xmod,
+)
 
 
 def _revalidate(action):
@@ -176,3 +184,194 @@ def test_free_module_cover_is_a_surjective_hom(n4, n2):
     assert R.order == 4 ** len(M.generators)
     GroupHom(R, M, epi.table)
     assert epi.is_surjective()
+
+
+# -- row-level builders and checks against their per-cell references ---------
+
+
+def _semidirect_reference(action):
+    """(x1,g1)(x2,g2) = (x1 g1.x2, g1 g2), one cell at a time."""
+    X, G = action.carrier, action.actor
+    n, m = X.order, G.order
+    table = [[0] * (n * m) for _ in range(n * m)]
+    for x1 in range(n):
+        for g1 in range(m):
+            row = table[x1 * m + g1]
+            for x2 in range(n):
+                base = X.table[x1][action.table[g1][x2]] * m
+                for g2 in range(m):
+                    row[x2 * m + g2] = base + G.table[g1][g2]
+    return tuple(map(tuple, table))
+
+
+def _transfer_sweep_actions():
+    """Every trivial action the transfer sweep's free and mixed rows can draw."""
+    free = [(z4_module(b, 0), z4_module(k, 0)) for b in range(3) for k in range(1, 4)]
+    mixed = [(z4_module(b4, b2), z4_module(k4, k2))
+             for b4 in range(2) for b2 in range(1, 3)
+             for k4 in range(3) for k2 in range(2)]
+    return [trivial_action(base, kern) for base, kern in free + mixed]
+
+
+def test_semidirect_product_matches_per_cell_formula():
+    actions = _corpus_actions()
+    actions += [xm.action for _, xm, _ in ternary_fixtures()]
+    sweep = _transfer_sweep_actions()
+    assert max(a.actor.order * a.carrier.order for a in sweep) == MAX_ORDER
+    for action in actions + sweep:
+        assert semidirect_product(action).total.table == _semidirect_reference(action)
+
+
+def test_conjugation_action_on_matches_conj():
+    embeddings = [ext.k for ext in _extensions()]
+    for G in (symmetric_group(4), dihedral_group(4), quaternion_group()):
+        embeddings += [subgroup(G, elems)[1] for elems in normal_subgroups(G)]
+    for emb in embeddings:
+        G, image = emb.target, emb.table
+        lookup = {y: h for h, y in enumerate(image)}
+        expected = tuple(tuple(lookup[G.conj(g, y)] for y in image)
+                         for g in range(G.order))
+        assert conjugation_action_on(emb).table == expected
+
+
+def test_conjugation_action_on_refuses_non_normal_image():
+    S3 = symmetric_group(3)
+    swap = next(x for x in range(6) if S3.elem_orders[x] == 2)
+    _, incl = subgroup(S3, [S3.identity, swap])
+    with pytest.raises(GroupError, match="not a normal subgroup"):
+        conjugation_action_on(incl)
+
+
+def _cover_reference(M, R):
+    """Each cover element by its digit name, decoded one power at a time."""
+    out = []
+    for name in R.names:
+        acc = M.identity
+        for g, ch in zip(M.generators, name):
+            acc = M.mul(acc, M.power(g, int(ch)))
+        out.append(acc)
+    return tuple(out)
+
+
+def test_free_module_cover_matches_per_element_decode():
+    free = {}
+    classes = [c for c in z4_module_classes(MAX_ORDER) if 4 ** sum(c) <= MAX_ORDER]
+    for n4, n2 in classes:
+        M = z4_module(n4, n2)
+        R, epi = free_module_cover(M, free)
+        assert epi.table == _cover_reference(M, R)
+        assert free[len(M.generators)] is R  # shared by later calls
+    assert sorted(free) == [0, 1, 2, 3, 4, 5]
+    R, _ = free_module_cover(z4_module(1, 0))
+    assert R is not free[1]  # without a shared dict, nothing is kept
+
+
+def _hom_law_reference(source, target, table):
+    """GroupHom's error text from the per-cell hom law, or None."""
+    if table[source.identity] != target.identity:
+        return "map does not preserve the identity"
+    for a in range(source.order):
+        for b in range(source.order):
+            if table[source.table[a][b]] != target.table[table[a]][table[b]]:
+                return f"not a homomorphism at ({source.names[a]},{source.names[b]})"
+    return None
+
+
+def _hom_law_fixtures():
+    Z2, Z4, Z6 = cyclic_group(2), cyclic_group(4), cyclic_group(6)
+    S3, D4, Q8 = symmetric_group(3), dihedral_group(4), quaternion_group()
+    S4 = symmetric_group(4)
+    rng = random.Random(5)
+    out = [
+        (Z4, Z4, (1, 2, 3, 0)),  # moves the identity
+        (Z4, Z2, (0, 1, 1, 0)),
+        (Z6, Z2, (0, 1, 0, 1, 1, 1)),
+        (S3, S3, tuple(S3.inv(x) for x in range(6))),  # inversion
+        (D4, Z2, tuple(int(D4.elem_orders[x] == 4) for x in range(8))),
+        (S4, S3, (S3.identity,) * 23 + (1,)),
+    ]
+    for G in (S3, D4, Q8):
+        for _ in range(3):
+            vals = [G.identity] + [rng.randrange(G.order) for _ in range(G.order - 1)]
+            out.append((G, G, tuple(vals)))
+    # and maps that are homs, which must pass; swapping i and j in Q8 (so
+    # k goes to -k) is an automorphism
+    out += [(G, G, identity_hom(G).table) for G in (S3, D4, Q8, S4)]
+    out.append((Q8, Q8, (0, 1, 4, 5, 2, 3, 7, 6)))
+    out += [(S4, Z2, trivial_hom(S4, Z2).table), (Z6, Z2, (0, 1) * 3)]
+    return out
+
+
+def test_hom_law_error_text_matches_per_cell_loop():
+    failures = 0
+    for source, target, table in _hom_law_fixtures():
+        expected = _hom_law_reference(source, target, table)
+        if expected is None:
+            GroupHom(source, target, table)
+            continue
+        failures += 1
+        with pytest.raises(GroupError) as exc:
+            GroupHom(source, target, table)
+        assert str(exc.value) == expected
+    assert failures >= 5
+
+
+def _equivariance_reference(action, boundary):
+    G, d = action.actor, boundary.table
+    return [(g, t) for g in range(G.order) for t in range(action.carrier.order)
+            if d[action.table[g][t]] != G.conj(g, d[t])]
+
+
+def test_equivariance_failures_match_per_cell_loop():
+    entries = axiom_corpus() + ternary_fixtures()
+    failing = 0
+    for _, xm, _ in entries:
+        expected = _equivariance_reference(xm.action, xm.boundary)
+        assert list(equivariance_failures(xm.action, xm.boundary)) == expected
+        failing += bool(expected)
+    assert failing >= 4
+
+
+def _morphism_reference(src, tgt, fT, fG):
+    for t in range(src.domain().order):
+        if tgt.boundary.table[fT.table[t]] != fG.table[src.boundary.table[t]]:
+            return ("square", t)
+    for g in range(src.codomain().order):
+        for t in range(src.domain().order):
+            if (fT.table[src.action.table[g][t]]
+                    != tgt.action.table[fG.table[g]][fT.table[t]]):
+                return ("equivariance", (g, t))
+    return None
+
+
+def test_morphism_witness_matches_per_cell_loop():
+    found = set()
+    morphisms = [mor for mor, _ in projective_section_corpus()]
+    # module crossed modules have trivial boundaries, so killing the actor
+    # keeps the square and breaks equivariance wherever the action moves
+    morphisms += [identity_morphism(xm) for name, xm, _ in axiom_corpus()
+                  if name.startswith("module:")]
+    for mor in morphisms:
+        src, tgt = mor.src, mor.tgt
+        T2, G2 = tgt.domain(), tgt.codomain()
+        variants = [
+            (mor.fT, mor.fG),
+            (trivial_hom(src.domain(), T2), mor.fG),
+            (mor.fT, trivial_hom(src.codomain(), G2)),
+            (GroupHom(src.domain(), T2, mor.fT.table[::-1], check=False), mor.fG),
+        ]
+        for fT, fG in variants:
+            expected = _morphism_reference(src, tgt, fT, fG)
+            assert morphism_witness(src, tgt, fT, fG) == expected
+            found.add(expected and expected[0])
+    assert found == {None, "square", "equivariance"}
+
+
+def test_commutative_matches_per_cell_loop():
+    groups = [symmetric_group(3), dihedral_group(4), quaternion_group(),
+              z4_module(2, 1), cyclic_group(1), semidirect_product(
+                  trivial_action(z4_module(1, 0), z4_module(2, 0))).total]
+    for G in groups:
+        t = G.table
+        expected = all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
+        assert G.commutative == expected
