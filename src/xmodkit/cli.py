@@ -110,12 +110,16 @@ def _first(lst):
     return lst[0] if lst else None
 
 
-def _ternary_reach(tern, max_len):
-    """What a ternary check covered; only the empty word is a vacuous check."""
-    if tern is None:
-        return "skipped"
-    nonempty = tern["words"] - 1  # the empty word is always enumerated
-    return f"{nonempty} non-empty words at L={max_len}{'' if nonempty else ', vacuous'}"
+def _ternary_reach(words, max_len, brackets=None):
+    """What a ternary check covered, from its count of enumerated words and,
+    for a morphism audit, of bracket words.  The empty word is always
+    enumerated; checking it and no other word is a vacuous check."""
+    nonempty = words - 1
+    checked = f"{nonempty} non-empty words"
+    if brackets is not None:
+        checked += f" and {brackets} brackets"
+    vacuous = not nonempty and not brackets
+    return f"{checked} at L={max_len}{', vacuous' if vacuous else ''}"
 
 
 # -- check ------------------------------------------------------------------
@@ -152,14 +156,18 @@ def cmd_check(args):
         if tern is not None:
             entry["ternary"] = {"ok": tern["ok"], "max_len": tern["max_len"],
                                 "words": tern["words"],
-                                "first_violation": _first(tern["violations"])}
+                                "first_violation": _first(tern["violations"]),
+                                "nonempty_words": tern["words"] - 1,
+                                "vacuous": tern["words"] == 1}
         results.append(entry)
         state = "ok" if entry["ok"] else "FAILS"
+        reach = ("skipped" if tern is None
+                 else _ternary_reach(tern["words"], args.ternary_len))
         print(f"check {name}: {state} "
               f"(eq viol {entry['elementwise']['equivariance_violations']}, "
               f"pf viol {entry['elementwise']['peiffer_violations']}, "
               f"{entry['wordlevel']['words']} words at L={args.word_len}, "
-              f"ternary {_ternary_reach(tern, args.ternary_len)})")
+              f"ternary {reach})")
     return _emit(args, results, all(r["ok"] for r in results))
 
 
@@ -218,7 +226,12 @@ def cmd_lift(args):
             entry["generic_search_found_section"] = (
                 find_xmod_section(mor, budget=args.budget) is not None)
         results.append(entry)
-        print(f"lift {name} [{args.algorithm}]: {cert.status}")
+        audit = ""
+        if cert.ok and "ternary_words" in cert.detail:
+            audit = (" (ternary audit " + _ternary_reach(
+                cert.detail["ternary_words"], cert.detail["ternary_len"],
+                cert.detail["ternary_brackets"]) + ")")
+        print(f"lift {name} [{args.algorithm}]: {cert.status}{audit}")
     ok = all(r["certificate"]["status"] == "success" for r in results)
     return _emit(args, results, ok)
 
@@ -264,8 +277,10 @@ def cmd_condp(args):
               f"free shape {rep['shape']['free_shape']}")
         ok = rep["ok"]
     elif args.mode == "transfer":
-        rep = theorem_P_transfer_check(seed=args.seed or 0, count=args.count)
-        survey = projectivity_survey(args.max_order)
+        free = {}  # rank -> free module, shared by the sweep and the survey
+        rep = theorem_P_transfer_check(seed=args.seed or 0, count=args.count,
+                                       free=free)
+        survey = projectivity_survey(args.max_order, free=free)
         results["transfer"] = {k: v for k, v in rep.items() if k != "instances"}
         results["transfer"]["instances"] = rep["instances"]
         results["survey"] = survey
@@ -299,8 +314,9 @@ def cmd_audit(args):
     terns = [(name, check_ternary(xm, args.ternary_len))
              for name, xm, valid in entries if valid]
     dirty = [name for name, tern in terns if not tern["ok"]]
-    results["ternary"] = {"max_len": args.ternary_len, "violations": dirty}
     nonempty = sum(tern["words"] - 1 for _, tern in terns)
+    results["ternary"] = {"max_len": args.ternary_len, "violations": dirty,
+                          "nonempty_words": nonempty, "vacuous": not nonempty}
     verdict = (f"violations in {dirty}" if dirty else "clean" if nonempty
                else "vacuous, only the empty word checked")
     print(f"ternary law: {nonempty} non-empty words at L={args.ternary_len} "

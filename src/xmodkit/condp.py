@@ -221,16 +221,18 @@ def lifting_oracle_z4(M, free=None) -> bool:
     return find_section(free_module_cover(M, free)[1]) is not None
 
 
-def projectivity_survey(max_order: int = 64) -> list:
+def projectivity_survey(max_order: int = 64, free=None) -> list:
     """Criterion verdict for every module class up to max_order.
 
     The section oracle runs wherever the free cover fits under the cap and
-    must agree; classes whose cover is too large carry oracle None.
+    must agree; classes whose cover is too large carry oracle None.  `free`
+    is passed on to `free_module_cover`; by default each free module is
+    built once per survey.
     """
     if max_order < 1:
         raise GroupError(f"survey order cap {max_order} is below one")
     rows = []
-    free = {}  # rank -> free module, each built once per survey
+    free = {} if free is None else free
     for n4, n2 in z4_module_classes(max_order):
         M = z4_module(n4, n2)
         crit = projective_z4(M)
@@ -657,7 +659,7 @@ def _epi_kernel_pairs():
 # -- randomized transfer sweep -----------------------------------------------------
 
 
-def theorem_P_transfer_check(seed: int = 0, count: int = 30) -> dict:
+def theorem_P_transfer_check(seed: int = 0, count: int = 30, free=None) -> dict:
     """Randomized sweep of the kernel-transfer property; zero counterexamples.
 
     Three alternating generators: split rows of free modules (never vacuous),
@@ -665,6 +667,8 @@ def theorem_P_transfer_check(seed: int = 0, count: int = 30) -> dict:
     section oracle confirming the criterion wherever the free cover fits),
     and carrier-level rows of products of module crossed modules.  Every
     instance must satisfy "middle projective implies kernel projective".
+    `free` is passed on to `free_module_cover`; by default each free module
+    is built once per sweep.
     """
     if count < 1:
         raise GroupError(f"a sweep of {count} instances checks nothing")
@@ -673,7 +677,7 @@ def theorem_P_transfer_check(seed: int = 0, count: int = 30) -> dict:
     counterexamples = 0
     vacuous = 0
     oracle_checked = 0
-    free = {}  # rank -> free module, each built once per sweep
+    free = {} if free is None else free
     for i in range(count):
         mode = ("free", "mixed", "product")[i % 3]
         if mode == "product":

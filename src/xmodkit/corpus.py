@@ -12,8 +12,8 @@ from .groups import (
     symmetric_group, trivial_group, trivial_hom,
 )
 from .actions import (
-    GroupAction, action_from_extension, action_from_function, conjugation_action,
-    semidirect_product, trivial_action,
+    GroupAction, action_from_function, conjugation_action, semidirect_product,
+    trivial_action,
 )
 from .xmod import (
     CrossedModule, XModMorphism, conjugation_xmod, discrete_xmod,
@@ -21,7 +21,7 @@ from .xmod import (
     xmod_product,
 )
 from .sse import enumerate_sse_morphisms
-from .lifting import inclusion_xmod
+from .lifting import inclusion_base_action, inclusion_xmod
 
 
 def _cyclic_prod(orders, label):
@@ -256,14 +256,14 @@ def collapse_epi(ext, K):
     crossed-module morphism, and it is levelwise surjective.
     """
     Q, P = ext.kernel_group, ext.base
-    psi = action_from_extension(ext)
+    tgt = inclusion_xmod(ext)
+    psi = inclusion_base_action(tgt, ext)
     QK = direct_product(Q, K)[0]
     m = K.order
     act2 = GroupAction(P, QK, [[row[x // m] * m + x % m for x in range(QK.order)]
-                               for row in psi.table], check=False)  # valid, as above
+                               for row in psi], check=False)  # valid, as above
     ext2 = semidirect_product(act2)
     src = inclusion_xmod(ext2)
-    tgt = inclusion_xmod(ext)
     fT = GroupHom(QK, Q, tuple(x // m for x in range(QK.order)), check=False)
     # the source total is canonically encoded as e = (q*|K| + k)*|P| + p; the
     # target may use any encoding, so go through its own k and s maps

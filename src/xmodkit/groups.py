@@ -8,8 +8,9 @@ constructions here are correct by theorem and pass ``check=False``.
 
 Dense tables are built and checked a row at a time, never a cell at a time.
 ``gatherer`` turns an index tuple into one C call that reads a sequence at
-those indices; ``z4_module`` chains shared blocks of one index tuple into
-each row, ``free_module_cover`` decodes its values a generator at a time,
+those indices; ``z4_module`` builds each row from shifted copies of one row
+of the module built so far, read from one shared index tuple,
+``free_module_cover`` decodes its values a generator at a time,
 and ``GroupHom`` compares each source row read through the map with the
 matching target row, looking for the failing cell only once a row differs.
 
@@ -72,7 +73,10 @@ class FiniteGroup:
 
         inv = []
         for x, row in enumerate(table):
-            y = row.index(ident) if ident in row else None
+            try:
+                y = row.index(ident)  # one scan: a row without the identity raises
+            except ValueError:
+                y = None
             if y is None or table[y][x] != ident:
                 raise GroupError(f"element {x} has no inverse")
             inv.append(y)
@@ -566,11 +570,14 @@ def is_z4_module(G):
 def z4_module(n4, n2, label=None):
     """(Z/4)^n4 + (Z/2)^n2 as a dense-table group; element names are digit strings.
 
-    Built in mixed radix one factor at a time, first factor most significant:
-    (a, x) + (b, y) = (a + b, (x + y) % m) at index a*m + x.  Row (a, x) is
-    the chain of blocks blocks[x][v] over the row v = old[a][b]; each block
-    is a slice of one shared tuple of indices, so the table holds one int
-    object per element rather than one per cell.
+    Built in mixed radix one factor at a time, first factor most significant,
+    adding the factors from the last to the first so that each new factor of
+    modulus m is the leading digit over the W elements built so far:
+    (x, a) + (y, b) = ((x + y) % m, a + b) at index x*W + a.  Row (x, a) is
+    then m copies of the old row a, shifted by ((x + y) % m)*W for y in
+    order, each W cells long.  The m copies of one old row are read through
+    a gatherer from slices of one shared tuple of indices, so the table holds
+    one int object per element rather than one per cell.
     """
     moduli = (4,) * n4 + (2,) * n2
     order = math.prod(moduli)
@@ -578,13 +585,17 @@ def z4_module(n4, n2, label=None):
         raise GroupError(f"module order {order} exceeds cap {MAX_ORDER}")
     indices = tuple(range(order))
     table, names = [(0,)], [""]
-    for m in moduli:
-        size = len(table) * m
-        blocks = [[gatherer([(x + y) % m for y in range(m)])(indices[i:i + m])
-                   for i in range(0, size, m)] for x in range(m)]
-        table = [tuple(itertools.chain.from_iterable(pick(blocks[x])))
-                 for pick in map(gatherer, table) for x in range(m)]
-        names = [s + str(x) for s in names for x in range(m)]
+    for m in reversed(moduli):
+        w = len(table)
+        shifts = [indices[j * w:(j + 1) * w] for j in range(m)]
+        new = [None] * (m * w)
+        for a, row in enumerate(table):
+            copies = list(map(gatherer(row), shifts))  # copies[j]: row a shifted by j*W
+            copies += copies  # x + y over y in order is copies[x:x + m]
+            for x in range(m):
+                new[x * w + a] = tuple(itertools.chain.from_iterable(copies[x:x + m]))
+        table = new
+        names = [str(x) + s for x in range(m) for s in names]
     return FiniteGroup(table, names=names if moduli else ["0"],
                        label=label or f"M(4^{n4}.2^{n2})", check=False)
 

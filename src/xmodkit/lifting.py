@@ -38,8 +38,7 @@ from .groups import (
 # every xmodkit module that holds it, this one included.
 from .groups import search_homs
 from .actions import (
-    SplitExtension, action_from_extension, conjugation_action_on,
-    semidirect_product,
+    SplitExtension, conjugation_action_on, semidirect_product,
 )
 from .words import (
     FactorSignature, WordHom, commutator, enumerate_cosmash_words,
@@ -101,6 +100,16 @@ def inclusion_xmod(ext: SplitExtension) -> CrossedModule:
                          label=f"({ext.kernel_group.label}<{ext.total.label})")
 
 
+def inclusion_base_action(xm: CrossedModule, ext: SplitExtension) -> list:
+    """Rows of the base's action on the kernel of `ext`: p.q = s(p) q s(p)^-1.
+
+    `xm` must be the inclusion crossed module of `ext`.  Its action is then
+    conjugation through k, so row p is its row at s(p), and no conjugation
+    action is rebuilt from the extension.
+    """
+    return [xm.action.table[e] for e in ext.s.table]
+
+
 def inclusion_extension(xm: CrossedModule, budget=None) -> SplitExtension:
     """Present a crossed module as kernel -> base -> cokernel, split.
 
@@ -144,6 +153,11 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
     statuses "no-lift-of-section" and "no-equivariant-section" are proofs of
     nonexistence.  A step-(iv) failure raises InvariantBreach: for inputs
     that pass the preconditions, the first three steps guarantee step (iv).
+
+    The preconditions make `epi.tgt` the inclusion crossed module of `ext`
+    (same groups, boundary k, action conjugation through k), so the action
+    of the base P on the kernel Q is read off the target's action at s(p)
+    (`inclusion_base_action`) rather than rebuilt from the extension.
     """
     tgt = epi.tgt
     if tgt.domain() is not ext.kernel_group or tgt.codomain() is not ext.total:
@@ -156,7 +170,7 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
     src = epi.src
     T, G = src.domain(), src.codomain()
     Q, E, P = ext.kernel_group, ext.total, ext.base
-    psi = action_from_extension(ext)
+    psi = inclusion_base_action(tgt, ext)  # tgt is the inclusion of ext, as checked
     phi_act = src.action.table
 
     found = None
@@ -165,7 +179,7 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
         base_lifts += 1
         beta = [phi_act[g1[p]] for p in range(P.order)]
         for gT in lifts(epi.fT, identity_hom(Q), budget=budget):
-            if all(gT[psi.table[p][q]] == beta[p][gT[q]]
+            if all(gT[psi[p][q]] == beta[p][gT[q]]
                    for p in range(P.order) for q in range(Q.order)):
                 found = (g1, gT)
                 break
@@ -200,7 +214,7 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
         epi.fG.table[g1[p]] == ext.s.table[p] for p in range(P.order))
     eqs["equivariant-section-of-fT"] = (
         all(epi.fT.table[gT[q]] == q for q in range(Q.order))
-        and all(gT[psi.table[p][q]] == phi_act[g1[p]][gT[q]]
+        and all(gT[psi[p][q]] == phi_act[g1[p]][gT[q]]
                 for p in range(P.order) for q in range(Q.order)))
     eqs["section-of-fG"] = all(epi.fG.table[gG[e]] == e for e in range(E.order))
     eqs["boundary-square"] = all(gG[ext.k.table[q]] == d[gT[q]]

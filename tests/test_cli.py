@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from xmodkit import groups
 from xmodkit.cli import main
 from xmodkit.defs import parse_definitions, load_definitions, tokenize_names
 from xmodkit.errors import DefinitionError, InvariantBreach
@@ -209,6 +210,12 @@ def test_check_json_report(sample, tmp_path, capsys):
     assert len(rep["results"]) == 2
     assert rep["results"][0]["name"] == "M"
     assert rep["results"][0]["ternary"]["ok"] is True
+    assert [(r["ternary"]["nonempty_words"], r["ternary"]["vacuous"])
+            for r in rep["results"]] == [(0, True), (0, True)]
+    assert main(["check", sample, "--ternary-len", "10", "--json", str(rep_path)]) == 0
+    capsys.readouterr()
+    tern = json.loads(rep_path.read_text())["results"][0]["ternary"]
+    assert (tern["words"], tern["nonempty_words"], tern["vacuous"]) == (271, 270, False)
     digest = rep["input_sha256"]
     assert len(digest) == 64
 
@@ -260,6 +267,8 @@ def test_lift_command(sample, tmp_path, capsys):
     assert main(["lift", sample, "--cross-check"]) == 0
     out = capsys.readouterr().out
     assert "lift id [projective-section]: success" in out
+    assert ("lift id [projective-section]: success (ternary audit "
+            "0 non-empty words and 2 brackets at L=8)") in out
 
     assert main(["lift", sample, "--algorithm", "pullback-section"]) == 0
     capsys.readouterr()
@@ -325,9 +334,29 @@ def test_condp_command(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_audit_quick(capsys):
-    assert main(["audit", "--quick"]) == 0
+def test_transfer_builds_each_free_module_once(monkeypatch, capsys):
+    """The sweep and the survey of one `condp transfer` share free modules."""
+    built = []
+    real = groups.z4_module
+
+    def recording(n4, n2, label=None):
+        M = real(n4, n2, label)  # F6 is refused, over the dense cap
+        built.append(label)
+        return M
+
+    monkeypatch.setattr(groups, "z4_module", recording)
+    assert main(["condp", "transfer", "--seed", "0"]) == 0
+    capsys.readouterr()
+    free = [label for label in built if label and label.startswith("F")]
+    assert sorted(free) == [f"F{n}" for n in range(6)]  # each rank once
+
+
+def test_audit_quick(tmp_path, capsys):
+    rep_path = tmp_path / "audit.json"
+    assert main(["audit", "--quick", "--json", str(rep_path)]) == 0
     out = capsys.readouterr().out
+    assert json.loads(rep_path.read_text())["results"]["ternary"] == {
+        "max_len": 6, "violations": [], "nonempty_words": 0, "vacuous": True}
     assert "axiom corpus: 54 entries, checkers agree True" in out
     assert ("ternary law: 0 non-empty words at L=6 over 48 modules, "
             "vacuous, only the empty word checked") in out

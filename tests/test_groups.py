@@ -61,8 +61,8 @@ def test_symmetric_group_names():
 def test_table_validation():
     with pytest.raises(GroupError):
         FiniteGroup(((0, 0), (0, 0)))  # no identity
-    with pytest.raises(GroupError):
-        FiniteGroup(((0, 1), (1, 1)))  # 1 has no inverse
+    with pytest.raises(GroupError, match="element 1 has no inverse"):
+        FiniteGroup(((0, 1), (1, 1)))  # row 1 holds no identity
     with pytest.raises(GroupError, match="no identity"):
         FiniteGroup(((0, 1), (0, 1)))  # both rows fix everything, no column does
     with pytest.raises(GroupError, match="element 1 has no inverse"):
