@@ -8,16 +8,14 @@ and both directions of the translation are implemented and cross-checked.
 ``GroupAction`` and ``SplitExtension`` validate by default, where data
 enters; the constructions here are correct by theorem and build unchecked.
 Their tables are built a row at a time with ``groups.gatherer``: a
-semidirect-product row is a chain of blocks shared by every row with the
-same actor element, and a conjugation row reads one column of the image
+semidirect-product row extends one list by blocks shared by every row with
+the same actor element, and a conjugation row reads one column of the image
 rows through the conjugating element's row.
 
 Word evaluation convention: words live over the two-slot signature
 (actor, carrier), slot 0 for the actor.  Any word whose slot-0 projection
 normalizes to the empty word evaluates to a carrier element.
 """
-
-import itertools
 
 from .errors import GroupError
 from .groups import FiniteGroup, GroupHom, gatherer, identity_hom
@@ -174,16 +172,21 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     act = action.table
     mulX, mulG = X.table, G.table
     size = n * m
-    # row (x1, g1) is the chain of blocks blocks[g1][v] over v = x1 (g1.x2);
-    # each block is picked from a slice of one shared index tuple, so the
-    # table holds one int object per element rather than one per cell
+    # row (x1, g1) is the blocks blocks[g1][v] over v = x1 (g1.x2), joined by
+    # extending one list; each block is picked from a slice of one shared
+    # index tuple, so the table holds one int object per element rather than
+    # one per cell
     indices = tuple(range(size))
     blocks = [[pick(indices[i:i + m]) for i in range(0, size, m)]
               for pick in map(gatherer, mulG)]
     twists = [gatherer(row) for row in act]
-    chain = itertools.chain.from_iterable
-    table = [tuple(chain(gatherer(twists[g1](mulX[x1]))(blocks[g1])))
-             for x1 in range(n) for g1 in range(m)]
+    table = []
+    for x1 in range(n):
+        for g1 in range(m):
+            row = []
+            for block in gatherer(twists[g1](mulX[x1]))(blocks[g1]):
+                row += block
+            table.append(tuple(row))
     names = [f"{X.names[x]}|{G.names[g]}" for x in range(n) for g in range(m)]
     # associative because the action is by automorphisms; k, p, s split by construction
     E = FiniteGroup(table, names=names, label=f"{X.label}:{G.label}", check=False)

@@ -32,7 +32,7 @@ from .xmod import (
     relabel_xmod, xmod_from_normal_subgroup, xmod_kernel, xmod_product,
 )
 from .lifting import (
-    find_xmod_section, inclusion_extension, inclusion_xmod, projective_section,
+    find_xmod_section, inclusion_extension, projective_section,
 )
 from .corpus import collapse_epi, split_ses_corpus
 
@@ -377,10 +377,11 @@ def pipeline_diagram_P(f, s) -> dict:
         Qd = z4_module(r, 0)
         Pd = z4_module(r, 0)
         ext = semidirect_product(trivial_action(Pd, Qd))
-        tgt = inclusion_xmod(ext)
-        c1 = projective_section(identity_morphism(tgt), ext, ternary_len=4)
-        c2 = projective_section(collapse_epi(ext, z4_module(1, 0)), ext,
+        collapse = collapse_epi(ext, z4_module(1, 0))
+        # the collapse lands on the inclusion crossed module of ext: reuse it
+        c1 = projective_section(identity_morphism(collapse.tgt), ext,
                                 ternary_len=4)
+        c2 = projective_section(collapse, ext, ternary_len=4)
         materialized = {"identity": c1.status, "collapse": c2.status}
 
     ok = (all(rep["ok"] for rep in rows.values())

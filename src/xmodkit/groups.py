@@ -1,17 +1,21 @@
 """Finite groups as dense multiplication tables.
 
 Carriers are index ranges 0..order-1 and tables are tuples of tuples, so every
-structural question is settled by exhaustion.  Tables are validated where
-they enter: ``FiniteGroup`` checks associativity (all triples up to order 64,
-a deterministic sample above) and ``GroupHom`` the hom law, by default.  The
-constructions here are correct by theorem and pass ``check=False``.
+structural question is settled by exhaustion.  Every ``FiniteGroup`` build,
+``check=False`` included, checks the shape, the range (the set of all cell
+values must lie in 0..n-1, one pass per table), the identity and the
+inverses; every ``GroupHom`` checks that its values lie in the target.
+Tables are validated further where they enter: ``FiniteGroup`` checks
+associativity (all triples up to order 64, a deterministic sample above) and
+``GroupHom`` the hom law, by default.  The constructions here are correct by
+theorem and pass ``check=False``.
 
 Dense tables are built and checked a row at a time, never a cell at a time.
 ``gatherer`` turns an index tuple into one C call that reads a sequence at
-those indices; ``z4_module`` builds each row from shifted copies of one row
-of the module built so far, read from one shared index tuple,
-``free_module_cover`` decodes its values a generator at a time,
-and ``GroupHom`` compares each source row read through the map with the
+those indices; ``z4_module`` builds each row by extending one list with
+shifted copies of one row of the module built so far, read from one shared
+index tuple, ``free_module_cover`` decodes its values a generator at a
+time, and ``GroupHom`` compares each source row read through the map with the
 matching target row, looking for the failing cell only once a row differs.
 
 The backtracking homomorphism search at the bottom is the engine for most of
@@ -51,9 +55,11 @@ class FiniteGroup:
             raise GroupError("empty multiplication table")
         if n > MAX_ORDER:
             raise GroupError(f"order {n} exceeds the dense-table cap {MAX_ORDER}")
-        for row in table:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise GroupError("multiplication table is not square over 0..n-1")
+        # shape first, then every cell value at once: one set of all the cells
+        # (a C-level pass per table) must lie in 0..n-1
+        if (any(len(row) != n for row in table)
+                or not set().union(*table) <= set(range(n))):
+            raise GroupError("multiplication table is not square over 0..n-1")
         self.order = n
         self.table = table
         self.label = label
@@ -239,7 +245,7 @@ class GroupHom:
         table = tuple(table)
         if len(table) != source.order:
             raise GroupError("hom table length does not match the source order")
-        if any(not (0 <= y < target.order) for y in table):
+        if min(table) < 0 or max(table) >= target.order:  # not empty: orders are >= 1
             raise GroupError("hom table has out-of-range values")
         if check:
             if table[source.identity] != target.identity:
@@ -503,6 +509,8 @@ def from_permutations(perms, degree, label="P"):
 
 
 def symmetric_group(n):
+    if n < 0:
+        raise GroupError(f"symmetric group of negative degree {n}")
     if n > 5:
         raise GroupError("symmetric groups supported up to degree 5")
     if n <= 1:
@@ -513,6 +521,8 @@ def symmetric_group(n):
 
 
 def alternating_group(n):
+    if n < 0:
+        raise GroupError(f"alternating group of negative degree {n}")
     if n > 5:
         raise GroupError("alternating groups supported up to degree 5")
     # the 3-cycles (k k+1 k+2) generate; the identity covers n < 3
@@ -525,7 +535,9 @@ def alternating_group(n):
 
 
 def dihedral_group(n, label=None):
-    """Symmetries of the regular n-gon, order 2n, as permutations."""
+    """Symmetries of the regular n-gon, order 2n, as permutations; n >= 3."""
+    if n < 3:  # the 1-gon and 2-gon permutations give orders 1 and 2, not 2n
+        raise GroupError(f"dihedral group needs n >= 3, got {n}")
     rot = tuple(range(1, n)) + (0,)
     flip = tuple((n - i) % n for i in range(n))
     return from_permutations([rot, flip], n, label=label or f"D{n}")
@@ -575,10 +587,13 @@ def z4_module(n4, n2, label=None):
     modulus m is the leading digit over the W elements built so far:
     (x, a) + (y, b) = ((x + y) % m, a + b) at index x*W + a.  Row (x, a) is
     then m copies of the old row a, shifted by ((x + y) % m)*W for y in
-    order, each W cells long.  The m copies of one old row are read through
-    a gatherer from slices of one shared tuple of indices, so the table holds
-    one int object per element rather than one per cell.
+    order, each W cells long, joined by extending one list.  The m copies of
+    one old row are read through a gatherer from slices of one shared tuple
+    of indices, so the table holds one int object per element rather than
+    one per cell.
     """
+    if n4 < 0 or n2 < 0:
+        raise GroupError(f"module ranks must be nonnegative, got ({n4}, {n2})")
     moduli = (4,) * n4 + (2,) * n2
     order = math.prod(moduli)
     if order > MAX_ORDER:
@@ -593,7 +608,10 @@ def z4_module(n4, n2, label=None):
             copies = list(map(gatherer(row), shifts))  # copies[j]: row a shifted by j*W
             copies += copies  # x + y over y in order is copies[x:x + m]
             for x in range(m):
-                new[x * w + a] = tuple(itertools.chain.from_iterable(copies[x:x + m]))
+                joined = []
+                for copy in copies[x:x + m]:
+                    joined += copy
+                new[x * w + a] = tuple(joined)
         table = new
         names = [str(x) + s for x in range(m) for s in names]
     return FiniteGroup(table, names=names if moduli else ["0"],

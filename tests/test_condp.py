@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from xmodkit import condp
+from xmodkit import condp, lifting
 from xmodkit.errors import GroupError
 from xmodkit.groups import cyclic_group, free_module_cover, z4_module
 from xmodkit.actions import semidirect_product, trivial_action
@@ -116,6 +116,20 @@ def test_pipeline_rank_two_materializes():
     assert rep["objects"]["kernel_total"] == [4, 4, 4, 4]
     assert rep["materialized"] == {"identity": "success", "collapse": "success"}
     assert rep["ok"]
+
+
+def test_pipeline_builds_each_inclusion_once(monkeypatch):
+    """A materialised pipeline embeds the kernel of ext once, then the collapse source's."""
+    orders = []
+    real = lifting.conjugation_action_on
+
+    def recording(embedding):
+        orders.append(embedding.source.order)
+        return real(embedding)
+
+    monkeypatch.setattr(lifting, "conjugation_action_on", recording)
+    assert pipeline_diagram_P((0, 0, 0), (0,))["ok"]
+    assert orders == [16, 64]
 
 
 def test_pipeline_pairs_count():

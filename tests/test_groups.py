@@ -71,6 +71,14 @@ def test_table_validation():
                 ((0, 1), (-1, 0)), ((0,), (0,))):
         with pytest.raises(GroupError, match="not square over 0..n-1"):
             FiniteGroup(bad, check=False)
+    # one bad cell in an otherwise valid order-8 table, wherever it sits; the
+    # range check covers every row, the last one included
+    z8 = [list(row) for row in cyclic_group(8).table]
+    for r, c, value in ((7, 7, 8), (4, 2, -1), (3, 5, "3")):
+        bad = [row[:] for row in z8]
+        bad[r][c] = value
+        with pytest.raises(GroupError, match="not square over 0..n-1"):
+            FiniteGroup(bad, check=False)
     # smallest nonassociative loop: identity and inverses exist, law fails
     loop = (
         (0, 1, 2, 3, 4),
@@ -86,6 +94,22 @@ def test_table_validation():
 def test_order_cap():
     with pytest.raises(GroupError):
         cyclic_group(1025)
+
+
+def test_degenerate_sizes_refused():
+    # each would otherwise build a group of the wrong order without complaint
+    for n in (-1, 0, 1, 2):
+        with pytest.raises(GroupError, match="dihedral group needs n >= 3"):
+            dihedral_group(n)
+    assert dihedral_group(3).order == 6
+    for ranks in ((-1, 0), (0, -1), (2, -1)):
+        with pytest.raises(GroupError, match="module ranks must be nonnegative"):
+            z4_module(*ranks)
+    with pytest.raises(GroupError, match="symmetric group of negative degree"):
+        symmetric_group(-1)
+    with pytest.raises(GroupError, match="alternating group of negative degree"):
+        alternating_group(-1)
+    assert symmetric_group(0).order == alternating_group(0).order == 1
 
 
 def test_generating_sequence_greedy():
@@ -129,6 +153,9 @@ def test_hom_validation_and_composition():
     assert f(3) == 1
     with pytest.raises(GroupError):
         GroupHom(Z4, Z2, (0, 1, 1, 0))
+    for values in ((0, -1, 0, 1), (0, 1, 0, Z2.order)):
+        with pytest.raises(GroupError, match="out-of-range values"):
+            GroupHom(Z4, Z2, values, check=False)
     g = hom(Z2, Z4, {1: 2})
     assert g.table == (0, 2)
     assert compose(f, g).table == (0, 0)
