@@ -23,8 +23,11 @@ the package: ``hom``, hom enumeration, section searches, constrained lifts and
 isomorphism searches all go through ``search_homs``.  It checks generator
 images along Cayley edges z = x*s planned once per search, since a map with
 f(xs) = f(x)f(s) for all x and generators s is a hom: O(|G|.|gens|) work per
-full assignment.  Every section and every lift along a surjection is found by
-``lifts``, the one search over fibers.
+full assignment.  Each level's edges are split when planned: a node runs the
+edges that define new values in one pass and the edges that check old ones
+in a second, both reading the target's table directly.  ``closure`` grows
+subgroups along the same Cayley edges.  Every section and every lift along a
+surjection is found by ``lifts``, the one search over fibers.
 """
 from __future__ import annotations
 
@@ -154,22 +157,21 @@ class FiniteGroup:
     # -- subgroup machinery --------------------------------------------------
 
     def closure(self, elems):
-        """Subgroup generated by elems, as a frozenset of indices."""
+        """Subgroup generated by elems, as a frozenset of indices.
+
+        Each element not yet covered joins as a generator and the subgroup
+        grows along Cayley edges (_cayley_level): O(|H|.|gens|) products for
+        the subgroup H generated, not a product of every pair.
+        """
+        members, gens = [self.identity], []
         known = {self.identity}
-        known.update(elems)
-        frontier = list(known)
-        t = self.table
-        while frontier:
-            new = []
-            snapshot = list(known)
-            for y in frontier:
-                for x in snapshot:
-                    for z in (t[x][y], t[y][x]):
-                        if z not in known:
-                            known.add(z)
-                            new.append(z)
-            frontier = new
-        return frozenset(known)
+        for g in elems:
+            if g not in known:
+                gens.append(g)
+                old = len(members)
+                _cayley_level(self.table, members, gens)
+                known.update(members[old:])
+        return frozenset(members)
 
     @cached_property
     def generators(self):
@@ -319,7 +321,7 @@ def hom(src, tgt, images):
     def unassigned(g):  # asked for only once the images have passed every relation
         raise GroupError("the given elements do not generate the source group")
 
-    for table in search_homs(src, tgt.mul, tgt.identity, unassigned, prescribed=images):
+    for table in search_homs(src, tgt, unassigned, prescribed=images):
         return GroupHom(src, tgt, table, check=False)
     raise GroupError("images violate a relation")
 
@@ -667,71 +669,82 @@ def z4_module_classes(max_order):
 def _cayley_level(t, elems, gens):
     """Cayley edges that grow the subgroup `elems` (identity first, extended in
     place, gens[-1] first) to <elems, gens[-1]>: old elements step along the
-    new generator, new ones along all of `gens`.  An edge (defines, z, x, s)
-    has z = x*s with x reached before; it defines f(z) where z is met first
-    and checks it elsewhere."""
+    new generator, new ones along all of `gens`.  Returns the edges (z, x, s),
+    z = x*s with x reached before, split in order into defines, where z is met
+    first, and checks, where z was met before."""
     g = gens[-1]
     old = len(elems)
     elems.append(g)
     seen = set(elems)
-    edges = []
+    defines, checks = [], []
     i = 1  # the identity steps along g to g itself, whose image is the choice
     while i < len(elems):
         x = elems[i]
         for s in gens if i >= old else (g,):
             z = t[x][s]
-            defines = z not in seen
-            edges.append((defines, z, x, s))
-            if defines:
+            if z in seen:
+                checks.append((z, x, s))
+            else:
+                defines.append((z, x, s))
                 seen.add(z)
                 elems.append(z)
         i += 1
-    return edges
+    return defines, checks
 
 
-def search_homs(src, target_mul, target_identity, candidates, *, prescribed=None,
-                budget=None, injective=False):
-    """Yield the value tuple of every hom from src, by backtracking.
+def search_homs(src, target, candidates, *, prescribed=None, budget=None,
+                injective=False):
+    """Yield the value tuple of every hom from src to target, by backtracking.
 
     Generators are the deterministic greedy sequence outside the subgroup
-    spanned by `prescribed`; `candidates(gen)` lists allowed images in the
-    order they are tried, so output order is lexicographic in the
-    generator-image tuple.  Each level's Cayley edges are planned once per
-    search; a node sets its generator's image and walks the edges in one
-    flat map, which deeper levels overwrite, so nothing is copied or undone.
+    spanned by `prescribed`, whose keys and values must be elements of src
+    and target; `candidates(gen)` lists allowed images in the order they are
+    tried, so output order is lexicographic in the generator-image tuple.
+    Each level's Cayley edges are planned once per search, split into
+    defines and checks.  A node sets its generator's image, runs the define
+    pass (each new f(z) = f(x)f(s)) and then the check pass (each old f(z)
+    against f(x)f(s)), both reading the target's table, in one flat map
+    that deeper levels overwrite, so nothing is copied or undone.  The node
+    passes exactly when its images extend to a hom of the subgroup so far.
     Raises BudgetExhausted when the node budget runs out; a completed
     iteration proves the enumeration exhaustive.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     if budget < 0:
         raise GroupError(f"search budget {budget} is negative")
+    prescribed = prescribed or {}
+    src_elems, target_elems = range(src.order), range(target.order)
+    for k, v in prescribed.items():
+        if k not in src_elems or v not in target_elems:
+            raise GroupError(f"prescribed image {k!r} -> {v!r} lies outside "
+                             f"{src.label} -> {target.label}")
+    tt = target.table
     phi = [None] * src.order
-    phi[src.identity] = target_identity
+    phi[src.identity] = target.identity
     elems, gens = [src.identity], []
 
-    def walk(edges, size):
-        for defines, z, x, s in edges:
-            w = target_mul(phi[x], phi[s])
-            if defines:
-                phi[z] = w
-            elif phi[z] != w:
+    def walk(defines, checks, size):
+        for z, x, s in defines:
+            phi[z] = tt[phi[x]][phi[s]]
+        for z, x, s in checks:
+            if phi[z] != tt[phi[x]][phi[s]]:
                 return False
         return not injective or len({phi[x] for x in elems[:size]}) == size
 
-    for k, v in (prescribed or {}).items():
+    for k, v in prescribed.items():
         if phi[k] is None:  # not yet in the subgroup: a level of its own
             gens.append(k)
-            edges = _cayley_level(src.table, elems, gens)
+            defines, checks = _cayley_level(src.table, elems, gens)
             phi[k] = v
-            if not walk(edges, len(elems)):
+            if not walk(defines, checks, len(elems)):
                 return
         elif phi[k] != v:
             return
     levels = []
     for g in generating_sequence(src, elems):
         gens.append(g)
-        edges = _cayley_level(src.table, elems, gens)
-        levels.append((g, list(candidates(g)), edges, len(elems)))
+        defines, checks = _cayley_level(src.table, elems, gens)
+        levels.append((g, list(candidates(g)), defines, checks, len(elems)))
     nodes = 0
 
     def rec(rec, i):  # passed itself: a self-closure is a reference cycle
@@ -739,13 +752,13 @@ def search_homs(src, target_mul, target_identity, candidates, *, prescribed=None
         if i == len(levels):
             yield tuple(phi)
             return
-        g, cands, edges, size = levels[i]
+        g, cands, defines, checks, size = levels[i]
         for h in cands:
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted(f"hom search exceeded {budget} nodes")
             phi[g] = h
-            if walk(edges, size):
+            if walk(defines, checks, size):
                 yield from rec(rec, i + 1)
 
     yield from rec(rec, 0)
@@ -765,7 +778,7 @@ def enumerate_homs(G, H, budget=None):
         return [h for h in range(H.order) if og % horders[h] == 0]
 
     return [GroupHom(G, H, table, check=False)
-            for table in search_homs(G, H.mul, H.identity, cands, budget=budget)]
+            for table in search_homs(G, H, cands, budget=budget)]
 
 
 def lifts(p, u, budget=None, allow=None):
@@ -790,7 +803,7 @@ def lifts(p, u, budget=None, allow=None):
         cands = lambda x: fibers[u.table[x]]
     else:
         cands = lambda x: [a for a in fibers[u.table[x]] if allow(x, a)]
-    yield from search_homs(X, A.mul, A.identity, cands, budget=budget)
+    yield from search_homs(X, A, cands, budget=budget)
 
 
 def find_section(f, budget=None):
@@ -811,8 +824,8 @@ def find_retraction(f, budget=None):
         return None
     prescribed = {f.table[t]: t for t in range(src.order)}
     cands = lambda g: range(src.order)
-    for table in search_homs(tgt, src.mul, src.identity, cands,
-                             prescribed=prescribed, budget=budget):
+    for table in search_homs(tgt, src, cands, prescribed=prescribed,
+                             budget=budget):
         return GroupHom(tgt, src, table, check=False)
     return None
 
@@ -832,7 +845,7 @@ def find_isomorphism(G, H, budget=None):
         og = orders[g]
         return [h for h in range(H.order) if horders[h] == og]
 
-    for table in search_homs(G, H.mul, H.identity, cands, budget=budget, injective=True):
+    for table in search_homs(G, H, cands, budget=budget, injective=True):
         return GroupHom(G, H, table, check=False)
     return None
 

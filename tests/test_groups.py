@@ -121,16 +121,45 @@ def test_generating_sequence_greedy():
     assert gens == generating_sequence(S4, (S4.identity,))
 
 
+def _pairwise_closure(G, elems):
+    """Reference closure: multiply every known element by every other, both
+    ways, until no new element appears."""
+    known = {G.identity}
+    known.update(elems)
+    frontier = list(known)
+    t = G.table
+    while frontier:
+        new = []
+        snapshot = list(known)
+        for y in frontier:
+            for x in snapshot:
+                for z in (t[x][y], t[y][x]):
+                    if z not in known:
+                        known.add(z)
+                        new.append(z)
+        frontier = new
+    return frozenset(known)
+
+
 def _closure_picks(G, covered):
     """The greedy picks, each closing everything covered so far afresh."""
     seq = []
-    known = G.closure(covered)
+    known = _pairwise_closure(G, covered)
     while len(known) < G.order:
         best = max((x for x in range(G.order) if x not in known),
                    key=lambda x: (G.elem_orders[x], -x))
         seq.append(best)
-        known = G.closure(set(known) | {best})
+        known = _pairwise_closure(G, set(known) | {best})
     return tuple(seq)
+
+
+def test_closure_matches_pairwise_closure():
+    Z2 = cyclic_group(2)
+    for G in (symmetric_group(4), direct_product(dihedral_group(4), Z2)[0],
+              direct_product(quaternion_group(), Z2)[0]):
+        for r in (1, 2):
+            for S in itertools.combinations(range(G.order), r):
+                assert G.closure(S) == _pairwise_closure(G, S), (G.label, S)
 
 
 def test_generating_sequence_matches_closure_picks():
@@ -141,7 +170,7 @@ def test_generating_sequence_matches_closure_picks():
         big = max(range(G.order), key=lambda x: (G.elem_orders[x], x))
         covers = [(G.identity,)]
         if G.order < 1024:  # the closure oracle takes a third of a second there
-            covers += [(big,), sorted(G.closure((big, G.order - 1)))]
+            covers += [(big,), sorted(_pairwise_closure(G, (big, G.order - 1)))]
         for covered in covers:
             assert generating_sequence(G, covered) == _closure_picks(G, covered)
 
@@ -250,6 +279,38 @@ def test_direct_product_and_pullback():
     assert all(f(q1(x)) == f(q2(x)) for x in range(8))
 
 
+def _brute_force_homs(G, H):
+    """Every hom G -> H, by trying each tuple of images of G.generators in
+    lexicographic order: extend it along right multiplication by BFS and
+    keep the table iff GroupHom's full hom-law check accepts it."""
+    gens = G.generators
+    out = []
+    for images in itertools.product(range(H.order), repeat=len(gens)):
+        f = {G.identity: H.identity}
+        queue = [G.identity]
+        for x in queue:
+            for s, fs in zip(gens, images):
+                z = G.table[x][s]
+                if z not in f:
+                    f[z] = H.table[f[x]][fs]
+                    queue.append(z)
+        table = tuple(f[x] for x in range(G.order))
+        try:
+            GroupHom(G, H, table, check=True)
+        except GroupError:
+            continue
+        out.append(table)
+    return out
+
+
+def test_enumerate_homs_matches_brute_force():
+    S3, D4, Q8 = symmetric_group(3), dihedral_group(4), quaternion_group()
+    for G, H in ((S3, D4), (D4, S3), (Q8, D4), (D4, Q8),
+                 (alternating_group(4), symmetric_group(4))):
+        assert ([f.table for f in enumerate_homs(G, H)]
+                == _brute_force_homs(G, H)), (G.label, H.label)
+
+
 def test_hom_counts():
     Z2, Z3, Z4, Z6 = (cyclic_group(n) for n in (2, 3, 4, 6))
     S3 = symmetric_group(3)
@@ -284,17 +345,16 @@ def test_isomorphism_search():
 def test_search_budget():
     Z4 = cyclic_group(4)
     with pytest.raises(BudgetExhausted):
-        list(search_homs(Z4, Z4.mul, 0, lambda g: list(range(4)), budget=1))
+        list(search_homs(Z4, Z4, lambda g: list(range(4)), budget=1))
 
 
 def test_search_prescribed():
     Z4 = cyclic_group(4)
     # fixing the image of 2 to 0 leaves exactly the two even-image homs
-    homs = list(search_homs(Z4, Z4.mul, 0, lambda g: list(range(4)),
-                            prescribed={2: 0}))
+    homs = list(search_homs(Z4, Z4, lambda g: list(range(4)), prescribed={2: 0}))
     assert [phi[1] for phi in homs] == [0, 2]
     # contradictory prescription yields nothing
-    assert list(search_homs(Z4, Z4.mul, 0, lambda g: list(range(4)),
+    assert list(search_homs(Z4, Z4, lambda g: list(range(4)),
                             prescribed={2: 1})) == []
 
 
@@ -326,6 +386,10 @@ def test_hom_refusals():
     with pytest.raises(GroupError, match="do not generate the source group"):
         hom(Z4, Z4, {2: 2})
     assert hom(Z4, Z4, {0: 0, 1: 3}).table == (0, 3, 2, 1)
+    # prescribed images must be elements: no negative indexing, no IndexError
+    for images in ({-1: 1}, {9: 1}, {1: 7}):
+        with pytest.raises(GroupError, match="lies outside Z4 -> Z4"):
+            hom(Z4, Z4, images)
 
 
 def test_find_section():
@@ -377,7 +441,7 @@ def test_searches_leave_no_reference_cycles():
     gc.disable()
     try:
         assert len(enumerate_homs(G, H)) == 8
-        next(search_homs(G, H.mul, H.identity, lambda g: range(H.order)))
+        next(search_homs(G, H, lambda g: range(H.order)))
         assert gc.collect() == 0
     finally:
         gc.enable()
