@@ -112,7 +112,11 @@ def tokenize_names(text, lineno):
     """Split on whitespace, but keep parenthesized chunks glued together.
 
     "e a (1 2 3)" -> ["e", "a", "(1 2 3)"] and "(1 2)(3 4)" stays one token.
+    Text without "(" is split by ``str.split``, which breaks at the same
+    characters as ``str.isspace``.
     """
+    if "(" not in text:
+        return text.split()
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -237,10 +241,10 @@ def _build_group(name, entries, lineno):
             toks = tokenize_names(row, rln)
             if len(toks) != len(names):
                 _err(rln, f"table row has {len(toks)} entries, expected {len(names)}")
-            for t in toks:
-                if t not in idx:
-                    _err(rln, f"unknown element name {t!r} in table row")
-            table.append([idx[t] for t in toks])
+            try:
+                table.append(list(map(idx.__getitem__, toks)))
+            except KeyError as exc:
+                _err(rln, f"unknown element name {exc.args[0]!r} in table row")
         try:
             return FiniteGroup(table, names=names, label=name)
         except GroupError as exc:

@@ -130,6 +130,29 @@ def test_tokenizer_keeps_parenthesized_names():
         tokenize_names("(1 2", 7)
 
 
+def _tokenize_by_characters(text):
+    """The character loop of tokenize_names, for text without "("."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        start = i
+        while i < n and not text[i].isspace():
+            i += 1
+        out.append(text[start:i])
+    return out
+
+
+def test_tokenizer_splits_plain_rows_like_the_character_loop():
+    rows = ["", "   ", "e a b", "\te\ta  b\t", "x0\x0bx1\x0cx2\rx3", "a)b c)",
+            "u\u00a0v\u2003w\u3000x", "p\x1cq\x1fr\x85s\u2028t", "one"]
+    rows += [" ".join(f"x{i}" for i in range(64)), "\t".join(f"x{i}" for i in range(9))]
+    for row in rows:
+        assert tokenize_names(row, 1) == _tokenize_by_characters(row), repr(row)
+
+
 def test_parse_errors_carry_line_numbers():
     cases = [
         ("junk\n", "line 1"),
@@ -143,6 +166,8 @@ def test_parse_errors_carry_line_numbers():
         ("[group G]\nelements: e\ntable:\n  e\n\n[group G]\nelements: e\ntable:\n  e\n",
          "line 6: name 'G' is already defined"),
         ("[group G]\nelements: e\ntable:\n  e\nbogus: 1\n", "line 5: key 'bogus'"),
+        ("[group G]\nelements: a b\ntable:\n  a b\n  b c\n",
+         "line 5: unknown element name 'c' in table row"),
     ]
     for text, frag in cases:
         with pytest.raises(DefinitionError, match=frag.replace("[", r"\[")):

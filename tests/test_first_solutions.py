@@ -16,11 +16,13 @@ from xmodkit.corpus import (
 )
 from xmodkit.groups import (
     FiniteGroup, cyclic_group, dihedral_group, direct_product, enumerate_homs,
-    find_isomorphism, find_retraction, find_section, normal_subgroups,
+    find_isomorphism, find_section, normal_subgroups,
     quaternion_group, quotient, subgroup, symmetric_group, z4_module,
 )
 from xmodkit.lifting import find_xmod_section, projective_section, pullback_section
 from xmodkit.sse import brute_force_section, is_regular_epi
+
+from group_helpers import find_retraction
 
 
 def _tables(s):

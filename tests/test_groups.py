@@ -8,12 +8,14 @@ from xmodkit.errors import BudgetExhausted, GroupError
 from xmodkit.groups import (
     FiniteGroup, GroupHom, alternating_group, compose, cyclic_group,
     dihedral_group, direct_product, enumerate_homs, find_isomorphism,
-    find_retraction, find_section, generating_sequence, hom, identity_hom,
-    image, is_normal, is_z4_module, kernel, klein_four_group, normal_closure,
-    normal_subgroups, normality_witness, pullback, quaternion_group, quotient,
-    search_homs, subgroup, symmetric_group, trivial_group, trivial_hom,
-    z4_module, z4_module_classes,
+    find_section, generating_sequence, hom, identity_hom, image, is_z4_module,
+    kernel, klein_four_group, normal_closure, normal_subgroups,
+    normality_witness, pullback, quaternion_group, quotient, search_homs,
+    subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
+    z4_module_classes,
 )
+
+from group_helpers import find_retraction, is_normal
 
 
 def test_cyclic_arithmetic():

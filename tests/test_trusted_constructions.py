@@ -16,19 +16,21 @@ import pytest
 
 from xmodkit import condp, lifting
 from xmodkit.actions import (
-    GroupAction, SplitExtension, action_from_extension, conjugation_action,
+    GroupAction, SplitExtension, action_from_extension, action_from_function,
+    conjugation_action,
     conjugation_action_on, semidirect_product, trivial_action,
 )
 from xmodkit.corpus import (
     axiom_corpus, collapse_epi, projective_section_corpus, split_ses_corpus,
     ternary_fixtures,
 )
-from xmodkit.errors import GroupError
+from xmodkit.errors import GroupError, InvariantBreach
 from xmodkit.groups import (
-    FiniteGroup, GroupHom, MAX_ORDER, cyclic_group, dihedral_group,
-    enumerate_homs, free_module_cover, identity_hom, normal_subgroups,
-    quaternion_group, quotient, subgroup, symmetric_group, trivial_hom, z4_module,
-    z4_module_classes,
+    FiniteGroup, GroupHom, MAX_ORDER, _cycle_notation, alternating_group,
+    cyclic_group, dihedral_group, direct_product, enumerate_homs,
+    free_module_cover, identity_hom, klein_four_group, normal_subgroups,
+    quaternion_group, quotient, subgroup, symmetric_group, trivial_group,
+    trivial_hom, z4_module, z4_module_classes,
 )
 from xmodkit.xmod import (
     CrossedModule, check_axioms, equivariance_failures, identity_morphism,
@@ -314,6 +316,14 @@ def test_free_module_cover_matches_per_element_decode():
     assert R is not free[1]  # without a shared dict, nothing is kept
 
 
+def test_free_module_cover_refuses_a_non_generating_sequence():
+    M = z4_module(1, 1)
+    M.__dict__["generators"] = (M.index_of("10"),)  # spans only the Z/4 factor
+    with pytest.raises(InvariantBreach) as exc:
+        free_module_cover(M)
+    assert str(exc.value) == "generator decode failed to cover the module"
+
+
 def _hom_law_reference(source, target, table):
     """GroupHom's error text from the per-cell hom law, or None."""
     if table[source.identity] != target.identity:
@@ -423,3 +433,141 @@ def test_commutative_matches_per_cell_loop():
         t = G.table
         expected = all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
         assert G.commutative == expected
+
+
+def _associativity_reference(t):
+    """The first failing triple (a, b, c) of the n^3 loop, or None."""
+    rng_n = range(len(t))
+    for a in rng_n:
+        ta = t[a]
+        for b in rng_n:
+            tab = t[ta[b]]
+            tb = t[b]
+            for c in rng_n:
+                if tab[c] != ta[tb[c]]:
+                    return (a, b, c)
+    return None
+
+
+def _assert_associativity_verdict(table, refused):
+    """FiniteGroup refuses the table exactly when `refused`, naming a triple
+    that really fails."""
+    if not refused:
+        FiniteGroup(table)
+        return
+    with pytest.raises(GroupError, match="not associative at") as exc:
+        FiniteGroup(table)
+    a, b, c = map(int, str(exc.value).rpartition("(")[2].rstrip(")").split(","))
+    assert table[table[a][b]][c] != table[a][table[b][c]], str(exc.value)
+
+
+def _library_groups_to_order_64():
+    Z2, Z4, Q8, D4 = cyclic_group(2), cyclic_group(4), quaternion_group(), dihedral_group(4)
+    groups = [trivial_group(), klein_four_group(), Q8]
+    groups += [cyclic_group(n) for n in (1, 2, 3, 5, 8, 12, 64)]
+    groups += [dihedral_group(n) for n in (3, 4, 5, 8, 16, 32)]
+    groups += [symmetric_group(n) for n in range(5)]
+    groups += [alternating_group(n) for n in range(6)]
+    groups += [z4_module(n4, n2) for n4, n2 in z4_module_classes(64)]
+    groups += [direct_product(Q8, Z2)[0], direct_product(D4, Z4)[0],
+               direct_product(symmetric_group(4), Z2)[0],
+               semidirect_product(action_from_function(
+                   Z4, Z4, lambda g, x: (-x) % 4 if g % 2 else x)).total]
+    return groups
+
+
+def _single_swaps(G, rng, count):
+    """Tables with two cells of one row swapped, away from the identity, so
+    that the identity and the inverses survive and associativity decides."""
+    e, n = G.identity, G.order
+    out = []
+    while len(out) < count:
+        r, c1, c2 = (rng.randrange(n) for _ in range(3))
+        row = G.table[r]
+        if e in (r, c1, c2, row[c1], row[c2]) or c1 == c2:
+            continue
+        table = [list(x) for x in G.table]
+        table[r][c1], table[r][c2] = row[c2], row[c1]
+        out.append(tuple(map(tuple, table)))
+    return out
+
+
+def _group_by_loop(G, loop, group_first):
+    """G x loop, the law failing only where loop elements meet.  With
+    `group_first` the pair (a, b) sits at index b*|G| + a, so the first
+    generators found span G x 1, where the law holds; otherwise at a*n + b,
+    so the last ones do."""
+    m, n = G.order, len(loop)
+    pairs = [(a, b) for b in range(n) for a in range(m)]
+    if not group_first:
+        pairs.sort()
+    idx = {p: i for i, p in enumerate(pairs)}
+    return tuple(tuple(idx[G.table[a][c], loop[b][d]] for c, d in pairs) for a, b in pairs)
+
+
+def test_associativity_matches_the_triple_loop():
+    rng = random.Random(11)
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+            (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))  # smallest nonassociative loop
+    tables = [loop] + [
+        _group_by_loop(G, loop, group_first) for group_first in (True, False)
+        for G in (cyclic_group(2), cyclic_group(4), symmetric_group(3), klein_four_group())]
+    groups = _library_groups_to_order_64()
+    for G in groups:
+        tables.append(G.table)
+        if G.order >= 4:
+            tables += _single_swaps(G, rng, 3)
+    refused = 0
+    for table in tables:
+        fails = _associativity_reference(table) is not None
+        refused += fails
+        _assert_associativity_verdict(table, fails)
+    assert refused == len(tables) - len(groups)  # every group, and nothing else, passes
+
+
+def test_associativity_decided_at_order_1024():
+    t = [list(row) for row in cyclic_group(1024).table]
+    t[5][7], t[5][11] = t[5][11], t[5][7]
+    _assert_associativity_verdict(t, True)
+    rng = random.Random(5)
+    for G in (z4_module(5, 0), z4_module(0, 10)):
+        FiniteGroup(G.table)
+        _assert_associativity_verdict(_single_swaps(G, rng, 1)[0], True)
+
+
+def _permutation_reference(perms, degree):
+    """from_permutations' table and names, composing per point."""
+    ident = tuple(range(degree))
+    elems = {ident}
+    frontier = [ident]
+    gens = [tuple(p) for p in perms]
+    while frontier:
+        new = []
+        for p in frontier:
+            for q in gens:
+                for r in (tuple(p[q[i]] for i in range(degree)),
+                          tuple(q[p[i]] for i in range(degree))):
+                    if r not in elems:
+                        elems.add(r)
+                        new.append(r)
+        frontier = new
+    order = sorted(elems)
+    idx = {p: i for i, p in enumerate(order)}
+    table = tuple(tuple(idx[tuple(p[q[i]] for i in range(degree))] for q in order)
+                  for p in order)
+    return table, tuple(_cycle_notation(p) for p in order)
+
+
+def test_from_permutations_matches_per_point_composition():
+    def rot_flip(n):
+        return [tuple(range(1, n)) + (0,), tuple((n - i) % n for i in range(n))]
+
+    cases = [([(1, 0, 2, 3), (1, 2, 3, 0)], 4, symmetric_group(4)),
+             ([(1, 2, 0, 3), (0, 2, 3, 1)], 4, alternating_group(4)),
+             (rot_flip(16), 16, dihedral_group(16)),
+             (rot_flip(32), 32, dihedral_group(32))]
+    for perms, degree, G in cases:
+        table, names = _permutation_reference(perms, degree)
+        assert (G.table, G.names) == (table, names), G.label
+    for n in range(3):  # degree 0 composes empty tuples
+        assert alternating_group(n).order == 1
