@@ -250,16 +250,15 @@ def action_core_word(action: GroupAction, w) -> int:
     the running actor product must return to the identity.
     """
     _check_action_word(action, w)
-    G, X = action.actor, action.carrier
-    act = action.table
-    a = G.identity
-    r = X.identity
+    g, x, act = action.actor.table, action.carrier.table, action.table
+    a = one = action.actor.identity
+    r = action.carrier.identity
     for slot, v in w.letters:
-        if slot == 0:
-            a = G.mul(a, v)
+        if slot:
+            r = x[r][act[a][v]]
         else:
-            r = X.mul(r, act[a][v])
-    if a != G.identity:
+            a = g[a][v]
+    if a != one:
         raise GroupError("word does not project trivially to the actor")
     return r
 

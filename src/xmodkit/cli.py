@@ -36,6 +36,7 @@ from .xmod import (
     pi0_preserves_split_ses,
 )
 from .sse import is_regular_epi
+from .words import MAX_ENUM_LEN
 from .lifting import (
     find_xmod_section, inclusion_extension, projective_section,
     pullback_section,
@@ -454,6 +455,8 @@ def main(argv=None) -> int:
         for length in (getattr(args, "word_len", 0), getattr(args, "ternary_len", 0)):
             if length < 0:
                 raise GroupError(f"enumeration length {length} is negative")
+            if length > MAX_ENUM_LEN:
+                raise GroupError(f"enumeration length {length} exceeds cap {MAX_ENUM_LEN}")
         return args.func(args)
     except (DefinitionError, GroupError) as exc:
         code, error = 2, f"input error: {exc}"

@@ -7,10 +7,13 @@ adjacent letters in the same slot.  Slots are positions in a signature; the
 same group may occupy several slots and the slots stay distinct.
 
 A slot may also carry a whole signature (a free product used as a single
-factor); its letter values are then themselves words.  That is what the
-regrouping map produces, and the reduction rules are uniform.
+factor); its letter values are then themselves words, and the reduction rules
+are uniform.
 """
 from __future__ import annotations
+
+from itertools import product, starmap
+from operator import add, itemgetter
 
 from .errors import GroupError
 from .groups import FiniteGroup, GroupHom
@@ -114,10 +117,6 @@ def normalize(sig, letters):
     return Word(sig, tuple(out))
 
 
-def empty_word(sig):
-    return Word(sig, ())
-
-
 def single(sig, slot, value):
     return normalize(sig, ((slot, value),))
 
@@ -139,40 +138,6 @@ def format_word(w):
     return "(" + " ".join(parts) + ")"
 
 
-def parse_word(sig, text):
-    """Inverse of format_word for plain group slots: "(0:a 1:x 0:a^-1)".
-
-    A trailing ^-1 on a name inverts the element.
-    """
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise GroupError("word must be wrapped in parentheses")
-    body = text[1:-1].strip()
-    letters = []
-    if body:
-        for tok in body.split():
-            if ":" not in tok:
-                raise GroupError(f"bad letter {tok!r}: expected slot:name")
-            si, name = tok.split(":", 1)
-            try:
-                slot = int(si)
-            except ValueError:
-                raise GroupError(f"bad slot in {tok!r}") from None
-            if not 0 <= slot < len(sig):
-                raise GroupError(f"slot {slot} out of range")
-            f = sig.factors[slot]
-            if not isinstance(f, FiniteGroup):
-                raise GroupError("can only parse letters in plain group slots")
-            invert = name.endswith("^-1")
-            if invert:
-                name = name[:-3]
-            v = f.index_of(name)
-            if invert:
-                v = f.inv(v)
-            letters.append((slot, v))
-    return normalize(sig, letters)
-
-
 class WordHom:
     """Slot-wise homomorphisms into one common target; evaluates words there."""
 
@@ -190,10 +155,9 @@ class WordHom:
         self.target = target
 
     def evaluate(self, w):
-        out = self.target.identity
-        mul = self.target.mul
+        out, t, maps = self.target.identity, self.target.table, self.maps
         for s, v in w.letters:
-            out = mul(out, self.maps[s].table[v])
+            out = t[out][maps[s].table[v]]
         return out
 
 
@@ -233,13 +197,6 @@ def delete_slot(w, slot):
     return fold_word(w, tgt, slot_map)
 
 
-def in_binary_cosmash(w):
-    """Both single-slot projections collapse to the empty word."""
-    if len(w.sig) != 2:
-        raise GroupError("binary membership needs a two-slot signature")
-    return (len(delete_slot(w, 0)) == 0) and (len(delete_slot(w, 1)) == 0)
-
-
 def in_ternary_cosmash(w):
     """All three pairwise projections (delete one slot) collapse to empty."""
     if len(w.sig) != 3:
@@ -252,59 +209,6 @@ def in_flat(w):
     if len(w.sig) != 2:
         raise GroupError("flat membership needs a two-slot signature")
     return len(delete_slot(w, 1)) == 0
-
-
-def _require_same_factor(sig, i, j):
-    if sig.factors[i] is not sig.factors[j]:
-        raise GroupError(f"slots {i} and {j} must carry the same factor")
-
-
-def fold_left(w):
-    """(A, A, B) -> (A, B): merge the two left slots by multiplication."""
-    sig = w.sig
-    if len(sig) != 3:
-        raise GroupError("fold_left needs three slots")
-    _require_same_factor(sig, 0, 1)
-    tgt = FactorSignature((sig.factors[0], sig.factors[2]))
-    return fold_word(w, tgt, (0, 0, 1))
-
-
-def fold_right(w):
-    """(A, B, B) -> (A, B): merge the two right slots by multiplication."""
-    sig = w.sig
-    if len(sig) != 3:
-        raise GroupError("fold_right needs three slots")
-    _require_same_factor(sig, 1, 2)
-    tgt = FactorSignature((sig.factors[0], sig.factors[1]))
-    return fold_word(w, tgt, (0, 1, 1))
-
-
-def regroup_first_two(w):
-    """(A, B, C) -> (A+B, C): bundle the first two slots into one word-valued slot."""
-    sig = w.sig
-    if len(sig) != 3:
-        raise GroupError("regrouping needs three slots")
-    inner = FactorSignature((sig.factors[0], sig.factors[1]))
-    tgt = FactorSignature((inner, sig.factors[2]))
-    letters = []
-    for s, v in w.letters:
-        if s == 2:
-            letters.append((1, v))
-        else:
-            letters.append((0, Word(inner, ((s, v),))))
-    return normalize(tgt, tuple(letters))
-
-
-def collapse_regrouped(w, pair_hom, outer_target_sig):
-    """Evaluate the word-valued slot of a regrouped word through a WordHom.
-
-    Sends ((A+B), C) to (T, C) where T = pair_hom.target; the inverse shape of
-    regroup_first_two composed with a copairing on the bundled slot.
-    """
-    def first(v):
-        return pair_hom.evaluate(v)
-
-    return map_word(w, outer_target_sig, (first, lambda v: v))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -377,20 +281,73 @@ def _distance_table(k, keeps):
     return _DIST_TABLES[key]
 
 
+def _pattern_words(sig, max_len, kept):
+    """_kernel_words when every keep is one slot; `kept` holds those slots.
+
+    Such a projection is the product of that slot's letters in order, so a
+    word belongs exactly when each kept slot's letters multiply to the
+    identity.  No search: a slot pattern is a sequence of slots with no two
+    neighbours equal, and each slot in it takes a run, the values of its
+    letters in order.  A free slot takes every run of non-identity values; a
+    kept slot takes the runs whose last value inverts the product of the
+    values before it, and none when that product is the identity (so none of
+    length one).  The pattern interleaves one run per slot into each word.
+    """
+    k, out, patterns, runs = len(sig), [()], [()], {}
+
+    def slot_runs(s, m):  # every run of m letters in slot s, as letter tuples
+        if (s, m) not in runs:
+            f = sig.factors[s]
+            letter = [(s, v) for v in range(f.order)]
+            vals = [v for v in range(f.order) if v != f.identity]
+            heads = [((), f.identity)]
+            for _ in range(m - (s in kept)):
+                heads = [(h + (letter[v],), f.table[p][v]) for h, p in heads for v in vals]
+            runs[s, m] = ([h + (letter[f._inv[p]],) for h, p in heads if p != f.identity]
+                          if s in kept else [h for h, _ in heads])
+        return runs[s, m]
+
+    for n in range(1, max_len + 1):
+        patterns = [pat + (s,) for pat in patterns for s in range(k)
+                    if not pat or s != pat[-1]]
+        found = []
+        for pat in patterns:
+            counts = [pat.count(s) for s in range(k)]
+            if any(counts[s] and not slot_runs(s, counts[s]) for s in kept):
+                continue
+            slots = [s for s in range(k) if counts[s]]
+            flats = slot_runs(slots[0], counts[slots[0]])
+            for s in slots[1:]:
+                flats = list(starmap(add, product(flats, slot_runs(s, counts[s]))))
+            # each flat holds the runs slot by slot: flat index i is position
+            # where[i] (a stable sort), and perm reads them in pattern order
+            where = sorted(range(n), key=pat.__getitem__)
+            perm = sorted(range(n), key=where.__getitem__)
+            found.extend(flats if perm == sorted(perm) else map(itemgetter(*perm), flats))
+        found.sort()
+        out += found
+    return [Word(sig, ls) for ls in out]
+
+
 def _kernel_words(sig, max_len, keeps):
     """Reduced words of length <= max_len whose kept-slot projections all vanish.
 
     keeps is a list of slot sets; for each, the projection deleting the other
-    slots must normalize to the empty word.  The DFS holds each projection's
-    reduction stack as linked cells (value, pattern, rest) and skips a child
-    whose abstract state, the previous slot and each stack's slot pattern,
-    needs more letters to empty every stack than remain (_distance_table).
-    No word is lost: a letter in a stack's top slot cancels or merges there,
-    any other letter pushes, and the abstract moves allow each of these, so
-    every real completion is an abstract one of the same length.  When only
-    a cancellation keeps the child alive, the value must invert a top.
+    slots must normalize to the empty word.  When every keep is a single slot
+    (plain, flat and binary cosmash words) `_pattern_words` builds the words
+    directly.  Otherwise (the ternary cosmash keeps slot pairs) a DFS holds
+    each projection's reduction stack as linked cells (value, pattern, rest)
+    and skips a child whose abstract state, the previous slot and each
+    stack's slot pattern, needs more letters to empty every stack than remain
+    (_distance_table).  No word is lost: a letter in a stack's top slot
+    cancels or merges there, any other letter pushes, and the abstract moves
+    allow each of these, so every real completion is an abstract one of the
+    same length.  When only a cancellation keeps the child alive, the value
+    must invert a top.
     """
     _check_enum_args(sig, max_len)
+    if all(len(keep) == 1 for keep in keeps):
+        return _pattern_words(sig, max_len, {s for keep in keeps for s in keep})
     k = len(sig)
     factors = sig.factors
     muls = [f.table for f in factors]
@@ -448,12 +405,20 @@ def _kernel_words(sig, max_len, keeps):
 
 
 def enumerate_words(sig, max_len):
-    """All reduced words of length <= max_len, in length-lexicographic order."""
+    """All reduced words of length <= max_len, in length-lexicographic order.
+
+    Built slot pattern by slot pattern (`_pattern_words`), as nothing is kept.
+    """
     return _kernel_words(sig, max_len, [])
 
 
 def enumerate_cosmash_words(sig, max_len):
-    """Binary or ternary cosmash members up to max_len, length-lex order."""
+    """Binary or ternary cosmash members up to max_len, length-lex order.
+
+    Binary members (keeps {0} and {1}) are built slot pattern by slot pattern
+    (`_pattern_words`); ternary ones (keeps on slot pairs) come from the
+    pruned DFS of `_kernel_words`.
+    """
     k = len(sig)
     if k == 2:
         keeps = [{0}, {1}]
@@ -465,7 +430,10 @@ def enumerate_cosmash_words(sig, max_len):
 
 
 def enumerate_flat_words(sig, max_len):
-    """Words over (A, X) killed by (keep A, drop X), up to max_len."""
+    """Words over (A, X) killed by (keep A, drop X), up to max_len.
+
+    Built slot pattern by slot pattern (`_pattern_words`), keeping slot 0.
+    """
     if len(sig) != 2:
         raise GroupError("flat enumeration needs a two-slot signature")
     return _kernel_words(sig, max_len, [{0}])

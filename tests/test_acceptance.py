@@ -15,9 +15,7 @@ from xmodkit.groups import (
 )
 from xmodkit.words import (
     FactorSignature, WordHom, enumerate_cosmash_words, enumerate_words,
-    fold_left, fold_right, fold_word, in_binary_cosmash,
-    in_ternary_cosmash, map_word, regroup_first_two, collapse_regrouped,
-    single,
+    fold_word, in_ternary_cosmash, map_word, single,
 )
 from xmodkit.xmod import (
     check_axioms, check_axioms_wordlevel, check_ternary, conjugation_xmod,
@@ -38,6 +36,11 @@ from xmodkit.corpus import (
     axiom_corpus, no_section_fixture, projective_section_corpus,
     pullback_no_section_fixture, pullback_section_corpus, split_ses_corpus,
     sse_morphism_corpus,
+)
+
+from word_helpers import (
+    collapse_regrouped, fold_left, fold_right, in_binary_cosmash,
+    regroup_first_two,
 )
 
 Z2 = cyclic_group(2)

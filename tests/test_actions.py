@@ -11,7 +11,8 @@ from xmodkit.actions import (
     action_signature, conjugation_action,
     conjugation_action_on, extension_iso, semidirect_product, trivial_action,
 )
-from xmodkit.words import parse_word
+
+from word_helpers import parse_word
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)

@@ -200,6 +200,18 @@ def test_free_morphism_rejections():
         FreeXModMorphism(Z2, xm, f, g_wrong)
 
 
+def test_carrier_value_refuses_a_word_outside_the_kernel(monkeypatch):
+    """A flatness test that passes a non-flat word sends its value outside
+    the embedded carrier, which carrier_value must catch."""
+    xm = conjugation_xmod(S3)
+    f = hom(Z2, S3, {1: S3.index_of("(1 2)")})
+    mor = FreeXModMorphism(Z2, xm, f, f)
+    monkeypatch.setattr(lifting, "in_flat", lambda w: True)
+    with pytest.raises(InvariantBreach) as exc:
+        mor.carrier_value(single(FactorSignature((Z2, Z2)), 0, 1))
+    assert str(exc.value) == "flat word escaped the embedded kernel"
+
+
 def test_hom_bijection_frozen_counts():
     r = hom_bijection_check(Z2, conjugation_xmod(S3))
     assert r == {"pairs": 16, "round_trips": 16,

@@ -9,16 +9,22 @@ from xmodkit.groups import (
     GroupHom, cyclic_group, dihedral_group, hom, subgroup, symmetric_group,
 )
 from xmodkit.words import (
-    FactorSignature, Word, WordHom, commutator, delete_slot, empty_word,
+    FactorSignature, Word, WordHom, commutator, delete_slot,
     enumerate_cosmash_words, enumerate_flat_words, enumerate_words,
-    fold_left, fold_right, fold_word, format_word, in_binary_cosmash,
-    in_flat, in_ternary_cosmash, map_word, normalize, parse_word,
-    regroup_first_two, collapse_regrouped, single,
+    fold_word, format_word, in_flat, in_ternary_cosmash, map_word, normalize,
+    single,
+)
+
+from word_helpers import (
+    collapse_regrouped, empty_word, fold_left, fold_right, in_binary_cosmash,
+    parse_word, regroup_first_two,
 )
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
+S3 = symmetric_group(3)
+D4 = dihedral_group(4)
 
 
 def naive_members(sig, max_len, keeps):
@@ -99,7 +105,6 @@ def test_format_parse_round_trip():
 
 def test_word_hom_evaluation():
     sig = FactorSignature((Z2, Z3))
-    S3 = symmetric_group(3)
     f = hom(Z2, S3, {1: S3.index_of("(1 2)")})
     g = hom(Z3, S3, {1: S3.index_of("(1 2 3)")})
     wh = WordHom(sig, (f, g), S3)
@@ -147,7 +152,6 @@ def test_fold_left_right_against_evaluation():
         f = fold_left(w)
         assert f.sig == FactorSignature((Z4, Z3))
         # evaluation through any hom pair must be unchanged
-        S3 = symmetric_group(3)
         a = hom(Z4, S3, {1: S3.index_of("(1 2)")})  # order 2 image kills 4-torsion
         b = hom(Z3, S3, {1: S3.index_of("(1 2 3)")})
         before = WordHom(sig3, (a, a, b), S3).evaluate(w)
@@ -164,7 +168,6 @@ def test_fold_left_right_against_evaluation():
 
 def test_regroup_and_collapse():
     sig = FactorSignature((Z2, Z3, Z4))
-    S3 = symmetric_group(3)
     f = hom(Z2, S3, {1: S3.index_of("(1 2)")})
     g = hom(Z3, S3, {1: S3.index_of("(1 2 3)")})
     pair = WordHom(FactorSignature((Z2, Z3)), (f, g), S3)
@@ -197,10 +200,27 @@ def test_enumeration_against_naive_oracle():
          enumerate_cosmash_words),
         (FactorSignature((Z3, Z2)), 8, [{0}, {1}], enumerate_cosmash_words),
         (FactorSignature((Z3, Z2)), 8, [{0}], enumerate_flat_words),
+        # nonabelian factors, where the order of a slot's letters matters
+        (FactorSignature((S3, S3)), 6, [{0}, {1}], enumerate_cosmash_words),
+        (FactorSignature((S3, D4)), 5, [{0}], enumerate_flat_words),
+        (FactorSignature((S3, Z2, Z3)), 4, [], enumerate_words),
     ]
     for sig, L, keeps, enum in cases:
         mine = [w.letters for w in enum(sig, L)]
         assert mine == naive_members(sig, L, keeps)
+
+
+@pytest.mark.parametrize("enum", [enumerate_words, enumerate_cosmash_words,
+                                  enumerate_flat_words])
+def test_enumerators_refuse_bad_arguments(enum):
+    sig = FactorSignature((Z3, Z4))
+    with pytest.raises(GroupError, match="enumeration length -1 is negative"):
+        enum(sig, -1)
+    with pytest.raises(GroupError, match="enumeration length 13 exceeds cap 12"):
+        enum(sig, 13)
+    nested = FactorSignature((FactorSignature((Z2, Z3)), Z4))
+    with pytest.raises(GroupError, match="can only enumerate over plain group slots"):
+        enum(nested, 2)
 
 
 def test_enumeration_frozen_counts():
@@ -262,9 +282,7 @@ def test_enumeration_digests_on_library_modules():
 
 
 def test_enumeration_digests_at_length_ten():
-    S3 = symmetric_group(3)
     A3 = subgroup(S3, [x for x in range(6) if S3.elem_orders[x] in (1, 3)])[0]
-    D4 = dihedral_group(4)
     got = [(len(ws), _digest(ws)) for ws in (
         enumerate_cosmash_words(FactorSignature(fs), 10)
         for fs in ((Z2, Z2, Z2), (Z4, Z4, Z4), (S3, A3, A3), (D4, D4, D4)))]
@@ -273,7 +291,6 @@ def test_enumeration_digests_at_length_ten():
 
 
 def test_flat_and_plain_enumeration_digests():
-    S3 = symmetric_group(3)
     got = [(len(ws), _digest(ws)) for ws in (
         enumerate_flat_words(FactorSignature((Z4, S3)), 7),
         enumerate_flat_words(FactorSignature((S3, Z2)), 8),

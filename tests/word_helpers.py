@@ -1,0 +1,106 @@
+"""Word helpers that only the tests use: a word parser, membership in the
+binary cosmash, and the fold and regroup maps on three-slot words, kept beside
+the tests that pin their answers."""
+from xmodkit.errors import GroupError
+from xmodkit.groups import FiniteGroup
+from xmodkit.words import (
+    FactorSignature, Word, delete_slot, fold_word, map_word, normalize,
+)
+
+
+def empty_word(sig):
+    return Word(sig, ())
+
+
+def parse_word(sig, text):
+    """Inverse of format_word for plain group slots: "(0:a 1:x 0:a^-1)".
+
+    A trailing ^-1 on a name inverts the element.
+    """
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise GroupError("word must be wrapped in parentheses")
+    body = text[1:-1].strip()
+    letters = []
+    if body:
+        for tok in body.split():
+            if ":" not in tok:
+                raise GroupError(f"bad letter {tok!r}: expected slot:name")
+            si, name = tok.split(":", 1)
+            try:
+                slot = int(si)
+            except ValueError:
+                raise GroupError(f"bad slot in {tok!r}") from None
+            if not 0 <= slot < len(sig):
+                raise GroupError(f"slot {slot} out of range")
+            f = sig.factors[slot]
+            if not isinstance(f, FiniteGroup):
+                raise GroupError("can only parse letters in plain group slots")
+            invert = name.endswith("^-1")
+            if invert:
+                name = name[:-3]
+            v = f.index_of(name)
+            if invert:
+                v = f.inv(v)
+            letters.append((slot, v))
+    return normalize(sig, letters)
+
+
+def in_binary_cosmash(w):
+    """Both single-slot projections collapse to the empty word."""
+    if len(w.sig) != 2:
+        raise GroupError("binary membership needs a two-slot signature")
+    return (len(delete_slot(w, 0)) == 0) and (len(delete_slot(w, 1)) == 0)
+
+
+def _require_same_factor(sig, i, j):
+    if sig.factors[i] is not sig.factors[j]:
+        raise GroupError(f"slots {i} and {j} must carry the same factor")
+
+
+def fold_left(w):
+    """(A, A, B) -> (A, B): merge the two left slots by multiplication."""
+    sig = w.sig
+    if len(sig) != 3:
+        raise GroupError("fold_left needs three slots")
+    _require_same_factor(sig, 0, 1)
+    tgt = FactorSignature((sig.factors[0], sig.factors[2]))
+    return fold_word(w, tgt, (0, 0, 1))
+
+
+def fold_right(w):
+    """(A, B, B) -> (A, B): merge the two right slots by multiplication."""
+    sig = w.sig
+    if len(sig) != 3:
+        raise GroupError("fold_right needs three slots")
+    _require_same_factor(sig, 1, 2)
+    tgt = FactorSignature((sig.factors[0], sig.factors[1]))
+    return fold_word(w, tgt, (0, 1, 1))
+
+
+def regroup_first_two(w):
+    """(A, B, C) -> (A+B, C): bundle the first two slots into one word-valued slot."""
+    sig = w.sig
+    if len(sig) != 3:
+        raise GroupError("regrouping needs three slots")
+    inner = FactorSignature((sig.factors[0], sig.factors[1]))
+    tgt = FactorSignature((inner, sig.factors[2]))
+    letters = []
+    for s, v in w.letters:
+        if s == 2:
+            letters.append((1, v))
+        else:
+            letters.append((0, Word(inner, ((s, v),))))
+    return normalize(tgt, tuple(letters))
+
+
+def collapse_regrouped(w, pair_hom, outer_target_sig):
+    """Evaluate the word-valued slot of a regrouped word through a WordHom.
+
+    Sends ((A+B), C) to (T, C) where T = pair_hom.target; the inverse shape of
+    regroup_first_two composed with a copairing on the bundled slot.
+    """
+    def first(v):
+        return pair_hom.evaluate(v)
+
+    return map_word(w, outer_target_sig, (first, lambda v: v))
