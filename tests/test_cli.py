@@ -425,14 +425,14 @@ def test_budget_only_where_searched(sample):
      "enumeration length -1 is negative"),
     (["check", "SAMPLE", "--ternary-len", "-5"], "enumeration length -5 is negative"),
     (["audit", "--ternary-len", "-3"], "enumeration length -3 is negative"),
-    (["check", "SAMPLE", "--word-len", "13"], "enumeration length 13 exceeds cap 12"),
-    (["check", "SAMPLE", "--ternary-len", "13"], "enumeration length 13 exceeds cap 12"),
-    (["audit", "--quick", "--ternary-len", "13"], "enumeration length 13 exceeds cap 12"),
     (["condp", "transfer", "--count", "0"], "a sweep of 0 instances"),
     (["condp", "transfer", "--max-order", "0"], "survey order cap 0 is below one"),
     (["audit", "--budget", "-1"], "search budget -1 is negative"),
     (["lift", "SAMPLE", "--algorithm", "pullback-section", "--ternary-len", "-1"],
      "enumeration length -1 is negative"),
+    (["check", "SAMPLE", "--word-len", "13"], "enumeration length 13 exceeds cap 12"),
+    (["check", "SAMPLE", "--ternary-len", "13"], "enumeration length 13 exceeds cap 12"),
+    (["audit", "--quick", "--ternary-len", "13"], "enumeration length 13 exceeds cap 12"),
 ])
 def test_bad_numbers_are_input_errors(argv, message, sample, tmp_path, capsys):
     """Nothing checked on an empty range, and no budget exhaustion below zero."""
