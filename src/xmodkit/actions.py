@@ -3,7 +3,8 @@
 An action here is a left action of an actor group on a carrier group where
 every actor element acts as an automorphism.  Split extensions package a
 kernel embedding, a retraction, and a section; the two views are equivalent
-and both directions of the translation are implemented and cross-checked.
+and both directions of the translation are implemented (the tests
+cross-check them).
 
 ``GroupAction`` and ``SplitExtension`` validate by default, where data
 enters; the constructions here are correct by theorem and build unchecked.
@@ -19,7 +20,6 @@ normalizes to the empty word evaluates to a carrier element.
 
 from .errors import GroupError
 from .groups import FiniteGroup, GroupHom, gatherer, identity_hom
-from .words import FactorSignature, WordHom
 
 
 class GroupAction:
@@ -204,39 +204,6 @@ def action_from_extension(ext: SplitExtension) -> GroupAction:
                        check=False)
 
 
-def extension_iso(ext: SplitExtension) -> GroupHom:
-    """Isomorphism from the semidirect product of the derived action onto the total group.
-
-    Sends a pair (x, g) to k(x) s(g) and checks compatibility with the kernel
-    embeddings, retractions, and sections on both sides.
-    """
-    action = action_from_extension(ext)
-    std = semidirect_product(action)
-    E = ext.total
-    m = ext.base.order
-    images = []
-    for a in range(std.total.order):
-        x, g = divmod(a, m)
-        images.append(E.mul(ext.k.table[x], ext.s.table[g]))
-    iso = GroupHom(std.total, E, tuple(images))
-    if not iso.is_injective() or not iso.is_surjective():
-        raise GroupError("comparison map is not bijective")
-    for x in range(ext.kernel_group.order):
-        if iso.table[std.k.table[x]] != ext.k.table[x]:
-            raise GroupError("comparison map does not commute with the kernel embeddings")
-    for g in range(ext.base.order):
-        if iso.table[std.s.table[g]] != ext.s.table[g]:
-            raise GroupError("comparison map does not commute with the sections")
-    for a in range(std.total.order):
-        if ext.p.table[iso.table[a]] != std.p.table[a]:
-            raise GroupError("comparison map does not commute with the retractions")
-    return iso
-
-
-def action_signature(action: GroupAction) -> FactorSignature:
-    return FactorSignature((action.actor, action.carrier))
-
-
 def _check_action_word(action: GroupAction, w):
     facs = w.sig.factors
     if len(facs) != 2 or facs[0] is not action.actor or facs[1] is not action.carrier:
@@ -261,41 +228,3 @@ def action_core_word(action: GroupAction, w) -> int:
     if a != one:
         raise GroupError("word does not project trivially to the actor")
     return r
-
-
-def action_core_eval(action: GroupAction, w) -> int:
-    """Evaluate through the semidirect product and pull back along the kernel.
-
-    Independent of `action_core_word`; both must agree on every word with
-    trivial actor projection.
-    """
-    _check_action_word(action, w)
-    ext = semidirect_product(action)
-    wh = WordHom(w.sig, [ext.s, ext.k], ext.total)
-    e = wh.evaluate(w)
-    if ext.p.table[e] != ext.base.identity:
-        raise GroupError("word does not project trivially to the actor")
-    lookup = {ext.k.table[x]: x for x in range(action.carrier.order)}
-    return lookup[e]
-
-
-def action_core_consistency(action: GroupAction, max_len: int = 4) -> int:
-    """Compare both evaluation routes on every short word with trivial actor part.
-
-    Returns the number of words checked.  Uses the flat-word enumeration, which
-    contains the binary cosmash words as a subset.
-    """
-    from .words import enumerate_flat_words
-
-    sig = action_signature(action)
-    ext = semidirect_product(action)
-    wh = WordHom(sig, [ext.s, ext.k], ext.total)
-    lookup = {ext.k.table[x]: x for x in range(action.carrier.order)}
-    count = 0
-    for w in enumerate_flat_words(sig, max_len):
-        via_ext = lookup[wh.evaluate(w)]
-        via_word = action_core_word(action, w)
-        if via_ext != via_word:
-            raise GroupError(f"evaluation routes disagree on {w!r}")
-        count += 1
-    return count

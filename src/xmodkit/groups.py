@@ -5,6 +5,11 @@ structural question is settled by exhaustion.  Every ``FiniteGroup`` build,
 ``check=False`` included, checks the shape, the range (the set of all cell
 values must lie in 0..n-1, one pass per table), the identity and the
 inverses; every ``GroupHom`` checks that its values lie in the target.
+Inverses are read off cyclic walks: the powers x, x^2, ... of each element
+not yet covered run until they reach the identity at x^m, and x^k gets
+x^(m-k), with at most 4n steps over all walks.  Every candidate y must give
+x*y = y*x = e; a row whose candidate is missing or fails is scanned for the
+identity, and a row where that fails too has no inverse.
 Tables are validated further where they enter: ``FiniteGroup`` checks
 associativity (every triple, by Light's test over a generating set) and
 ``GroupHom`` the hom law, by default.  The constructions here are correct by
@@ -14,7 +19,9 @@ Dense tables are built and checked a row at a time, never a cell at a time.
 ``gatherer`` turns an index tuple into one C call that reads a sequence at
 those indices; ``z4_module`` builds each row by extending one list with
 shifted copies of one row of the module built so far, read from one shared
-index tuple, ``free_module_cover`` decodes its values a generator at a
+index tuple, ``direct_product`` joins blocks as the semidirect product does,
+``subgroup`` and ``quotient`` gather each row at the chosen elements and
+representatives, ``free_module_cover`` decodes its values a generator at a
 time, and ``GroupHom`` compares each source row read through the map with the
 matching target row, looking for the failing cell only once a row differs.
 
@@ -81,15 +88,32 @@ class FiniteGroup:
             raise GroupError("table has no identity element")
         self.identity = ident
 
-        inv = []
-        for x, row in enumerate(table):
-            try:
-                y = row.index(ident)  # one scan: a row without the identity raises
-            except ValueError:
-                y = None
-            if y is None or table[y][x] != ident:
-                raise GroupError(f"element {x} has no inverse")
-            inv.append(y)
+        # candidates from cyclic walks: the powers x, x^2, ... of an element
+        # not yet covered reach the identity at x^m, and x^k gets x^(m-k);
+        # the cap ends a walk that cycles short of the identity
+        inv = [None] * n
+        inv[ident] = ident
+        steps = 4 * n
+        for x in elems:
+            if inv[x] is None:
+                powers, y = [ident], x
+                while y != ident and len(powers) <= steps:
+                    powers.append(y)
+                    y = table[y][x]
+                if y != ident:
+                    break
+                steps -= len(powers)
+                for a, b in zip(powers[1:], reversed(powers)):
+                    inv[a] = b
+        for x, y in enumerate(inv):
+            if y is None or table[x][y] != ident or table[y][x] != ident:
+                try:  # a missing or failed candidate: scan the row once
+                    y = table[x].index(ident)
+                except ValueError:
+                    y = None
+                if y is None or table[y][x] != ident:
+                    raise GroupError(f"element {x} has no inverse")
+                inv[x] = y
         self._inv = tuple(inv)
 
         if check:
@@ -340,13 +364,16 @@ def subgroup(G, elems, label=None):
     es = set(elems)
     if G.identity not in es:
         raise GroupError("subgroup must contain the identity")
-    for a in elems:
-        for b in elems:
-            if G.table[a][b] not in es:
-                raise GroupError(
-                    f"subset not closed: {G.names[a]}*{G.names[b]} escapes")
     idx = {e: i for i, e in enumerate(elems)}
-    table = [[idx[G.table[a][b]] for b in elems] for a in elems]
+    pick = gatherer(elems)
+    table = []
+    for a in elems:
+        row = pick(G.table[a])  # a*b for b in elems
+        if not es.issuperset(row):
+            b = next(b for b, c in zip(elems, row) if c not in es)
+            raise GroupError(
+                f"subset not closed: {G.names[a]}*{G.names[b]} escapes")
+        table.append(gatherer(row)(idx))
     S = FiniteGroup(table, names=[G.names[e] for e in elems],
                     label=label or f"{G.label}_sub{len(elems)}", check=False)
     incl = GroupHom(S, G, tuple(elems), check=False)
@@ -364,8 +391,24 @@ def image(f):
 
 
 def normality_witness(G, elems):
-    """None if the closed subset is normal, else a conjugation escape (g, n, gng^-1)."""
+    """None if the closed subset is normal, else a conjugation escape (g, n, gng^-1).
+
+    A subgroup N is normal once every conjugate of each of its generators
+    (from _grow) lies in N, read a column at a time: g s g^-1 is row g s of
+    the table at g^-1.  Only a subset that fails this, or is not closed,
+    runs the loop over every g and n, which finds the witness.
+    """
     es = set(elems)
+    t = G.table
+    members, gens = _grow(t, G.identity, sorted(es))
+    if len(members) == len(es):  # a subgroup, generated by gens
+        for s in gens:
+            column = map(operator.itemgetter(s), t)  # g s for every g
+            if not es.issuperset(map(tuple.__getitem__, map(t.__getitem__, column),
+                                     G._inv)):
+                break
+        else:
+            return None
     for g in range(G.order):
         for n in es:
             c = G.conj(g, n)
@@ -392,28 +435,26 @@ def quotient(G, elems, label=None):
     Refuses non-normal input with a conjugation witness; never silently takes
     the normal closure.
     """
-    S, _ = subgroup(G, elems)  # validates closedness
+    S, incl = subgroup(G, elems)  # validates closedness
     w = normality_witness(G, elems)
     if w is not None:
         g, n, c = w
         raise GroupError(
             f"subset is not normal: {G.names[g]} conjugates {G.names[n]} "
             f"to {G.names[c]} outside it")
-    es = set(elems)
-    seen = {}
-    reps = []
-    for g in range(G.order):
-        if g in seen:
-            continue
-        i = len(reps)
-        reps.append(g)
-        for n in es:
-            seen[G.table[g][n]] = i
-    table = [[seen[G.table[a][b]] for b in reps] for a in reps]
+    coset_of, coset, reps = gatherer(incl.table), [None] * G.order, []
+    for g, row in enumerate(G.table):
+        if coset[g] is None:
+            for c in coset_of(row):  # gN
+                coset[c] = len(reps)
+            reps.append(g)
+    at_reps = gatherer(reps)
+    # row aN: the products a*r over the representatives r, then their cosets
+    table = [gatherer(at_reps(G.table[a]))(coset) for a in reps]
     names = ["[" + G.names[r] + "]" for r in reps]
-    Q = FiniteGroup(table, names, label=label or f"{G.label}/{len(es)}", check=False)
+    Q = FiniteGroup(table, names, label=label or f"{G.label}/{S.order}", check=False)
     # g -> gN is a hom because N is normal
-    proj = GroupHom(G, Q, tuple(seen[g] for g in range(G.order)), check=False)
+    proj = GroupHom(G, Q, tuple(coset), check=False)
     return Q, proj
 
 
@@ -439,11 +480,22 @@ def pullback(f, g):
 def direct_product(A, B, label=None):
     """(A x B, i1, i2, p1, p2)."""
     n, m = A.order, B.order
-    table = [[(A.table[a][a2]) * m + B.table[b][b2]
-              for a2 in range(n) for b2 in range(m)]
-             for a in range(n) for b in range(m)]
-    if n * m > MAX_ORDER:
-        raise GroupError(f"product order {n*m} exceeds cap {MAX_ORDER}")
+    size = n * m
+    if size > MAX_ORDER:
+        raise GroupError(f"product order {size} exceeds cap {MAX_ORDER}")
+    # row (a, b) is the blocks blocks[b][v] over v = a a2, joined by extending
+    # one list, as in actions.semidirect_product
+    indices = tuple(range(size))
+    blocks = [[pick(indices[i:i + m]) for i in range(0, size, m)]
+              for pick in map(gatherer, B.table)]
+    table = []
+    for a_row in A.table:
+        by_a = gatherer(a_row)
+        for b_blocks in blocks:
+            row = []
+            for block in by_a(b_blocks):
+                row += block
+            table.append(tuple(row))
     names = [f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m)]
     P = FiniteGroup(table, names, label=label or f"{A.label}x{B.label}", check=False)
     i1 = GroupHom(A, P, tuple(a * m + B.identity for a in range(n)), check=False)

@@ -37,9 +37,7 @@ from .groups import (
 # Not called here: perfbench/tests checks that the tracer rebinds this name in
 # every xmodkit module that holds it, this one included.
 from .groups import search_homs
-from .actions import (
-    SplitExtension, conjugation_action_on, semidirect_product,
-)
+from .actions import SplitExtension, conjugation_action_on
 from .words import (
     FactorSignature, WordHom, commutator, enumerate_cosmash_words,
     enumerate_flat_words, enumerate_words, format_word, in_flat,
@@ -400,14 +398,6 @@ def find_xmod_section(epi: XModMorphism, *, budget=None):
 # -- the free-object evaluator ---------------------------------------------------
 
 
-def _carrier_extension(xm: CrossedModule) -> SplitExtension:
-    ext = getattr(xm, "_carrier_ext", None)
-    if ext is None:
-        ext = semidirect_product(xm.action)
-        xm._carrier_ext = ext
-    return ext
-
-
 class FreeXModMorphism:
     """Evaluator pair extending letter homs (f: H -> T, g: H -> G) to words.
 
@@ -430,7 +420,7 @@ class FreeXModMorphism:
         self.sig = FactorSignature((H, H))
         self.base_hom = WordHom(self.sig, (g, compose(xm.boundary, f)),
                                 xm.codomain())
-        ext = _carrier_extension(xm)
+        ext = xm.extension
         self._eval = WordHom(self.sig, (compose(ext.s, g), compose(ext.k, f)),
                              ext.total)
         self._klook = {ext.k.table[t]: t for t in range(xm.domain().order)}

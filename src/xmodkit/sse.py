@@ -13,7 +13,7 @@ raises BudgetExhausted instead; the two outcomes are never conflated.
 """
 
 from .errors import GroupError, InvariantBreach
-from .actions import semidirect_product, trivial_action
+from .actions import trivial_action
 from .groups import (
     GroupHom, compose, enumerate_homs, free_module_cover, identity_hom,
     is_z4_module, lifts,
@@ -55,8 +55,7 @@ def compose_sse(f: SSEMorphism, g: SSEMorphism) -> SSEMorphism:
 
 def total_map(mor: SSEMorphism) -> GroupHom:
     """The induced hom between the semidirect totals, (t, g) -> (fT t, g)."""
-    e1 = semidirect_product(mor.src.action)
-    e2 = semidirect_product(mor.tgt.action)
+    e1, e2 = mor.src.extension, mor.tgt.extension
     m = mor.base.order
     table = []
     for e in range(e1.total.order):

@@ -230,10 +230,11 @@ _DIST_TABLES = {}  # (slot count, kept slots) -> _distance_table(...)
 def _distance_table(k, keeps):
     """Fewest letters that empty every stack, per abstract state of _kernel_words.
 
-    A stack on at most two slots alternates, so its slot pattern is 0 when
-    empty, else 1 + bottom * cap + height - 1 over its sorted slots, or
-    `dead` past cap = MAX_ENUM_LEN // 2, a height no word that short can
-    reach and then clear.  State (prev, patterns) has index prev + 1 +
+    Every stack keeps two slots (single-slot keeps go to _pattern_words), so
+    it alternates, and its slot pattern is 0 when empty, else 1 + bottom *
+    cap + height - 1, bottom 0 or 1 over its sorted slots, or `dead` past
+    cap = MAX_ENUM_LEN // 2, a height no word that short can reach and then
+    clear.  State (prev, patterns) has index prev + 1 +
     sum(weights[p] * patterns[p]).  Returns (dist, weights, push, touch):
     push[p][c][s] is the pattern after a letter in slot s lands on pattern
     c, or -1 when s is c's top slot, where the letter merges or cancels;
@@ -245,13 +246,12 @@ def _distance_table(k, keeps):
     if key in _DIST_TABLES:
         return _DIST_TABLES[key]
     cap, push, below, weights, size = MAX_ENUM_LEN // 2, [], [], [], k + 1
+    dead = 1 + 2 * cap
     for slots in key[1]:
-        w = len(slots)
-        dead = 1 + w * cap
         rows = [[1 + slots.index(s) * cap if s in slots else dead for s in range(k)]]
         for c in range(1, dead):
             b, h = divmod(c - 1, cap)
-            rows.append([-1 if s == slots[(b + h) % w] else dead if h + 1 == cap
+            rows.append([-1 if s == slots[(b + h) % 2] else dead if h + 1 == cap
                          else c + 1 for s in range(k)])
         push.append(rows + [[dead] * k])
         below.append([0] + [c - 1 if (c - 1) % cap else 0 for c in range(1, dead)])

@@ -15,6 +15,8 @@ length 8 the ternary check sees only the empty word and is vacuous; its
 the bracket words [[g, t], t'] of `lifting._ternary_morphism_audit`.
 """
 
+from functools import cached_property
+
 from .errors import GroupError
 from .actions import (
     GroupAction, SplitExtension, action_core_word, conjugation_action,
@@ -56,6 +58,11 @@ class CrossedModule:
                 raise GroupError(
                     f"Peiffer law fails at (t={action.carrier.names[t]}, "
                     f"t'={action.carrier.names[u]})")
+
+    @cached_property
+    def extension(self) -> SplitExtension:
+        """T x| G with its kernel embedding, retraction and section, built once."""
+        return semidirect_product(self.action)
 
     def domain(self) -> FiniteGroup:
         return self.action.carrier
@@ -399,7 +406,7 @@ def pi0_via_coequalizer(xm: CrossedModule):
     Quotients G by the normal closure of the difference set.  Must agree with
     the cokernel route; `pi0_comparison` checks that on the nose.
     """
-    ext = semidirect_product(xm.action)
+    ext = xm.extension
     G = xm.codomain()
     m = G.order
     d = xm.boundary.table

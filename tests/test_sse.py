@@ -1,6 +1,6 @@
 import pytest
 
-from xmodkit.errors import BudgetExhausted, GroupError
+from xmodkit.errors import BudgetExhausted, GroupError, InvariantBreach
 from xmodkit.groups import (
     GroupHom, cyclic_group, hom, normal_subgroups, symmetric_group,
     trivial_group, trivial_hom, z4_module,
@@ -86,6 +86,21 @@ def test_regular_epi_and_total_map():
     tm = total_map(mod2_epi())
     assert tm.is_surjective()
     assert tm.source.order == 4 and tm.target.order == 2
+
+
+def test_regular_epi_cross_check_fires_on_a_bent_extension(monkeypatch):
+    """is_regular_epi compares carrier surjectivity with that of the total
+    map; a target extension swapped for one the total map cannot cover (the
+    Klein four-group over the point) must raise, not report."""
+    src, tgt = over_point(Z4), over_point(Z2)
+    mor = SSEMorphism(src, tgt, GroupHom(Z4, Z2, (0, 1, 0, 1)))
+    assert tgt.extension is tgt.extension  # built once per crossed module
+    assert is_regular_epi(mor)
+    monkeypatch.setitem(tgt.__dict__, "extension", MK4.extension)
+    with pytest.raises(InvariantBreach) as exc:
+        is_regular_epi(mor)
+    assert str(exc.value) == (
+        "carrier and total surjectivity disagree on a same-base morphism")
 
 
 def test_section_search_outcomes():

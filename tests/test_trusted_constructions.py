@@ -11,6 +11,8 @@ builders and checks must agree with them cell for cell, witness for witness.
 """
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -29,8 +31,8 @@ from xmodkit.groups import (
     FiniteGroup, GroupHom, MAX_ORDER, _cycle_notation, alternating_group,
     cyclic_group, dihedral_group, direct_product, enumerate_homs,
     free_module_cover, identity_hom, klein_four_group, normal_subgroups,
-    quaternion_group, quotient, subgroup, symmetric_group, trivial_group,
-    trivial_hom, z4_module, z4_module_classes,
+    normality_witness, quaternion_group, quotient, subgroup, symmetric_group,
+    trivial_group, trivial_hom, z4_module, z4_module_classes,
 )
 from xmodkit.xmod import (
     CrossedModule, check_axioms, equivariance_failures, identity_morphism,
@@ -571,3 +573,261 @@ def test_from_permutations_matches_per_point_composition():
         assert (G.table, G.names) == (table, names), G.label
     for n in range(3):  # degree 0 composes empty tuples
         assert alternating_group(n).order == 1
+
+
+# -- inverses, products, subgroups and quotients against per-cell references --
+
+
+def _inverse_reference(table):
+    """FiniteGroup's inverses, or its error text, from one row scan per element."""
+    elems = tuple(range(len(table)))
+    e = next(x for x in elems if table[x] == elems
+             and tuple(row[x] for row in table) == elems)
+    inv = []
+    for x, row in enumerate(table):
+        y = row.index(e) if e in row else None
+        if y is None or table[y][x] != e:
+            return f"element {x} has no inverse"
+        inv.append(y)
+    return tuple(inv)
+
+
+def _relabeled(G, seed):
+    """G with its elements renumbered by a seeded permutation."""
+    n = G.order
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    names = [None] * n
+    for a in range(n):
+        row, new = G.table[a], table[perm[a]]
+        for b in range(n):
+            new[perm[b]] = perm[row[b]]
+        names[perm[a]] = G.names[a]
+    return FiniteGroup(table, names, label=G.label, check=False)
+
+
+def test_inverses_match_the_row_scan():
+    groups = _library_groups_to_order_64()
+    groups += [_relabeled(G, seed) for seed, G in enumerate(groups)]
+    groups += [z4_module(n4, n2) for n4, n2 in z4_module_classes(MAX_ORDER)]
+    Z1024 = cyclic_group(1024)
+    groups += [Z1024, _relabeled(Z1024, 1), _relabeled(z4_module(5, 0), 2),
+               _relabeled(z4_module(0, 10), 3)]
+    for G in groups:
+        assert G._inv == _inverse_reference(G.table), G.label
+
+
+def _within_lines(fn, limit=10_000):
+    """fn(), failing once it has run `limit` lines of Python, so that a walk
+    that never ends fails the test instead of hanging the suite."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        count += 1
+        if count > limit:
+            raise AssertionError(f"still running after {limit} lines")
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        return fn()
+    finally:
+        sys.settrace(None)
+
+
+def _built(table, check=False):
+    """The inverses of FiniteGroup(table), or the text of its refusal."""
+    try:
+        return FiniteGroup(table, check=check)._inv
+    except GroupError as exc:
+        return str(exc)
+
+
+def _identity_cell_moved(G, r):
+    """G's table with the identity in row r replaced by r*r, or by r when
+    r*r is the identity, so that r or its inverse has no two-sided inverse."""
+    table = [list(row) for row in G.table]
+    table[r][G.inv(r)] = G.mul(r, r) if G.mul(r, r) != G.identity else r
+    return tuple(map(tuple, table))
+
+
+def test_inverse_errors_match_the_row_scan():
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+            (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))  # smallest nonassociative loop
+    # the walk of 1 reaches 0 at 1^3, but 1*1^2 = 1: row 1 has no identity
+    one_sided = ((0, 1, 2), (1, 2, 1), (2, 0, 2))
+    # 1*1 = 1, so the walk of 1 cycles short of the identity until the cap
+    # ends it; the rows are then scanned, and each finds a two-sided inverse
+    stuck = ((0, 1, 2), (1, 1, 0), (2, 0, 1))
+    stuck_no_inverse = ((0, 1, 2), (1, 1, 2), (2, 2, 0))
+    long_cycle = [list(row) for row in cyclic_group(12).table]
+    long_cycle[5][1] = 2  # 1, 2, ..., 5, then back to 2
+    tables = [loop, one_sided, stuck, stuck_no_inverse, tuple(map(tuple, long_cycle))]
+    for G in (symmetric_group(3), dihedral_group(4), quaternion_group(), cyclic_group(8)):
+        tables += [_identity_cell_moved(G, r) for r in range(G.order) if r != G.identity]
+    refused = 0
+    for table in tables:
+        expected = _inverse_reference(table)
+        refused += isinstance(expected, str)
+        assert _within_lines(lambda: _built(table)) == expected, table
+    assert refused >= 10
+    for table in (loop, stuck, long_cycle):
+        assert _within_lines(lambda: _built(table, check=True)).startswith("not associative at")
+
+
+def test_identity_twice_in_a_row_is_refused_as_non_associative():
+    """Row 1 holds the identity at 2 and 3.  The scan stops at 2, where
+    2*1 != 0, but the walk's candidate 3 = 1^2 works on both sides, so the
+    table passes the inverse check and fails the associativity check."""
+    table = ((0, 1, 2, 3), (1, 3, 0, 0), (2, 1, 0, 3), (3, 0, 2, 1))
+    assert _inverse_reference(table) == "element 1 has no inverse"
+    assert _built(table) == (0, 3, 2, 1)
+    assert _built(table, check=True).startswith("not associative at")
+
+
+def _direct_product_reference(A, B):
+    """direct_product's table, names and the tables of i1, i2, p1, p2, per cell."""
+    n, m = A.order, B.order
+    table = tuple(tuple(A.table[a][a2] * m + B.table[b][b2]
+                        for a2 in range(n) for b2 in range(m))
+                  for a in range(n) for b in range(m))
+    names = tuple(f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m))
+    homs = (tuple(a * m + B.identity for a in range(n)),
+            tuple(A.identity * m + b for b in range(m)),
+            tuple(a for a in range(n) for _ in range(m)),
+            tuple(b for _ in range(n) for b in range(m)))
+    return table, names, homs
+
+
+def test_direct_products_match_per_cell_formula():
+    Z2, Z4, S3, Q8 = cyclic_group(2), cyclic_group(4), symmetric_group(3), quaternion_group()
+    factors = [trivial_group(), Z2, S3, Q8, dihedral_group(4), _relabeled(S3, 7),
+               _relabeled(Q8, 8)]
+    pairs = list(itertools.product(factors, repeat=2))
+    pairs += [(z4_module(4, 0), Z4), (Z2, _relabeled(z4_module(4, 1), 9)),
+              (cyclic_group(1024), trivial_group()), (symmetric_group(4), S3)]
+    for A, B in pairs:
+        P, *homs = direct_product(A, B)
+        table, names, hom_tables = _direct_product_reference(A, B)
+        assert (P.table, P.names, P.label) == (table, names, f"{A.label}x{B.label}")
+        assert tuple(f.table for f in homs) == hom_tables
+        assert P._inv == _inverse_reference(table)
+
+
+def test_direct_product_refuses_over_cap_before_building():
+    M, Z2 = z4_module(5, 0), cyclic_group(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupError) as exc:
+            direct_product(M, Z2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"product order 2048 exceeds cap {MAX_ORDER}"
+    assert peak < 1_000_000  # the 2048 x 2048 table alone is 4M cells
+
+
+def _subgroup_reference(G, elems):
+    """subgroup's table, names and inclusion, or its error text, per cell."""
+    elems = sorted(set(elems))
+    es = set(elems)
+    if G.identity not in es:
+        return "subgroup must contain the identity"
+    for a in elems:
+        for b in elems:
+            if G.table[a][b] not in es:
+                return f"subset not closed: {G.names[a]}*{G.names[b]} escapes"
+    idx = {e: i for i, e in enumerate(elems)}
+    table = tuple(tuple(idx[G.table[a][b]] for b in elems) for a in elems)
+    return table, tuple(G.names[e] for e in elems), tuple(elems)
+
+
+def _normality_reference(G, elems):
+    """normality_witness by conjugating every element by every g."""
+    es = set(elems)
+    for g in range(G.order):
+        for n in es:
+            c = G.conj(g, n)
+            if c not in es:
+                return (g, n, c)
+    return None
+
+
+def _quotient_reference(G, elems):
+    """quotient's table, names and projection, or its error text, per cell."""
+    sub = _subgroup_reference(G, elems)
+    if isinstance(sub, str):
+        return sub
+    w = _normality_reference(G, elems)
+    if w is not None:
+        g, n, c = w
+        return (f"subset is not normal: {G.names[g]} conjugates {G.names[n]} "
+                f"to {G.names[c]} outside it")
+    seen, reps = {}, []
+    for g in range(G.order):
+        if g not in seen:
+            reps.append(g)
+            for n in set(elems):
+                seen[G.table[g][n]] = len(reps) - 1
+    table = tuple(tuple(seen[G.table[a][b]] for b in reps) for a in reps)
+    names = tuple("[" + G.names[r] + "]" for r in reps)
+    return table, names, tuple(seen[g] for g in range(G.order))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GroupError as exc:
+        return str(exc)
+
+
+def _assert_subgroup_and_quotient_match(G, elems):
+    expected = _subgroup_reference(G, elems)
+    got = _outcome(subgroup, G, elems)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        S, incl = got
+        assert (S.table, S.names, incl.table) == expected
+        assert S.label == f"{G.label}_sub{S.order}"
+        assert S._inv == _inverse_reference(S.table)
+    assert normality_witness(G, elems) == _normality_reference(G, elems)
+    expected = _quotient_reference(G, elems)
+    got = _outcome(quotient, G, elems)
+    if isinstance(expected, str):
+        assert got == expected
+        return expected
+    Q, proj = got
+    assert (Q.table, Q.names, proj.table) == expected
+    assert Q.label == f"{G.label}/{len(set(elems))}"
+    assert Q._inv == _inverse_reference(Q.table)
+    return None
+
+
+def test_subgroups_and_quotients_match_per_cell_references():
+    rng = random.Random(13)
+    S3, Z2 = symmetric_group(3), cyclic_group(2)
+    groups = [S3, dihedral_group(4), quaternion_group(), alternating_group(4),
+              symmetric_group(4), direct_product(S3, Z2)[0], cyclic_group(12)]
+    groups += [_relabeled(G, seed) for seed, G in enumerate(groups)]
+    refusals = []
+    for G in groups:
+        closed = {G.closure((x, y)) for x in range(G.order) for y in range(x, G.order)}
+        subsets = sorted(map(sorted, closed))
+        for _ in range(12):  # subsets that are not closed, or lack the identity
+            subsets.append(rng.sample(range(G.order), rng.randrange(1, G.order)))
+        for elems in subsets:
+            refusals.append(_assert_subgroup_and_quotient_match(G, elems))
+    kinds = {r and r.split(":")[0] for r in refusals}
+    assert kinds == {None, "subset not closed", "subset is not normal",
+                     "subgroup must contain the identity"}
+
+
+def test_quotients_of_order_1024_match_per_cell_references():
+    M, Z1024 = z4_module(5, 0), cyclic_group(1024)
+    doubles = [x for x in range(M.order) if set(M.names[x]) <= {"0", "2"}]
+    for G, elems in ((M, doubles), (Z1024, range(0, 1024, 4)),
+                     (_relabeled(Z1024, 4), [0, 1])):
+        _assert_subgroup_and_quotient_match(G, elems)
