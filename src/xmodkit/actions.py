@@ -19,7 +19,7 @@ normalizes to the empty word evaluates to a carrier element.
 """
 
 from .errors import GroupError
-from .groups import FiniteGroup, GroupHom, gatherer, identity_hom
+from .groups import FiniteGroup, GroupHom, _cayley_level, gatherer, identity_hom
 
 
 class GroupAction:
@@ -104,6 +104,9 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     """Action of the codomain on the domain by conjugation through `embedding`.
 
     The embedding must be injective with normal image; both are checked here.
+    Rows follow the Cayley edges of G (`_cayley_level`): a generator's row is
+    read off the table and must stay in the image, which is then normal, and
+    every other z = x*s gets row x read through row s.
     """
     H, G = embedding.source, embedding.target
     if not embedding.is_injective():
@@ -112,11 +115,20 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     for h, y in enumerate(embedding.table):
         preimage[y] = h
     t = G.table
-    # g y g^-1 = g (y g^-1): column c of the image rows holds every y c
-    cols = tuple(zip(*gatherer(embedding.table)(t)))
-    table = [gatherer(gatherer(cols[G.inv(g)])(t[g]))(preimage) for g in range(G.order)]
-    if any(None in row for row in table):
-        raise GroupError("image of the embedding is not a normal subgroup")
+    image_rows = gatherer(embedding.table)(t)
+    table = [None] * G.order
+    table[G.identity] = tuple(range(H.order))
+    elems, through = [G.identity], {}  # generator -> gatherer of its row
+    for g in range(G.order):
+        if table[g] is None:
+            # g y g^-1 = g (y g^-1): the image rows' column at g^-1, read through row g
+            column = tuple(row[G.inv(g)] for row in image_rows)
+            table[g] = gatherer(gatherer(column)(t[g]))(preimage)
+            if None in table[g]:
+                raise GroupError("image of the embedding is not a normal subgroup")
+            through[g] = gatherer(table[g])
+            for z, x, s in _cayley_level(t, elems, list(through))[0]:
+                table[z] = through[s](table[x])  # conj by x*s is conj x after conj s
     # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
     return GroupAction(G, H, table, check=False)
 

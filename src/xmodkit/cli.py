@@ -42,8 +42,8 @@ from .lifting import (
     pullback_section,
 )
 from .condp import (
-    non_schreier_demo, pi0_preservation_suite, pipeline_diagram_P,
-    projectivity_survey, theorem_P_transfer_check,
+    check_survey_cap, non_schreier_demo, pi0_preservation_suite,
+    pipeline_diagram_P, projectivity_survey, theorem_P_transfer_check,
 )
 from .corpus import (
     axiom_corpus, no_section_fixture, projective_section_corpus,
@@ -451,7 +451,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
-        # refused up front, so no command or algorithm can ignore a bad length
+        # refused up front, so no command or algorithm can ignore a bad number
+        if args.command == "condp":
+            check_survey_cap(args.max_order)
         for length in (getattr(args, "word_len", 0), getattr(args, "ternary_len", 0)):
             if length < 0:
                 raise GroupError(f"enumeration length {length} is negative")

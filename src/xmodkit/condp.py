@@ -21,7 +21,7 @@ import random
 
 from .errors import GroupError
 from .groups import (
-    GroupHom, cyclic_group, direct_product, find_isomorphism, find_section,
+    MAX_ORDER, GroupHom, cyclic_group, direct_product, find_isomorphism, find_section,
     free_module_cover, is_z4_module, symmetric_group, trivial_group, z4_module,
     z4_module_classes,
 )
@@ -221,6 +221,14 @@ def lifting_oracle_z4(M, free=None) -> bool:
     return find_section(free_module_cover(M, free)[1]) is not None
 
 
+def check_survey_cap(max_order: int):
+    """Refuse a survey order cap outside 1..MAX_ORDER before any work."""
+    if max_order < 1:
+        raise GroupError(f"survey order cap {max_order} is below one")
+    if max_order > MAX_ORDER:
+        raise GroupError(f"survey order cap {max_order} exceeds the dense-table cap {MAX_ORDER}")
+
+
 def projectivity_survey(max_order: int = 64, free=None) -> list:
     """Criterion verdict for every module class up to max_order.
 
@@ -229,8 +237,7 @@ def projectivity_survey(max_order: int = 64, free=None) -> list:
     is passed on to `free_module_cover`; by default each free module is
     built once per survey.
     """
-    if max_order < 1:
-        raise GroupError(f"survey order cap {max_order} is below one")
+    check_survey_cap(max_order)
     rows = []
     free = {} if free is None else free
     for n4, n2 in z4_module_classes(max_order):

@@ -11,9 +11,13 @@ x^(m-k), with at most 4n steps over all walks.  Every candidate y must give
 x*y = y*x = e; a row whose candidate is missing or fails is scanned for the
 identity, and a row where that fails too has no inverse.
 Tables are validated further where they enter: ``FiniteGroup`` checks
-associativity (every triple, by Light's test over a generating set) and
-``GroupHom`` the hom law, by default.  The constructions here are correct by
-theorem and pass ``check=False``.
+associativity and ``GroupHom`` the hom law, by default.  The constructions
+here are correct by theorem and pass ``check=False``.  Laws that hold on a
+subgroup are decided on one generating set per group, ``FiniteGroup._gens``:
+associativity (Light's test), the hom law, commutativity, normality (of
+subgroups, of the image in ``actions.conjugation_action_on`` and as
+``normal_closure`` grows) and ``xmod.morphism_witness``'s equivariance;
+only normality runs a full loop, after a failure, for its witness.
 
 Dense tables are built and checked a row at a time, never a cell at a time.
 ``gatherer`` turns an index tuple into one C call that reads a sequence at
@@ -22,8 +26,8 @@ shifted copies of one row of the module built so far, read from one shared
 index tuple, ``direct_product`` joins blocks as the semidirect product does,
 ``subgroup`` and ``quotient`` gather each row at the chosen elements and
 representatives, ``free_module_cover`` decodes its values a generator at a
-time, and ``GroupHom`` compares each source row read through the map with the
-matching target row, looking for the failing cell only once a row differs.
+time, and ``GroupHom`` compares each generator's row read through the map with
+the matching target row, looking for the failing cell only once a row differs.
 
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: ``hom``, hom enumeration, section searches, constrained lifts and
@@ -128,7 +132,7 @@ class FiniteGroup:
         generator s, row xs of the table must equal row x read at row s.
         """
         t = self.table
-        for s in _grow(t, self.identity, range(self.order))[1]:
+        for s in self._gens:
             x_s = gatherer(t[s])  # row x -> (x(sy) for y)
             column = [row[s] for row in t]
             if list(map(t.__getitem__, column)) != list(map(x_s, t)):
@@ -157,19 +161,34 @@ class FiniteGroup:
         return out
 
     @cached_property
+    def _gens(self):
+        """`_grow`'s generators over every element, each the least element outside
+        the subgroup of those before it: a law that holds on a subgroup is decided
+        on them, and the first where it fails is the least element where it fails."""
+        return tuple(_grow(self.table, self.identity, range(self.order))[1])
+
+    @cached_property
     def elem_orders(self):
-        out = []
-        for x in range(self.order):
-            k, y = 1, x
-            while y != self.identity:
-                y = self.table[y][x]
-                k += 1
-            out.append(k)
+        """A walk x, x^2, ... per element not covered; x^m = e first: x^k has order m/gcd(k, m)."""
+        t, e = self.table, self.identity
+        out = [0] * self.order
+        out[e] = 1
+        for x, known in enumerate(out):
+            if not known:
+                powers, y = [], x  # x^1 .. x^(m-1)
+                while y != e:
+                    powers.append(y)
+                    y = t[y][x]
+                m = len(powers) + 1
+                for k, y in enumerate(powers, 1):
+                    out[y] = m // math.gcd(k, m)
         return tuple(out)
 
     @cached_property
     def commutative(self):
-        return tuple(zip(*self.table)) == self.table
+        """Generators that commute pairwise commute with every element."""
+        t = self.table
+        return all(t[a][b] == t[b][a] for a, b in itertools.combinations(self._gens, 2))
 
     @cached_property
     def exponent(self):
@@ -270,7 +289,9 @@ def generating_sequence(G, covered):
 
 
 class GroupHom:
-    """A verified homomorphism given by its full value table."""
+    """A verified homomorphism given by its full value table.  The hom law is
+    checked on the rows of the source's `_gens`: once f(e) = e, the a with
+    f(a*b) = f(a)*f(b) for every b form a subgroup."""
 
     def __init__(self, source, target, table, check=True):
         table = tuple(table)
@@ -282,10 +303,10 @@ class GroupHom:
             if table[source.identity] != target.identity:
                 raise GroupError("map does not preserve the identity")
             through_f = gatherer(table)
-            for a, row in enumerate(source.table):
+            for a in source._gens:
                 # f(a*b) = f(a)*f(b) for every b: the image of row a is row f(a)
                 # of the target read through f
-                lhs, rhs = gatherer(row)(table), through_f(target.table[table[a]])
+                lhs, rhs = gatherer(source.table[a])(table), through_f(target.table[table[a]])
                 if lhs != rhs:
                     b = first_difference(lhs, rhs)
                     raise GroupError(
@@ -418,31 +439,36 @@ def normality_witness(G, elems):
 
 
 def normal_closure(G, elems):
-    """Smallest normal subgroup containing elems."""
-    seed = set(elems)
-    seed.update(G.conj(g, n) for g in range(G.order) for n in list(seed))
-    current = G.closure(seed)
-    while True:
-        extra = {G.conj(g, n) for g in range(G.order) for n in current} - current
-        if not extra:
-            return current
-        current = G.closure(current | extra)
+    """Smallest normal subgroup containing elems, grown along Cayley edges; each
+    generator that joins queues its conjugates by G's generators."""
+    t, inv = G.table, G._inv
+    members, gens, known = [G.identity], [], {G.identity}
+    queue = list(elems)
+    for n in queue:  # the queue grows as generators join
+        if n not in known:
+            gens.append(n)
+            old = len(members)
+            _cayley_level(t, members, gens)
+            known.update(members[old:])
+            queue += (t[t[g][n]][inv[g]] for g in G._gens)
+    return frozenset(members)
 
 
 def quotient(G, elems, label=None):
     """Quotient by a normal subgroup (given as its element set) with projection.
 
     Refuses non-normal input with a conjugation witness; never silently takes
-    the normal closure.
+    the normal closure.  Only a subset that is not its own normal closure
+    runs `subgroup` and `normality_witness`, for the error text.
     """
-    S, incl = subgroup(G, elems)  # validates closedness
-    w = normality_witness(G, elems)
-    if w is not None:
-        g, n, c = w
+    es = set(elems)
+    if normal_closure(G, es) != es:
+        subgroup(G, es)  # raises when the identity is missing or a product escapes
+        g, n, c = normality_witness(G, elems)
         raise GroupError(
             f"subset is not normal: {G.names[g]} conjugates {G.names[n]} "
             f"to {G.names[c]} outside it")
-    coset_of, coset, reps = gatherer(incl.table), [None] * G.order, []
+    coset_of, coset, reps = gatherer(sorted(es)), [None] * G.order, []
     for g, row in enumerate(G.table):
         if coset[g] is None:
             for c in coset_of(row):  # gN
@@ -452,7 +478,7 @@ def quotient(G, elems, label=None):
     # row aN: the products a*r over the representatives r, then their cosets
     table = [gatherer(at_reps(G.table[a]))(coset) for a in reps]
     names = ["[" + G.names[r] + "]" for r in reps]
-    Q = FiniteGroup(table, names, label=label or f"{G.label}/{S.order}", check=False)
+    Q = FiniteGroup(table, names, label=label or f"{G.label}/{len(es)}", check=False)
     # g -> gN is a hom because N is normal
     proj = GroupHom(G, Q, tuple(coset), check=False)
     return Q, proj

@@ -42,17 +42,6 @@ class SSEMorphism:
         return f"<SSEMorphism {self.src.label} -> {self.tgt.label}>"
 
 
-def identity_sse(xm: CrossedModule) -> SSEMorphism:
-    return SSEMorphism(xm, xm, identity_hom(xm.domain()), check=False)
-
-
-def compose_sse(f: SSEMorphism, g: SSEMorphism) -> SSEMorphism:
-    """f after g."""
-    if g.tgt is not f.src:
-        raise GroupError("composition mismatch")
-    return SSEMorphism(g.src, f.tgt, compose(f.fT, g.fT), check=False)
-
-
 def total_map(mor: SSEMorphism) -> GroupHom:
     """The induced hom between the semidirect totals, (t, g) -> (fT t, g)."""
     e1, e2 = mor.src.extension, mor.tgt.extension
@@ -89,17 +78,6 @@ def enumerate_sse_morphisms(src: CrossedModule, tgt: CrossedModule,
         if morphism_witness(src, tgt, fT, ident) is None:
             out.append(SSEMorphism(src, tgt, fT, check=False))
     return out
-
-
-def brute_force_section(mor: SSEMorphism, budget=None):
-    """A section of a regular epi over the base, or None when none exists.
-
-    A section is a lift of the identity along the epi.  Exhausting the
-    search proves nonexistence; BudgetExhausted passes through.
-    """
-    if not is_regular_epi(mor):
-        raise GroupError("sections are only searched under regular epis")
-    return lift_along(mor, identity_sse(mor.tgt), budget=budget)
 
 
 def lift_along(epi: SSEMorphism, u: SSEMorphism, budget=None):

@@ -411,6 +411,14 @@ def test_internal_error_exit_code(sample, monkeypatch, capsys):
     assert "internal error: injected" in capsys.readouterr().err
 
 
+def test_over_cap_max_order_is_refused_before_the_sweep(monkeypatch, capsys):
+    monkeypatch.setattr("xmodkit.cli.theorem_P_transfer_check",
+                        lambda **kw: pytest.fail("the sweep ran"))
+    assert main(["condp", "transfer", "--max-order", "2048"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: survey order cap 2048 exceeds the dense-table cap 1024\n")
+
+
 def test_budget_only_where_searched(sample):
     for argv in (["condp", "non-schreier", "--budget", "1"],
                  ["check", sample, "--budget", "1"],
@@ -433,6 +441,10 @@ def test_budget_only_where_searched(sample):
     (["check", "SAMPLE", "--word-len", "13"], "enumeration length 13 exceeds cap 12"),
     (["check", "SAMPLE", "--ternary-len", "13"], "enumeration length 13 exceeds cap 12"),
     (["audit", "--quick", "--ternary-len", "13"], "enumeration length 13 exceeds cap 12"),
+    (["condp", "transfer", "--max-order", "2048"],
+     "survey order cap 2048 exceeds the dense-table cap 1024"),
+    (["condp", "z4-pipeline", "--max-order", "1025"],
+     "survey order cap 1025 exceeds the dense-table cap 1024"),
 ])
 def test_bad_numbers_are_input_errors(argv, message, sample, tmp_path, capsys):
     """Nothing checked on an empty range, and no budget exhaustion below zero."""

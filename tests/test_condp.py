@@ -86,6 +86,15 @@ def test_survey_frozen():
     assert orders[0] == 1 and orders[-1] == 64
 
 
+def test_survey_refuses_caps_outside_the_dense_tables(monkeypatch):
+    monkeypatch.setattr(condp, "z4_module", lambda *a: pytest.fail("a module was built"))
+    for cap, message in ((0, "survey order cap 0 is below one"),
+                         (2048, "survey order cap 2048 exceeds the dense-table cap 1024")):
+        with pytest.raises(GroupError) as exc:
+            projectivity_survey(cap)
+        assert str(exc.value) == message
+
+
 def test_check_p_instance_modes():
     vac = check_P_instance(semidirect_product(
         trivial_action(cyclic_group(2), z4_module(1, 0))))

@@ -5,10 +5,12 @@ from xmodkit.corpus import (
     pullback_no_section_fixture, pullback_section_corpus, split_ses_corpus,
     sse_morphism_corpus, ternary_fixtures,
 )
-from xmodkit.sse import brute_force_section, compose_sse, is_regular_epi
+from xmodkit.sse import is_regular_epi
 from xmodkit.xmod import (
     check_axioms, check_axioms_wordlevel, check_ternary, pi0_preserves_split_ses,
 )
+
+from xmod_helpers import brute_force_section, compose_sse
 
 
 def test_axiom_corpus_shape():

@@ -20,9 +20,10 @@ from xmodkit.groups import (
     quaternion_group, quotient, subgroup, symmetric_group, z4_module,
 )
 from xmodkit.lifting import find_xmod_section, projective_section, pullback_section
-from xmodkit.sse import brute_force_section, is_regular_epi
+from xmodkit.sse import is_regular_epi
 
 from group_helpers import find_retraction
+from xmod_helpers import brute_force_section
 
 
 def _tables(s):

@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
 from xmodkit import lifting
+from xmodkit.cli import main
+from xmodkit.defs import load_definitions
 from xmodkit.errors import GroupError, InvariantBreach
 from xmodkit.groups import cyclic_group, direct_product, hom, symmetric_group, z4_module
 from xmodkit.actions import semidirect_product, trivial_action
@@ -239,3 +243,122 @@ def test_step_iv_refuses_a_formula_that_is_not_a_hom(monkeypatch):
     with pytest.raises(InvariantBreach,
                        match="section verification failed: coequalizer-formula"):
         projective_section(identity_morphism(inclusion_xmod(ext)), ext)
+
+
+ROTATIONS_DEFS = """\
+[group D4]
+degree: 4
+perms: (1 2 3 4); (1 3)
+
+[xmod rot]
+group: D4
+normal: e (1 2 3 4) (1 3)(2 4) (1 4 3 2)
+
+[morphism id]
+source: rot
+target: rot
+fT: e (1 2 3 4) (1 3)(2 4) (1 4 3 2)
+fG: e (2 4) (1 2)(3 4) (1 2 3 4) (1 3) (1 3)(2 4) (1 4 3 2) (1 4)(2 3)
+"""
+
+
+def _bent_lifts(change):
+    """lifting.lifts with each table it yields replaced by
+    change(p, u, table), where that returns a table."""
+    real = lifting.lifts
+
+    def bent(p, u, **kwargs):
+        for table in real(p, u, **kwargs):
+            yield change(p, u, table) or table
+    return bent
+
+
+def _carrier_lift_trivial(mor):
+    # the carrier section searched over an identity target becomes trivial:
+    # equivariant and a hom, so the coequalizer formula passes, but no section
+    return {"lifts": _bent_lifts(lambda p, u, table: (
+        (p.source.identity,) * u.source.order if u.source is u.target else None))}
+
+
+def _routes_disagree(mor):
+    real = lifting.ternary_routes
+
+    def bent(xm):
+        routes = real(xm)
+        return lambda w: (routes(w)[0], None) if len(w) else routes(w)
+    return {"ternary_routes": bent}
+
+
+def _pullback_is_the_product(mor):
+    def product(f, g):
+        P, _, _, p1, p2 = direct_product(f.source, g.source)
+        return P, p1, p2
+    return {"pullback": product}
+
+
+def _base_section(change):
+    """Bend the base-level section, the one lift over a target that is not
+    an identity, by change(table)."""
+    return {"lifts": _bent_lifts(lambda p, u, table: (
+        change(list(table)) if u.source is not u.target else None))}
+
+
+def _off_carrier(mor):
+    outside = min(set(range(mor.src.codomain().order)) - mor.src.boundary.image_elements)
+    return _base_section(lambda t: (outside,) * len(t))
+
+
+def _carrier_images_swapped(mor):
+    k = mor.tgt.boundary.table  # r^2 and r^3 swapped: not additive on Z/4
+
+    def swap(t):
+        t[k[2]], t[k[3]] = t[k[3]], t[k[2]]
+        return tuple(t)
+    return _base_section(swap)
+
+
+def _base_section_trivial(mor):
+    return _base_section(lambda t: (mor.src.codomain().identity,) * len(t))
+
+
+@pytest.mark.parametrize("algorithm, bend, message", [
+    ("projective-section", _carrier_lift_trivial,
+     "section verification failed: equivariant-section-of-fT"),
+    ("projective-section", _routes_disagree,
+     "ternary audit failed on (0:(1 2 3 4) 1:(1 2 3 4) 0:(1 4 3 2) 1:(1 4 3 2) "
+     "2:(1 2 3 4) 1:(1 2 3 4) 0:(1 2 3 4) 1:(1 4 3 2) 0:(1 4 3 2) 2:(1 4 3 2))"),
+    ("pullback-section", _pullback_is_the_product,
+     "comparison into the pullback must be surjective when the carrier map is"),
+    ("pullback-section", _off_carrier, "restriction left the embedded carrier"),
+    ("pullback-section", _carrier_images_swapped,
+     "carrier restriction is not a homomorphism: "
+     "not a homomorphism at ((1 2 3 4),(1 2 3 4))"),
+    ("pullback-section", _base_section_trivial,
+     "section verification failed: pullback-factorization"),
+], ids=["projective-equations", "projective-ternary-audit", "pullback-comparison",
+        "pullback-restriction-escapes", "pullback-restriction-not-a-hom",
+        "pullback-equations"])
+def test_section_checks_fire_on_injected_faults(algorithm, bend, message, tmp_path,
+                                                monkeypatch, capsys):
+    """Each internal check of the two section constructions raises its own
+    InvariantBreach on one injected fault, in the library and through
+    `lift` (exit 4, ok false).  The rotations of D4 are the carrier, so the
+    base is not commutative and the restriction's witness is a real pair."""
+    path = tmp_path / "rot.defs"
+    path.write_text(ROTATIONS_DEFS)
+    [(_, mor)] = load_definitions(str(path)).of_kind("morphism")
+    for attr, value in bend(mor).items():
+        monkeypatch.setattr(lifting, attr, value)
+    with pytest.raises(InvariantBreach) as exc:
+        if algorithm == "projective-section":
+            projective_section(mor, inclusion_extension(mor.tgt))
+        else:
+            pullback_section(mor)
+    assert str(exc.value) == message
+    rep_path = tmp_path / "rep.json"
+    code = main(["lift", str(path), "--algorithm", algorithm, "--json", str(rep_path)])
+    assert code == 4
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+    rep = json.loads(rep_path.read_text())
+    assert (rep["ok"], rep["exit_code"], rep["results"]) == (False, 4, None)
+    assert rep["error"] == f"internal error: {message}"

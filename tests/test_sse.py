@@ -10,10 +10,11 @@ from xmodkit.xmod import (
     CrossedModule, conjugation_xmod, xmod_from_normal_subgroup,
 )
 from xmodkit.sse import (
-    FreeSSE, SSEMorphism, brute_force_section, compose_sse,
-    enumerate_sse_morphisms, free_cover, identity_sse, is_projective_rel,
+    FreeSSE, SSEMorphism, enumerate_sse_morphisms, free_cover, is_projective_rel,
     is_regular_epi, lift_along, total_map,
 )
+
+from xmod_helpers import brute_force_section, compose_sse, identity_sse
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)

@@ -30,9 +30,10 @@ from xmodkit.errors import GroupError, InvariantBreach
 from xmodkit.groups import (
     FiniteGroup, GroupHom, MAX_ORDER, _cycle_notation, alternating_group,
     cyclic_group, dihedral_group, direct_product, enumerate_homs,
-    free_module_cover, identity_hom, klein_four_group, normal_subgroups,
-    normality_witness, quaternion_group, quotient, subgroup, symmetric_group,
-    trivial_group, trivial_hom, z4_module, z4_module_classes,
+    first_difference, free_module_cover, gatherer, identity_hom, klein_four_group,
+    normal_closure, normal_subgroups, normality_witness, quaternion_group, quotient,
+    subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
+    z4_module_classes, _grow,
 )
 from xmodkit.xmod import (
     CrossedModule, check_axioms, equivariance_failures, identity_morphism,
@@ -362,20 +363,6 @@ def _hom_law_fixtures():
     return out
 
 
-def test_hom_law_error_text_matches_per_cell_loop():
-    failures = 0
-    for source, target, table in _hom_law_fixtures():
-        expected = _hom_law_reference(source, target, table)
-        if expected is None:
-            GroupHom(source, target, table)
-            continue
-        failures += 1
-        with pytest.raises(GroupError) as exc:
-            GroupHom(source, target, table)
-        assert str(exc.value) == expected
-    assert failures >= 5
-
-
 def _equivariance_reference(action, boundary):
     G, d = action.actor, boundary.table
     return [(g, t) for g in range(G.order) for t in range(action.carrier.order)
@@ -402,39 +389,6 @@ def _morphism_reference(src, tgt, fT, fG):
                     != tgt.action.table[fG.table[g]][fT.table[t]]):
                 return ("equivariance", (g, t))
     return None
-
-
-def test_morphism_witness_matches_per_cell_loop():
-    found = set()
-    morphisms = [mor for mor, _ in projective_section_corpus()]
-    # module crossed modules have trivial boundaries, so killing the actor
-    # keeps the square and breaks equivariance wherever the action moves
-    morphisms += [identity_morphism(xm) for name, xm, _ in axiom_corpus()
-                  if name.startswith("module:")]
-    for mor in morphisms:
-        src, tgt = mor.src, mor.tgt
-        T2, G2 = tgt.domain(), tgt.codomain()
-        variants = [
-            (mor.fT, mor.fG),
-            (trivial_hom(src.domain(), T2), mor.fG),
-            (mor.fT, trivial_hom(src.codomain(), G2)),
-            (GroupHom(src.domain(), T2, mor.fT.table[::-1], check=False), mor.fG),
-        ]
-        for fT, fG in variants:
-            expected = _morphism_reference(src, tgt, fT, fG)
-            assert morphism_witness(src, tgt, fT, fG) == expected
-            found.add(expected and expected[0])
-    assert found == {None, "square", "equivariance"}
-
-
-def test_commutative_matches_per_cell_loop():
-    groups = [symmetric_group(3), dihedral_group(4), quaternion_group(),
-              z4_module(2, 1), cyclic_group(1), semidirect_product(
-                  trivial_action(z4_module(1, 0), z4_module(2, 0))).total]
-    for G in groups:
-        t = G.table
-        expected = all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
-        assert G.commutative == expected
 
 
 def _associativity_reference(t):
@@ -607,14 +561,20 @@ def _relabeled(G, seed):
     return FiniteGroup(table, names, label=G.label, check=False)
 
 
-def test_inverses_match_the_row_scan():
+def _groups_to_order_1024():
+    """The library groups to order 64 and a seeded relabeling of each, every
+    z4_module up to order 1024, Z/1024 and relabeled order-1024 groups."""
     groups = _library_groups_to_order_64()
     groups += [_relabeled(G, seed) for seed, G in enumerate(groups)]
     groups += [z4_module(n4, n2) for n4, n2 in z4_module_classes(MAX_ORDER)]
     Z1024 = cyclic_group(1024)
     groups += [Z1024, _relabeled(Z1024, 1), _relabeled(z4_module(5, 0), 2),
                _relabeled(z4_module(0, 10), 3)]
-    for G in groups:
+    return groups
+
+
+def test_inverses_match_the_row_scan():
+    for G in _groups_to_order_1024():
         assert G._inv == _inverse_reference(G.table), G.label
 
 
@@ -776,6 +736,31 @@ def _quotient_reference(G, elems):
     return table, names, tuple(seen[g] for g in range(G.order))
 
 
+def _quotient_via_subgroup_reference(G, elems):
+    """quotient's table, names, projection and label, or its error text, from
+    the whole subgroup on elems, which validates closedness, and a coset
+    gather per row."""
+    try:
+        S, incl = subgroup(G, elems)
+    except GroupError as exc:
+        return str(exc)
+    w = _normality_reference(G, elems)
+    if w is not None:
+        g, n, c = w
+        return (f"subset is not normal: {G.names[g]} conjugates {G.names[n]} "
+                f"to {G.names[c]} outside it")
+    coset_of, coset, reps = gatherer(incl.table), [None] * G.order, []
+    for g, row in enumerate(G.table):
+        if coset[g] is None:
+            for c in coset_of(row):
+                coset[c] = len(reps)
+            reps.append(g)
+    at_reps = gatherer(reps)
+    table = tuple(gatherer(at_reps(G.table[a]))(coset) for a in reps)
+    names = tuple("[" + G.names[r] + "]" for r in reps)
+    return table, names, tuple(coset), f"{G.label}/{S.order}"
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -795,12 +780,14 @@ def _assert_subgroup_and_quotient_match(G, elems):
         assert S._inv == _inverse_reference(S.table)
     assert normality_witness(G, elems) == _normality_reference(G, elems)
     expected = _quotient_reference(G, elems)
+    via_subgroup = _quotient_via_subgroup_reference(G, elems)
     got = _outcome(quotient, G, elems)
     if isinstance(expected, str):
-        assert got == expected
+        assert got == expected == via_subgroup
         return expected
     Q, proj = got
     assert (Q.table, Q.names, proj.table) == expected
+    assert (Q.table, Q.names, proj.table, Q.label) == via_subgroup
     assert Q.label == f"{G.label}/{len(set(elems))}"
     assert Q._inv == _inverse_reference(Q.table)
     return None
@@ -831,3 +818,258 @@ def test_quotients_of_order_1024_match_per_cell_references():
     for G, elems in ((M, doubles), (Z1024, range(0, 1024, 4)),
                      (_relabeled(Z1024, 4), [0, 1])):
         _assert_subgroup_and_quotient_match(G, elems)
+
+
+# -- laws decided on a generating set against their full loops ----------------
+#
+# The hom law, a morphism's equivariance, normality of a conjugation image,
+# normal closures, commutativity and element orders are decided on
+# generators or short walks; the loops they replaced are kept here, and
+# verdicts, tables and error texts must agree, witness for witness.
+
+
+def _elem_orders_reference(G):
+    """Each element's order from its own walk of powers."""
+    out = []
+    for x in range(G.order):
+        k, y = 1, x
+        while y != G.identity:
+            y = G.table[y][x]
+            k += 1
+        out.append(k)
+    return tuple(out)
+
+
+def test_elem_orders_match_the_per_element_walk():
+    for G in _groups_to_order_1024():
+        assert G.elem_orders == _elem_orders_reference(G), G.label
+
+
+def _central_first_products():
+    """Nonabelian products whose first generator is central, so that only a
+    later pair of generators fails to commute."""
+    return [direct_product(symmetric_group(3), cyclic_group(2))[0],
+            direct_product(quaternion_group(), cyclic_group(4))[0],
+            direct_product(dihedral_group(4), z4_module(2, 0))[0]]
+
+
+def test_commutative_matches_per_cell_loop():
+    """The verdict from generator pairs matches the transpose of the table,
+    and on groups to order 64 the loop over every pair."""
+    groups = _groups_to_order_1024() + _central_first_products()
+    groups.append(semidirect_product(trivial_action(z4_module(1, 0), z4_module(2, 0))).total)
+    verdicts = set()
+    for G in groups:
+        t = G.table
+        expected = tuple(zip(*t)) == t
+        if G.order <= 64:
+            assert expected == all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
+        assert G.commutative == expected, G.label
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def _hom_law_rows_reference(source, target, table):
+    """GroupHom's error text from the hom law on every row, or None."""
+    if table[source.identity] != target.identity:
+        return "map does not preserve the identity"
+    through_f = gatherer(table)
+    for a, row in enumerate(source.table):
+        lhs, rhs = gatherer(row)(table), through_f(target.table[table[a]])
+        if lhs != rhs:
+            b = first_difference(lhs, rhs)
+            return f"not a homomorphism at ({source.names[a]},{source.names[b]})"
+    return None
+
+
+def _farthest(G):
+    """The last element that the Cayley closure over every element reaches."""
+    return _grow(G.table, G.identity, range(G.order))[0][-1]
+
+
+def _bent(table, x, value):
+    """table with the value at x replaced."""
+    return tuple(value if i == x else v for i, v in enumerate(table))
+
+
+def _products_of_non_commuting_maps():
+    """(a, b) -> phi(a) psi(b) and psi(b) phi(a) from Z2 x Z2 to S3, phi and
+    psi onto two transpositions: each map keeps the law on the rows of one
+    factor's generator and breaks it on the other's."""
+    V4, S3 = direct_product(cyclic_group(2), cyclic_group(2))[0], symmetric_group(3)
+    t1, t2 = [x for x in range(6) if S3.elem_orders[x] == 2][:2]
+    pairs = [(t1 if a else S3.identity, t2 if b else S3.identity)
+             for a in range(2) for b in range(2)]  # index a*2 + b
+    return [(V4, S3, tuple(S3.mul(x, y) for x, y in pairs)),
+            (V4, S3, tuple(S3.mul(y, x) for x, y in pairs))]
+
+
+def test_hom_law_error_text_matches_per_cell_loop():
+    """Homs pass; maps bent at the element farthest from the generators, and
+    the fixtures, fail with the first (a, b) of the row loop and of the
+    per-cell loop."""
+    Z2 = cyclic_group(2)
+    cases = _hom_law_fixtures() + _products_of_non_commuting_maps()
+    for G in _groups_to_order_1024():
+        if G.order > 1:
+            z = _farthest(G)
+            cases += [(G, G, identity_hom(G).table),
+                      (G, G, _bent(identity_hom(G).table, z, G.identity)),
+                      (G, Z2, _bent(trivial_hom(G, Z2).table, z, 1))]
+    failures = 0
+    for source, target, table in cases:
+        expected = _hom_law_rows_reference(source, target, table)
+        if source.order <= 64:
+            assert expected == _hom_law_reference(source, target, table)
+        got = _outcome(GroupHom, source, target, table)
+        if expected is None:
+            assert isinstance(got, GroupHom), (source.label, got)
+        else:
+            assert got == expected, source.label
+            failures += 1
+    assert failures > 200, failures
+
+
+def _morphism_rows_reference(src, tgt, fT, fG):
+    """morphism_witness from the square and then every row of the actor."""
+    through_fT = gatherer(fT.table)
+    lhs = through_fT(tgt.boundary.table)
+    rhs = gatherer(src.boundary.table)(fG.table)
+    if lhs != rhs:
+        return ("square", first_difference(lhs, rhs))
+    for g, frow in enumerate(src.action.table):
+        lhs = gatherer(frow)(fT.table)
+        rhs = through_fT(tgt.action.table[fG.table[g]])
+        if lhs != rhs:
+            return ("equivariance", (g, first_difference(lhs, rhs)))
+    return None
+
+
+def _row_swaps(G):
+    """The automorphisms of a small G that swap two elements and fix the rest."""
+    if G.order > 24:
+        return []
+    return [f.table for f in enumerate_homs(G, G) if f.is_injective()
+            and sum(x != y for x, y in enumerate(f.table)) == 2]
+
+
+def _swapped_rows(xm, alpha):
+    """xm with the action rows of the two elements alpha swaps exchanged; as
+    alpha is an automorphism, g -> row alpha(g) is still an action."""
+    act = GroupAction(xm.codomain(), xm.domain(),
+                      [xm.action.table[a] for a in alpha], check=False)
+    return CrossedModule(act, xm.boundary, check=False)
+
+
+def _sign_modules():
+    """V4 acting on z4 modules up to order 1024 by x -> -x when the second
+    digit of the actor is 1, as crossed modules with the trivial boundary."""
+    V4 = z4_module(0, 2)
+    out = []
+    for n4, n2 in ((1, 0), (2, 1), (5, 0), (0, 10), (3, 4)):
+        M = z4_module(n4, n2)
+        rows = [M._inv if V4.names[g][1] == "1" else tuple(range(M.order))
+                for g in range(V4.order)]
+        act = GroupAction(V4, M, rows, check=False)
+        out.append(CrossedModule(act, trivial_hom(M, V4), check=False))
+    return out
+
+
+def test_morphism_witness_matches_per_cell_loop():
+    """Morphisms pass; killed, reversed and row-swapped variants fail at the
+    first witness of the row loop and of the per-cell loop, on the corpus,
+    relabelings and modules up to order 1024.  Module crossed modules have
+    trivial boundaries, so killing the actor keeps the square and breaks
+    equivariance wherever the action moves."""
+    morphisms = [mor for mor, _ in projective_section_corpus()]
+    xmods = [xm for _, xm, _ in axiom_corpus()]
+    xmods += [_seeded_relabel(xm, seed) for seed, xm in enumerate(xmods)]
+    xmods += _sign_modules()
+    morphisms += [identity_morphism(xm) for xm in xmods]
+    cases = []
+    for mor in morphisms:
+        src, tgt, fT, fG = mor.src, mor.tgt, mor.fT, mor.fG
+        cases += [(src, tgt, fT, fG),
+                  (src, tgt, trivial_hom(src.domain(), tgt.domain()), fG),
+                  (src, tgt, fT, trivial_hom(src.codomain(), tgt.codomain())),
+                  (src, tgt, GroupHom(src.domain(), tgt.domain(), fT.table[::-1],
+                                      check=False), fG)]
+        cases += [(_swapped_rows(src, alpha), tgt, fT, fG)
+                  for alpha in _row_swaps(src.codomain())]
+    kinds = set()
+    for src, tgt, fT, fG in cases:
+        expected = _morphism_rows_reference(src, tgt, fT, fG)
+        assert _morphism_reference(src, tgt, fT, fG) == expected
+        assert morphism_witness(src, tgt, fT, fG) == expected
+        kinds.add(expected and expected[0])
+    assert kinds == {None, "square", "equivariance"}
+
+
+def _conjugation_rows_reference(embedding):
+    """conjugation_action_on's table, or its error text, two gathers a row."""
+    H, G = embedding.source, embedding.target
+    if not embedding.is_injective():
+        return "embedding is not injective"
+    preimage = [None] * G.order
+    for h, y in enumerate(embedding.table):
+        preimage[y] = h
+    t = G.table
+    cols = tuple(zip(*gatherer(embedding.table)(t)))
+    table = tuple(gatherer(gatherer(cols[G.inv(g)])(t[g]))(preimage)
+                  for g in range(G.order))
+    if any(None in row for row in table):
+        return "image of the embedding is not a normal subgroup"
+    return table
+
+
+def test_conjugation_rows_match_the_two_gather_reference():
+    """Normal images give the reference's rows; subgroups that are not
+    normal and maps that are not injective give its error text."""
+    embeddings = [ext.k for ext in _extensions()]
+    groups = _library_groups_to_order_64()
+    groups += [_relabeled(G, seed) for seed, G in enumerate(groups)]
+    for G in groups:
+        pairs = itertools.combinations_with_replacement(
+            range(G.order), 2 if G.order <= 24 else 1)
+        embeddings += [subgroup(G, N)[1] for N in {G.closure(p) for p in pairs}]
+        embeddings.append(GroupHom(cyclic_group(2), G, (G.identity,) * 2, check=False))
+    for G in _groups_to_order_1024()[-4:]:
+        embeddings += [identity_hom(G), subgroup(G, G.closure([G.order - 1]))[1]]
+    outcomes = set()
+    for emb in embeddings:
+        expected = _conjugation_rows_reference(emb)
+        got = _outcome(lambda e: conjugation_action_on(e).table, emb)
+        assert got == expected, (emb.target.label, emb.table)
+        outcomes.add(expected if isinstance(expected, str) else "rows")
+    assert outcomes == {"rows", "embedding is not injective",
+                        "image of the embedding is not a normal subgroup"}
+
+
+def _normal_closure_reference(G, elems):
+    """normal_closure by conjugating every element by every g, round by round."""
+    seed = set(elems)
+    seed.update(G.conj(g, n) for g in range(G.order) for n in list(seed))
+    current = G.closure(seed)
+    while True:
+        extra = {G.conj(g, n) for g in range(G.order) for n in current} - current
+        if not extra:
+            return current
+        current = G.closure(current | extra)
+
+
+def test_normal_closure_matches_all_pairs_conjugation():
+    rng = random.Random(17)
+    groups = _library_groups_to_order_64() + _central_first_products()
+    groups += [_relabeled(G, seed) for seed, G in enumerate(groups)]
+    cases = []
+    for G in groups:
+        cases += [(G, [])] + [(G, [rng.randrange(G.order)]) for _ in range(3)]
+        cases += [(G, rng.sample(range(G.order), min(G.order, 3)))]
+    Z1024, M = cyclic_group(1024), z4_module(5, 0)
+    cases += [(Z1024, [0, 4]), (_relabeled(Z1024, 6), [5]), (M, [1, M.order - 1])]
+    grew = 0
+    for G, elems in cases:
+        expected = _normal_closure_reference(G, elems)
+        assert normal_closure(G, elems) == expected, (G.label, elems)
+        grew += expected != G.closure(elems)
+    assert grew >= 10

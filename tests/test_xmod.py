@@ -10,7 +10,7 @@ from xmodkit.actions import (
 )
 from xmodkit.xmod import (
     CrossedModule, XModMorphism, XModSplitSES, check_axioms,
-    check_axioms_wordlevel, check_ternary, compose_morphisms,
+    check_axioms_wordlevel, check_ternary,
     conjugation_xmod, discrete_adjunction_check, discrete_xmod,
     enumerate_xmod_morphisms, identity_morphism, module_xmod,
     morphism_witness, peiffer_witness, pi0, pi0_comparison, pi0_map,
@@ -18,6 +18,8 @@ from xmodkit.xmod import (
     product_split_ses, relabel_xmod, xmod_from_normal_subgroup,
     xmod_kernel, xmod_product,
 )
+
+from xmod_helpers import compose_morphisms
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
