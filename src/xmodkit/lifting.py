@@ -20,6 +20,10 @@ the dense tables a row at a time.  A verification failure after successful
 searches cannot be caused by input that passed the preconditions, so it
 raises InvariantBreach rather than returning a bad certificate.
 
+`find_xmod_lift` is the one crossed-module lift search, with no certificate:
+`find_xmod_section` lifts the identity through it, and `sse` lifts along
+regular epis over a fixed base with it.
+
 The free-object calculus works with words, because free crossed modules on a
 nontrivial group have infinite carriers.  A pair of homs (f: H -> T,
 g: H -> G) extends to an evaluator on two-slot words over (H, H): base
@@ -44,8 +48,8 @@ from .words import (
     in_ternary_cosmash, map_word, single,
 )
 from .xmod import (
-    CrossedModule, XModMorphism, morphism_witness, pi0, pi0_map,
-    precrossed_witness, ternary_routes,
+    CrossedModule, XModMorphism, identity_morphism, morphism_witness, pi0,
+    pi0_map, precrossed_witness, ternary_routes,
 )
 
 
@@ -366,33 +370,43 @@ def pullback_section(mor: XModMorphism, *, budget=None) -> SectionCertificate:
                                       "pullback_order": PB.order})
 
 
-# -- generic brute-force sections ----------------------------------------------
+# -- the crossed-module lift search ---------------------------------------------
+
+
+def find_xmod_lift(epi: XModMorphism, u: XModMorphism, *, budget=None):
+    """The first morphism v with epi . v = u, or None.
+
+    Searches base-level lifts of u.fG along epi.fG, then carrier-level lifts
+    of u.fT constrained to the boundary square d(v_T x) = v_G(d x), and
+    filters by equivariance.  The square only removes candidates, so the
+    lifts come out in `lifts` order.  Completing the search proves
+    nonexistence; running out of budget raises instead.
+    """
+    if u.tgt is not epi.tgt:
+        raise GroupError("the morphism to lift must land in the epi target")
+    src, dom = epi.src, u.src
+    d_src, d_dom = src.boundary.table, dom.boundary.table
+    for vG in lifts(epi.fG, u.fG, budget=budget):
+        vG_hom = GroupHom(dom.codomain(), src.codomain(), vG, check=False)
+
+        def square(x, t):
+            return d_src[t] == vG[d_dom[x]]
+
+        for vT in lifts(epi.fT, u.fT, budget=budget, allow=square):
+            vT_hom = GroupHom(dom.domain(), src.domain(), vT, check=False)
+            if morphism_witness(dom, src, vT_hom, vG_hom) is None:
+                return XModMorphism(dom, src, vT_hom, vG_hom, check=False)
+    return None
 
 
 def find_xmod_section(epi: XModMorphism, *, budget=None):
     """A crossed-module section of a levelwise surjection, or None.
 
-    Searches base-level sections, then carrier-level sections constrained
-    to the boundary square, and filters by equivariance.  Completing the
-    search proves nonexistence; running out of budget raises instead.
+    A section is a lift of the identity of the target along the epi.
     """
     if not (epi.fT.is_surjective() and epi.fG.is_surjective()):
         raise GroupError("sections need both levels surjective")
-    src, tgt = epi.src, epi.tgt
-    T, G = src.domain(), src.codomain()
-    Pc, Q = tgt.domain(), tgt.codomain()
-    d_src, d_tgt = src.boundary.table, tgt.boundary.table
-    for gG in lifts(epi.fG, identity_hom(Q), budget=budget):
-        gG_hom = GroupHom(Q, G, gG, check=False)
-
-        def square(p, t):
-            return d_src[t] == gG[d_tgt[p]]
-
-        for gT in lifts(epi.fT, identity_hom(Pc), budget=budget, allow=square):
-            gT_hom = GroupHom(Pc, T, gT, check=False)
-            if morphism_witness(tgt, src, gT_hom, gG_hom) is None:
-                return XModMorphism(tgt, src, gT_hom, gG_hom, check=False)
-    return None
+    return find_xmod_lift(epi, identity_morphism(epi.tgt), budget=budget)
 
 
 # -- the free-object evaluator ---------------------------------------------------

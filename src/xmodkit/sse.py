@@ -1,11 +1,12 @@
 """Split-extension view of crossed modules over one fixed base.
 
 A crossed module (T -> G) is the same thing as the split extension
-T x| G -> G with its canonical section, and a morphism over the base G is a
-carrier-level hom commuting with boundaries and the action while G stays put.
-This module works in that slice: regular epis, section searches, relative
-projectivity, and free covers, whose carrier map is the free exponent-4 cover
-of `groups.free_module_cover`.
+T x| G -> G with its canonical section.  A morphism over the base G is an
+`XModMorphism` whose base map is the identity of G: a carrier-level hom
+commuting with boundaries and the action while G stays put.  This module
+works in that slice: regular epis, relative projectivity, and free covers,
+whose carrier map is the free exponent-4 cover of `groups.free_module_cover`.
+Lifts along regular epis are searched by `lifting.find_xmod_lift`.
 
 Search semantics: a returned None means the search space was exhausted, so
 nonexistence is proven at the stated budget-free scale.  Running out of budget
@@ -16,49 +17,34 @@ from .errors import GroupError, InvariantBreach
 from .actions import trivial_action
 from .groups import (
     GroupHom, compose, enumerate_homs, free_module_cover, identity_hom,
-    is_z4_module, lifts,
+    is_z4_module,
 )
+from .lifting import find_xmod_lift
 from .xmod import CrossedModule, XModMorphism, morphism_witness
 
 
-class SSEMorphism:
-    """Morphism of crossed modules over a common base: the base map is id."""
-
-    def __init__(self, src: CrossedModule, tgt: CrossedModule, fT: GroupHom, *,
-                 check: bool = True):
-        if src.codomain() is not tgt.codomain():
-            raise GroupError("morphisms over a base need the same base group")
-        self.src = src
-        self.tgt = tgt
-        self.fT = fT
-        self.base = src.codomain()
-        if check:
-            XModMorphism(src, tgt, fT, identity_hom(self.base))
-
-    def __call__(self, t: int) -> int:
-        return self.fT.table[t]
-
-    def __repr__(self):
-        return f"<SSEMorphism {self.src.label} -> {self.tgt.label}>"
-
-
-def total_map(mor: SSEMorphism) -> GroupHom:
-    """The induced hom between the semidirect totals, (t, g) -> (fT t, g)."""
+def total_map(mor: XModMorphism) -> GroupHom:
+    """The induced hom between the semidirect totals, (t, g) -> (fT t, fG g)."""
     e1, e2 = mor.src.extension, mor.tgt.extension
-    m = mor.base.order
+    m1, m2, fG = mor.src.codomain().order, mor.tgt.codomain().order, mor.fG.table
     table = []
     for e in range(e1.total.order):
-        t, g = divmod(e, m)
-        table.append(mor.fT.table[t] * m + g)
+        t, g = divmod(e, m1)
+        table.append(mor.fT.table[t] * m2 + fG[g])
     return GroupHom(e1.total, e2.total, tuple(table))
 
 
-def is_regular_epi(mor: SSEMorphism) -> bool:
+def is_regular_epi(mor: XModMorphism) -> bool:
     """Surjectivity on carriers; cross-checked against the total-level map.
 
-    Over a fixed base the two must agree; a mismatch would mean the package
-    itself is broken, hence InvariantBreach rather than a report entry.
+    Only morphisms over one shared base qualify: the base map must be the
+    identity.  Over a fixed base the two surjectivities must agree; a
+    mismatch would mean the package itself is broken, hence InvariantBreach
+    rather than a report entry.
     """
+    base = mor.src.codomain()
+    if mor.tgt.codomain() is not base or mor.fG != identity_hom(base):
+        raise GroupError("morphisms over a base need the same base group")
     carrier_surj = mor.fT.is_surjective()
     total_surj = total_map(mor).is_surjective()
     if carrier_surj != total_surj:
@@ -76,29 +62,8 @@ def enumerate_sse_morphisms(src: CrossedModule, tgt: CrossedModule,
     out = []
     for fT in enumerate_homs(src.domain(), tgt.domain(), budget=budget):
         if morphism_witness(src, tgt, fT, ident) is None:
-            out.append(SSEMorphism(src, tgt, fT, check=False))
+            out.append(XModMorphism(src, tgt, fT, ident, check=False))
     return out
-
-
-def lift_along(epi: SSEMorphism, u: SSEMorphism, budget=None):
-    """A morphism v with epi . v = u, or None when no lift exists.
-
-    u must land in the target of epi and share its base.  Fiber candidates
-    force the triangle and the boundary square; equivariance is filtered.
-    """
-    if u.tgt is not epi.tgt:
-        raise GroupError("the morphism to lift must land in the epi target")
-    if u.base is not epi.base:
-        raise GroupError("lifting needs a common base")
-    if not epi.fT.is_surjective():
-        raise GroupError("can only lift along a surjection")
-    X, A = u.src.domain(), epi.src.domain()
-    ident = identity_hom(epi.base)
-    for table in lifts(epi.fT, u.fT, budget=budget):
-        v = GroupHom(X, A, table, check=False)
-        if morphism_witness(u.src, epi.src, v, ident) is None:
-            return SSEMorphism(u.src, epi.src, v, check=False)
-    return None
 
 
 def is_projective_rel(xm: CrossedModule, epis, budget=None) -> dict:
@@ -110,13 +75,13 @@ def is_projective_rel(xm: CrossedModule, epis, budget=None) -> dict:
     """
     checked = 0
     for i, epi in enumerate(epis):
-        if epi.base is not xm.codomain():
+        if epi.src.codomain() is not xm.codomain():
             raise GroupError("projectivity is relative to epis over the same base")
         if not is_regular_epi(epi):
             raise GroupError(f"map {i} in the class is not a regular epi")
         for j, u in enumerate(enumerate_sse_morphisms(xm, epi.tgt, budget=budget)):
             checked += 1
-            if lift_along(epi, u, budget=budget) is None:
+            if find_xmod_lift(epi, u, budget=budget) is None:
                 return {
                     "ok": False,
                     "lifting_problems": checked,
@@ -133,21 +98,19 @@ def is_projective_rel(xm: CrossedModule, epis, budget=None) -> dict:
 class FreeSSE:
     """A free cover: free carrier, basis, covering epi, and its certificates."""
 
-    def __init__(self, cover: SSEMorphism, basis_names, generator_images,
+    def __init__(self, cover: XModMorphism, basis_names, generator_images,
                  kernel_witnesses):
         self.cover = cover
-        self.free = cover.src
-        self.target = cover.tgt
         self.basis_names = tuple(basis_names)
         self.generator_images = tuple(generator_images)
         self.kernel_witnesses = tuple(kernel_witnesses)
 
     def certificate(self) -> dict:
-        T = self.target.domain()
+        T = self.cover.tgt.domain()
         gen_ok = len(T.closure(self.generator_images)) == T.order
         ker = self.cover.fT.kernel_elements
         wit_ok = all(w in ker for w in self.kernel_witnesses)
-        span_ok = len(self.free.domain().closure(self.kernel_witnesses)) == len(ker)
+        span_ok = len(self.cover.src.domain().closure(self.kernel_witnesses)) == len(ker)
         return {
             "rank": len(self.basis_names),
             "generators_generate": gen_ok,
@@ -158,7 +121,7 @@ class FreeSSE:
         }
 
     def __repr__(self):
-        return f"<FreeSSE rank {len(self.basis_names)} over {self.target.label}>"
+        return f"<FreeSSE rank {len(self.basis_names)} over {self.cover.tgt.label}>"
 
 
 def free_cover(xm: CrossedModule) -> FreeSSE:
@@ -177,7 +140,7 @@ def free_cover(xm: CrossedModule) -> FreeSSE:
     R, phi = free_module_cover(T)
     F = CrossedModule(trivial_action(G, R), compose(xm.boundary, phi), check=False,
                       label=f"F({xm.label})")
-    mor = SSEMorphism(F, xm, phi, check=False)
+    mor = XModMorphism(F, xm, phi, identity_hom(G), check=False)
     # witnesses: a greedy generating sequence of the kernel
     wits, spanned = [], R.closure([])
     for w in sorted(phi.kernel_elements):

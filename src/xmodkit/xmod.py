@@ -44,7 +44,6 @@ class CrossedModule:
         self.action = action
         self.boundary = boundary
         self.label = label or f"({action.carrier.label}->{action.actor.label})"
-        self._pi0 = None
         if check:
             w = precrossed_witness(action, boundary)
             if w is not None:
@@ -63,6 +62,12 @@ class CrossedModule:
     def extension(self) -> SplitExtension:
         """T x| G with its kernel embedding, retraction and section, built once."""
         return semidirect_product(self.action)
+
+    @cached_property
+    def _pi0(self):
+        """The cokernel of the boundary with its projection, built once."""
+        return quotient(self.codomain(), sorted(self.boundary.image_elements),
+                        label=f"pi0{self.label}")
 
     def domain(self) -> FiniteGroup:
         return self.action.carrier
@@ -389,9 +394,6 @@ def pi0(xm: CrossedModule):
     The image is normal for any crossed module; a non-normal image (possible
     for raw precrossed data) is refused by `quotient` with a witness.
     """
-    if xm._pi0 is None:
-        xm._pi0 = quotient(xm.codomain(), sorted(xm.boundary.image_elements),
-                           label=f"pi0{xm.label}")
     return xm._pi0
 
 

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from xmodkit import groups
+from xmodkit import cli, groups
 from xmodkit.cli import main
+from xmodkit.corpus import axiom_corpus
 from xmodkit.defs import parse_definitions, load_definitions, tokenize_names
 from xmodkit.errors import DefinitionError, InvariantBreach
 from xmodkit.groups import find_isomorphism, symmetric_group
+from xmodkit.lifting import SectionCertificate
 
 SAMPLE = """\
 # Klein four group with a distinguished order-2 subgroup
@@ -389,6 +391,96 @@ def test_audit_quick(tmp_path, capsys):
     assert "projective sections: 24/24" in out
     assert "pullback sections: 12/12" in out
     assert "VERDICT: pass" in out
+
+
+def _bend(monkeypatch, name, change, when=None):
+    """Pass a result of cli.<name> through change: the first call's, or with
+    `when` every call's whose first argument satisfies it."""
+    real = getattr(cli, name)
+    calls = []
+
+    def bent(*args, **kwargs):
+        out = real(*args, **kwargs)
+        hit = when(args[0]) if when else not calls
+        calls.append(name)
+        return change(out) if hit else out
+
+    monkeypatch.setattr(cli, name, bent)
+
+
+def _bend_on_fixture(monkeypatch, fixture, name, change):
+    """Bend cli.<name> only where it is called on the morphism of cli.<fixture>."""
+    made = []
+
+    def record(out):
+        made.append(out[0] if isinstance(out, tuple) else out)
+        return out
+
+    _bend(monkeypatch, fixture, record)
+    _bend(monkeypatch, name, change, when=lambda mor: any(mor is m for m in made))
+
+
+def _not_ok(rep):
+    return {**rep, "ok": False}
+
+
+# one fault per conjunct of audit's ok: (bend, the results field it moves, to)
+AUDIT_FAULTS = {
+    "checkers-agree": (
+        lambda mp: _bend(mp, "check_axioms_wordlevel",
+                         lambda rep: {**rep, "ok": not rep["ok"]}),
+        ("axiom_corpus", "checkers_agree"), False),
+    "ternary-clean": (
+        lambda mp: _bend(mp, "check_ternary", _not_ok),
+        ("ternary", "violations"),
+        [next(name for name, _, valid in axiom_corpus() if valid)]),
+    "split-rows": (
+        lambda mp: _bend(mp, "pi0_preserves_split_ses", _not_ok),
+        ("split_rows", "all_ok"), False),
+    "projective-successes": (
+        lambda mp: _bend(mp, "projective_section",
+                         lambda cert: SectionCertificate("no-lift-of-section", {})),
+        ("projective_sections", "successes"), 23),
+    "projective-fixture-status": (
+        lambda mp: _bend_on_fixture(
+            mp, "no_section_fixture", "projective_section",
+            lambda cert: SectionCertificate("no-lift-of-section", {})),
+        ("projective_sections", "nonexistence_status"), "no-lift-of-section"),
+    "generic-search-agrees": (
+        lambda mp: _bend(mp, "find_xmod_section", lambda sec: "a section"),
+        ("projective_sections", "generic_search_agrees"), False),
+    "pullback-successes": (
+        lambda mp: _bend(mp, "pullback_section",
+                         lambda cert: SectionCertificate("no-cokernel-section", {})),
+        ("pullback_sections", "successes"), 11),
+    "pullback-fixture-status": (
+        lambda mp: _bend_on_fixture(
+            mp, "pullback_no_section_fixture", "pullback_section",
+            lambda cert: SectionCertificate("no-lift-through-comparison", {})),
+        ("pullback_sections", "nonexistence_status"), "no-lift-through-comparison"),
+    "survey-agrees": (
+        lambda mp: _bend(mp, "projectivity_survey",
+                         lambda rows: [_not_ok(rows[0])] + rows[1:]),
+        ("survey", "all_agree"), False),
+}
+
+
+@pytest.mark.parametrize("fault", list(AUDIT_FAULTS))
+def test_each_audit_subcheck_fails_alone(fault, tmp_path, monkeypatch, capsys):
+    """Each conjunct of audit's ok can turn it false on its own: one bent
+    routine moves exactly one results field, and audit exits 1."""
+    rep_path = tmp_path / "audit.json"
+    assert main(["audit", "--json", str(rep_path)]) == 0
+    expected = json.loads(rep_path.read_text())["results"]
+    bend, (section, field), value = AUDIT_FAULTS[fault]
+    assert expected[section][field] != value
+    expected[section][field] = value
+    bend(monkeypatch)
+    assert main(["audit", "--json", str(rep_path)]) == 1
+    rep = json.loads(rep_path.read_text())
+    assert rep["ok"] is False
+    assert rep["results"] == expected
+    assert capsys.readouterr().out.endswith("VERDICT: falsified\n")
 
 
 def test_readme_demo_runs(tmp_path, capsys):

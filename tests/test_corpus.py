@@ -5,12 +5,13 @@ from xmodkit.corpus import (
     pullback_no_section_fixture, pullback_section_corpus, split_ses_corpus,
     sse_morphism_corpus, ternary_fixtures,
 )
+from xmodkit.lifting import find_xmod_section
 from xmodkit.sse import is_regular_epi
 from xmodkit.xmod import (
     check_axioms, check_axioms_wordlevel, check_ternary, pi0_preserves_split_ses,
 )
 
-from xmod_helpers import brute_force_section, compose_sse
+from xmod_helpers import compose_morphisms
 
 
 def test_axiom_corpus_shape():
@@ -86,10 +87,10 @@ def test_sse_corpus_sections_are_retracts():
     for m in sse_morphism_corpus():
         if not is_regular_epi(m):
             continue
-        s = brute_force_section(m)
+        s = find_xmod_section(m)
         if s is None:
             continue
-        rt = compose_sse(m, s)
+        rt = compose_morphisms(m, s)
         n = m.tgt.domain().order
         assert rt.fT.table == tuple(range(n))
 

@@ -2,19 +2,21 @@ import pytest
 
 from xmodkit.errors import BudgetExhausted, GroupError, InvariantBreach
 from xmodkit.groups import (
-    GroupHom, cyclic_group, hom, normal_subgroups, symmetric_group,
-    trivial_group, trivial_hom, z4_module,
+    GroupHom, cyclic_group, hom, identity_hom, normal_subgroups,
+    symmetric_group, trivial_group, trivial_hom, z4_module,
 )
 from xmodkit.actions import trivial_action
+from xmodkit.lifting import find_xmod_lift, find_xmod_section
 from xmodkit.xmod import (
-    CrossedModule, conjugation_xmod, xmod_from_normal_subgroup,
+    CrossedModule, XModMorphism, conjugation_xmod, identity_morphism,
+    xmod_from_normal_subgroup,
 )
 from xmodkit.sse import (
-    FreeSSE, SSEMorphism, enumerate_sse_morphisms, free_cover, is_projective_rel,
-    is_regular_epi, lift_along, total_map,
+    enumerate_sse_morphisms, free_cover, is_projective_rel, is_regular_epi,
+    total_map,
 )
 
-from xmod_helpers import brute_force_section, compose_sse, identity_sse
+from xmod_helpers import compose_morphisms
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -32,30 +34,31 @@ MZ2 = over_point(Z2)
 MK4 = over_point(z4_module(0, 2))
 
 
+def over_base(src, tgt, fT):
+    """The morphism with carrier map fT and the identity of src's base."""
+    return XModMorphism(src, tgt, fT, identity_hom(src.codomain()))
+
+
 def mod2_epi():
-    return SSEMorphism(MZ4, MZ2, GroupHom(Z4, Z2, (0, 1, 0, 1)))
+    return over_base(MZ4, MZ2, GroupHom(Z4, Z2, (0, 1, 0, 1)))
 
 
 def k4_epi():
     K4 = MK4.domain()
-    return SSEMorphism(MK4, MZ2,
-                       GroupHom(K4, Z2, tuple(int(K4.names[x][0])
-                                              for x in range(4))))
+    return over_base(MK4, MZ2,
+                     GroupHom(K4, Z2, tuple(int(K4.names[x][0]) for x in range(4))))
 
 
 def test_sse_morphism_validation():
-    m = mod2_epi()
-    assert m(3) == 1
-    assert m.base is ONE
     # wrong base
     nx = xmod_from_normal_subgroup(
         S3, next(ns for ns in normal_subgroups(S3) if len(ns) == 3))
     with pytest.raises(GroupError):
-        SSEMorphism(nx, MZ2, trivial_hom(nx.domain(), Z2))
+        over_base(nx, MZ2, trivial_hom(nx.domain(), Z2))
     # non-equivariant carrier map over S3: collapse A3 inside the conjugation
     cx = conjugation_xmod(S3)
     with pytest.raises(GroupError):
-        SSEMorphism(cx, cx, trivial_hom(S3, S3))
+        over_base(cx, cx, trivial_hom(S3, S3))
 
 
 def test_enumerate_sse_morphisms():
@@ -71,22 +74,40 @@ def test_enumerate_sse_morphisms():
 
 
 def test_identity_and_composition():
-    i = identity_sse(MZ4)
+    i = identity_morphism(MZ4)
     m = mod2_epi()
-    c = compose_sse(m, i)
+    c = compose_morphisms(m, i)
     assert c.fT.table == m.fT.table
     with pytest.raises(GroupError):
-        compose_sse(m, m)
+        compose_morphisms(m, m)
 
 
 def test_regular_epi_and_total_map():
     assert is_regular_epi(mod2_epi())
     assert is_regular_epi(k4_epi())
-    dbl = SSEMorphism(MZ2, MZ4, hom(Z2, Z4, {1: 2}))
+    dbl = over_base(MZ2, MZ4, hom(Z2, Z4, {1: 2}))
     assert not is_regular_epi(dbl)
     tm = total_map(mod2_epi())
     assert tm.is_surjective()
     assert tm.source.order == 4 and tm.target.order == 2
+
+
+def test_regular_epis_are_over_one_base():
+    """A morphism whose base map is not the identity of one shared base is
+    refused: an inner automorphism of S3 on its conjugation crossed module,
+    and the zero morphism from a point-based module into one over S3."""
+    cx = conjugation_xmod(S3)
+    g = 1
+    inner = GroupHom(S3, S3, tuple(S3.conj(g, x) for x in range(6)))
+    assert inner.table != tuple(range(6))
+    nx = xmod_from_normal_subgroup(
+        S3, next(ns for ns in normal_subgroups(S3) if len(ns) == 3))
+    for mor in (XModMorphism(cx, cx, inner, inner),
+                XModMorphism(MZ2, nx, trivial_hom(Z2, nx.domain()),
+                             trivial_hom(ONE, S3))):
+        with pytest.raises(GroupError) as exc:
+            is_regular_epi(mor)
+        assert str(exc.value) == "morphisms over a base need the same base group"
 
 
 def test_regular_epi_cross_check_fires_on_a_bent_extension(monkeypatch):
@@ -94,7 +115,7 @@ def test_regular_epi_cross_check_fires_on_a_bent_extension(monkeypatch):
     map; a target extension swapped for one the total map cannot cover (the
     Klein four-group over the point) must raise, not report."""
     src, tgt = over_point(Z4), over_point(Z2)
-    mor = SSEMorphism(src, tgt, GroupHom(Z4, Z2, (0, 1, 0, 1)))
+    mor = over_base(src, tgt, GroupHom(Z4, Z2, (0, 1, 0, 1)))
     assert tgt.extension is tgt.extension  # built once per crossed module
     assert is_regular_epi(mor)
     monkeypatch.setitem(tgt.__dict__, "extension", MK4.extension)
@@ -106,39 +127,39 @@ def test_regular_epi_cross_check_fires_on_a_bent_extension(monkeypatch):
 
 def test_section_search_outcomes():
     # Z4 -> Z2 has no multiplicative section at all: proven None
-    assert brute_force_section(mod2_epi()) is None
+    assert find_xmod_section(mod2_epi()) is None
     # K4 -> Z2 splits
-    sec = brute_force_section(k4_epi())
+    sec = find_xmod_section(k4_epi())
     assert sec is not None
     assert all(k4_epi().fT.table[sec.fT.table[t]] == t for t in range(2))
     # budget exhaustion is an error, not a verdict
     with pytest.raises(BudgetExhausted):
-        brute_force_section(mod2_epi(), budget=0)
+        find_xmod_section(mod2_epi(), budget=0)
     with pytest.raises(GroupError):
-        brute_force_section(SSEMorphism(MZ2, MZ4, hom(Z2, Z4, {1: 2})))
+        find_xmod_section(over_base(MZ2, MZ4, hom(Z2, Z4, {1: 2})))
 
 
 def test_section_respects_the_action():
     # over S3: conjugation xmod covered by itself has the identity section
     cx = conjugation_xmod(S3)
-    ident = identity_sse(cx)
+    ident = identity_morphism(cx)
     assert is_regular_epi(ident)
-    sec = brute_force_section(ident)
+    sec = find_xmod_section(ident)
     assert sec is not None and sec.fT.table == tuple(range(6))
 
 
-def test_lift_along():
+def test_find_xmod_lift():
     epi = mod2_epi()
     # lift the identity on Z2: must fail (that would split the epi)
     ms = enumerate_sse_morphisms(MZ2, MZ2)
     ident = next(m for m in ms if m.fT.table == (0, 1))
-    assert lift_along(epi, ident) is None
+    assert find_xmod_lift(epi, ident) is None
     # the trivial morphism always lifts
     triv = next(m for m in ms if m.fT.table == (0, 0))
-    v = lift_along(epi, triv)
+    v = find_xmod_lift(epi, triv)
     assert v is not None and set(v.fT.table) <= {0, 2}
     with pytest.raises(GroupError):
-        lift_along(epi, identity_sse(MZ4))  # lands in the wrong object
+        find_xmod_lift(epi, identity_morphism(MZ4))  # lands in the wrong object
 
 
 def test_projectivity_reports():
@@ -149,7 +170,7 @@ def test_projectivity_reports():
     rep2 = is_projective_rel(MK4, [k4_epi()])
     assert rep2["ok"]
     with pytest.raises(GroupError):
-        is_projective_rel(MZ2, [SSEMorphism(MZ2, MZ4, hom(Z2, Z4, {1: 2}))])
+        is_projective_rel(MZ2, [over_base(MZ2, MZ4, hom(Z2, Z4, {1: 2}))])
 
 
 def test_free_cover_certificates():
@@ -161,7 +182,7 @@ def test_free_cover_certificates():
         assert cert["kernel_witnesses"] == nker
         assert is_regular_epi(fc.cover)
         # the boundary of the free object is the composite through the cover
-        F = fc.free
+        F = fc.cover.src
         assert all(F.boundary.table[r] ==
                    xm.boundary.table[fc.cover.fT.table[r]]
                    for r in range(F.domain().order))
@@ -170,7 +191,7 @@ def test_free_cover_certificates():
 
 def test_free_cover_is_projective():
     fc = free_cover(MZ2)
-    rep = is_projective_rel(fc.free, [mod2_epi(), k4_epi()])
+    rep = is_projective_rel(fc.cover.src, [mod2_epi(), k4_epi()])
     assert rep["ok"]
 
 

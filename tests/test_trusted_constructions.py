@@ -24,17 +24,18 @@ from xmodkit.actions import (
 )
 from xmodkit.corpus import (
     axiom_corpus, collapse_epi, projective_section_corpus, split_ses_corpus,
-    ternary_fixtures,
+    sse_morphism_corpus, ternary_fixtures,
 )
 from xmodkit.errors import GroupError, InvariantBreach
 from xmodkit.groups import (
     FiniteGroup, GroupHom, MAX_ORDER, _cycle_notation, alternating_group,
     cyclic_group, dihedral_group, direct_product, enumerate_homs,
     first_difference, free_module_cover, gatherer, identity_hom, klein_four_group,
-    normal_closure, normal_subgroups, normality_witness, quaternion_group, quotient,
-    subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
+    lifts, normal_closure, normal_subgroups, normality_witness, quaternion_group,
+    quotient, subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
     z4_module_classes, _grow,
 )
+from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi
 from xmodkit.xmod import (
     CrossedModule, check_axioms, equivariance_failures, identity_morphism,
     morphism_witness, pi0, relabel_xmod,
@@ -1073,3 +1074,40 @@ def test_normal_closure_matches_all_pairs_conjugation():
         assert normal_closure(G, elems) == expected, (G.label, elems)
         grew += expected != G.closure(elems)
     assert grew >= 10
+
+
+def _lift_along_reference(epi, u):
+    """A lift along an epi over a fixed base, without the boundary-square
+    pruning: every fibre lift of u's carrier map with the base kept fixed,
+    filtered by the morphism check."""
+    ident = identity_hom(epi.src.codomain())
+    for table in lifts(epi.fT, u.fT):
+        v = GroupHom(u.src.domain(), epi.src.domain(), table, check=False)
+        if morphism_witness(u.src, epi.src, v, ident) is None:
+            return table
+    return None
+
+
+def test_find_xmod_lift_matches_the_unpruned_fibre_search():
+    """Along every regular epi of the same-base corpus, every morphism into
+    its target from a corpus object over the same base lifts to the same
+    carrier table as the unpruned search, with the base fixed, or to None on
+    both sides."""
+    mors = sse_morphism_corpus()
+    objects = list({id(xm): xm for m in mors for xm in (m.src, m.tgt)}.values())
+    epis = [m for m in mors if is_regular_epi(m)]
+    assert len(objects) == 11 and len(epis) == 44
+    outcomes = [0, 0]
+    for epi in epis:
+        base = epi.tgt.codomain()
+        for xm in objects:
+            if xm.codomain() is not base:
+                continue
+            for u in enumerate_sse_morphisms(xm, epi.tgt):
+                expected = _lift_along_reference(epi, u)
+                v = lifting.find_xmod_lift(epi, u)
+                assert (None if v is None else v.fT.table) == expected
+                if v is not None:
+                    assert v.fG == identity_hom(base)
+                outcomes[v is None] += 1
+    assert outcomes == [987, 158]  # lifts found, lifts proven absent
