@@ -203,6 +203,10 @@ def test_pipeline_reports_pinned():
         "19ef5cf96ee28ebfe21c11a309a13f4e800dfed4bf4d69de47ccd792e08a0ef0")
     assert _digest(pipeline_diagram_P([0, 0, 1, 1], [0, 2])) == (
         "f6b4e76541a8084e777bf9fee81420ade6299b67aa08b3efacdfc7ccd95db63e")
+    # kernel rank 3, the only shapes whose total kernel reaches rank 6
+    for s in range(4):
+        assert _digest(pipeline_diagram_P((0, 0, 0, 0), (s,))) == (
+            "501f63eec7a3b3c1ceb49f89b350381aef7299ed719ccdf9e5c01e53d546b910")
 
 
 @pytest.mark.parametrize("seed, digest", [
