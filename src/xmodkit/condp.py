@@ -9,11 +9,11 @@ criterion wherever the cover (`groups.free_module_cover`) fits under the
 dense-table order cap.
 
 Dense multiplication tables stop at order 1024, but the nine-object pipeline
-diagram needs modules of order up to 4^8.  `ModuleZ4` carries those as digit
-tuples with `LinearMapZ4` homs given on the basis; every row is the split
-doubled row of one module and every vertical map of the totals a doubled
-map.  Only the small kernel row is ever materialized back into dense tables
-for the section constructions.
+diagram needs free modules of order up to 4^8.  It works on their ranks,
+with maps given as `MatrixZ4` basis images mod 4; every row is the split
+doubled row of one free module and every vertical map of the totals a
+doubled map.  Only the small kernel row is ever materialized back into dense
+tables for the section constructions.
 """
 
 import itertools
@@ -37,110 +37,37 @@ from .lifting import (
 from .corpus import collapse_epi, split_ses_corpus
 
 
-# -- digit-tuple modules -------------------------------------------------------
+# -- matrices over Z/4 ------------------------------------------------------------
 
 
-class ModuleZ4:
-    """Direct sum of Z/4 and Z/2 factors; elements are digit tuples.
+class MatrixZ4:
+    """Z/4-linear map (Z/4)^m -> (Z/4)^n, given by its m basis images.
 
     Used where dense tables would blow past the order cap: rank eight means
-    65536 elements, which tuples and spans handle fine.  Equality is
-    structural (same factor orders), unlike dense groups.
+    65536 elements, which digit tuples and spans handle fine.  Every basis
+    vector of a free module has order four, and so does every digit tuple,
+    so any m tuples of n digits mod 4 define a hom: nothing needs checking.
     """
 
-    def __init__(self, factor_orders, label=None):
-        orders = tuple(int(o) for o in factor_orders)
-        if any(o not in (2, 4) for o in orders):
-            raise GroupError("factors must be Z/4 or Z/2")
-        self.factor_orders = orders
-        self.rank = len(orders)
-        order = 1
-        for o in orders:
-            order *= o
-        self.order = order
-        self.label = label or ("+".join(f"Z{o}" for o in orders) or "0")
-
-    def zero(self):
-        return (0,) * self.rank
-
-    def add(self, x, y):
-        return tuple((a + b) % o
-                     for a, b, o in zip(x, y, self.factor_orders))
-
-    def scale(self, n, x):
-        return tuple((n * a) % o for a, o in zip(x, self.factor_orders))
-
-    def elements(self):
-        return itertools.product(*(range(o) for o in self.factor_orders))
-
-    def basis(self):
-        out = []
-        for i in range(self.rank):
-            v = [0] * self.rank
-            v[i] = 1
-            out.append(tuple(v))
-        return tuple(out)
-
-    def two_torsion_count(self):
-        n = 1
-        for o in self.factor_orders:
-            n *= sum(1 for d in range(o) if (2 * d) % o == 0)
-        return n
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleZ4)
-                and self.factor_orders == other.factor_orders)
-
-    def __hash__(self):
-        return hash(self.factor_orders)
-
-    def __repr__(self):
-        return f"ModuleZ4({self.factor_orders})"
-
-
-class LinearMapZ4:
-    """Homomorphism between digit-tuple modules, given on the basis.
-
-    Basis vector i has the order of factor i, so its image must be killed by
-    that order; that is exactly well-definedness and is checked on build.
-    """
-
-    def __init__(self, src: ModuleZ4, tgt: ModuleZ4, basis_images, *,
-                 check: bool = True):
-        imgs = tuple(tuple(v) for v in basis_images)
-        if len(imgs) != src.rank:
-            raise GroupError("need one image per basis vector")
-        for v in imgs:
-            if len(v) != tgt.rank or any(
-                    not 0 <= d < o for d, o in zip(v, tgt.factor_orders)):
-                raise GroupError("image is not an element of the target")
-        if check:
-            for o, v in zip(src.factor_orders, imgs):
-                if tgt.scale(o, v) != tgt.zero():
-                    raise GroupError(
-                        f"an order-{o} basis vector must land in order-{o} torsion")
-        self.src = src
-        self.tgt = tgt
-        self.basis_images = imgs
-        self._mult = tuple(tuple(tgt.scale(c, v) for c in range(o))
-                           for o, v in zip(src.factor_orders, imgs))
+    def __init__(self, src_rank: int, tgt_rank: int, basis_images):
+        self.src_rank = src_rank
+        self.tgt_rank = tgt_rank
+        self.basis_images = tuple(basis_images)
 
     def apply(self, x):
-        acc = self.tgt.zero()
-        for c, row in zip(x, self._mult):
-            if c:
-                acc = self.tgt.add(acc, row[c])
-        return acc
+        return tuple(sum(c * v[j] for c, v in zip(x, self.basis_images)) % 4
+                     for j in range(self.tgt_rank))
 
     def image_span(self):
         """All sums of basis images, breadth first; the image as a set."""
-        seen = {self.tgt.zero()}
-        frontier = [self.tgt.zero()]
+        zero = (0,) * self.tgt_rank
+        seen = {zero}
+        frontier = [zero]
         while frontier:
             nxt = []
             for x in frontier:
                 for v in self.basis_images:
-                    y = self.tgt.add(x, v)
+                    y = tuple((a + b) % 4 for a, b in zip(x, v))
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -148,41 +75,40 @@ class LinearMapZ4:
         return seen
 
     def is_zero(self):
-        zero = self.tgt.zero()
-        return all(v == zero for v in self.basis_images)
+        return not any(map(any, self.basis_images))
 
     def __eq__(self, other):
-        return (isinstance(other, LinearMapZ4) and self.src == other.src
-                and self.tgt == other.tgt
-                and self.basis_images == other.basis_images)
-
-    def __repr__(self):
-        return f"LinearMapZ4({self.src.label} -> {self.tgt.label})"
+        return (self.src_rank, self.tgt_rank, self.basis_images) == (
+            other.src_rank, other.tgt_rank, other.basis_images)
 
 
-def compose_linear(f: LinearMapZ4, g: LinearMapZ4) -> LinearMapZ4:
-    """f after g."""
-    if g.tgt != f.src:
+def _basis(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def compose_linear(f: MatrixZ4, g: MatrixZ4) -> MatrixZ4:
+    """f after g: the matrix product mod 4."""
+    if g.tgt_rank != f.src_rank:
         raise GroupError("composition mismatch")
-    return LinearMapZ4(g.src, f.tgt,
-                       tuple(f.apply(v) for v in g.basis_images), check=False)
+    return MatrixZ4(g.src_rank, f.tgt_rank, map(f.apply, g.basis_images))
 
 
-def split_exact_z4(k: LinearMapZ4, p: LinearMapZ4, s: LinearMapZ4) -> dict:
+def split_exact_z4(k: MatrixZ4, p: MatrixZ4, s: MatrixZ4) -> dict:
     """Split exactness of a row kernel -k-> total -p-> base with section s.
 
     On bases: p s = id and p k = 0.  Then p is surjective, so the kernel of p
     has total/base many elements; k injective with matching image size pins
-    image(k) = kernel(p) without enumerating the total module.
+    image(k) = kernel(p) without enumerating the total module.  A free module
+    of rank n has 4^n elements.
     """
-    total, base = k.tgt, p.tgt
-    if p.src != total or s.src != base or s.tgt != total:
+    total, base = k.tgt_rank, p.tgt_rank
+    if p.src_rank != total or s.src_rank != base or s.tgt_rank != total:
         raise GroupError("maps do not form a row")
-    section_ok = compose_linear(p, s).basis_images == base.basis()
+    section_ok = compose_linear(p, s).basis_images == _basis(base)
     complex_ok = compose_linear(p, k).is_zero()
     im_k = len(k.image_span())
-    inj_ok = im_k == k.src.order
-    exact_ok = complex_ok and im_k * base.order == total.order
+    inj_ok = im_k == 4 ** k.src_rank
+    exact_ok = complex_ok and im_k * 4 ** base == 4 ** total
     return {
         "section": section_ok,
         "complex": complex_ok,
@@ -201,10 +127,8 @@ def projective_z4(M) -> bool:
     Each Z/4 summand contributes two square roots of zero and four elements,
     each Z/2 summand two and two; equality of count squared with the order
     holds exactly when every summand is Z/4, which is freeness and hence
-    projectivity at exponent four.  Accepts digit-tuple and dense modules.
+    projectivity at exponent four.
     """
-    if isinstance(M, ModuleZ4):
-        return M.two_torsion_count() ** 2 == M.order
     if not is_z4_module(M):
         raise GroupError("projectivity criterion needs exponent dividing four")
     tor = sum(1 for x in range(M.order) if M.table[x][x] == M.identity)
@@ -279,26 +203,25 @@ def check_P_instance(ext: SplitExtension) -> dict:
 # -- the nine-object pipeline ----------------------------------------------------
 
 
-def _doubled_row(M: ModuleZ4):
-    """M + M with its split row M -k-> M + M -p-> M, section s.
+def _doubled_row(n: int):
+    """The split row F -k-> F + F -p-> F of a free module F of rank n.
 
     The base block comes first and the flat block second: p projects onto
     the base block, s embeds into it and k embeds into the flat block.
+    Returns k, p and s.
     """
-    T = ModuleZ4(M.factor_orders * 2, label=f"{M.label}+{M.label}")
-    b, z = M.basis(), M.zero()
-    k = LinearMapZ4(M, T, tuple(z + v for v in b), check=False)
-    p = LinearMapZ4(T, M, b + tuple(z for _ in b), check=False)
-    s = LinearMapZ4(M, T, tuple(v + z for v in b), check=False)
-    return T, k, p, s
+    b, z = _basis(n), (0,) * n
+    k = MatrixZ4(n, 2 * n, (z + v for v in b))
+    p = MatrixZ4(2 * n, n, b + (z,) * n)
+    s = MatrixZ4(n, 2 * n, (v + z for v in b))
+    return k, p, s
 
 
-def _doubled_map(f: LinearMapZ4) -> LinearMapZ4:
+def _doubled_map(f: MatrixZ4) -> MatrixZ4:
     """f + f between the doubled source and target, block by block."""
-    z, imgs = f.tgt.zero(), f.basis_images
-    return LinearMapZ4(
-        ModuleZ4(f.src.factor_orders * 2), ModuleZ4(f.tgt.factor_orders * 2),
-        tuple(v + z for v in imgs) + tuple(z + v for v in imgs), check=False)
+    z, imgs = (0,) * f.tgt_rank, f.basis_images
+    return MatrixZ4(2 * f.src_rank, 2 * f.tgt_rank,
+                    tuple(v + z for v in imgs) + tuple(z + v for v in imgs))
 
 
 def pipeline_diagram_P(f, s) -> dict:
@@ -309,10 +232,11 @@ def pipeline_diagram_P(f, s) -> dict:
     with itself gives three split rows (over X, over Y, and between them the
     kernel row of the induced vertical maps).  The kernel of F(f) is free on
     the differences e_x - e_{s(f(x))} over x outside the image of s; the
-    report certifies all six split-exact rows and columns, the commuting
-    squares, projectivity of the whole kernel row, and, when the kernel is
-    small enough to materialize as dense tables, the four-step section
-    construction on it.
+    report certifies all six split-exact rows and columns and the commuting
+    squares, and, when the kernel is small enough to materialize as dense
+    tables, the four-step section construction on it.  The kernel row is
+    built free, so its projectivity holds by construction; the exact columns
+    are what certify that it is the kernel.
     """
     f = tuple(int(v) for v in f)
     s = tuple(int(v) for v in s)
@@ -327,13 +251,11 @@ def pipeline_diagram_P(f, s) -> dict:
         if f[s[y]] != y:
             raise GroupError("s must be a section of f")
 
-    FX = ModuleZ4((4,) * nX, label="F(X)")
-    FY = ModuleZ4((4,) * nY, label="F(Y)")
-    bX, bY = FX.basis(), FY.basis()
-    TX, kX, pX, sX = _doubled_row(FX)
-    TY, kY, pY, sY = _doubled_row(FY)
-    vf = LinearMapZ4(FX, FY, tuple(bY[f[x]] for x in range(nX)), check=False)
-    vs = LinearMapZ4(FY, FX, tuple(bX[s[y]] for y in range(nY)), check=False)
+    bX, bY = _basis(nX), _basis(nY)
+    kX, pX, sX = _doubled_row(nX)
+    kY, pY, sY = _doubled_row(nY)
+    vf = MatrixZ4(nX, nY, (bY[y] for y in f))
+    vs = MatrixZ4(nY, nX, (bX[x] for x in s))
     vf_tot, vs_tot = _doubled_map(vf), _doubled_map(vs)
 
     in_s = set(s)
@@ -346,9 +268,8 @@ def pipeline_diagram_P(f, s) -> dict:
         v[s[f[x]]] = 3
         return tuple(v)
 
-    Zr = ModuleZ4((4,) * r, label="Z")
-    ZT, kZ, pZ, sZ = _doubled_row(Zr)
-    incl = LinearMapZ4(Zr, FX, tuple(diff(x) for x in free_pos), check=False)
+    kZ, pZ, sZ = _doubled_row(r)
+    incl = MatrixZ4(r, nX, map(diff, free_pos))
     incl_tot = _doubled_map(incl)
 
     rows = {
@@ -375,9 +296,6 @@ def pipeline_diagram_P(f, s) -> dict:
         "kernel-killed": compose_linear(vf, incl).is_zero(),
         "kernel-total-killed": compose_linear(vf_tot, incl_tot).is_zero(),
     }
-    zr_projective = projective_z4(Zr)
-    kernel_projective = {"flat": zr_projective, "total": projective_z4(ZT),
-                         "base": zr_projective}
 
     materialized = None
     if 1 <= r <= 2:
@@ -394,24 +312,20 @@ def pipeline_diagram_P(f, s) -> dict:
     ok = (all(rep["ok"] for rep in rows.values())
           and all(rep["ok"] for rep in columns.values())
           and all(squares.values())
-          and all(kernel_projective.values())
           and (materialized is None
                or all(st == "success" for st in materialized.values())))
     return {
         "sizes": {"X": nX, "Y": nY, "kernel_rank": r},
         "objects": {
-            "flat_X": list(FX.factor_orders), "total_X": list(TX.factor_orders),
-            "base_X": list(FX.factor_orders),
-            "flat_Y": list(FY.factor_orders), "total_Y": list(TY.factor_orders),
-            "base_Y": list(FY.factor_orders),
-            "kernel_flat": list(Zr.factor_orders),
-            "kernel_total": list(ZT.factor_orders),
-            "kernel_base": list(Zr.factor_orders),
+            "flat_X": [4] * nX, "total_X": [4] * (2 * nX), "base_X": [4] * nX,
+            "flat_Y": [4] * nY, "total_Y": [4] * (2 * nY), "base_Y": [4] * nY,
+            "kernel_flat": [4] * r, "kernel_total": [4] * (2 * r),
+            "kernel_base": [4] * r,
         },
         "rows": rows,
         "columns": columns,
         "squares": squares,
-        "kernel_projective": kernel_projective,
+        "kernel_projective": {"flat": True, "total": True, "base": True},
         "materialized": materialized,
         "ok": ok,
     }

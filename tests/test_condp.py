@@ -1,68 +1,73 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
 from xmodkit import condp, lifting
 from xmodkit.errors import GroupError
-from xmodkit.groups import cyclic_group, free_module_cover, z4_module
+from xmodkit.groups import compose, cyclic_group, free_module_cover, z4_module
 from xmodkit.actions import semidirect_product, trivial_action
 from xmodkit.condp import (
-    LinearMapZ4, ModuleZ4, check_P_instance, compose_linear, lifting_oracle_z4,
+    MatrixZ4, check_P_instance, compose_linear, lifting_oracle_z4,
     non_schreier_demo, pi0_preservation_suite, pipeline_diagram_P,
     pipeline_pairs, projective_z4, projectivity_survey, split_exact_z4,
     theorem_P_transfer_check,
 )
 
 
-def test_module_z4_basics():
-    M = ModuleZ4((4, 4, 2), "M")
-    assert M.order == 32 and M.rank == 3
-    assert M.two_torsion_count() == 8
-    assert M.add((3, 2, 1), (2, 3, 1)) == (1, 1, 0)
-    assert M.scale(-1, (1, 0, 1)) == (3, 0, 1)
-    assert M.scale(3, (1, 2, 1)) == (3, 2, 1)
-    assert M.basis() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert sum(1 for _ in M.elements()) == 32
-    assert M == ModuleZ4((4, 4, 2)) and M != ModuleZ4((4, 4))
-    with pytest.raises(GroupError):
-        ModuleZ4((3,))
-
-
-def test_linear_map_validation_and_spans():
-    M = ModuleZ4((4, 4, 2), "M")
-    K = ModuleZ4((2,), "K")
-    k = LinearMapZ4(K, M, ((0, 0, 1),))
-    assert len(k.image_span()) == K.order  # injective
-    assert len([x for x in K.elements() if k.apply(x) == M.zero()]) == 1
-    assert len(k.image_span()) == 2
-    # an order-2 basis vector cannot go to 4-torsion
-    with pytest.raises(GroupError, match="order-2"):
-        LinearMapZ4(K, ModuleZ4((4,)), ((1,),))
-    # reduction 4 -> 2 is fine
-    LinearMapZ4(ModuleZ4((4,)), ModuleZ4((2,)), ((1,),))
-    ident = LinearMapZ4(M, M, M.basis(), check=False)
-    z = LinearMapZ4(K, M, (M.zero(),) * K.rank, check=False)
-    assert compose_linear(ident, k).basis_images == k.basis_images
-    assert z.is_zero()
+def test_matrices_are_the_dense_homs():
+    """Every matrix between ranks up to two is a hom of the dense modules, with
+    the dense image order, and composes as the dense homs do."""
+    modules = [z4_module(n, 0) for n in range(3)]
+    homs = {}
+    for m, n in itertools.product(range(3), repeat=2):
+        for digits in itertools.product(range(4), repeat=m * n):
+            f = MatrixZ4(m, n, (digits[i * n:(i + 1) * n] for i in range(m)))
+            # a checked GroupHom: raises unless the matrix is a hom
+            h = condp._digit_hom(modules[m], modules[n], f.apply)
+            assert len(f.image_span()) == len(h.image_elements)
+            homs.setdefault((m, n), []).append((f, h))
+    rng = random.Random(0)
+    for m, n, k in itertools.product(range(3), repeat=3):
+        for _ in range(8):
+            g, hg = rng.choice(homs[m, n])
+            f, hf = rng.choice(homs[n, k])
+            fg = condp._digit_hom(modules[m], modules[k], compose_linear(f, g).apply)
+            assert fg.table == compose(hf, hg).table
+    with pytest.raises(GroupError, match="composition mismatch"):
+        compose_linear(MatrixZ4(1, 1, ((1,),)), MatrixZ4(1, 2, ((1, 0),)))
 
 
 def test_split_exact_detects_failure():
-    A, B, C = ModuleZ4((4,)), ModuleZ4((4, 2)), ModuleZ4((2,))
-    k = LinearMapZ4(A, B, ((1, 0),))
-    p_bad = LinearMapZ4(B, C, ((1,), (1,)))
-    s = LinearMapZ4(C, B, ((0, 1),))
-    rep = split_exact_z4(k, p_bad, s)
-    assert rep == {"section": True, "complex": False, "kernel_injective": True,
-                   "image_equals_kernel": False, "ok": False}
-    p_good = LinearMapZ4(B, C, ((0,), (1,)))
-    assert split_exact_z4(k, p_good, s)["ok"]
+    """Each conjunct fires on free modules; a broken complex also breaks exactness."""
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    k2, p2 = MatrixZ4(1, 2, ((0, 1),)), MatrixZ4(2, 1, ((1,), (0,)))
+    s2 = MatrixZ4(1, 2, ((1, 0),))
+    p3, s3 = MatrixZ4(3, 1, ((1,), (0,), (0,))), MatrixZ4(1, 3, (e1,))
+    cases = {  # name: (k, p, s), the report keys that must read False
+        "none": ((k2, p2, s2), set()),
+        "section": ((k2, p2, MatrixZ4(1, 2, ((2, 0),))), {"section", "ok"}),
+        "kernel_injective": ((MatrixZ4(3, 3, (e2, e3, e2)), p3, s3),
+                             {"kernel_injective", "ok"}),
+        "image_equals_kernel": ((MatrixZ4(1, 3, (e2,)), p3, s3),
+                                {"image_equals_kernel", "ok"}),
+        "complex": ((s2, p2, s2), {"complex", "image_equals_kernel", "ok"}),
+    }
+    for name, (row, failing) in cases.items():
+        rep = split_exact_z4(*row)
+        assert {key for key, ok in rep.items() if not ok} == failing, name
+    assert split_exact_z4(s2, p2, s2) == {
+        "section": True, "complex": False, "kernel_injective": True,
+        "image_equals_kernel": False, "ok": False}
+    with pytest.raises(GroupError, match="maps do not form a row"):
+        split_exact_z4(k2, p3, s2)
 
 
 def test_projectivity_criterion_and_oracle():
-    assert projective_z4(ModuleZ4((4, 4)))
-    assert not projective_z4(ModuleZ4((4, 2)))
     assert projective_z4(z4_module(2, 0))
+    assert not projective_z4(z4_module(1, 1))
     assert not projective_z4(cyclic_group(2))
     with pytest.raises(GroupError):
         projective_z4(cyclic_group(3))
