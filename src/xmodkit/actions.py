@@ -38,36 +38,25 @@ class GroupAction:
             self._validate()
 
     def _validate(self):
-        G, X = self.actor, self.carrier
+        """Each row is a bijection and, through `GroupHom`'s row check, a hom;
+        compatibility g.(h.x) = (gh).x is checked on the actor's `_gens`: once
+        the identity row is the identity, the g that pass form a subgroup."""
+        G, X, t = self.actor, self.carrier, self.table
         ident_row = tuple(range(X.order))
-        if self.table[G.identity] != ident_row:
+        if t[G.identity] != ident_row:
             raise GroupError("identity must act as the identity automorphism")
-        mulX = X.table
-        for g in range(G.order):
-            row = self.table[g]
+        for g, row in enumerate(t):
             if sorted(row) != list(ident_row):
                 raise GroupError(f"actor element {G.names[g]} does not act bijectively")
-            for x in range(X.order):
-                rx = row[x]
-                mrow = mulX[x]
-                for y in range(X.order):
-                    if row[mrow[y]] != mulX[rx][row[y]]:
-                        raise GroupError(
-                            f"actor element {G.names[g]} does not act by an automorphism")
-        for g in range(G.order):
-            rg = self.table[g]
-            for h in range(G.order):
-                rh = self.table[h]
-                rgh = self.table[G.mul(g, h)]
-                for x in range(X.order):
-                    if rgh[x] != rg[rh[x]]:
-                        raise GroupError("action is not compatible with actor multiplication")
-
-    def apply(self, g: int, x: int) -> int:
-        return self.table[g][x]
-
-    def automorphism(self, g: int) -> GroupHom:
-        return GroupHom(self.carrier, self.carrier, self.table[g], check=False)
+            try:
+                GroupHom(X, X, row)
+            except GroupError:
+                raise GroupError(
+                    f"actor element {G.names[g]} does not act by an automorphism") from None
+        for g in G._gens:
+            # row g*h is row h read through row g, for every h
+            if [t[gh] for gh in G.table[g]] != [tuple(map(t[g].__getitem__, rh)) for rh in t]:
+                raise GroupError("action is not compatible with actor multiplication")
 
     def is_trivial(self) -> bool:
         ident_row = tuple(range(self.carrier.order))

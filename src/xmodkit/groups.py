@@ -14,9 +14,10 @@ Tables are validated further where they enter: ``FiniteGroup`` checks
 associativity and ``GroupHom`` the hom law, by default.  The constructions
 here are correct by theorem and pass ``check=False``.  Laws that hold on a
 subgroup are decided on one generating set per group, ``FiniteGroup._gens``:
-associativity (Light's test), the hom law, commutativity, normality (of
-subgroups, of the image in ``actions.conjugation_action_on`` and as
-``normal_closure`` grows) and ``xmod.morphism_witness``'s equivariance;
+associativity (Light's test), the hom law, the action laws of
+``actions.GroupAction``, commutativity, normality (of subgroups, of the image
+in ``actions.conjugation_action_on`` and as ``normal_closure`` grows) and
+``xmod.morphism_witness``'s equivariance;
 only normality runs a full loop, after a failure, for its witness.
 
 Dense tables are built and checked a row at a time, never a cell at a time.
@@ -270,22 +271,14 @@ def first_difference(xs, ys):
 def generating_sequence(G, covered):
     """Extend the subgroup generated by `covered` to all of G, greedily.
 
-    Each pick is the element of largest order, then least index, outside the
-    subgroup so far, which grows along Cayley edges (_cayley_level).
+    `_grow` takes the elements of `covered`, then every element ranked by
+    largest order, then least index: the first ranked element not yet reached
+    is the largest outside the subgroup so far, and never a covered one.
     """
-    orders = G.elem_orders
-    elems, gens, seq, known = [G.identity], [], [], {G.identity}
-    pending = iter(covered)
-    while len(elems) < G.order:
-        g = next((x for x in pending if x not in known), None)
-        if g is None:
-            g = max((x for x in range(G.order) if x not in known),
-                    key=lambda x: (orders[x], -x))
-            seq.append(g)
-        gens.append(g)
-        _cayley_level(G.table, elems, gens)
-        known.update(elems)
-    return tuple(seq)
+    ranked = sorted(range(G.order), key=G.elem_orders.__getitem__, reverse=True)
+    gens = _grow(G.table, G.identity, itertools.chain(covered, ranked))[1]
+    taken = set(covered)
+    return tuple(g for g in gens if g not in taken)
 
 
 class GroupHom:
@@ -404,11 +397,6 @@ def subgroup(G, elems, label=None):
 def kernel(f):
     return subgroup(f.source, f.kernel_elements,
                     label=f"ker({f.source.label}->{f.target.label})")
-
-
-def image(f):
-    return subgroup(f.target, f.image_elements,
-                    label=f"im({f.source.label}->{f.target.label})")
 
 
 def normality_witness(G, elems):

@@ -4,11 +4,8 @@ Free products, cosmash products and flat objects are infinite, so they are
 never materialized: everything is an evaluator over reduced words.  A word is
 a sequence of letters (slot, value) with no identity letters and no two
 adjacent letters in the same slot.  Slots are positions in a signature; the
-same group may occupy several slots and the slots stay distinct.
-
-A slot may also carry a whole signature (a free product used as a single
-factor); its letter values are then themselves words, and the reduction rules
-are uniform.
+same group may occupy several slots and the slots stay distinct.  Every slot
+carries a plain group, which is checked once, where a signature is built.
 """
 from __future__ import annotations
 
@@ -22,51 +19,28 @@ MAX_ENUM_LEN = 12
 
 
 class FactorSignature:
-    """An ordered list of factors, each a FiniteGroup or a nested signature."""
+    """An ordered list of factors, each a FiniteGroup."""
 
     def __init__(self, factors):
         factors = tuple(factors)
         if not factors:
             raise GroupError("signature needs at least one factor")
-        for f in factors:
-            if not isinstance(f, (FiniteGroup, FactorSignature)):
-                raise GroupError("factors must be groups or signatures")
+        if not all(isinstance(f, FiniteGroup) for f in factors):
+            raise GroupError("factors must be groups")
         self.factors = factors
 
     def __len__(self):
         return len(self.factors)
-
-    def is_identity_in(self, i, v):
-        f = self.factors[i]
-        if isinstance(f, FiniteGroup):
-            return v == f.identity
-        return len(v.letters) == 0
-
-    def mul_in(self, i, x, y):
-        f = self.factors[i]
-        if isinstance(f, FiniteGroup):
-            return f.table[x][y]
-        return x * y
-
-    def inv_in(self, i, x):
-        f = self.factors[i]
-        if isinstance(f, FiniteGroup):
-            return f.inv(x)
-        return x.inverse()
 
     def __eq__(self, other):
         # structural: same group objects in the same slots
         return isinstance(other, FactorSignature) and self.factors == other.factors
 
     def __hash__(self):
-        return hash(tuple(id(f) if isinstance(f, FiniteGroup) else f
-                          for f in self.factors))
+        return hash(tuple(map(id, self.factors)))
 
     def __repr__(self):
-        parts = []
-        for f in self.factors:
-            parts.append(f.label if isinstance(f, FiniteGroup) else repr(f))
-        return "<" + " + ".join(parts) + ">"
+        return "<" + " + ".join(f.label for f in self.factors) + ">"
 
 
 class Word:
@@ -87,8 +61,8 @@ class Word:
         return normalize(self.sig, self.letters + other.letters)
 
     def inverse(self):
-        sig = self.sig
-        return Word(sig, tuple((s, sig.inv_in(s, v)) for s, v in reversed(self.letters)))
+        fs = self.sig.factors
+        return Word(self.sig, tuple((s, fs[s].inv(v)) for s, v in reversed(self.letters)))
 
     def __eq__(self, other):
         return (isinstance(other, Word) and self.sig.factors == other.sig.factors
@@ -103,14 +77,15 @@ class Word:
 
 def normalize(sig, letters):
     """Stack reduction: drop identities, merge same-slot neighbours, cancel."""
-    out = []
+    out, fs = [], sig.factors
     for s, v in letters:
-        if sig.is_identity_in(s, v):
+        f = fs[s]
+        if v == f.identity:
             continue
         if out and out[-1][0] == s:
-            merged = sig.mul_in(s, out[-1][1], v)
+            merged = f.table[out[-1][1]][v]
             out.pop()
-            if not sig.is_identity_in(s, merged):
+            if merged != f.identity:
                 out.append((s, merged))
         else:
             out.append((s, v))
@@ -128,14 +103,8 @@ def commutator(u, v):
 def format_word(w):
     if not w.letters:
         return "()"
-    parts = []
-    for s, v in w.letters:
-        f = w.sig.factors[s]
-        if isinstance(f, FiniteGroup):
-            parts.append(f"{s}:{f.names[v]}")
-        else:
-            parts.append(f"{s}:{format_word(v)}")
-    return "(" + " ".join(parts) + ")"
+    fs = w.sig.factors
+    return "(" + " ".join(f"{s}:{fs[s].names[v]}" for s, v in w.letters) + ")"
 
 
 class WordHom:
@@ -212,16 +181,6 @@ def in_flat(w):
 
 
 # -- enumeration ---------------------------------------------------------------
-
-
-def _check_enum_args(sig, max_len):
-    if max_len < 0:
-        raise GroupError(f"enumeration length {max_len} is negative")
-    if max_len > MAX_ENUM_LEN:
-        raise GroupError(f"enumeration length {max_len} exceeds cap {MAX_ENUM_LEN}")
-    for f in sig.factors:
-        if not isinstance(f, FiniteGroup):
-            raise GroupError("can only enumerate over plain group slots")
 
 
 _DIST_TABLES = {}  # (slot count, kept slots) -> _distance_table(...)
@@ -345,7 +304,10 @@ def _kernel_words(sig, max_len, keeps):
     same length.  When only a cancellation keeps the child alive, the value
     must invert a top.
     """
-    _check_enum_args(sig, max_len)
+    if max_len < 0:
+        raise GroupError(f"enumeration length {max_len} is negative")
+    if max_len > MAX_ENUM_LEN:
+        raise GroupError(f"enumeration length {max_len} exceeds cap {MAX_ENUM_LEN}")
     if all(len(keep) == 1 for keep in keeps):
         return _pattern_words(sig, max_len, {s for keep in keeps for s in keep})
     k = len(sig)

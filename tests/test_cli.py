@@ -4,12 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from xmodkit import cli, groups
+from xmodkit import cli, condp, groups, sse
 from xmodkit.cli import main
 from xmodkit.corpus import axiom_corpus
 from xmodkit.defs import parse_definitions, load_definitions, tokenize_names
 from xmodkit.errors import DefinitionError, InvariantBreach
-from xmodkit.groups import find_isomorphism, symmetric_group
+from xmodkit.groups import find_isomorphism, symmetric_group, trivial_hom
 from xmodkit.lifting import SectionCertificate
 
 SAMPLE = """\
@@ -501,6 +501,47 @@ def test_internal_error_exit_code(sample, monkeypatch, capsys):
     monkeypatch.setattr("xmodkit.cli.pi0_comparison", broken)
     assert main(["pi0", sample]) == 4
     assert "internal error: injected" in capsys.readouterr().err
+
+
+def _total_maps_trivial(monkeypatch):
+    # a regular epi onto a nontrivial total group is then not covered there
+    real = sse.total_map
+
+    def trivial(mor):
+        f = real(mor)
+        return trivial_hom(f.source, f.target)
+    monkeypatch.setattr(sse, "total_map", trivial)
+
+
+def _covers_miss_a_generator(monkeypatch):
+    # each module handed to the free cover loses its first generator, so the
+    # decode spans a proper submodule
+    real = condp.free_module_cover
+
+    def bent(M, free=None):
+        monkeypatch.setitem(M.__dict__, "generators", M.generators[1:])
+        return real(M, free)
+    monkeypatch.setattr(condp, "free_module_cover", bent)
+
+
+@pytest.mark.parametrize("argv, bend, message", [
+    (["audit", "--quick"], _total_maps_trivial,
+     "carrier and total surjectivity disagree on a same-base morphism"),
+    (["condp", "transfer"], _covers_miss_a_generator,
+     "generator decode failed to cover the module"),
+], ids=["regular-epi-cross-check", "free-cover-decode"])
+def test_library_invariants_fire_through_main(argv, bend, message, tmp_path,
+                                              monkeypatch, capsys):
+    """The internal checks outside the section constructions that a command
+    reaches each fire on one injected fault through that command: exit 4,
+    the message on stderr, and a report with ok false and no results."""
+    bend(monkeypatch)
+    rep_path = tmp_path / "rep.json"
+    assert main(argv + ["--json", str(rep_path)]) == 4
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+    rep = json.loads(rep_path.read_text())
+    assert (rep["ok"], rep["exit_code"], rep["results"]) == (False, 4, None)
+    assert rep["error"] == f"internal error: {message}"
 
 
 def test_over_cap_max_order_is_refused_before_the_sweep(monkeypatch, capsys):

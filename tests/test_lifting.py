@@ -178,7 +178,7 @@ def test_free_morphism_values():
     for h in range(2):
         for hp in range(2):
             w = single(sig, 0, h) * single(sig, 1, hp) * single(sig, 0, h).inverse()
-            assert mor.carrier_value(w) == xm.action.apply(g.table[h], f.table[hp])
+            assert mor.carrier_value(w) == xm.action.table[g.table[h]][f.table[hp]]
     rep = mor.verify(6)
     assert rep == {"max_len": 6, "flat_words": 6, "square_violations": [],
                    "unit_ok": True, "equivariance_pairs": 6,
@@ -280,6 +280,14 @@ def _carrier_lift_trivial(mor):
         (p.source.identity,) * u.source.order if u.source is u.target else None))}
 
 
+def _carrier_lift_not_a_hom(mor):
+    # the carrier section sends the half turn to the identity: still
+    # equivariant under inversion, but not a hom, so neither is the formula
+    return {"lifts": _bent_lifts(lambda p, u, table: (
+        tuple(p.source.identity if u.source.elem_orders[q] == 2 else v
+              for q, v in enumerate(table)) if u.source is u.target else None))}
+
+
 def _routes_disagree(mor):
     real = lifting.ternary_routes
 
@@ -322,6 +330,8 @@ def _base_section_trivial(mor):
 
 
 @pytest.mark.parametrize("algorithm, bend, message", [
+    ("projective-section", _carrier_lift_not_a_hom,
+     "section verification failed: coequalizer-formula"),
     ("projective-section", _carrier_lift_trivial,
      "section verification failed: equivariant-section-of-fT"),
     ("projective-section", _routes_disagree,
@@ -335,7 +345,8 @@ def _base_section_trivial(mor):
      "not a homomorphism at ((1 2 3 4),(1 2 3 4))"),
     ("pullback-section", _base_section_trivial,
      "section verification failed: pullback-factorization"),
-], ids=["projective-equations", "projective-ternary-audit", "pullback-comparison",
+], ids=["projective-coequalizer-formula", "projective-equations",
+        "projective-ternary-audit", "pullback-comparison",
         "pullback-restriction-escapes", "pullback-restriction-not-a-hom",
         "pullback-equations"])
 def test_section_checks_fire_on_injected_faults(algorithm, bend, message, tmp_path,

@@ -931,6 +931,87 @@ def test_hom_law_error_text_matches_per_cell_loop():
     assert failures > 200, failures
 
 
+def _action_laws_reference(actor, carrier, table):
+    """GroupAction's error text from the per-cell action laws, or None."""
+    G, X = actor, carrier
+    ident_row = tuple(range(X.order))
+    if table[G.identity] != ident_row:
+        return "identity must act as the identity automorphism"
+    mulX = X.table
+    for g in range(G.order):
+        row = table[g]
+        if sorted(row) != list(ident_row):
+            return f"actor element {G.names[g]} does not act bijectively"
+        for x in range(X.order):
+            for y in range(X.order):
+                if row[mulX[x][y]] != mulX[row[x]][row[y]]:
+                    return f"actor element {G.names[g]} does not act by an automorphism"
+    for g in range(G.order):
+        for h in range(G.order):
+            for x in range(X.order):
+                if table[G.mul(g, h)][x] != table[g][table[h][x]]:
+                    return "action is not compatible with actor multiplication"
+    return None
+
+
+def _corrupted_rows(table, rng):
+    """Four corruptions of one action table, each at random rows and cells:
+    a swapped pair in a row, a copied row, an overwritten cell, and a row
+    read through a random permutation."""
+    m, n = len(table), len(table[0])
+
+    def with_row(g, row):
+        return table[:g] + (tuple(row),) + table[g + 1:]
+
+    g, h = rng.randrange(m), rng.randrange(m)
+    swapped = list(table[g])
+    i, j = rng.randrange(n), rng.randrange(n)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    cell = list(table[g])
+    cell[rng.randrange(n)] = rng.randrange(n)
+    perm = rng.sample(range(n), n)
+    return [with_row(g, swapped), with_row(g, table[h]), with_row(g, cell),
+            with_row(g, [table[g][p] for p in perm])]
+
+
+def _non_commuting_involutions():
+    """Z2 x Z2 acting on S3 with (a, b) -> c1^a c2^b and c2^b c1^a, c1 and c2
+    conjugation by two transpositions: every row is an automorphism, and each
+    table is compatible on the rows of one factor's generator only."""
+    V4, S3 = direct_product(cyclic_group(2), cyclic_group(2))[0], symmetric_group(3)
+    c1, c2 = [tuple(S3.conj(t, x) for x in range(6))
+              for t in range(6) if S3.elem_orders[t] == 2][:2]
+    ident = tuple(range(6))
+    rows = [(c1 if a else ident, c2 if b else ident) for a in range(2) for b in range(2)]
+    return [(V4, S3, tuple(tuple(r1[v] for v in r2) for r1, r2 in rows)),
+            (V4, S3, tuple(tuple(r2[v] for v in r1) for r1, r2 in rows))]
+
+
+def test_action_laws_match_per_cell_loops():
+    """GroupAction gives the verdict and error text of the per-cell loops on
+    every corpus action, on seeded corruptions of each and on actions that
+    break compatibility at one generator only; every kind of error text is
+    met."""
+    rng = random.Random(18)
+    kinds = ("identity must act as the identity automorphism", "does not act bijectively",
+             "does not act by an automorphism",
+             "action is not compatible with actor multiplication")
+    cases = _non_commuting_involutions()
+    for action in _corpus_actions():
+        cases += [(action.actor, action.carrier, t) for t in [action.table] + [
+            t for _ in range(3) for t in _corrupted_rows(action.table, rng)]]
+    seen = set()
+    for G, X, table in cases:
+        expected = _action_laws_reference(G, X, table)
+        got = _outcome(GroupAction, G, X, table)
+        if expected is None:
+            assert isinstance(got, GroupAction), (G.label, X.label, got)
+        else:
+            assert got == expected, (G.label, X.label)
+        seen.add(next((k for k in kinds if expected and expected.endswith(k)), expected))
+    assert seen == {None, *kinds}
+
+
 def _morphism_rows_reference(src, tgt, fT, fG):
     """morphism_witness from the square and then every row of the actor."""
     through_fT = gatherer(fT.table)

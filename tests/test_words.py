@@ -9,15 +9,14 @@ from xmodkit.groups import (
     GroupHom, cyclic_group, dihedral_group, hom, subgroup, symmetric_group,
 )
 from xmodkit.words import (
-    FactorSignature, Word, WordHom, commutator, delete_slot,
+    FactorSignature, WordHom, commutator, delete_slot,
     enumerate_cosmash_words, enumerate_flat_words, enumerate_words,
     fold_word, format_word, in_flat, in_ternary_cosmash, map_word, normalize,
     single,
 )
 
 from word_helpers import (
-    collapse_regrouped, empty_word, fold_left, fold_right, in_binary_cosmash,
-    parse_word, regroup_first_two,
+    empty_word, fold_left, fold_right, in_binary_cosmash, parse_word,
 )
 
 Z2 = cyclic_group(2)
@@ -166,26 +165,6 @@ def test_fold_left_right_against_evaluation():
         fold_left(normalize(FactorSignature((Z4, Z3, Z4)), ()))
 
 
-def test_regroup_and_collapse():
-    sig = FactorSignature((Z2, Z3, Z4))
-    f = hom(Z2, S3, {1: S3.index_of("(1 2)")})
-    g = hom(Z3, S3, {1: S3.index_of("(1 2 3)")})
-    pair = WordHom(FactorSignature((Z2, Z3)), (f, g), S3)
-    out_sig = FactorSignature((S3, Z4))
-    for w in enumerate_words(sig, 3):
-        r = regroup_first_two(w)
-        # slot structure: bundled word-valued slot 0, untouched slot 1
-        for s, v in r.letters:
-            if s == 0:
-                assert isinstance(v, Word)
-            else:
-                assert isinstance(v, int)
-        c = collapse_regrouped(r, pair, out_sig)
-        direct = fold_word(w, out_sig, (0, 0, 1),
-                           (lambda v: f(v), lambda v: g(v), lambda v: v))
-        assert c == direct
-
-
 def test_enumeration_against_naive_oracle():
     cases = [
         (FactorSignature((Z2, Z2)), 4, [{0}, {1}], enumerate_cosmash_words),
@@ -218,9 +197,8 @@ def test_enumerators_refuse_bad_arguments(enum):
         enum(sig, -1)
     with pytest.raises(GroupError, match="enumeration length 13 exceeds cap 12"):
         enum(sig, 13)
-    nested = FactorSignature((FactorSignature((Z2, Z3)), Z4))
-    with pytest.raises(GroupError, match="can only enumerate over plain group slots"):
-        enum(nested, 2)
+    with pytest.raises(GroupError, match="factors must be groups"):
+        FactorSignature((FactorSignature((Z2, Z3)), Z4))
 
 
 def test_enumeration_frozen_counts():

@@ -1,11 +1,8 @@
 """Word helpers that only the tests use: a word parser, membership in the
-binary cosmash, and the fold and regroup maps on three-slot words, kept beside
-the tests that pin their answers."""
+binary cosmash, and the fold maps on three-slot words, kept beside the tests
+that pin their answers."""
 from xmodkit.errors import GroupError
-from xmodkit.groups import FiniteGroup
-from xmodkit.words import (
-    FactorSignature, Word, delete_slot, fold_word, map_word, normalize,
-)
+from xmodkit.words import FactorSignature, Word, delete_slot, fold_word, normalize
 
 
 def empty_word(sig):
@@ -13,7 +10,7 @@ def empty_word(sig):
 
 
 def parse_word(sig, text):
-    """Inverse of format_word for plain group slots: "(0:a 1:x 0:a^-1)".
+    """Inverse of format_word: "(0:a 1:x 0:a^-1)".
 
     A trailing ^-1 on a name inverts the element.
     """
@@ -34,8 +31,6 @@ def parse_word(sig, text):
             if not 0 <= slot < len(sig):
                 raise GroupError(f"slot {slot} out of range")
             f = sig.factors[slot]
-            if not isinstance(f, FiniteGroup):
-                raise GroupError("can only parse letters in plain group slots")
             invert = name.endswith("^-1")
             if invert:
                 name = name[:-3]
@@ -76,31 +71,3 @@ def fold_right(w):
     _require_same_factor(sig, 1, 2)
     tgt = FactorSignature((sig.factors[0], sig.factors[1]))
     return fold_word(w, tgt, (0, 1, 1))
-
-
-def regroup_first_two(w):
-    """(A, B, C) -> (A+B, C): bundle the first two slots into one word-valued slot."""
-    sig = w.sig
-    if len(sig) != 3:
-        raise GroupError("regrouping needs three slots")
-    inner = FactorSignature((sig.factors[0], sig.factors[1]))
-    tgt = FactorSignature((inner, sig.factors[2]))
-    letters = []
-    for s, v in w.letters:
-        if s == 2:
-            letters.append((1, v))
-        else:
-            letters.append((0, Word(inner, ((s, v),))))
-    return normalize(tgt, tuple(letters))
-
-
-def collapse_regrouped(w, pair_hom, outer_target_sig):
-    """Evaluate the word-valued slot of a regrouped word through a WordHom.
-
-    Sends ((A+B), C) to (T, C) where T = pair_hom.target; the inverse shape of
-    regroup_first_two composed with a copairing on the bundled slot.
-    """
-    def first(v):
-        return pair_hom.evaluate(v)
-
-    return map_word(w, outer_target_sig, (first, lambda v: v))
