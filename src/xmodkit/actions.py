@@ -2,9 +2,9 @@
 
 An action here is a left action of an actor group on a carrier group where
 every actor element acts as an automorphism.  Split extensions package a
-kernel embedding, a retraction, and a section; the two views are equivalent
-and both directions of the translation are implemented (the tests
-cross-check them).
+kernel embedding, a retraction, and a section; the two views are equivalent:
+`semidirect_product` builds the extension of an action, and
+`lifting.inclusion_base_action` reads the action back off an extension.
 
 ``GroupAction`` and ``SplitExtension`` validate by default, where data
 enters; the constructions here are correct by theorem and build unchecked.
@@ -19,7 +19,7 @@ normalizes to the empty word evaluates to a carrier element.
 """
 
 from .errors import GroupError
-from .groups import FiniteGroup, GroupHom, _cayley_level, gatherer, identity_hom
+from .groups import MAX_ORDER, FiniteGroup, GroupHom, _cayley_level, gatherer, identity_hom
 
 
 class GroupAction:
@@ -170,9 +170,11 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     """Split extension with pair multiplication (x1,g1)(x2,g2) = (x1 g1.x2, g1 g2)."""
     X, G = action.carrier, action.actor
     n, m = X.order, G.order
+    size = n * m
+    if size > MAX_ORDER:
+        raise GroupError(f"semidirect product order {size} exceeds cap {MAX_ORDER}")
     act = action.table
     mulX, mulG = X.table, G.table
-    size = n * m
     # row (x1, g1) is the blocks blocks[g1][v] over v = x1 (g1.x2), joined by
     # extending one list; each block is picked from a slice of one shared
     # index tuple, so the table holds one int object per element rather than
@@ -195,14 +197,6 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     p = GroupHom(E, G, tuple(e % m for e in range(size)), check=False)
     s = GroupHom(G, E, tuple(X.identity * m + g for g in range(m)), check=False)
     return SplitExtension(k, p, s, check=False)
-
-
-def action_from_extension(ext: SplitExtension) -> GroupAction:
-    """Conjugation of the section through the kernel embedding."""
-    conj = conjugation_action_on(ext.k).table
-    # the conjugation action pulled back along the hom s is again an action
-    return GroupAction(ext.base, ext.kernel_group, [conj[e] for e in ext.s.table],
-                       check=False)
 
 
 def _check_action_word(action: GroupAction, w):

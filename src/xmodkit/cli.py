@@ -70,7 +70,7 @@ def _digest(path):
 
 
 def _write_report(args, results, ok, code, error=None):
-    """Write the JSON report to args.json ("-" for stdout)."""
+    """Write the JSON report to args.json ("-" for stdout); False if it cannot."""
     report = {
         "tool": "xmodkit",
         "version": __version__,
@@ -95,16 +95,22 @@ def _write_report(args, results, ok, code, error=None):
         json.dump(report, sys.stdout, indent=2, default=_json_safe)
         sys.stdout.write("\n")
     else:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, default=_json_safe)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, default=_json_safe)
+        except OSError as exc:
+            print(f"input error: cannot write report {args.json}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return False
         print(f"report written to {args.json}")
+    return True
 
 
 def _emit(args, results, ok):
     """Write the JSON report (if asked) and return the exit code."""
     code = 0 if ok else 1
-    if args.json:
-        _write_report(args, results, ok, code)
+    if args.json and not _write_report(args, results, ok, code):
+        return 2  # bad input, as on every exit-2 path: no verdict
     print(f"VERDICT: {'pass' if ok else 'falsified'}")
     return code
 
@@ -185,6 +191,7 @@ def cmd_pi0(args):
     results = []
     for name, xm in xmods:
         Q, _proj = pi0(xm)
+        xm.extension  # a total over the cap is bad input (exit 2), not a disagreement
         try:
             pi0_comparison(xm)
             agree = True

@@ -304,9 +304,8 @@ def pipeline_diagram_P(f, s) -> dict:
         ext = semidirect_product(trivial_action(Pd, Qd))
         collapse = collapse_epi(ext, z4_module(1, 0))
         # the collapse lands on the inclusion crossed module of ext: reuse it
-        c1 = projective_section(identity_morphism(collapse.tgt), ext,
-                                ternary_len=4)
-        c2 = projective_section(collapse, ext, ternary_len=4)
+        c1 = projective_section(identity_morphism(collapse.tgt), ext)
+        c2 = projective_section(collapse, ext)
         materialized = {"identity": c1.status, "collapse": c2.status}
 
     ok = (all(rep["ok"] for rep in rows.values())
@@ -414,7 +413,7 @@ def _demo_verdicts(xm) -> dict:
         "collapse-Z4": collapse_epi(ext, cyclic_group(4)),
         "merge-cover": _merge_cover_epi(xm),
     }
-    return {name: projective_section(epi, ext, ternary_len=4).status
+    return {name: projective_section(epi, ext).status
             for name, epi in family.items()}
 
 
@@ -474,7 +473,7 @@ def pi0_preservation_suite() -> dict:
     for m, n in ((1, 2), (2, 3), (2, 4)):
         xm = _free_inclusion(m, n)
         ext = inclusion_extension(xm)
-        cert = projective_section(identity_morphism(xm), ext, ternary_len=4)
+        cert = projective_section(identity_morphism(xm), ext)
         Q, _ = pi0(xm)
         certified.append({
             "carrier": xm.domain().order, "base": xm.codomain().order,

@@ -22,8 +22,9 @@ Kinds and their keys:
 
 ``[xmod N]``
     Either ``action`` naming an earlier action plus ``boundary`` (one codomain
-    element name per carrier element), or ``group`` plus ``normal`` (element
-    names generating the subgroup inclusion with conjugation action).
+    element name per carrier element), or ``group`` plus ``normal`` (every
+    element of a normal subgroup, by name: its inclusion with the conjugation
+    action).
 
 ``[morphism N]``
     ``source`` and ``target`` name earlier xmods; ``fT`` and ``fG`` list image

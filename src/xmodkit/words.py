@@ -130,11 +130,6 @@ class WordHom:
         return out
 
 
-def map_word(w, tgt_sig, value_maps):
-    """Apply one value map per slot, keeping the slot structure; renormalizes."""
-    return normalize(tgt_sig, tuple((s, value_maps[s](v)) for s, v in w.letters))
-
-
 def fold_word(w, tgt_sig, slot_map, value_maps=None):
     """Send slot i to slot_map[i] (None deletes it), mapping values; renormalizes.
 
@@ -150,34 +145,11 @@ def fold_word(w, tgt_sig, slot_map, value_maps=None):
     return normalize(tgt_sig, tuple(letters))
 
 
-def delete_slot(w, slot):
-    """Project away one slot; the remaining slots keep their relative order."""
-    k = len(w.sig)
-    rest = [f for i, f in enumerate(w.sig.factors) if i != slot]
-    tgt = FactorSignature(rest)
-    slot_map = []
-    j = 0
-    for i in range(k):
-        if i == slot:
-            slot_map.append(None)
-        else:
-            slot_map.append(j)
-            j += 1
-    return fold_word(w, tgt, slot_map)
-
-
-def in_ternary_cosmash(w):
-    """All three pairwise projections (delete one slot) collapse to empty."""
-    if len(w.sig) != 3:
-        raise GroupError("ternary membership needs a three-slot signature")
-    return all(len(delete_slot(w, i)) == 0 for i in range(3))
-
-
 def in_flat(w):
     """Membership in the kernel of (keep slot 0, kill slot 1): A-flat words."""
     if len(w.sig) != 2:
         raise GroupError("flat membership needs a two-slot signature")
-    return len(delete_slot(w, 1)) == 0
+    return not normalize(w.sig, [a for a in w.letters if a[0] == 0]).letters
 
 
 # -- enumeration ---------------------------------------------------------------

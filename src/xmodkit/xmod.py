@@ -225,12 +225,16 @@ def conjugation_xmod(G: FiniteGroup) -> CrossedModule:
                          label=f"({G.label}=>{G.label})")
 
 
+def inclusion_xmod(k: GroupHom) -> CrossedModule:
+    """An embedding as a crossed module: boundary k, conjugation through k."""
+    act = conjugation_action_on(k)  # refuses non-injective or non-normal k
+    return CrossedModule(act, k, check=False,
+                         label=f"({k.source.label}<{k.target.label})")
+
+
 def xmod_from_normal_subgroup(G: FiniteGroup, elems) -> CrossedModule:
     """Inclusion of a normal subgroup with the conjugation action."""
-    S, incl = subgroup(G, sorted(elems))
-    act = conjugation_action_on(incl)  # refuses non-normal images
-    return CrossedModule(act, incl, check=False,
-                         label=f"({S.label}<{G.label})")
+    return inclusion_xmod(subgroup(G, elems)[1])
 
 
 def discrete_xmod(G: FiniteGroup) -> CrossedModule:
@@ -417,20 +421,22 @@ def pi0_via_coequalizer(xm: CrossedModule):
     return quotient(G, sorted(closure), label=f"coeq{xm.label}")
 
 
+def _induced_on_classes(p1: GroupHom, p2: GroupHom, values) -> GroupHom:
+    """The checked hom h with h(p1(g)) = p2(values[g]), one value per class of p1."""
+    table = [None] * p1.target.order
+    for q, v in zip(p1.table, values):
+        val = p2.table[v]
+        if table[q] is None:
+            table[q] = val
+        elif table[q] != val:
+            raise GroupError("image of the boundary is not respected")
+    return GroupHom(p1.target, p2.target, tuple(table))
+
+
 def pi0_comparison(xm: CrossedModule) -> GroupHom:
     """The isomorphism from the cokernel route to the coequalizer route."""
-    Q1, p1 = pi0(xm)
-    Q2, p2 = pi0_via_coequalizer(xm)
-    reps = [None] * Q1.order
-    for g in range(xm.codomain().order):
-        q = p1.table[g]
-        if reps[q] is None:
-            reps[q] = g
-    table = tuple(p2.table[r] for r in reps)
-    iso = GroupHom(Q1, Q2, table)
-    for g in range(xm.codomain().order):
-        if iso.table[p1.table[g]] != p2.table[g]:
-            raise GroupError("comparison map does not commute with the projections")
+    iso = _induced_on_classes(pi0(xm)[1], pi0_via_coequalizer(xm)[1],
+                              range(xm.codomain().order))
     if not (iso.is_injective() and iso.is_surjective()):
         raise GroupError("comparison map is not an isomorphism")
     return iso
@@ -438,17 +444,7 @@ def pi0_comparison(xm: CrossedModule) -> GroupHom:
 
 def pi0_map(mor: XModMorphism) -> GroupHom:
     """The induced hom on cokernels."""
-    Q1, p1 = pi0(mor.src)
-    Q2, p2 = pi0(mor.tgt)
-    table = [None] * Q1.order
-    for g in range(mor.src.codomain().order):
-        q = p1.table[g]
-        val = p2.table[mor.fG.table[g]]
-        if table[q] is None:
-            table[q] = val
-        elif table[q] != val:
-            raise GroupError("image of the boundary is not respected")
-    return GroupHom(Q1, Q2, tuple(table))
+    return _induced_on_classes(pi0(mor.src)[1], pi0(mor.tgt)[1], mor.fG.table)
 
 
 # -- kernels and split short exact sequences -------------------------------------

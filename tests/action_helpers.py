@@ -1,13 +1,23 @@
-"""Action helpers that only the tests use: the comparison isomorphism of a
-split extension and the second, semidirect-product route for evaluating words
-with trivial actor part, kept beside the tests that pin their answers."""
+"""Action helpers that only the tests use: the action read off a split
+extension, the comparison isomorphism of a split extension and the second,
+semidirect-product route for evaluating words with trivial actor part, kept
+beside the tests that pin their answers."""
 from xmodkit.actions import (
     GroupAction, SplitExtension, _check_action_word, action_core_word,
-    action_from_extension, semidirect_product,
+    conjugation_action_on, semidirect_product,
 )
 from xmodkit.errors import GroupError
 from xmodkit.groups import GroupHom
 from xmodkit.words import FactorSignature, WordHom, enumerate_flat_words
+
+
+def action_from_extension(ext: SplitExtension) -> GroupAction:
+    """Conjugation of the section through the kernel embedding, rebuilt from
+    the extension alone: the reference for `lifting.inclusion_base_action`."""
+    conj = conjugation_action_on(ext.k).table
+    # the conjugation action pulled back along the hom s is again an action
+    return GroupAction(ext.base, ext.kernel_group, [conj[e] for e in ext.s.table],
+                       check=False)
 
 
 def extension_iso(ext: SplitExtension) -> GroupHom:

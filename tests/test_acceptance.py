@@ -15,7 +15,7 @@ from xmodkit.groups import (
 )
 from xmodkit.words import (
     FactorSignature, WordHom, enumerate_cosmash_words, enumerate_words,
-    fold_word, in_ternary_cosmash, map_word, single,
+    fold_word, single,
 )
 from xmodkit.xmod import (
     check_axioms, check_axioms_wordlevel, check_ternary, conjugation_xmod,
@@ -38,7 +38,9 @@ from xmodkit.corpus import (
     sse_morphism_corpus,
 )
 
-from word_helpers import fold_left, fold_right, in_binary_cosmash
+from word_helpers import (
+    fold_left, fold_right, in_binary_cosmash, in_ternary_cosmash,
+)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -236,7 +238,7 @@ def test_word_identities_and_preimages():
     # surjections on the letters hit every bounded cosmash word downstairs
     def preimage(src_sig, maps, target):
         for w in enumerate_cosmash_words(src_sig, 4):
-            if map_word(w, target.sig, maps) == target:
+            if fold_word(w, target.sig, (0, 1), maps) == target:
                 return w
         return None
 

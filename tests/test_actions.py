@@ -6,13 +6,14 @@ from xmodkit.groups import (
     klein_four_group, subgroup, symmetric_group,
 )
 from xmodkit.actions import (
-    GroupAction, SplitExtension, action_core_word, action_from_extension,
-    action_from_function, conjugation_action, conjugation_action_on,
-    semidirect_product, trivial_action,
+    GroupAction, SplitExtension, action_core_word, action_from_function,
+    conjugation_action, conjugation_action_on, semidirect_product,
+    trivial_action,
 )
 
 from action_helpers import (
-    action_core_consistency, action_core_eval, action_signature, extension_iso,
+    action_core_consistency, action_core_eval, action_from_extension,
+    action_signature, extension_iso,
 )
 from word_helpers import parse_word
 

@@ -290,6 +290,36 @@ def test_pi0_command(sample, capsys):
     assert "coequalizer route agrees" in out
 
 
+def test_pi0_refuses_an_over_cap_total_as_input(tmp_path, capsys):
+    """S5 in itself needs a 14,400-element semidirect total for the coequalizer
+    route: out of scope (exit 2), never reported as a disagreement."""
+    head = "[group S5]\ndegree: 5\nperms: (1 2); (1 2 3 4 5)\n"
+    names = parse_definitions(head)["S5"].names
+    path = tmp_path / "s5.defs"
+    path.write_text(head + "\n[xmod all]\ngroup: S5\nnormal: " + " ".join(names) + "\n")
+    assert main(["pi0", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: semidirect product order 14400 exceeds cap 1024\n"
+    assert "DISAGREES" not in captured.out and "VERDICT" not in captured.out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "SAMPLE"], 2),
+    (["pi0", "MISSING"], 2),
+    (["audit", "--quick", "--budget", "0"], 3),
+])
+def test_unwritable_report_path_is_an_input_error(argv, code, sample, tmp_path, capsys):
+    """Exit 2 with one line on stderr, or the exit code an error had already set."""
+    report = str(tmp_path / "missing" / "r.json")
+    missing = str(tmp_path / "missing.defs")
+    argv = [sample if a == "SAMPLE" else missing if a == "MISSING" else a for a in argv]
+    assert main(argv + ["--json", report]) == code
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        f"input error: cannot write report {report}: No such file or directory\n")
+    assert "Traceback" not in captured.err and "VERDICT" not in captured.out
+
+
 def test_lift_command(sample, tmp_path, capsys):
     assert main(["lift", sample, "--cross-check"]) == 0
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from xmodkit import condp, lifting
+from xmodkit import condp, xmod
 from xmodkit.errors import GroupError
 from xmodkit.groups import compose, cyclic_group, free_module_cover, z4_module
 from xmodkit.actions import semidirect_product, trivial_action
@@ -135,13 +135,13 @@ def test_pipeline_rank_two_materializes():
 def test_pipeline_builds_each_inclusion_once(monkeypatch):
     """A materialised pipeline embeds the kernel of ext once, then the collapse source's."""
     orders = []
-    real = lifting.conjugation_action_on
+    real = xmod.conjugation_action_on
 
     def recording(embedding):
         orders.append(embedding.source.order)
         return real(embedding)
 
-    monkeypatch.setattr(lifting, "conjugation_action_on", recording)
+    monkeypatch.setattr(xmod, "conjugation_action_on", recording)
     assert pipeline_diagram_P((0, 0, 0), (0,))["ok"]
     assert orders == [16, 64]
 

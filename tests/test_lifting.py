@@ -9,8 +9,8 @@ from xmodkit.errors import GroupError, InvariantBreach
 from xmodkit.groups import cyclic_group, direct_product, hom, symmetric_group, z4_module
 from xmodkit.actions import semidirect_product, trivial_action
 from xmodkit.xmod import (
-    CrossedModule, conjugation_xmod, identity_morphism, module_xmod,
-    xmod_from_normal_subgroup,
+    CrossedModule, conjugation_xmod, identity_morphism, inclusion_xmod,
+    module_xmod, xmod_from_normal_subgroup,
 )
 from xmodkit.corpus import (
     no_section_fixture, projective_section_corpus, pullback_no_section_fixture,
@@ -18,8 +18,7 @@ from xmodkit.corpus import (
 )
 from xmodkit.lifting import (
     FreeXModMorphism, find_xmod_section, hom_bijection_check,
-    inclusion_extension, inclusion_xmod,
-    projective_section, pullback_section,
+    inclusion_extension, projective_section, pullback_section,
 )
 from xmodkit.words import FactorSignature, single
 
@@ -47,7 +46,7 @@ def a3_inclusion():
 def test_inclusion_round_trip():
     xm = a3_inclusion()
     ext = inclusion_extension(xm)
-    back = inclusion_xmod(ext)
+    back = inclusion_xmod(ext.k)
     assert back.domain() is xm.domain()
     assert back.codomain() is xm.codomain()
     assert back.boundary.table == xm.boundary.table
@@ -242,7 +241,7 @@ def test_step_iv_refuses_a_formula_that_is_not_a_hom(monkeypatch):
     monkeypatch.setattr(lifting, "lifts", bent_lifts)
     with pytest.raises(InvariantBreach,
                        match="section verification failed: coequalizer-formula"):
-        projective_section(identity_morphism(inclusion_xmod(ext)), ext)
+        projective_section(identity_morphism(inclusion_xmod(ext.k)), ext)
 
 
 ROTATIONS_DEFS = """\

@@ -18,8 +18,7 @@ import pytest
 
 from xmodkit import condp, lifting
 from xmodkit.actions import (
-    GroupAction, SplitExtension, action_from_extension, action_from_function,
-    conjugation_action,
+    GroupAction, SplitExtension, action_from_function, conjugation_action,
     conjugation_action_on, semidirect_product, trivial_action,
 )
 from xmodkit.corpus import (
@@ -40,6 +39,9 @@ from xmodkit.xmod import (
     CrossedModule, check_axioms, equivariance_failures, identity_morphism,
     morphism_witness, pi0, relabel_xmod,
 )
+
+from action_helpers import action_from_extension
+from word_helpers import in_ternary_cosmash
 
 
 def _revalidate(action):
@@ -238,6 +240,40 @@ def test_projective_section_reads_the_extension_action(monkeypatch):
     assert len(reads) == len(pairs) + 6
     for ext, psi in reads:
         assert tuple(psi) == action_from_extension(ext).table
+
+
+def test_audited_bracket_words_are_ternary_cosmash_words(monkeypatch):
+    """The bracket words [[g, t], t'] over generators that the morphism audit
+    checks with no membership test have length 10 and lie in the ternary
+    cosmash, on every section of the projective-section corpus."""
+    words = []
+    real = lifting.ternary_routes
+
+    def recording(xm):
+        routes = real(xm)
+
+        def record(w):
+            words.append(w)
+            return routes(w)
+        return record
+
+    pairs = projective_section_corpus()
+    monkeypatch.setattr(lifting, "ternary_routes", recording)
+    total = 0
+    for epi, ext in pairs:
+        words.clear()
+        cert = lifting.projective_section(epi, ext)
+        assert cert.ok
+        # each audited word goes through the source's routes, then the target's
+        audited = words[::2]
+        n, brackets = cert.detail["ternary_words"], cert.detail["ternary_brackets"]
+        E, Q = ext.total, ext.kernel_group
+        assert brackets == len(E.generators) * len(Q.generators) ** 2
+        assert len(audited) == n + brackets
+        for w in audited[n:]:
+            assert len(w) == 10 and in_ternary_cosmash(w), w
+        total += brackets
+    assert total > 0
 
 
 # -- row-level builders and checks against their per-cell references ---------
@@ -687,6 +723,19 @@ def test_direct_product_refuses_over_cap_before_building():
     finally:
         tracemalloc.stop()
     assert str(exc.value) == f"product order 2048 exceeds cap {MAX_ORDER}"
+    assert peak < 1_000_000  # the 2048 x 2048 table alone is 4M cells
+
+
+def test_semidirect_product_refuses_over_cap_before_building():
+    action = trivial_action(z4_module(5, 0), cyclic_group(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupError) as exc:
+            semidirect_product(action)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"semidirect product order 2048 exceeds cap {MAX_ORDER}"
     assert peak < 1_000_000  # the 2048 x 2048 table alone is 4M cells
 
 

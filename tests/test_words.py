@@ -9,14 +9,14 @@ from xmodkit.groups import (
     GroupHom, cyclic_group, dihedral_group, hom, subgroup, symmetric_group,
 )
 from xmodkit.words import (
-    FactorSignature, WordHom, commutator, delete_slot,
-    enumerate_cosmash_words, enumerate_flat_words, enumerate_words,
-    fold_word, format_word, in_flat, in_ternary_cosmash, map_word, normalize,
-    single,
+    FactorSignature, WordHom, commutator, enumerate_cosmash_words,
+    enumerate_flat_words, enumerate_words, fold_word, format_word, in_flat,
+    normalize, single,
 )
 
 from word_helpers import (
-    empty_word, fold_left, fold_right, in_binary_cosmash, parse_word,
+    empty_word, fold_left, fold_right, in_binary_cosmash, in_ternary_cosmash,
+    parse_word,
 )
 
 Z2 = cyclic_group(2)
@@ -119,8 +119,9 @@ def test_projection_and_membership():
     c = commutator(single(sig, 0, 1), single(sig, 1, 1))
     assert in_binary_cosmash(c)
     assert not in_binary_cosmash(single(sig, 0, 1))
-    assert delete_slot(c, 0).letters == ()
-    assert delete_slot(c, 1).letters == ()
+    one = FactorSignature((Z2,))
+    assert fold_word(c, one, (None, 0)).letters == ()
+    assert fold_word(c, one, (0, None)).letters == ()
     assert in_flat(normalize(sig, ((1, 1),)))
     assert not in_flat(normalize(sig, ((0, 1), (1, 1))))
 
@@ -135,7 +136,7 @@ def test_projection_and_membership():
 def test_map_and_fold_words():
     sig = FactorSignature((Z4, Z4))
     w = normalize(sig, ((0, 1), (1, 2), (0, 3)))
-    doubled = map_word(w, sig, (lambda v: (2 * v) % 4, lambda v: v))
+    doubled = fold_word(w, sig, (0, 1), (lambda v: (2 * v) % 4, lambda v: v))
     assert doubled.letters == ((0, 2), (1, 2), (0, 2))
     # slot merge is evaluation in the target factor
     one = fold_word(w, FactorSignature((Z4,)), (0, 0))

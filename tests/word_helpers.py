@@ -1,8 +1,8 @@
 """Word helpers that only the tests use: a word parser, membership in the
-binary cosmash, and the fold maps on three-slot words, kept beside the tests
-that pin their answers."""
+binary and ternary cosmash, and the fold maps on three-slot words, kept beside
+the tests that pin their answers."""
 from xmodkit.errors import GroupError
-from xmodkit.words import FactorSignature, Word, delete_slot, fold_word, normalize
+from xmodkit.words import FactorSignature, Word, fold_word, normalize
 
 
 def empty_word(sig):
@@ -41,11 +41,24 @@ def parse_word(sig, text):
     return normalize(sig, letters)
 
 
+def _collapses_without(w, slot):
+    """Deleting one slot leaves the empty word; the other slots' letters
+    normalize over w's own signature, as `words.in_flat` does."""
+    return not normalize(w.sig, [a for a in w.letters if a[0] != slot]).letters
+
+
 def in_binary_cosmash(w):
     """Both single-slot projections collapse to the empty word."""
     if len(w.sig) != 2:
         raise GroupError("binary membership needs a two-slot signature")
-    return (len(delete_slot(w, 0)) == 0) and (len(delete_slot(w, 1)) == 0)
+    return _collapses_without(w, 0) and _collapses_without(w, 1)
+
+
+def in_ternary_cosmash(w):
+    """All three pairwise projections (delete one slot) collapse to empty."""
+    if len(w.sig) != 3:
+        raise GroupError("ternary membership needs a three-slot signature")
+    return all(_collapses_without(w, i) for i in range(3))
 
 
 def _require_same_factor(sig, i, j):
