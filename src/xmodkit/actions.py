@@ -19,7 +19,10 @@ normalizes to the empty word evaluates to a carrier element.
 """
 
 from .errors import GroupError
-from .groups import MAX_ORDER, FiniteGroup, GroupHom, _cayley_level, gatherer, identity_hom
+from .groups import (
+    MAX_ORDER, FiniteGroup, GroupHom, _cayley_level, _pair_rows, gatherer,
+    identity_hom,
+)
 
 
 class GroupAction:
@@ -173,23 +176,10 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     size = n * m
     if size > MAX_ORDER:
         raise GroupError(f"semidirect product order {size} exceeds cap {MAX_ORDER}")
-    act = action.table
-    mulX, mulG = X.table, G.table
-    # row (x1, g1) is the blocks blocks[g1][v] over v = x1 (g1.x2), joined by
-    # extending one list; each block is picked from a slice of one shared
-    # index tuple, so the table holds one int object per element rather than
-    # one per cell
-    indices = tuple(range(size))
-    blocks = [[pick(indices[i:i + m]) for i in range(0, size, m)]
-              for pick in map(gatherer, mulG)]
-    twists = [gatherer(row) for row in act]
-    table = []
-    for x1 in range(n):
-        for g1 in range(m):
-            row = []
-            for block in gatherer(twists[g1](mulX[x1]))(blocks[g1]):
-                row += block
-            table.append(tuple(row))
+    # row (x1, g1): (x1 (g1.x2), g1 g2) over x2 and then g2
+    row = _pair_rows(G.table, m, n)
+    twists = [gatherer(r) for r in action.table]
+    table = [row(twists[g1](x1_row), g1) for x1_row in X.table for g1 in range(m)]
     names = [f"{X.names[x]}|{G.names[g]}" for x in range(n) for g in range(m)]
     # associative because the action is by automorphisms; k, p, s split by construction
     E = FiniteGroup(table, names=names, label=f"{X.label}:{G.label}", check=False)

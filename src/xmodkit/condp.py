@@ -562,9 +562,7 @@ def _epi_kernel_pairs():
     out.append(("conjugation-mod-two",
                 XModMorphism(c4, c2, mod2c, mod2)))
 
-    a = xmod_from_normal_subgroup(S3, a3)
-    b = discrete_xmod(Z4)
-    prod, _, _, proj1, _ = xmod_product(a, b)
+    proj1 = xmod_product(xm, discrete_xmod(Z4))[3]
     out.append(("product-projection", proj1))
 
     cz = conjugation_xmod(cyclic_group(2))

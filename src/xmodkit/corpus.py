@@ -279,8 +279,6 @@ def projective_section_corpus():
     """
     Z2 = cyclic_group(2)
     Z3 = cyclic_group(3)
-    Z4 = cyclic_group(4)
-    K4 = klein_four_group()
 
     exts = []
     exts.append(semidirect_product(trivial_action(cyclic_group(2), cyclic_group(2))))

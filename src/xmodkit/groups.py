@@ -20,15 +20,17 @@ in ``actions.conjugation_action_on`` and as ``normal_closure`` grows) and
 ``xmod.morphism_witness``'s equivariance;
 only normality runs a full loop, after a failure, for its witness.
 
-Dense tables are built and checked a row at a time, never a cell at a time.
-``gatherer`` turns an index tuple into one C call that reads a sequence at
-those indices; ``z4_module`` builds each row by extending one list with
-shifted copies of one row of the module built so far, read from one shared
-index tuple, ``direct_product`` joins blocks as the semidirect product does,
-``subgroup`` and ``quotient`` gather each row at the chosen elements and
-representatives, ``free_module_cover`` decodes its values a generator at a
-time, and ``GroupHom`` compares each generator's row read through the map with
-the matching target row, looking for the failing cell only once a row differs.
+Dense tables are built and checked a row at a time, except by ``pullback``,
+``from_permutations``, ``cyclic_group``, ``xmod.relabel_xmod`` and
+``xmod.xmod_kernel``, which go a cell at a time.  ``gatherer`` turns an index
+tuple into one C call that reads a sequence at those indices; ``z4_module``
+builds each row by extending one list with shifted copies of one row of the
+module built so far, read from one shared index tuple, ``_pair_rows`` builds
+every row of pair codes the same way, ``subgroup`` and ``quotient`` gather
+each row at the chosen elements and representatives, ``free_module_cover``
+decodes its values a generator at a time, and ``GroupHom`` compares each
+generator's row read through the map with the matching target row, looking
+for the failing cell only once a row differs.
 
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: ``hom``, hom enumeration, section searches, constrained lifts and
@@ -228,9 +230,6 @@ class FiniteGroup:
             raise GroupError(f"{self.label} has no element named {name!r}")
         return idx[name]
 
-    def __len__(self):
-        return self.order
-
     def __repr__(self):
         return f"<FiniteGroup {self.label} order {self.order}>"
 
@@ -261,6 +260,27 @@ def gatherer(indices):
         (i,) = indices
         return lambda seq: (seq[i],)
     return operator.itemgetter(*indices)
+
+
+def _pair_rows(rows, m, n):
+    """The map (firsts, j) -> the row of pair codes v*m + rows[j][w], over v in
+    firsts and then w, for first coordinates below n and row values below m.
+
+    Every product and semidirect product stores (v, w) at code v*m + w.  The
+    row is one block per v, joined by extending one list; block v of row j is
+    picked from a slice of one shared index tuple, so a table holds one int
+    object per element rather than one per cell.
+    """
+    indices = tuple(range(n * m))
+    blocks = [[pick(indices[i:i + m]) for i in range(0, n * m, m)]
+              for pick in map(gatherer, rows)]
+
+    def row(firsts, j):
+        out = []
+        for block in gatherer(firsts)(blocks[j]):
+            out += block
+        return tuple(out)
+    return row
 
 
 def first_difference(xs, ys):
@@ -325,7 +345,7 @@ class GroupHom:
         return len(self.image_elements) == self.target.order
 
     def is_injective(self):
-        return len(set(self.table)) == self.source.order
+        return len(self.image_elements) == self.source.order
 
     def __eq__(self, other):
         return (isinstance(other, GroupHom) and self.source is other.source
@@ -497,19 +517,9 @@ def direct_product(A, B, label=None):
     size = n * m
     if size > MAX_ORDER:
         raise GroupError(f"product order {size} exceeds cap {MAX_ORDER}")
-    # row (a, b) is the blocks blocks[b][v] over v = a a2, joined by extending
-    # one list, as in actions.semidirect_product
-    indices = tuple(range(size))
-    blocks = [[pick(indices[i:i + m]) for i in range(0, size, m)]
-              for pick in map(gatherer, B.table)]
-    table = []
-    for a_row in A.table:
-        by_a = gatherer(a_row)
-        for b_blocks in blocks:
-            row = []
-            for block in by_a(b_blocks):
-                row += block
-            table.append(tuple(row))
+    # row (a, b): (a a2, b b2) over a2 and then b2
+    row = _pair_rows(B.table, m, n)
+    table = [row(a_row, b) for a_row in A.table for b in range(m)]
     names = [f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m)]
     P = FiniteGroup(table, names, label=label or f"{A.label}x{B.label}", check=False)
     i1 = GroupHom(A, P, tuple(a * m + B.identity for a in range(n)), check=False)

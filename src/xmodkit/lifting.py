@@ -110,7 +110,7 @@ def inclusion_extension(xm: CrossedModule, budget=None) -> SplitExtension:
     search means proven unsplit and is refused loudly.
     """
     _require_inclusion(xm)
-    C, proj = pi0(xm)
+    proj = pi0(xm)[1]
     s = find_section(proj, budget=budget)
     if s is None:
         raise GroupError("cokernel projection of the boundary does not split")
@@ -209,22 +209,30 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
         and all(gT[psi[p][q]] == phi_act[g1[p]][gT[q]]
                 for p in range(P.order) for q in range(Q.order)))
     eqs["section-of-fG"] = all(epi.fG.table[gG[e]] == e for e in range(E.order))
-    eqs["boundary-square"] = all(gG[ext.k.table[q]] == d[gT[q]]
-                                 for q in range(Q.order))
     gT_hom = GroupHom(Q, T, tuple(gT), check=False)
-    eqs["equivariance-elementwise"] = (
-        morphism_witness(epi.tgt, src, gT_hom, gG_hom) is None)
+    cert = _certified_section(eqs, epi.tgt, src, gT_hom, gG_hom,
+                              {"base_lifts": base_lifts})
+    words, brackets = _ternary_morphism_audit(cert.section, ternary_len)
+    cert.equations["ternary-equivariance"] = True  # the audit raises on any mismatch
+    cert.detail.update(ternary_len=ternary_len, ternary_words=words,
+                       ternary_brackets=brackets)
+    return cert
+
+
+def _certified_section(eqs, src, tgt, gT, gG, detail) -> SectionCertificate:
+    """The success certificate of the section (gT, gG): src -> tgt.
+
+    One `morphism_witness` call adds both morphism laws to `eqs`: it checks
+    the boundary square before equivariance.  Any failed equation raises.
+    """
+    witness = morphism_witness(src, tgt, gT, gG)
+    eqs["boundary-square"] = witness is None or witness[0] != "square"
+    eqs["equivariance-elementwise"] = witness is None
     for name, okay in eqs.items():
         if not okay:
             raise InvariantBreach(f"section verification failed: {name}")
-    section = XModMorphism(epi.tgt, src, gT_hom, gG_hom, check=False)
-    words, brackets = _ternary_morphism_audit(section, ternary_len)
-    eqs["ternary-equivariance"] = True  # the audit raises on any mismatch
-    return SectionCertificate("success", eqs, section=section,
-                              detail={"base_lifts": base_lifts,
-                                      "ternary_len": ternary_len,
-                                      "ternary_words": words,
-                                      "ternary_brackets": brackets})
+    return SectionCertificate("success", eqs, detail=detail,
+                              section=XModMorphism(src, tgt, gT, gG, check=False))
 
 
 def _ternary_morphism_audit(mor: XModMorphism, max_len: int):
@@ -339,7 +347,6 @@ def pullback_section(mor: XModMorphism, *, budget=None) -> SectionCertificate:
     except GroupError as exc:
         raise InvariantBreach(
             f"carrier restriction is not a homomorphism: {exc}") from exc
-    gG_hom = GroupHom(Q, G, tuple(gG), check=False)
 
     eqs["section-of-cokernel-map"] = all(
         h.table[jz[c]] == c for c in range(C2.order))
@@ -347,18 +354,9 @@ def pullback_section(mor: XModMorphism, *, budget=None) -> SectionCertificate:
         u.table[gG[q]] == jq.table[q] for q in range(Q.order))
     eqs["section-of-fG"] = all(mor.fG.table[gG[q]] == q for q in range(Q.order))
     eqs["section-of-fT"] = all(mor.fT.table[gT[p]] == p for p in range(Pc.order))
-    eqs["boundary-square"] = all(
-        gG[tgt.boundary.table[p]] == src.boundary.table[gT[p]]
-        for p in range(Pc.order))
-    eqs["equivariance-elementwise"] = (
-        morphism_witness(tgt, src, gT_hom, gG_hom) is None)
-    for name, okay in eqs.items():
-        if not okay:
-            raise InvariantBreach(f"section verification failed: {name}")
-    section = XModMorphism(tgt, src, gT_hom, gG_hom, check=False)
-    return SectionCertificate("success", eqs, section=section,
-                              detail={"cokernel_sections": jz_count,
-                                      "pullback_order": PB.order})
+    return _certified_section(eqs, tgt, src, gT_hom,
+                              GroupHom(Q, G, tuple(gG), check=False),
+                              {"cokernel_sections": jz_count, "pullback_order": PB.order})
 
 
 # -- the crossed-module lift search ---------------------------------------------

@@ -4,9 +4,11 @@ A crossed module (T -> G) is the same thing as the split extension
 T x| G -> G with its canonical section.  A morphism over the base G is an
 `XModMorphism` whose base map is the identity of G: a carrier-level hom
 commuting with boundaries and the action while G stays put.  This module
-works in that slice: regular epis, relative projectivity, and free covers,
-whose carrier map is the free exponent-4 cover of `groups.free_module_cover`.
-Lifts along regular epis are searched by `lifting.find_xmod_lift`.
+works in that slice: the map between semidirect totals, regular epis,
+relative projectivity, and free covers.  `free_cover` returns the covering
+morphism itself; its carrier map is the free exponent-4 cover of
+`groups.free_module_cover`.  Lifts along regular epis are searched by
+`lifting.find_xmod_lift`.
 
 Search semantics: a returned None means the search space was exhausted, so
 nonexistence is proven at the stated budget-free scale.  Running out of budget
@@ -16,8 +18,8 @@ raises BudgetExhausted instead; the two outcomes are never conflated.
 from .errors import GroupError, InvariantBreach
 from .actions import trivial_action
 from .groups import (
-    GroupHom, compose, enumerate_homs, free_module_cover, identity_hom,
-    is_z4_module,
+    GroupHom, _pair_rows, compose, enumerate_homs, free_module_cover,
+    identity_hom, is_z4_module,
 )
 from .lifting import find_xmod_lift
 from .xmod import CrossedModule, XModMorphism, morphism_witness
@@ -25,13 +27,9 @@ from .xmod import CrossedModule, XModMorphism, morphism_witness
 
 def total_map(mor: XModMorphism) -> GroupHom:
     """The induced hom between the semidirect totals, (t, g) -> (fT t, fG g)."""
-    e1, e2 = mor.src.extension, mor.tgt.extension
-    m1, m2, fG = mor.src.codomain().order, mor.tgt.codomain().order, mor.fG.table
-    table = []
-    for e in range(e1.total.order):
-        t, g = divmod(e, m1)
-        table.append(mor.fT.table[t] * m2 + fG[g])
-    return GroupHom(e1.total, e2.total, tuple(table))
+    row = _pair_rows((mor.fG.table,), mor.tgt.codomain().order, mor.tgt.domain().order)
+    return GroupHom(mor.src.extension.total, mor.tgt.extension.total,
+                    row(mor.fT.table, 0))
 
 
 def is_regular_epi(mor: XModMorphism) -> bool:
@@ -95,42 +93,13 @@ def is_projective_rel(xm: CrossedModule, epis, budget=None) -> dict:
 # -- free covers in the commutative exponent-4 slice ----------------------------
 
 
-class FreeSSE:
-    """A free cover: free carrier, basis, covering epi, and its certificates."""
-
-    def __init__(self, cover: XModMorphism, basis_names, generator_images,
-                 kernel_witnesses):
-        self.cover = cover
-        self.basis_names = tuple(basis_names)
-        self.generator_images = tuple(generator_images)
-        self.kernel_witnesses = tuple(kernel_witnesses)
-
-    def certificate(self) -> dict:
-        T = self.cover.tgt.domain()
-        gen_ok = len(T.closure(self.generator_images)) == T.order
-        ker = self.cover.fT.kernel_elements
-        wit_ok = all(w in ker for w in self.kernel_witnesses)
-        span_ok = len(self.cover.src.domain().closure(self.kernel_witnesses)) == len(ker)
-        return {
-            "rank": len(self.basis_names),
-            "generators_generate": gen_ok,
-            "kernel_witnesses": len(self.kernel_witnesses),
-            "witnesses_in_kernel": wit_ok,
-            "witnesses_span_kernel": span_ok,
-            "ok": gen_ok and wit_ok and span_ok,
-        }
-
-    def __repr__(self):
-        return f"<FreeSSE rank {len(self.basis_names)} over {self.cover.tgt.label}>"
-
-
-def free_cover(xm: CrossedModule) -> FreeSSE:
+def free_cover(xm: CrossedModule) -> XModMorphism:
     """Free cover of a trivially-acted crossed module with exponent-4 carrier.
 
     The carrier map is `groups.free_module_cover`, which sends the basis of
-    the free commutative exponent-4 group to the carrier's greedy generators.
-    The boundary of the cover is the composite, so the cover map is a regular
-    epi over the base by construction.
+    the free commutative exponent-4 group to the carrier's greedy generators,
+    one Z/4 per generator.  The boundary of the cover is the composite, so the
+    cover map is a regular epi over the base by construction.
     """
     T, G = xm.domain(), xm.codomain()
     if not is_z4_module(T):
@@ -140,13 +109,4 @@ def free_cover(xm: CrossedModule) -> FreeSSE:
     R, phi = free_module_cover(T)
     F = CrossedModule(trivial_action(G, R), compose(xm.boundary, phi), check=False,
                       label=f"F({xm.label})")
-    mor = XModMorphism(F, xm, phi, identity_hom(G), check=False)
-    # witnesses: a greedy generating sequence of the kernel
-    wits, spanned = [], R.closure([])
-    for w in sorted(phi.kernel_elements):
-        if w not in spanned:
-            wits.append(w)
-            spanned = R.closure(spanned | {w})
-    n = len(T.generators)
-    basis = ["0" * i + "1" + "0" * (n - i - 1) for i in range(n)]
-    return FreeSSE(mor, basis, T.generators, wits)
+    return XModMorphism(F, xm, phi, identity_hom(G), check=False)

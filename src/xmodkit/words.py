@@ -9,6 +9,7 @@ carries a plain group, which is checked once, where a signature is built.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import product, starmap
 from operator import add, itemgetter
 
@@ -155,9 +156,7 @@ def in_flat(w):
 # -- enumeration ---------------------------------------------------------------
 
 
-_DIST_TABLES = {}  # (slot count, kept slots) -> _distance_table(...)
-
-
+@cache  # process-wide: one table per (slot count, keeps)
 def _distance_table(k, keeps):
     """Fewest letters that empty every stack, per abstract state of _kernel_words.
 
@@ -173,12 +172,9 @@ def _distance_table(k, keeps):
     is filled by a breadth-first search back from the empty states, as a
     push and a cancel undo each other and a merge undoes itself.
     """
-    key = (k, tuple(tuple(sorted(keep)) for keep in keeps))
-    if key in _DIST_TABLES:
-        return _DIST_TABLES[key]
     cap, push, below, weights, size = MAX_ENUM_LEN // 2, [], [], [], k + 1
     dead = 1 + 2 * cap
-    for slots in key[1]:
+    for slots in keeps:
         rows = [[1 + slots.index(s) * cap if s in slots else dead for s in range(k)]]
         for c in range(1, dead):
             b, h = divmod(c - 1, cap)
@@ -188,7 +184,7 @@ def _distance_table(k, keeps):
         below.append([0] + [c - 1 if (c - 1) % cap else 0 for c in range(1, dead)])
         weights.append(size)
         size *= dead + 1
-    touch = [tuple(p for p, slots in enumerate(key[1]) if s in slots) for s in range(k)]
+    touch = [tuple(p for p, slots in enumerate(keeps) if s in slots) for s in range(k)]
     dist = bytearray([255]) * size
     frontier = range(k + 1)  # any previous slot, every stack empty
     for d in range(MAX_ENUM_LEN + 1):
@@ -208,8 +204,7 @@ def _distance_table(k, keeps):
             found.update(x + q for x in pre for q in range(k + 1)
                          if q != s + 1 and dist[x + q] == 255)
         frontier = found
-    _DIST_TABLES[key] = dist, weights, push, touch
-    return _DIST_TABLES[key]
+    return dist, weights, push, touch
 
 
 def _pattern_words(sig, max_len, kept):
@@ -263,7 +258,7 @@ def _pattern_words(sig, max_len, kept):
 def _kernel_words(sig, max_len, keeps):
     """Reduced words of length <= max_len whose kept-slot projections all vanish.
 
-    keeps is a list of slot sets; for each, the projection deleting the other
+    keeps is a tuple of slot tuples; for each, the projection deleting the other
     slots must normalize to the empty word.  When every keep is a single slot
     (plain, flat and binary cosmash words) `_pattern_words` builds the words
     directly.  Otherwise (the ternary cosmash keeps slot pairs) a DFS holds
@@ -343,7 +338,7 @@ def enumerate_words(sig, max_len):
 
     Built slot pattern by slot pattern (`_pattern_words`), as nothing is kept.
     """
-    return _kernel_words(sig, max_len, [])
+    return _kernel_words(sig, max_len, ())
 
 
 def enumerate_cosmash_words(sig, max_len):
@@ -355,9 +350,9 @@ def enumerate_cosmash_words(sig, max_len):
     """
     k = len(sig)
     if k == 2:
-        keeps = [{0}, {1}]
+        keeps = ((0,), (1,))
     elif k == 3:
-        keeps = [{0, 1}, {0, 2}, {1, 2}]
+        keeps = ((0, 1), (0, 2), (1, 2))
     else:
         raise GroupError("cosmash enumeration supports 2 or 3 slots")
     return _kernel_words(sig, max_len, keeps)
@@ -370,4 +365,4 @@ def enumerate_flat_words(sig, max_len):
     """
     if len(sig) != 2:
         raise GroupError("flat enumeration needs a two-slot signature")
-    return _kernel_words(sig, max_len, [{0}])
+    return _kernel_words(sig, max_len, ((0,),))

@@ -23,7 +23,7 @@ from .actions import (
     conjugation_action_on, semidirect_product, trivial_action,
 )
 from .groups import (
-    FiniteGroup, GroupHom, compose, direct_product, enumerate_homs,
+    FiniteGroup, GroupHom, _pair_rows, compose, direct_product, enumerate_homs,
     first_difference, gatherer, identity_hom, kernel, normal_closure, quotient,
     subgroup, trivial_group, trivial_hom,
 )
@@ -131,50 +131,33 @@ def check_axioms(xm: CrossedModule) -> dict:
     }
 
 
-def _pullback_action(xm: CrossedModule) -> GroupAction:
-    """T acting on T through the boundary: t.u = (d t).u."""
-    d = xm.boundary.table
-    T = xm.domain()
-    return GroupAction(T, T, [xm.action.table[d[t]] for t in range(T.order)],
-                       check=False)
-
-
 def check_axioms_wordlevel(xm: CrossedModule, max_len: int = 4) -> dict:
     """Both laws quantified over binary cosmash words up to max_len.
 
-    Equivariance: for w in the (G, T) cosmash, the boundary of the core
-    evaluation equals the straight evaluation of w through (id, d) in G.
-    Peiffer: for w in the (T, T) cosmash, core evaluation through the
-    pulled-back action equals plain multiplication of the letters in T.
+    Each law takes the cosmash words over (actor, carrier) of an action and
+    compares the core evaluation, sent through one map, with the straight
+    evaluation through a pair of slot maps.  Equivariance: xm's action, the
+    core value through d, the slots through (id, d) into G.  Peiffer: T acting
+    on T through the boundary, t.u = (d t).u, the core value as it is, the
+    slots multiplied in T.
     """
     G, T = xm.codomain(), xm.domain()
-    d = xm.boundary
-    eq_viol = []
-    sig_gt = FactorSignature((G, T))
-    into_g = WordHom(sig_gt, (identity_hom(G), d), G)
-    n_eq = 0
-    for w in enumerate_cosmash_words(sig_gt, max_len):
-        n_eq += 1
-        core = action_core_word(xm.action, w)
-        if d.table[core] != into_g.evaluate(w):
-            eq_viol.append(format_word(w))
-    pf_viol = []
-    sig_tt = FactorSignature((T, T))
-    pulled = _pullback_action(xm)
-    into_t = WordHom(sig_tt, (identity_hom(T), identity_hom(T)), T)
-    n_pf = 0
-    for w in enumerate_cosmash_words(sig_tt, max_len):
-        n_pf += 1
-        if action_core_word(pulled, w) != into_t.evaluate(w):
-            pf_viol.append(format_word(w))
-    return {
-        "max_len": max_len,
-        "equivariance_words": n_eq,
-        "peiffer_words": n_pf,
-        "equivariance_violations": eq_viol,
-        "peiffer_violations": pf_viol,
-        "ok": not eq_viol and not pf_viol,
-    }
+    d, idT = xm.boundary, identity_hom(T)
+    pulled = GroupAction(T, T, gatherer(d.table)(xm.action.table), check=False)
+    out, viol = {"max_len": max_len}, {}
+    for law, action, slot_maps, on_core in (
+            ("equivariance", xm.action, (identity_hom(G), d), d.table),
+            ("peiffer", pulled, (idT, idT), idT.table)):
+        sig = FactorSignature((action.actor, action.carrier))
+        straight = WordHom(sig, slot_maps, slot_maps[1].target)
+        words = enumerate_cosmash_words(sig, max_len)
+        out[f"{law}_words"] = len(words)
+        viol[f"{law}_violations"] = [
+            format_word(w) for w in words
+            if on_core[action_core_word(action, w)] != straight.evaluate(w)]
+    out.update(viol)
+    out["ok"] = not any(viol.values())
+    return out
 
 
 def ternary_routes(xm: CrossedModule):
@@ -259,19 +242,12 @@ def xmod_product(a: CrossedModule, b: CrossedModule):
     """
     T, iT1, iT2, pT1, pT2 = direct_product(a.domain(), b.domain())
     G, iG1, iG2, pG1, pG2 = direct_product(a.codomain(), b.codomain())
-    mb = b.codomain().order
-    nb = b.domain().order
-    table = []
-    for g in range(G.order):
-        g1, g2 = divmod(g, mb)
-        r1 = a.action.table[g1]
-        r2 = b.action.table[g2]
-        table.append([r1[t1] * nb + r2[t2]
-                      for t1 in range(a.domain().order) for t2 in range(nb)])
-    act = GroupAction(G, T, table, check=False)
-    d = GroupHom(T, G, tuple(a.boundary.table[t1] * mb + b.boundary.table[t2]
-                             for t1 in range(a.domain().order)
-                             for t2 in range(nb)), check=False)
+    # (g1, g2).(t1, t2) = (g1.t1, g2.t2) and d(t1, t2) = (d t1, d t2)
+    act_row = _pair_rows(b.action.table, b.domain().order, a.domain().order)
+    act = GroupAction(G, T, [act_row(r1, g2) for r1 in a.action.table
+                             for g2 in range(b.codomain().order)], check=False)
+    d_row = _pair_rows((b.boundary.table,), b.codomain().order, a.codomain().order)
+    d = GroupHom(T, G, d_row(a.boundary.table, 0), check=False)
     xm = CrossedModule(act, d, check=False, label=f"{a.label}x{b.label}")
     inj1 = XModMorphism(a, xm, iT1, iG1, check=False)
     inj2 = XModMorphism(b, xm, iT2, iG2, check=False)
@@ -415,7 +391,6 @@ def pi0_via_coequalizer(xm: CrossedModule):
     for e in range(ext.total.order):
         t, g = divmod(e, m)
         c_table.append(G.mul(d[t], g))
-    c = GroupHom(ext.total, G, tuple(c_table))  # hom because of equivariance
     diffs = {G.mul(c_table[e], G.inv(ext.p.table[e])) for e in range(ext.total.order)}
     closure = normal_closure(G, diffs)
     return quotient(G, sorted(closure), label=f"coeq{xm.label}")

@@ -14,12 +14,11 @@ from xmodkit.groups import (
     cyclic_group, direct_product, hom, symmetric_group, trivial_group,
 )
 from xmodkit.words import (
-    FactorSignature, WordHom, enumerate_cosmash_words, enumerate_words,
-    fold_word, single,
+    FactorSignature, WordHom, enumerate_cosmash_words, fold_word, single,
 )
 from xmodkit.xmod import (
     check_axioms, check_axioms_wordlevel, check_ternary, conjugation_xmod,
-    module_xmod, pi0, pi0_comparison, pi0_preserves_split_ses,
+    module_xmod, pi0_comparison, pi0_preserves_split_ses,
     xmod_from_normal_subgroup,
 )
 from xmodkit.actions import trivial_action

@@ -582,6 +582,37 @@ def test_over_cap_max_order_is_refused_before_the_sweep(monkeypatch, capsys):
         "input error: survey order cap 2048 exceeds the dense-table cap 1024\n")
 
 
+GROUP_ONLY_DEFS = "[group G]\ndegree: 2\nperms: (1 2)\n"
+EMPTY_SETMAP_DEFS = "[setmap f]\nsource: 0\ntarget: 0\nmap:\nsection:\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["condp", "z4-pipeline", "--map", "0,1", "--section", "1,0"], None,
+     "s must be a section of f"),
+    (["condp", "z4-pipeline", "--map", "0,x"], None,
+     "--map must be a list of integers, got '0,x'"),
+    (["condp", "z4-pipeline", "--input", "FILE"], EMPTY_SETMAP_DEFS,
+     "need nonempty index sets"),
+    (["condp", "z4-pipeline", "--input", "FILE"], GROUP_ONLY_DEFS,
+     "FILE: no [setmap] sections"),
+    (["pi0", "FILE"], GROUP_ONLY_DEFS, "FILE: no [xmod] sections"),
+    (["lift", "FILE"], GROUP_ONLY_DEFS, "FILE: no [morphism] sections"),
+], ids=["not-a-section", "map-not-integers", "empty-setmap", "no-setmap",
+        "no-xmod", "no-morphism"])
+def test_refused_inputs_exit_two(argv, text, message, tmp_path, capsys):
+    """Each refusal exits 2 with its message and a JSON error report."""
+    path, rep_path = tmp_path / "in.defs", tmp_path / "rep.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    error = "input error: " + message.replace("FILE", str(path))
+    assert main(argv + ["--json", str(rep_path)]) == 2
+    assert capsys.readouterr().err == error + "\n"
+    rep = json.loads(rep_path.read_text())
+    assert (rep["ok"], rep["exit_code"], rep["results"]) == (False, 2, None)
+    assert rep["error"] == error
+
+
 def test_budget_only_where_searched(sample):
     for argv in (["condp", "non-schreier", "--budget", "1"],
                  ["check", sample, "--budget", "1"],

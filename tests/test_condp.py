@@ -154,6 +154,19 @@ def test_pipeline_pairs_count():
         assert all(f[s[y]] == y for y in range(len(s)))
 
 
+def test_free_shape_isomorphism_search_decides_both_ways():
+    """Where the base order is the square of the carrier order, the shape is
+    settled by an isomorphism search: (Z/4)^2 in (Z/4)^4 has the free shape,
+    the order-4 subgroup of Z16 does not."""
+    assert condp.free_shape_witness(condp._free_inclusion(2, 4)) == {
+        "free_shape": True, "reason": "isomorphism-search",
+        "base_order": 256, "required": 256}
+    z4_in_z16 = xmod.xmod_from_normal_subgroup(cyclic_group(16), [0, 4, 8, 12])
+    assert condp.free_shape_witness(z4_in_z16) == {
+        "free_shape": False, "reason": "isomorphism-search",
+        "base_order": 16, "required": 16}
+
+
 def test_non_schreier_demo_plain_and_relabeled():
     rep = non_schreier_demo()
     assert rep["ok"]

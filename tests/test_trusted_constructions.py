@@ -34,10 +34,10 @@ from xmodkit.groups import (
     quotient, subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
     z4_module_classes, _grow,
 )
-from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi
+from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi, total_map
 from xmodkit.xmod import (
     CrossedModule, check_axioms, equivariance_failures, identity_morphism,
-    morphism_witness, pi0, relabel_xmod,
+    morphism_witness, pi0, relabel_xmod, xmod_product,
 )
 
 from action_helpers import action_from_extension
@@ -162,6 +162,23 @@ def _seeded_relabel(xm, seed):
     rng.shuffle(pT)
     rng.shuffle(pG)
     return relabel_xmod(xm, pT, pG)
+
+
+def test_coequalizer_map_is_a_hom_exactly_on_equivariant_entries():
+    """pi0_via_coequalizer trusts (t, g) -> d(t) g on T x| G to be a hom, as
+    equivariance makes it.  GroupHom's check passes it on every valid corpus
+    entry and refuses it on every entry that breaks equivariance."""
+    refused = 0
+    for name, xm, valid in axiom_corpus():
+        total, G, d = xm.extension.total, xm.codomain(), xm.boundary.table
+        table = [G.mul(d[e // G.order], e % G.order) for e in range(total.order)]
+        if valid:
+            GroupHom(total, G, table)
+        elif name.startswith(("bad:equivariance:", "bad:both:")):
+            with pytest.raises(GroupError, match="not a homomorphism"):
+                GroupHom(total, G, table)
+            refused += 1
+    assert refused == 4
 
 
 def test_relabel_xmod_of_valid_corpus():
@@ -711,6 +728,34 @@ def test_direct_products_match_per_cell_formula():
         assert (P.table, P.names, P.label) == (table, names, f"{A.label}x{B.label}")
         assert tuple(f.table for f in homs) == hom_tables
         assert P._inv == _inverse_reference(table)
+
+
+def test_product_xmod_and_total_map_match_per_cell_formulas():
+    """xmod_product's action and boundary and sse.total_map, built from rows
+    of pair codes, agree with the per-cell formulas they replaced."""
+    valid = [xm for _, xm, ok in axiom_corpus() if ok]
+    morphisms = sse_morphism_corpus()
+    for a, b in itertools.product(valid[::7], repeat=2):
+        if a.extension.total.order * b.extension.total.order > MAX_ORDER:
+            continue
+        xm, *maps = xmod_product(a, b)
+        morphisms += maps  # in and out of the product: two different bases
+        mb, nb, na = b.codomain().order, b.domain().order, a.domain().order
+        table = []
+        for g in range(xm.codomain().order):
+            g1, g2 = divmod(g, mb)
+            r1, r2 = a.action.table[g1], b.action.table[g2]
+            table.append(tuple(r1[t1] * nb + r2[t2]
+                               for t1 in range(na) for t2 in range(nb)))
+        assert xm.action.table == tuple(table)
+        assert xm.boundary.table == tuple(
+            a.boundary.table[t1] * mb + b.boundary.table[t2]
+            for t1 in range(na) for t2 in range(nb))
+    for mor in morphisms:
+        m1, m2 = mor.src.codomain().order, mor.tgt.codomain().order
+        assert total_map(mor).table == tuple(
+            mor.fT.table[e // m1] * m2 + mor.fG.table[e % m1]
+            for e in range(mor.src.extension.total.order))
 
 
 def test_direct_product_refuses_over_cap_before_building():

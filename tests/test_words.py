@@ -6,7 +6,7 @@ import pytest
 from xmodkit.corpus import axiom_corpus
 from xmodkit.errors import GroupError
 from xmodkit.groups import (
-    GroupHom, cyclic_group, dihedral_group, hom, subgroup, symmetric_group,
+    cyclic_group, dihedral_group, hom, subgroup, symmetric_group,
 )
 from xmodkit.words import (
     FactorSignature, WordHom, commutator, enumerate_cosmash_words,
@@ -188,6 +188,18 @@ def test_enumeration_against_naive_oracle():
     for sig, L, keeps, enum in cases:
         mine = [w.letters for w in enum(sig, L)]
         assert mine == naive_members(sig, L, keeps)
+
+
+def test_ternary_dfs_merges_that_do_not_cancel():
+    """Over (Z3, Z2, Z2) the pruned DFS first merges a letter into a stack top
+    without cancelling it at length 11, 48 times; its 81 words there are the
+    brute-force filter of all 78,617 reduced words."""
+    sig = FactorSignature((Z3, Z2, Z2))
+    every = enumerate_words(sig, 11)
+    assert len(every) == 78617
+    mine = [w.letters for w in enumerate_cosmash_words(sig, 11)]
+    assert len(mine) == 81
+    assert mine == [w.letters for w in every if in_ternary_cosmash(w)]
 
 
 @pytest.mark.parametrize("enum", [enumerate_words, enumerate_cosmash_words,

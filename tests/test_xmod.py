@@ -2,12 +2,10 @@ import pytest
 
 from xmodkit.errors import GroupError
 from xmodkit.groups import (
-    GroupHom, cyclic_group, find_isomorphism, klein_four_group,
-    normal_subgroups, quaternion_group, symmetric_group, trivial_hom,
+    GroupHom, cyclic_group, klein_four_group, normal_subgroups, symmetric_group,
+    trivial_hom,
 )
-from xmodkit.actions import (
-    GroupAction, action_from_function, trivial_action,
-)
+from xmodkit.actions import action_from_function, trivial_action
 from xmodkit.xmod import (
     CrossedModule, XModMorphism, XModSplitSES, check_axioms,
     check_axioms_wordlevel, check_ternary,
