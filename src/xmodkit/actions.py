@@ -20,8 +20,7 @@ normalizes to the empty word evaluates to a carrier element.
 
 from .errors import GroupError
 from .groups import (
-    MAX_ORDER, FiniteGroup, GroupHom, _cayley_level, _pair_rows, gatherer,
-    identity_hom,
+    MAX_ORDER, FiniteGroup, GroupHom, _levels, _pair_rows, gatherer, identity_hom,
 )
 
 
@@ -96,31 +95,27 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     """Action of the codomain on the domain by conjugation through `embedding`.
 
     The embedding must be injective with normal image; both are checked here.
-    Rows follow the Cayley edges of G (`_cayley_level`): a generator's row is
+    Rows follow the Cayley edges of G (`_levels`): a generator's row is
     read off the table and must stay in the image, which is then normal, and
     every other z = x*s gets row x read through row s.
     """
     H, G = embedding.source, embedding.target
     if not embedding.is_injective():
         raise GroupError("embedding is not injective")
-    preimage = [None] * G.order
-    for h, y in enumerate(embedding.table):
-        preimage[y] = h
     t = G.table
     image_rows = gatherer(embedding.table)(t)
     table = [None] * G.order
     table[G.identity] = tuple(range(H.order))
-    elems, through = [G.identity], {}  # generator -> gatherer of its row
-    for g in range(G.order):
-        if table[g] is None:
-            # g y g^-1 = g (y g^-1): the image rows' column at g^-1, read through row g
-            column = tuple(row[G.inv(g)] for row in image_rows)
-            table[g] = gatherer(gatherer(column)(t[g]))(preimage)
-            if None in table[g]:
-                raise GroupError("image of the embedding is not a normal subgroup")
-            through[g] = gatherer(table[g])
-            for z, x, s in _cayley_level(t, elems, list(through))[0]:
-                table[z] = through[s](table[x])  # conj by x*s is conj x after conj s
+    through = {}  # generator -> gatherer of its row
+    for g, defines, _ in _levels(t, [G.identity], [], range(G.order)):
+        # g y g^-1 = g (y g^-1): the image rows' column at g^-1, read through row g
+        column = tuple(row[G.inv(g)] for row in image_rows)
+        table[g] = gatherer(gatherer(column)(t[g]))(embedding.preimage)
+        if None in table[g]:
+            raise GroupError("image of the embedding is not a normal subgroup")
+        through[g] = gatherer(table[g])
+        for z, x, s in defines:
+            table[z] = through[s](table[x])  # conj by x*s is conj x after conj s
     # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
     return GroupAction(G, H, table, check=False)
 

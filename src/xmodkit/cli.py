@@ -332,7 +332,7 @@ def cmd_audit(args):
     print(f"ternary law: {nonempty} non-empty words at L={args.ternary_len} "
           f"over {len(terns)} modules, {verdict}")
 
-    mors = sse_morphism_corpus()
+    mors = sse_morphism_corpus(budget=args.budget)
     epis = sum(1 for m in mors if is_regular_epi(m))
     results["sse_corpus"] = {"morphisms": len(mors), "regular_epis": epis}
     print(f"same-base corpus: {len(mors)} morphisms, {epis} regular epis, "
@@ -371,7 +371,7 @@ def cmd_audit(args):
           and cert0.status == "no-equivariant-section" and generic0 is None
           and all(pb) and fix.status == "no-cokernel-section")
     if not args.quick:
-        survey = projectivity_survey()
+        survey = projectivity_survey(budget=args.budget)
         s_ok = all(r["ok"] for r in survey)
         results["survey"] = {"classes": len(survey), "all_agree": s_ok}
         print(f"projectivity survey: {len(survey)} classes, criterion and "

@@ -135,14 +135,14 @@ def projective_z4(M) -> bool:
     return tor * tor == M.order
 
 
-def lifting_oracle_z4(M, free=None) -> bool:
+def lifting_oracle_z4(M, free=None, budget=None) -> bool:
     """Projectivity by definition: does the free cover split over M?
 
     Exhaustive, so both answers are proofs.  Raises GroupError when the cover
     order would exceed the dense-table cap (six or more generators).  `free`
-    is passed on to `free_module_cover`.
+    is passed on to `free_module_cover`, `budget` to the section search.
     """
-    return find_section(free_module_cover(M, free)[1]) is not None
+    return find_section(free_module_cover(M, free)[1], budget=budget) is not None
 
 
 def check_survey_cap(max_order: int):
@@ -153,13 +153,13 @@ def check_survey_cap(max_order: int):
         raise GroupError(f"survey order cap {max_order} exceeds the dense-table cap {MAX_ORDER}")
 
 
-def projectivity_survey(max_order: int = 64, free=None) -> list:
+def projectivity_survey(max_order: int = 64, free=None, budget=None) -> list:
     """Criterion verdict for every module class up to max_order.
 
     The section oracle runs wherever the free cover fits under the cap and
     must agree; classes whose cover is too large carry oracle None.  `free`
     is passed on to `free_module_cover`; by default each free module is
-    built once per survey.
+    built once per survey.  `budget` bounds each section search.
     """
     check_survey_cap(max_order)
     rows = []
@@ -170,7 +170,7 @@ def projectivity_survey(max_order: int = 64, free=None) -> list:
         row = {"n4": n4, "n2": n2, "order": M.order,
                "criterion": crit, "expected": n2 == 0}
         try:
-            row["oracle"] = lifting_oracle_z4(M, free)
+            row["oracle"] = lifting_oracle_z4(M, free, budget)
         except GroupError:
             row["oracle"] = None
         row["ok"] = (row["criterion"] == row["expected"]
@@ -398,10 +398,8 @@ def _merge_cover_epi(xm) -> XModMorphism:
     src = _free_inclusion(3, 4)
     fG = _digit_hom(src.codomain(), xm.codomain(), lambda d: (
         (d[0] + d[2]) % 4, (d[1] + d[2]) % 4, d[3]))
-    T = xm.domain()
-    tlook = {xm.boundary.table[t]: t for t in range(T.order)}
-    fT = GroupHom(src.domain(), T, tuple(
-        tlook[fG.table[g]] for g in src.boundary.table))
+    fT = GroupHom(src.domain(), xm.domain(), tuple(
+        xm.boundary.preimage[fG.table[g]] for g in src.boundary.table))
     return XModMorphism(src, xm, fT, fG)
 
 

@@ -200,12 +200,13 @@ def is_central(G, x):
     return all(G.mul(x, g) == G.mul(g, x) for g in range(G.order))
 
 
-def sse_morphism_corpus():
+def sse_morphism_corpus(budget=None):
     """Morphisms over a fixed base, pooled over two bases.  Exhaustive per pair.
 
     Pool one lives over Z2 with abelian carriers, pool two over S3 with a
     mix of discrete, inclusion, module, and conjugation shapes.  All ordered
-    pairs of pool members contribute every morphism between them.
+    pairs of pool members contribute every morphism between them.  `budget`
+    bounds each carrier hom search.
     """
     out = []
 
@@ -221,7 +222,7 @@ def sse_morphism_corpus():
     ]
     for src in pool1:
         for tgt in pool1:
-            out.extend(enumerate_sse_morphisms(src, tgt))
+            out.extend(enumerate_sse_morphisms(src, tgt, budget=budget))
 
     S3 = symmetric_group(3)
     a3 = [x for x in range(6) if S3.elem_orders[x] in (1, 3)]
@@ -236,7 +237,7 @@ def sse_morphism_corpus():
     ]
     for src in pool2:
         for tgt in pool2:
-            out.extend(enumerate_sse_morphisms(src, tgt))
+            out.extend(enumerate_sse_morphisms(src, tgt, budget=budget))
     return out
 
 
@@ -363,8 +364,7 @@ def _abelian_collapse_pair(p_orders, c_orders, k_orders):
     elems = [e for e in range(PCK.order) if pC.table[pPC.table[e]] == 0]
     src = xmod_from_normal_subgroup(PCK, elems)
     S_s, S_t = src.domain(), tgt.domain()
-    look = {tgt.boundary.table[y]: y for y in range(S_t.order)}
-    fT = GroupHom(S_s, S_t, tuple(look[pPC.table[src.boundary.table[s]]]
+    fT = GroupHom(S_s, S_t, tuple(tgt.boundary.preimage[pPC.table[src.boundary.table[s]]]
                                   for s in range(S_s.order)))
     return XModMorphism(src, tgt, fT, pPC)
 

@@ -358,7 +358,7 @@ def _build_setmap(entries, lineno):
     sizes = {}
     for key in ("source", "target"):
         val, _, ln = _need(entries, key, lineno, "setmap")
-        if not val.isdigit() or int(val) < 0:
+        if not val.isdigit():
             _err(ln, f"{key} must be a nonnegative integer, got {val!r}")
         sizes[key] = int(val)
     table, mln = _int_list(entries, "map", lineno, "setmap")

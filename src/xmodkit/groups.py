@@ -15,14 +15,15 @@ associativity and ``GroupHom`` the hom law, by default.  The constructions
 here are correct by theorem and pass ``check=False``.  Laws that hold on a
 subgroup are decided on one generating set per group, ``FiniteGroup._gens``:
 associativity (Light's test), the hom law, the action laws of
-``actions.GroupAction``, commutativity, normality (of subgroups, of the image
-in ``actions.conjugation_action_on`` and as ``normal_closure`` grows) and
+``actions.GroupAction``, commutativity, normality (of the image in
+``actions.conjugation_action_on`` and as ``normal_closure`` grows) and
 ``xmod.morphism_witness``'s equivariance;
 only normality runs a full loop, after a failure, for its witness.
 
 Dense tables are built and checked a row at a time, except by ``pullback``,
-``from_permutations``, ``cyclic_group``, ``xmod.relabel_xmod`` and
-``xmod.xmod_kernel``, which go a cell at a time.  ``gatherer`` turns an index
+``from_permutations`` and ``cyclic_group``, which go a cell at a time;
+``xmod.xmod_kernel`` and ``xmod.relabel_xmod`` gather rows through
+``GroupHom.preimage`` or an inverse permutation.  ``gatherer`` turns an index
 tuple into one C call that reads a sequence at those indices; ``z4_module``
 builds each row by extending one list with shifted copies of one row of the
 module built so far, read from one shared index tuple, ``_pair_rows`` builds
@@ -39,8 +40,9 @@ images along Cayley edges z = x*s planned once per search, since a map with
 f(xs) = f(x)f(s) for all x and generators s is a hom: O(|G|.|gens|) work per
 full assignment.  Each level's edges are split when planned: a node runs the
 edges that define new values in one pass and the edges that check old ones
-in a second, both reading the target's table directly.  ``closure`` grows
-subgroups along the same Cayley edges.  Every section and every lift along a
+in a second, both reading the target's table directly.  One generator,
+``_levels``, walks those edges for the search, ``closure``, ``normal_closure``
+and ``actions.conjugation_action_on``.  Every section and every lift along a
 surjection is found by ``lifts``, the one search over fibers.
 """
 from __future__ import annotations
@@ -203,7 +205,7 @@ class FiniteGroup:
         """Subgroup generated by elems, as a frozenset of indices.
 
         Each element not yet covered joins as a generator and the subgroup
-        grows along Cayley edges (_cayley_level): O(|H|.|gens|) products for
+        grows along Cayley edges (`_levels`): O(|H|.|gens|) products for
         the subgroup H generated, not a product of every pair.
         """
         return frozenset(_grow(self.table, self.identity, elems)[0])
@@ -234,19 +236,47 @@ class FiniteGroup:
         return f"<FiniteGroup {self.label} order {self.order}>"
 
 
+def _levels(t, members, gens, candidates):
+    """The Cayley walk in table t: yield (g, defines, checks) per generator.
+
+    `members` is a subgroup, identity first; each candidate not yet reached
+    joins `gens` and grows it, both extended in place, to <members, g>: old
+    members step along g, new ones along all of `gens`.  The edges (z, x, s),
+    z = x*s with x reached before, are split in order into defines, where z
+    is met first, and checks, where z was met before.  Candidates are read
+    lazily, so a list may grow while the walk reads it.  Only table lookups,
+    so it ends on any square table, group or not.
+    """
+    known = set(members)
+    for g in candidates:
+        if g in known:
+            continue
+        gens.append(g)
+        old = len(members)
+        members.append(g)
+        known.add(g)
+        defines, checks = [], []
+        i = 1  # the identity steps along g to g itself, whose image is the choice
+        while i < len(members):
+            x = members[i]
+            for s in gens if i >= old else (g,):
+                z = t[x][s]
+                if z in known:
+                    checks.append((z, x, s))
+                else:
+                    defines.append((z, x, s))
+                    known.add(z)
+                    members.append(z)
+            i += 1
+        yield g, defines, checks
+
+
 def _grow(t, identity, elems):
     """(members, gens): the right-Cayley closure of the identity in table t,
-    each element of `elems` not yet reached joining `gens` (_cayley_level).
-
-    Only table lookups, so it ends on any square table, group or not."""
+    each element of `elems` not yet reached joining `gens` (`_levels`)."""
     members, gens = [identity], []
-    known = {identity}
-    for g in elems:
-        if g not in known:
-            gens.append(g)
-            old = len(members)
-            _cayley_level(t, members, gens)
-            known.update(members[old:])
+    for _ in _levels(t, members, gens, elems):
+        pass
     return members, gens
 
 
@@ -288,15 +318,18 @@ def first_difference(xs, ys):
     return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
-def generating_sequence(G, covered):
-    """Extend the subgroup generated by `covered` to all of G, greedily.
+def _greedy(G, covered):
+    """The elements of `covered`, then every element of G ranked by largest
+    order, then least index.  Walked by `_levels`, the first ranked element
+    not yet reached is the largest outside the subgroup so far."""
+    return itertools.chain(covered, sorted(range(G.order), key=G.elem_orders.__getitem__,
+                                           reverse=True))
 
-    `_grow` takes the elements of `covered`, then every element ranked by
-    largest order, then least index: the first ranked element not yet reached
-    is the largest outside the subgroup so far, and never a covered one.
-    """
-    ranked = sorted(range(G.order), key=G.elem_orders.__getitem__, reverse=True)
-    gens = _grow(G.table, G.identity, itertools.chain(covered, ranked))[1]
+
+def generating_sequence(G, covered):
+    """Extend the subgroup generated by `covered` to all of G, greedily
+    (`_greedy`); no covered element is among the picks."""
+    gens = _grow(G.table, G.identity, _greedy(G, covered))[1]
     taken = set(covered)
     return tuple(g for g in gens if g not in taken)
 
@@ -335,6 +368,15 @@ class GroupHom:
     @cached_property
     def image_elements(self):
         return frozenset(self.table)
+
+    @cached_property
+    def preimage(self):
+        """Target element -> its source element, None off the image: the
+        inverse of an injective hom, built once."""
+        out = [None] * self.target.order
+        for x, y in enumerate(self.table):
+            out[y] = x
+        return tuple(out)
 
     @cached_property
     def kernel_elements(self):
@@ -420,24 +462,12 @@ def kernel(f):
 
 
 def normality_witness(G, elems):
-    """None if the closed subset is normal, else a conjugation escape (g, n, gng^-1).
+    """None if conjugation keeps the subset, else the first escape (g, n, gng^-1).
 
-    A subgroup N is normal once every conjugate of each of its generators
-    (from _grow) lies in N, read a column at a time: g s g^-1 is row g s of
-    the table at g^-1.  Only a subset that fails this, or is not closed,
-    runs the loop over every g and n, which finds the witness.
+    `quotient` decides normality with `normal_closure` and asks for the
+    witness only after a failure, so one loop over every g and n does.
     """
     es = set(elems)
-    t = G.table
-    members, gens = _grow(t, G.identity, sorted(es))
-    if len(members) == len(es):  # a subgroup, generated by gens
-        for s in gens:
-            column = map(operator.itemgetter(s), t)  # g s for every g
-            if not es.issuperset(map(tuple.__getitem__, map(t.__getitem__, column),
-                                     G._inv)):
-                break
-        else:
-            return None
     for g in range(G.order):
         for n in es:
             c = G.conj(g, n)
@@ -447,18 +477,13 @@ def normality_witness(G, elems):
 
 
 def normal_closure(G, elems):
-    """Smallest normal subgroup containing elems, grown along Cayley edges; each
-    generator that joins queues its conjugates by G's generators."""
+    """Smallest normal subgroup containing elems, grown along Cayley edges
+    (`_levels`); each generator that joins queues its conjugates by G's
+    generators."""
     t, inv = G.table, G._inv
-    members, gens, known = [G.identity], [], {G.identity}
-    queue = list(elems)
-    for n in queue:  # the queue grows as generators join
-        if n not in known:
-            gens.append(n)
-            old = len(members)
-            _cayley_level(t, members, gens)
-            known.update(members[old:])
-            queue += (t[t[g][n]][inv[g]] for g in G._gens)
+    members, queue = [G.identity], list(elems)
+    for n, _, _ in _levels(t, members, [], queue):  # the queue grows as generators join
+        queue += (t[t[g][n]][inv[g]] for g in G._gens)
     return frozenset(members)
 
 
@@ -742,32 +767,6 @@ def z4_module_classes(max_order):
 # -- backtracking homomorphism search -----------------------------------------
 
 
-def _cayley_level(t, elems, gens):
-    """Cayley edges that grow the subgroup `elems` (identity first, extended in
-    place, gens[-1] first) to <elems, gens[-1]>: old elements step along the
-    new generator, new ones along all of `gens`.  Returns the edges (z, x, s),
-    z = x*s with x reached before, split in order into defines, where z is met
-    first, and checks, where z was met before."""
-    g = gens[-1]
-    old = len(elems)
-    elems.append(g)
-    seen = set(elems)
-    defines, checks = [], []
-    i = 1  # the identity steps along g to g itself, whose image is the choice
-    while i < len(elems):
-        x = elems[i]
-        for s in gens if i >= old else (g,):
-            z = t[x][s]
-            if z in seen:
-                checks.append((z, x, s))
-            else:
-                defines.append((z, x, s))
-                seen.add(z)
-                elems.append(z)
-        i += 1
-    return defines, checks
-
-
 def search_homs(src, target, candidates, *, prescribed=None, budget=None,
                 injective=False):
     """Yield the value tuple of every hom from src to target, by backtracking.
@@ -797,7 +796,9 @@ def search_homs(src, target, candidates, *, prescribed=None, budget=None,
     tt = target.table
     phi = [None] * src.order
     phi[src.identity] = target.identity
-    elems, gens = [src.identity], []
+    elems = [src.identity]
+    # one walk: a level per prescribed key not yet reached, then the greedy plan
+    steps = _levels(src.table, elems, [], _greedy(src, prescribed))
 
     def walk(defines, checks, size):
         for z, x, s in defines:
@@ -808,19 +809,16 @@ def search_homs(src, target, candidates, *, prescribed=None, budget=None,
         return not injective or len({phi[x] for x in elems[:size]}) == size
 
     for k, v in prescribed.items():
-        if phi[k] is None:  # not yet in the subgroup: a level of its own
-            gens.append(k)
-            defines, checks = _cayley_level(src.table, elems, gens)
+        if phi[k] is None:  # not yet in the subgroup: the walk's next level
+            _, defines, checks = next(steps)
             phi[k] = v
             if not walk(defines, checks, len(elems)):
                 return
         elif phi[k] != v:
             return
-    levels = []
-    for g in generating_sequence(src, elems):
-        gens.append(g)
-        defines, checks = _cayley_level(src.table, elems, gens)
-        levels.append((g, list(candidates(g)), defines, checks, len(elems)))
+    # candidates are asked for only once every prescribed image has passed
+    levels = [(g, list(candidates(g)), defines, checks, len(elems))
+              for g, defines, checks in steps]
     nodes = 0
 
     def rec(rec, i):  # passed itself: a self-closure is a reference cycle

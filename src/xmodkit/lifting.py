@@ -114,7 +114,8 @@ def inclusion_extension(xm: CrossedModule, budget=None) -> SplitExtension:
     s = find_section(proj, budget=budget)
     if s is None:
         raise GroupError("cokernel projection of the boundary does not split")
-    return SplitExtension(xm.boundary, proj, s)
+    # k injective, p the quotient by its image, s a found section: split exact
+    return SplitExtension(xm.boundary, proj, s, check=False)
 
 
 def _require_inclusion(xm: CrossedModule):
@@ -185,11 +186,10 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
 
     # (iii) decode each total element as k(q) s(p) and apply the formula
     d = src.boundary.table
-    klook = {ext.k.table[q]: q for q in range(Q.order)}
     gG = [0] * E.order
     for e in range(E.order):
         p = ext.p.table[e]
-        q = klook[E.mul(e, E.inv(ext.s.table[p]))]
+        q = ext.k.preimage[E.mul(e, E.inv(ext.s.table[p]))]
         gG[e] = G.mul(d[gT[q]], g1[p])
 
     # (iv) re-verify every equation; any failure here is a bug, never input.
@@ -335,10 +335,9 @@ def pullback_section(mor: XModMorphism, *, budget=None) -> SectionCertificate:
                                   detail={"cokernel_sections": jz_count})
     jz, jq, gG = found
 
-    dlook = {src.boundary.table[t]: t for t in range(T.order)}
     gT = []
     for p in range(Pc.order):
-        t = dlook.get(gG[tgt.boundary.table[p]])
+        t = src.boundary.preimage[gG[tgt.boundary.table[p]]]
         if t is None:
             raise InvariantBreach("restriction left the embedded carrier")
         gT.append(t)
@@ -426,7 +425,7 @@ class FreeXModMorphism:
         ext = xm.extension
         self._eval = WordHom(self.sig, (compose(ext.s, g), compose(ext.k, f)),
                              ext.total)
-        self._klook = {ext.k.table[t]: t for t in range(xm.domain().order)}
+        self._klook = ext.k.preimage
 
     def base_value(self, w) -> int:
         """Evaluate any two-slot word in the base group."""
@@ -440,7 +439,7 @@ class FreeXModMorphism:
             raise GroupError("word signature mismatch")
         if not in_flat(w):
             raise GroupError("carrier evaluation needs a flat word")
-        t = self._klook.get(self._eval.evaluate(w))
+        t = self._klook[self._eval.evaluate(w)]
         if t is None:
             raise InvariantBreach("flat word escaped the embedded kernel")
         return t
@@ -490,8 +489,7 @@ class FreeXModMorphism:
         return f"<FreeXModMorphism {self.H.label} => {self.xm.label}>"
 
 
-def hom_bijection_check(H: FiniteGroup, xm: CrossedModule, max_len: int = 2,
-                        budget=None) -> dict:
+def hom_bijection_check(H: FiniteGroup, xm: CrossedModule, max_len: int = 2) -> dict:
     """Letter pairs versus evaluators: a bijection, witnessed both ways.
 
     Builds the evaluator of every pair in Hom(H, T) x Hom(H, G), reads the
@@ -499,8 +497,8 @@ def hom_bijection_check(H: FiniteGroup, xm: CrossedModule, max_len: int = 2,
     words up to max_len; the round trip must be the identity and the
     fingerprints pairwise distinct.
     """
-    homs_f = enumerate_homs(H, xm.domain(), budget=budget)
-    homs_g = enumerate_homs(H, xm.codomain(), budget=budget)
+    homs_f = enumerate_homs(H, xm.domain())
+    homs_g = enumerate_homs(H, xm.codomain())
     sig = FactorSignature((H, H))
     words = list(enumerate_words(sig, max_len))
     flats = [w for w in words if in_flat(w)]

@@ -64,7 +64,7 @@ def enumerate_sse_morphisms(src: CrossedModule, tgt: CrossedModule,
     return out
 
 
-def is_projective_rel(xm: CrossedModule, epis, budget=None) -> dict:
+def is_projective_rel(xm: CrossedModule, epis) -> dict:
     """Lifting test of xm against every given regular epi over the same base.
 
     Tries every morphism from xm into each epi target and searches a lift.
@@ -77,9 +77,9 @@ def is_projective_rel(xm: CrossedModule, epis, budget=None) -> dict:
             raise GroupError("projectivity is relative to epis over the same base")
         if not is_regular_epi(epi):
             raise GroupError(f"map {i} in the class is not a regular epi")
-        for j, u in enumerate(enumerate_sse_morphisms(xm, epi.tgt, budget=budget)):
+        for j, u in enumerate(enumerate_sse_morphisms(xm, epi.tgt)):
             checked += 1
-            if find_xmod_lift(epi, u, budget=budget) is None:
+            if find_xmod_lift(epi, u) is None:
                 return {
                     "ok": False,
                     "lifting_problems": checked,

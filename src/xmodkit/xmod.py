@@ -270,29 +270,19 @@ def relabel_xmod(xm: CrossedModule, perm_T, perm_G) -> CrossedModule:
     checking that algorithms do not depend on accidental element order.
     """
     T, G = xm.domain(), xm.codomain()
-    perm_T, perm_G = list(perm_T), list(perm_G)
     if sorted(perm_T) != list(range(T.order)) or sorted(perm_G) != list(range(G.order)):
         raise GroupError("relabeling needs one permutation per carrier")
-    invT = [0] * T.order
-    for i, p in enumerate(perm_T):
-        invT[p] = i
-    invG = [0] * G.order
-    for i, p in enumerate(perm_G):
-        invG[p] = i
-    tT = [[perm_T[T.table[invT[x]][invT[y]]] for y in range(T.order)]
-          for x in range(T.order)]
-    tG = [[perm_G[G.table[invG[x]][invG[y]]] for y in range(G.order)]
-          for x in range(G.order)]
+    # new index i holds old element inv[i]: read each row at inv, then its
+    # values through perm
+    at_T, at_G = (gatherer(sorted(range(len(p)), key=p.__getitem__)) for p in (perm_T, perm_G))
     # transport of a crossed module along bijections is a crossed module
-    T2 = FiniteGroup(tT, names=[T.names[invT[i]] for i in range(T.order)],
-                     label=T.label + "'", check=False)
-    G2 = FiniteGroup(tG, names=[G.names[invG[i]] for i in range(G.order)],
-                     label=G.label + "'", check=False)
-    act = GroupAction(G2, T2, [[perm_T[xm.action.table[invG[g]][invT[t]]]
-                                for t in range(T.order)] for g in range(G.order)],
+    T2 = FiniteGroup([gatherer(at_T(row))(perm_T) for row in at_T(T.table)],
+                     names=at_T(T.names), label=T.label + "'", check=False)
+    G2 = FiniteGroup([gatherer(at_G(row))(perm_G) for row in at_G(G.table)],
+                     names=at_G(G.names), label=G.label + "'", check=False)
+    act = GroupAction(G2, T2, [gatherer(at_T(row))(perm_T) for row in at_G(xm.action.table)],
                       check=False)
-    d = GroupHom(T2, G2, tuple(perm_G[xm.boundary.table[invT[t]]]
-                               for t in range(T.order)), check=False)
+    d = GroupHom(T2, G2, gatherer(at_T(xm.boundary.table))(perm_G), check=False)
     return CrossedModule(act, d, check=False, label=xm.label + "'")
 
 
@@ -353,12 +343,11 @@ def identity_morphism(xm: CrossedModule) -> XModMorphism:
                         identity_hom(xm.codomain()), check=False)
 
 
-def enumerate_xmod_morphisms(src: CrossedModule, tgt: CrossedModule,
-                             budget=None) -> list:
+def enumerate_xmod_morphisms(src: CrossedModule, tgt: CrossedModule) -> list:
     """All morphisms, ordered by (fG, fT) enumeration order.  Exhaustive."""
     out = []
-    homs_T = enumerate_homs(src.domain(), tgt.domain(), budget=budget)
-    for fG in enumerate_homs(src.codomain(), tgt.codomain(), budget=budget):
+    homs_T = enumerate_homs(src.domain(), tgt.domain())
+    for fG in enumerate_homs(src.codomain(), tgt.codomain()):
         for fT in homs_T:
             if morphism_witness(src, tgt, fT, fG) is None:
                 out.append(XModMorphism(src, tgt, fT, fG, check=False))
@@ -429,26 +418,17 @@ def xmod_kernel(mor: XModMorphism):
     """Kernel crossed module of a morphism, with its inclusion."""
     KT, iT = kernel(mor.fT)
     KG, iG = kernel(mor.fG)
-    tlook = {iT.table[t]: t for t in range(KT.order)}
-    glook = {iG.table[g]: g for g in range(KG.order)}
-    act_rows = []
-    for g in range(KG.order):
-        row = mor.src.action.table[iG.table[g]]
-        new_row = []
-        for t in range(KT.order):
-            moved = row[iT.table[t]]
-            if moved not in tlook:
-                raise GroupError("kernel is not closed under the action")
-            new_row.append(tlook[moved])
-        act_rows.append(new_row)
+    at_KT = gatherer(iT.table)
+    # each row read at the kernel elements, then back through the inclusion
+    act_rows = [gatherer(at_KT(row))(iT.preimage)
+                for row in gatherer(iG.table)(mor.src.action.table)]
+    if any(None in row for row in act_rows):
+        raise GroupError("kernel is not closed under the action")
     act = GroupAction(KG, KT, act_rows, check=False)
-    d_table = []
-    for t in range(KT.order):
-        im = mor.src.boundary.table[iT.table[t]]
-        if im not in glook:
-            raise GroupError("boundary does not restrict to the kernels")
-        d_table.append(glook[im])
-    d = GroupHom(KT, KG, tuple(d_table), check=False)
+    d_table = gatherer(at_KT(mor.src.boundary.table))(iG.preimage)
+    if None in d_table:
+        raise GroupError("boundary does not restrict to the kernels")
+    d = GroupHom(KT, KG, d_table, check=False)
     ker_xm = CrossedModule(act, d, check=False, label=f"ker{mor.src.label}")
     incl = XModMorphism(ker_xm, mor.src, iT, iG, check=False)
     return ker_xm, incl
@@ -495,8 +475,7 @@ def pi0_preserves_split_ses(s: XModSplitSES) -> dict:
     }
 
 
-def discrete_adjunction_check(xm: CrossedModule, H: FiniteGroup,
-                              budget=None) -> dict:
+def discrete_adjunction_check(xm: CrossedModule, H: FiniteGroup) -> dict:
     """Hom-set bijection test: morphisms into the discrete crossed module on H
     against group homs out of pi0.
 
@@ -504,10 +483,10 @@ def discrete_adjunction_check(xm: CrossedModule, H: FiniteGroup,
     are exactly the homs factoring through the cokernel projection.
     """
     disc = discrete_xmod(H)
-    mors = enumerate_xmod_morphisms(xm, disc, budget=budget)
+    mors = enumerate_xmod_morphisms(xm, disc)
     side_a = {m.fG.table for m in mors}
     Q, proj = pi0(xm)
-    factored = {compose(phi, proj).table for phi in enumerate_homs(Q, H, budget=budget)}
+    factored = {compose(phi, proj).table for phi in enumerate_homs(Q, H)}
     return {
         "morphisms": len(side_a),
         "cokernel_homs": len(factored),

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -156,13 +157,18 @@ def test_tokenizer_splits_plain_rows_like_the_character_loop():
 
 
 def test_parse_errors_carry_line_numbers():
+    """Every refusal of the definition parser, matched by line and text."""
+    Z2 = "[group Z2]\nelements: e a\ntable:\n  e a\n  a e\n\n"
+    ACT = Z2 + "[action A]\nactor: Z2\ncarrier: Z2\n"
+    XM = ACT + "trivial: yes\n\n[xmod X]\naction: A\n"
+    INCL = Z2 + "[xmod X]\ngroup: Z2\nnormal: e a\n\n[morphism m]\nsource: X\ntarget: X\n"
+    S3 = "[group S3]\ndegree: 3\nperms: (1 2); (1 2 3)\n\n[xmod X]\ngroup: S3\n"
+    SET = "[setmap s]\nsource: 2\ntarget: 1\n"
     cases = [
-        ("junk\n", "line 1"),
+        ("junk\n", "line 1: content before the first [kind name] header"),
         ("[widget W]\n", "line 1: unknown section kind"),
-        ("[group G]\nperms: (1 2)\n", "missing the 'degree'"),
-        ("[group G]\nelements: a b\ntable:\n  a b\n  b b\n", "line 3"),
+        ("[group G]\nperms: (1 2)\n", "line 1: [group] section is missing the 'degree' key"),
         ("[xmod X]\naction: nope\nboundary: e\n", "line 2: 'nope' is not defined yet"),
-        ("[group G]\nelements: a a\ntable:\n  a a\n  a a\n", "line 2"),
         ("[setmap s]\nsource: 2\ntarget: 2\nmap: 0 0\nsection: 0 1\n",
          "line 5: section is not a section"),
         ("[group G]\nelements: e\ntable:\n  e\n\n[group G]\nelements: e\ntable:\n  e\n",
@@ -170,9 +176,61 @@ def test_parse_errors_carry_line_numbers():
         ("[group G]\nelements: e\ntable:\n  e\nbogus: 1\n", "line 5: key 'bogus'"),
         ("[group G]\nelements: a b\ntable:\n  a b\n  b c\n",
          "line 5: unknown element name 'c' in table row"),
+        ("[group G]\nelements: e (1 2\ntable:\n  e\n",
+         "line 2: unbalanced parenthesis in name list"),
+        ("[group G]\n  e a\n", "line 2: indented line with no key to attach to"),
+        ("[group G]\nelements e\n", "line 2: expected 'key: value', got 'elements e'"),
+        ("[group G]\nelements: e\nelements: e\n", "line 3: duplicate key 'elements'"),
+        (Z2 + "[xmod X]\naction: Z2\nboundary: e a\n",
+         "line 8: 'Z2' is a group, expected a action"),
+        ("[group G]\ndegree: 3\nperms: 1 2\n",
+         "line 3: cannot read permutation '1 2' (use cycles like (1 2)(3 4))"),
+        ("[group G]\ndegree: 3\nperms: (1 4)\n", "line 3: cycle entry '4' is not in 1..3"),
+        ("[group G]\ndegree: 3\nperms: (1 2 1)\n", "line 3: repeated point in cycle (1 2 1)"),
+        ("[group G]\nelements: a a\ntable:\n  a a\n  a a\n",
+         "line 2: element names are not distinct"),
+        ("[group G]\nelements: e a\ntable:\n  e a\n", "line 3: table has 1 rows, expected 2"),
+        ("[group G]\nelements: e a\ntable:\n  e a\n  a\n",
+         "line 5: table row has 1 entries, expected 2"),
+        ("[group G]\nelements: a b\ntable:\n  a b\n  b b\n",
+         "line 3: invalid multiplication table: element 1 has no inverse"),
+        ("[group G]\ndegree: 0\nperms: (1)\n",
+         "line 2: degree must be a positive integer, got '0'"),
+        ("[group G]\ndegree: 2\nperms: ;\n", "line 3: no permutations given"),
+        ("[group G]\nelements: e\n",
+         "line 1: [group] needs either a table (with elements) or perms (with degree)"),
+        (ACT + "trivial: no\n", "line 10: trivial takes 'yes', got 'no'"),
+        (ACT + "table:\n  e a\n",
+         "line 10: action table has 1 rows, expected 2 (one per actor element)"),
+        (ACT + "table:\n  e a\n  a\n", "line 12: action row has 1 entries, expected 2"),
+        (ACT + "table:\n  e a\n  a x\n", "line 12: action row: Z2 has no element named 'x'"),
+        (ACT + "table:\n  e a\n  e e\n",
+         "line 10: invalid action table: actor element a does not act bijectively"),
+        (XM + "boundary: e\n", "line 14: boundary lists 1 images, expected 2"),
+        (XM + "boundary: e x\n", "line 14: boundary: Z2 has no element named 'x'"),
+        (XM + "boundary: a a\n",
+         "line 14: not a crossed module: map does not preserve the identity"),
+        (S3 + "normal: e (1 2)\n",
+         "line 7: not a normal subgroup: image of the embedding is not a normal subgroup"),
+        (S3 + "normal: e zz\n", "line 7: normal: S3 has no element named 'zz'"),
+        ("[xmod X]\nboundary: e\n",
+         "line 1: [xmod] needs either action+boundary or group+normal"),
+        (INCL + "fT: e\nfG: e a\n", "line 14: fT lists 1 images, expected 2"),
+        (INCL + "fT: e a\nfG: e x\n", "line 15: fG: Z2 has no element named 'x'"),
+        (INCL + "fT: e a\nfG: a a\n",
+         "line 15: fG is not a homomorphism: map does not preserve the identity"),
+        (INCL + "fT: e a\nfG: e e\n",
+         "line 11: not a morphism of crossed modules: boundary square fails at t=a"),
+        ("[setmap s]\nsource: -1\n", "line 2: source must be a nonnegative integer, got '-1'"),
+        (SET + "map: 0 x\nsection: 0\n",
+         "line 4: map entries must be nonnegative integers, got 'x'"),
+        (SET + "map: 0\nsection: 0\n", "line 4: map lists 1 values, expected 2"),
+        (SET + "map: 0 1\nsection: 0\n", "line 4: map value out of range 0..0"),
+        (SET + "map: 0 0\nsection: 0 0\n", "line 5: section lists 2 values, expected 1"),
+        (SET + "map: 0 0\nsection: 5\n", "line 5: section value 5 out of range 0..1"),
     ]
     for text, frag in cases:
-        with pytest.raises(DefinitionError, match=frag.replace("[", r"\[")):
+        with pytest.raises(DefinitionError, match=re.escape(frag)):
             parse_definitions(text)
 
 
@@ -611,6 +669,17 @@ def test_refused_inputs_exit_two(argv, text, message, tmp_path, capsys):
     rep = json.loads(rep_path.read_text())
     assert (rep["ok"], rep["exit_code"], rep["results"]) == (False, 2, None)
     assert rep["error"] == error
+
+
+@pytest.mark.parametrize("argv, fits", [(["audit", "--quick"], 72), (["audit"], 272)])
+def test_audit_budget_bounds_every_search(argv, fits, capsys):
+    """--budget reaches the same-base corpus, whose largest carrier hom search
+    takes 72 nodes, and the survey, whose largest section search takes 272:
+    one node less exits 3."""
+    assert main(argv + ["--budget", str(fits)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--budget", str(fits - 1)]) == 3
+    assert capsys.readouterr().err == f"budget exhausted: hom search exceeded {fits - 1} nodes\n"
 
 
 def test_budget_only_where_searched(sample):

@@ -360,6 +360,18 @@ def test_search_prescribed():
                             prescribed={2: 1})) == []
 
 
+def test_preimage_inverts_injective_homs():
+    """Each image element goes back to its one source element, the rest to None."""
+    S4 = symmetric_group(4)
+    P, i1, i2, _, _ = direct_product(dihedral_group(4), cyclic_group(4))
+    homs = [i1, i2, identity_hom(S4), find_isomorphism(P, P), hom(cyclic_group(2), S4, {1: 1})]
+    homs += [subgroup(S4, elems)[1] for elems in normal_subgroups(S4)]
+    for f in homs:
+        assert [f.preimage[y] for y in f.table] == list(range(f.source.order))
+        off = {y for y, x in enumerate(f.preimage) if x is None}
+        assert off == set(range(f.target.order)) - f.image_elements
+
+
 def test_search_budget_edges():
     """The node budgets at which whole searches just fit, pinned: one node
     per candidate tried at a non-prescribed level."""

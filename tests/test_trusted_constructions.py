@@ -22,8 +22,8 @@ from xmodkit.actions import (
     conjugation_action_on, semidirect_product, trivial_action,
 )
 from xmodkit.corpus import (
-    axiom_corpus, collapse_epi, projective_section_corpus, split_ses_corpus,
-    sse_morphism_corpus, ternary_fixtures,
+    axiom_corpus, collapse_epi, projective_section_corpus, pullback_section_corpus,
+    split_ses_corpus, sse_morphism_corpus, ternary_fixtures,
 )
 from xmodkit.errors import GroupError, InvariantBreach
 from xmodkit.groups import (
@@ -71,6 +71,26 @@ def test_levelwise_extensions_of_split_rows_are_split():
     for ses in split_ses_corpus():
         for ext in (ses.ext_T, ses.ext_G):
             SplitExtension(ext.k, ext.p, ext.s)
+
+
+def test_inclusion_extensions_are_split():
+    """`inclusion_extension` builds its extension unchecked; the checked
+    constructor accepts every one it returns over the corpora's crossed
+    modules, and the rest are refused as non-inclusions or unsplit."""
+    xmods = [xm for _, xm, ok in axiom_corpus() if ok]
+    xmods += [mor.tgt for mor, _ in projective_section_corpus()]
+    xmods += [xm for mor in pullback_section_corpus() for xm in (mor.src, mor.tgt)]
+    built = 0
+    for xm in {id(xm): xm for xm in xmods}.values():
+        try:
+            ext = lifting.inclusion_extension(xm)
+        except GroupError as exc:
+            assert str(exc) in ("inclusion form needs an injective boundary",
+                                "cokernel projection of the boundary does not split")
+            continue
+        SplitExtension(ext.k, ext.p, ext.s)
+        built += 1
+    assert built == 78
 
 
 def test_conjugation_actions_through_extensions():

@@ -2,8 +2,8 @@ import pytest
 
 from xmodkit.errors import GroupError
 from xmodkit.groups import (
-    GroupHom, cyclic_group, klein_four_group, normal_subgroups, symmetric_group,
-    trivial_hom,
+    GroupHom, cyclic_group, identity_hom, klein_four_group, normal_subgroups,
+    symmetric_group, trivial_hom,
 )
 from xmodkit.actions import action_from_function, trivial_action
 from xmodkit.xmod import (
@@ -154,6 +154,23 @@ def test_product_and_kernel():
     # composite kernel -> product -> first factor is trivial
     comp = compose_morphisms(proj1, incl)
     assert set(comp.fT.table) == {nx.domain().identity}
+
+
+def test_kernel_refusals_on_pairs_that_break_a_law():
+    """Each refusal of xmod_kernel fires on an unchecked pair of maps."""
+    K4 = klein_four_group()  # 1 = (0,1) and 2 = (1,0), which the swap exchanges
+    swap = module_xmod(action_from_function(Z2, K4, lambda g, x: (0, 2, 1, 3)[x] if g else x))
+    # fT kills 1, which the swap moves out of its kernel; fG kills the swap
+    moved = XModMorphism(swap, module_xmod(trivial_action(Z2, Z2)),
+                         GroupHom(K4, Z2, (0, 0, 1, 1)), trivial_hom(Z2, Z2), check=False)
+    with pytest.raises(GroupError, match="kernel is not closed under the action"):
+        xmod_kernel(moved)
+    # fG is injective, so the boundary of the carrier's nontrivial element,
+    # which fT kills, leaves the kernel of fG
+    cx = conjugation_xmod(Z2)
+    escape = XModMorphism(cx, cx, trivial_hom(Z2, Z2), identity_hom(Z2), check=False)
+    with pytest.raises(GroupError, match="boundary does not restrict to the kernels"):
+        xmod_kernel(escape)
 
 
 def test_split_ses_and_pi0_preservation():
