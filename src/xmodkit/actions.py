@@ -174,13 +174,18 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     # row (x1, g1): (x1 (g1.x2), g1 g2) over x2 and then g2
     row = _pair_rows(G.table, m, n)
     twists = [gatherer(r) for r in action.table]
-    table = [row(twists[g1](x1_row), g1) for x1_row in X.table for g1 in range(m)]
-    names = [f"{X.names[x]}|{G.names[g]}" for x in range(n) for g in range(m)]
+    table = tuple(row(twists[g1](x1_row), g1) for x1_row in X.table for g1 in range(m))
+    names = tuple(f"{X.names[x]}|{G.names[g]}" for x in range(n) for g in range(m))
+    # (x, g)^-1 = (g^-1.x^-1, g^-1), read from the identity's row of every code
+    e, g_inv = X.identity * m + G.identity, G._inv
+    codes = table[e]
+    inverses = tuple(codes[action.table[g_inv[g]][x_inv] * m + g_inv[g]]
+                     for x_inv in X._inv for g in range(m))
     # associative because the action is by automorphisms; k, p, s split by construction
-    E = FiniteGroup(table, names=names, label=f"{X.label}:{G.label}", check=False)
-    k = GroupHom(X, E, tuple(x * m + G.identity for x in range(n)), check=False)
-    p = GroupHom(E, G, tuple(e % m for e in range(size)), check=False)
-    s = GroupHom(G, E, tuple(X.identity * m + g for g in range(m)), check=False)
+    E = FiniteGroup._trusted(table, e, inverses, names, f"{X.label}:{G.label}")
+    k = GroupHom._trusted(X, E, tuple(x * m + G.identity for x in range(n)))
+    p = GroupHom._trusted(E, G, tuple(e % m for e in range(size)))
+    s = GroupHom._trusted(G, E, tuple(X.identity * m + g for g in range(m)))
     return SplitExtension(k, p, s, check=False)
 
 

@@ -17,7 +17,8 @@ failed (a bug in xmodkit, not in the input).  Budget exhaustion is never
 reported as nonexistence.
 
 Every subcommand accepts --json PATH to write a machine-readable report
-("-" for stdout), also on exit 2, 3 or 4 (ok false, the error, null results);
+("-" for stdout), also on exit 2, 3 or 4 (ok false, the error, null results),
+a usage error that argparse refuses included;
 the human summary goes to stdout.  lift and audit, the subcommands that run
 budgeted searches, also accept --budget N.
 """
@@ -71,10 +72,11 @@ def _digest(path):
 
 def _write_report(args, results, ok, code, error=None):
     """Write the JSON report to args.json ("-" for stdout); False if it cannot."""
+    mode = getattr(args, "mode", None)
     report = {
         "tool": "xmodkit",
         "version": __version__,
-        "command": f"condp {args.mode}" if args.command == "condp" else args.command,
+        "command": f"{args.command} {mode}" if mode else args.command,
         "ok": ok,
         "exit_code": code,
         "elapsed_seconds": round(time.perf_counter() - args.started, 3),
@@ -383,9 +385,35 @@ def cmd_audit(args):
 # -- plumbing ---------------------------------------------------------------------
 
 
+class _UsageError(SystemExit):
+    """argparse's exit 2 on a usage error, keeping its message for the --json report."""
+
+    def __init__(self, message):
+        super().__init__(2)
+        self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        try:
+            super().error(message)  # prints the usage and the message, exits 2
+        except SystemExit:
+            raise _UsageError(message) from None
+
+
+def _json_path(argv):
+    """argv's --json value as the subcommands read it, or None if it cannot be read."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--json")
+    try:
+        return pre.parse_known_args(argv)[0].json
+    except argparse.ArgumentError:
+        return None
+
+
 @functools.cache  # one parser per process: each one is a web of reference cycles
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="xmodkit",
         description="Finite crossed module toolkit: axiom checks, component "
                     "groups, section lifting, exponent-4 projectivity studies.")
@@ -451,12 +479,23 @@ def build_parser():
     common(sp)
     budget(sp)
     sp.set_defaults(func=cmd_audit)
+    p.commands = tuple(sub.choices)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.started = time.perf_counter()
+    started, parser = time.perf_counter(), build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        argv = list(sys.argv[1:] if argv is None else argv)
+        path = _json_path(argv)
+        if path:  # the report of every exit-2 path; the subcommand if argv names one
+            command = argv[0] if argv[:1] and argv[0] in parser.commands else None
+            _write_report(argparse.Namespace(command=command, json=path, started=started),
+                          None, False, 2, error=exc.message)
+        raise
+    args.started = started
     try:
         # refused up front, so no command or algorithm can ignore a bad number
         if args.command == "condp":

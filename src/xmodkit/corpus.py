@@ -261,14 +261,14 @@ def collapse_epi(ext, K):
                                for row in psi], check=False)  # valid, as above
     ext2 = semidirect_product(act2)
     src = inclusion_xmod(ext2.k)
-    fT = GroupHom(QK, Q, tuple(x // m for x in range(QK.order)), check=False)
+    fT = GroupHom._trusted(QK, Q, tuple(x // m for x in range(QK.order)))
     # the source total is canonically encoded as e = (q*|K| + k)*|P| + p; the
     # target may use any encoding, so go through its own k and s maps
     E2, E = ext2.total, ext.total
     np = P.order
-    fG = GroupHom(E2, E, tuple(
+    fG = GroupHom._trusted(E2, E, tuple(
         E.mul(ext.k.table[(e // np) // m], ext.s.table[e % np])
-        for e in range(E2.order)), check=False)
+        for e in range(E2.order)))
     return XModMorphism(src, tgt, fT, fG)
 
 

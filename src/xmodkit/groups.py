@@ -1,18 +1,22 @@
 """Finite groups as dense multiplication tables.
 
 Carriers are index ranges 0..order-1 and tables are tuples of tuples, so every
-structural question is settled by exhaustion.  Every ``FiniteGroup`` build,
-``check=False`` included, checks the shape, the range (the set of all cell
-values must lie in 0..n-1, one pass per table), the identity and the
-inverses; every ``GroupHom`` checks that its values lie in the target.
-Inverses are read off cyclic walks: the powers x, x^2, ... of each element
-not yet covered run until they reach the identity at x^m, and x^k gets
-x^(m-k), with at most 4n steps over all walks.  Every candidate y must give
-x*y = y*x = e; a row whose candidate is missing or fails is scanned for the
-identity, and a row where that fails too has no inverse.
-Tables are validated further where they enter: ``FiniteGroup`` checks
-associativity and ``GroupHom`` the hom law, by default.  The constructions
-here are correct by theorem and pass ``check=False``.  Laws that hold on a
+structural question is settled by exhaustion.  Entry checks run where tables
+enter, on input and in the public constructors only.  A public
+``FiniteGroup`` build, ``check=False`` included, checks the shape, the range
+(the set of all cell values must lie in 0..n-1, one pass per table), the
+identity and the inverses; a public ``GroupHom`` checks that its values lie
+in the target.  Inverses are read off cyclic walks: the powers x, x^2, ... of
+each element not yet covered run until they reach the identity at x^m, and
+x^k gets x^(m-k), with at most 4n steps over all walks.  Every candidate y
+must give x*y = y*x = e; a row whose candidate is missing or fails is scanned
+for the identity, and a row where that fails too has no inverse.  By default
+``FiniteGroup`` also checks associativity and ``GroupHom`` the hom law.
+The constructions here, and those of the other modules, are correct by
+theorem and skip every entry check: they build through the private
+``FiniteGroup._trusted`` and ``GroupHom._trusted``, handing over tuples with
+the identity and the inverses they already know, such as the pairwise
+inverses of a product.  Laws that hold on a
 subgroup are decided on one generating set per group, ``FiniteGroup._gens``:
 associativity (Light's test), the hom law, the action laws of
 ``actions.GroupAction``, commutativity, normality (of the image in
@@ -127,6 +131,17 @@ class FiniteGroup:
 
         if check:
             self._check_associativity()
+
+    @classmethod
+    def _trusted(cls, table, identity, inverses, names, label):
+        """A group the library built and knows to be one, from tuples taken
+        as given: a tuple of row tuples, its identity, the tuple of inverses
+        and one name string per element.  None of the entry checks runs;
+        `tests/test_trusted_constructions.py` runs them on every builder."""
+        G = cls.__new__(cls)
+        G.order, G.table, G.label, G.names = len(table), table, label, names
+        G.identity, G._inv = identity, inverses
+        return G
 
     def _check_associativity(self):
         """Light's test: every triple, from |gens| row comparisons per row.
@@ -362,6 +377,14 @@ class GroupHom:
         self.target = target
         self.table = table
 
+    @classmethod
+    def _trusted(cls, source, target, table):
+        """A hom the library built and knows to be one, its value tuple taken
+        as given: neither the range nor the hom law is checked."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.table = source, target, table
+        return f
+
     def __call__(self, x):
         return self.table[x]
 
@@ -401,18 +424,18 @@ class GroupHom:
 
 
 def identity_hom(G):
-    return GroupHom(G, G, tuple(range(G.order)), check=False)
+    return GroupHom._trusted(G, G, tuple(range(G.order)))
 
 
 def trivial_hom(G, H):
-    return GroupHom(G, H, (H.identity,) * G.order, check=False)
+    return GroupHom._trusted(G, H, (H.identity,) * G.order)
 
 
 def compose(f, g):
     """f after g."""
     if g.target is not f.source:
         raise GroupError("composition mismatch")
-    return GroupHom(g.source, f.target, tuple(f.table[x] for x in g.table), check=False)
+    return GroupHom._trusted(g.source, f.target, gatherer(g.table)(f.table))
 
 
 def hom(src, tgt, images):
@@ -427,7 +450,7 @@ def hom(src, tgt, images):
         raise GroupError("the given elements do not generate the source group")
 
     for table in search_homs(src, tgt, unassigned, prescribed=images):
-        return GroupHom(src, tgt, table, check=False)
+        return GroupHom._trusted(src, tgt, table)
     raise GroupError("images violate a relation")
 
 
@@ -450,10 +473,10 @@ def subgroup(G, elems, label=None):
             raise GroupError(
                 f"subset not closed: {G.names[a]}*{G.names[b]} escapes")
         table.append(gatherer(row)(idx))
-    S = FiniteGroup(table, names=[G.names[e] for e in elems],
-                    label=label or f"{G.label}_sub{len(elems)}", check=False)
-    incl = GroupHom(S, G, tuple(elems), check=False)
-    return S, incl
+    # a closed subset of a finite group holds the inverses of its elements
+    S = FiniteGroup._trusted(tuple(table), idx[G.identity], gatherer(pick(G._inv))(idx),
+                             pick(G.names), label or f"{G.label}_sub{len(elems)}")
+    return S, GroupHom._trusted(S, G, tuple(elems))
 
 
 def kernel(f):
@@ -509,12 +532,12 @@ def quotient(G, elems, label=None):
             reps.append(g)
     at_reps = gatherer(reps)
     # row aN: the products a*r over the representatives r, then their cosets
-    table = [gatherer(at_reps(G.table[a]))(coset) for a in reps]
-    names = ["[" + G.names[r] + "]" for r in reps]
-    Q = FiniteGroup(table, names, label=label or f"{G.label}/{len(es)}", check=False)
-    # g -> gN is a hom because N is normal
-    proj = GroupHom(G, Q, tuple(coset), check=False)
-    return Q, proj
+    table = tuple(gatherer(at_reps(G.table[a]))(coset) for a in reps)
+    names = tuple("[" + G.names[r] + "]" for r in reps)
+    # (rN)^-1 = r^-1 N, and g -> gN is a hom, because N is normal
+    Q = FiniteGroup._trusted(table, coset[G.identity], gatherer(at_reps(G._inv))(coset),
+                             names, label or f"{G.label}/{len(es)}")
+    return Q, GroupHom._trusted(G, Q, tuple(coset))
 
 
 def pullback(f, g):
@@ -527,12 +550,14 @@ def pullback(f, g):
     if len(pairs) > MAX_ORDER:
         raise GroupError(f"pullback order {len(pairs)} exceeds cap {MAX_ORDER}")
     idx = {p: i for i, p in enumerate(pairs)}
-    table = [[idx[(A.table[a][a2], B.table[b][b2])] for (a2, b2) in pairs]
-             for (a, b) in pairs]
-    names = [f"({A.names[a]},{B.names[b]})" for (a, b) in pairs]
-    P = FiniteGroup(table, names, label=f"pb({A.label},{B.label})", check=False)
-    p1 = GroupHom(P, A, tuple(a for a, _ in pairs), check=False)
-    p2 = GroupHom(P, B, tuple(b for _, b in pairs), check=False)
+    table = tuple(tuple(idx[(A.table[a][a2], B.table[b][b2])] for (a2, b2) in pairs)
+                  for (a, b) in pairs)
+    names = tuple(f"({A.names[a]},{B.names[b]})" for (a, b) in pairs)
+    inverses = tuple(idx[(A._inv[a], B._inv[b])] for (a, b) in pairs)
+    P = FiniteGroup._trusted(table, idx[(A.identity, B.identity)], inverses, names,
+                             f"pb({A.label},{B.label})")
+    p1 = GroupHom._trusted(P, A, tuple(a for a, _ in pairs))
+    p2 = GroupHom._trusted(P, B, tuple(b for _, b in pairs))
     return P, p1, p2
 
 
@@ -544,13 +569,16 @@ def direct_product(A, B, label=None):
         raise GroupError(f"product order {size} exceeds cap {MAX_ORDER}")
     # row (a, b): (a a2, b b2) over a2 and then b2
     row = _pair_rows(B.table, m, n)
-    table = [row(a_row, b) for a_row in A.table for b in range(m)]
-    names = [f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m)]
-    P = FiniteGroup(table, names, label=label or f"{A.label}x{B.label}", check=False)
-    i1 = GroupHom(A, P, tuple(a * m + B.identity for a in range(n)), check=False)
-    i2 = GroupHom(B, P, tuple(A.identity * m + b for b in range(m)), check=False)
-    p1 = GroupHom(P, A, tuple(a for a in range(n) for _ in range(m)), check=False)
-    p2 = GroupHom(P, B, tuple(b for _ in range(n) for b in range(m)), check=False)
+    table = tuple(row(a_row, b) for a_row in A.table for b in range(m))
+    names = tuple(f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m))
+    e = A.identity * m + B.identity
+    codes = table[e]  # the identity's row: every code, one int object each
+    inverses = tuple(codes[a * m + b] for a in A._inv for b in B._inv)
+    P = FiniteGroup._trusted(table, e, inverses, names, label or f"{A.label}x{B.label}")
+    i1 = GroupHom._trusted(A, P, tuple(a * m + B.identity for a in range(n)))
+    i2 = GroupHom._trusted(B, P, tuple(A.identity * m + b for b in range(m)))
+    p1 = GroupHom._trusted(P, A, tuple(a for a in range(n) for _ in range(m)))
+    p2 = GroupHom._trusted(P, B, tuple(b for _ in range(n) for b in range(m)))
     return P, i1, i2, p1, p2
 
 
@@ -558,13 +586,15 @@ def direct_product(A, B, label=None):
 
 
 def trivial_group(label="1"):
-    return FiniteGroup(((0,),), names=("e",), label=label, check=False)
+    return FiniteGroup._trusted(((0,),), 0, (0,), ("e",), label)
 
 
 def cyclic_group(n, label=None):
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, names=[str(i) for i in range(n)],
-                       label=label or f"Z{n}", check=False)
+    if not 1 <= n <= MAX_ORDER:
+        raise GroupError(f"cyclic group order {n} is outside 1..{MAX_ORDER}")
+    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    return FiniteGroup._trusted(table, 0, tuple(-a % n for a in range(n)),
+                                tuple(map(str, range(n))), label or f"Z{n}")
 
 
 def _cycle_notation(perm):
@@ -604,11 +634,15 @@ def from_permutations(perms, degree, label="P"):
                         elems.add(r)
                         new.append(r)
         frontier = new
+    if len(elems) > MAX_ORDER:
+        raise GroupError(f"order {len(elems)} exceeds the dense-table cap {MAX_ORDER}")
     order = sorted(elems)
     idx = {p: i for i, p in enumerate(order)}
-    table = [[idx[tuple(map(p.__getitem__, q))] for q in order] for p in order]
-    return FiniteGroup(table, names=[_cycle_notation(p) for p in order],
-                       label=label, check=False)
+    table = tuple(tuple(idx[tuple(map(p.__getitem__, q))] for q in order) for p in order)
+    # the inverse of p lists the points in the order of their images under p
+    inverses = tuple(idx[tuple(sorted(range(degree), key=p.__getitem__))] for p in order)
+    return FiniteGroup._trusted(table, idx[ident], inverses,
+                                tuple(map(_cycle_notation, order)), label)
 
 
 def symmetric_group(n):
@@ -702,7 +736,7 @@ def z4_module(n4, n2, label=None):
     if order > MAX_ORDER:
         raise GroupError(f"module order {order} exceeds cap {MAX_ORDER}")
     indices = tuple(range(order))
-    table, names = [(0,)], [""]
+    table, names, inverses = [(0,)], [""], [0]
     for m in reversed(moduli):
         w = len(table)
         shifts = [indices[j * w:(j + 1) * w] for j in range(m)]
@@ -717,8 +751,11 @@ def z4_module(n4, n2, label=None):
                 new[x * w + a] = tuple(joined)
         table = new
         names = [str(x) + s for x in range(m) for s in names]
-    return FiniteGroup(table, names=names if moduli else ["0"],
-                       label=label or f"M(4^{n4}.2^{n2})", check=False)
+        # digitwise negation: (x, a) -> (-x, -a), read from the shared indices
+        inverses = [shifts[-x % m][a] for x in range(m) for a in inverses]
+    return FiniteGroup._trusted(tuple(table), 0, tuple(inverses),
+                                tuple(names) if moduli else ("0",),
+                                label or f"M(4^{n4}.2^{n2})")
 
 
 def free_module_cover(M, free=None):
@@ -745,7 +782,7 @@ def free_module_cover(M, free=None):
     for g in gens:
         multiples = gatherer([M.power(g, k) for k in range(4)])
         table = tuple(itertools.chain.from_iterable(map(multiples, gatherer(table)(M.table))))
-    epi = GroupHom(R, M, table, check=False)
+    epi = GroupHom._trusted(R, M, table)
     if not epi.is_surjective():
         raise InvariantBreach("generator decode failed to cover the module")
     return R, epi
@@ -851,7 +888,7 @@ def enumerate_homs(G, H, budget=None):
         og = orders[g]
         return [h for h in range(H.order) if og % horders[h] == 0]
 
-    return [GroupHom(G, H, table, check=False)
+    return [GroupHom._trusted(G, H, table)
             for table in search_homs(G, H, cands, budget=budget)]
 
 
@@ -887,7 +924,7 @@ def find_section(f, budget=None):
     instead of guessing.
     """
     for table in lifts(f, identity_hom(f.target), budget=budget):
-        return GroupHom(f.target, f.source, table, check=False)
+        return GroupHom._trusted(f.target, f.source, table)
     return None
 
 
@@ -907,7 +944,7 @@ def find_isomorphism(G, H, budget=None):
         return [h for h in range(H.order) if horders[h] == og]
 
     for table in search_homs(G, H, cands, budget=budget, injective=True):
-        return GroupHom(G, H, table, check=False)
+        return GroupHom._trusted(G, H, table)
     return None
 
 

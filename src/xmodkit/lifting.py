@@ -209,7 +209,7 @@ def projective_section(epi: XModMorphism, ext: SplitExtension, *, budget=None,
         and all(gT[psi[p][q]] == phi_act[g1[p]][gT[q]]
                 for p in range(P.order) for q in range(Q.order)))
     eqs["section-of-fG"] = all(epi.fG.table[gG[e]] == e for e in range(E.order))
-    gT_hom = GroupHom(Q, T, tuple(gT), check=False)
+    gT_hom = GroupHom._trusted(Q, T, tuple(gT))
     cert = _certified_section(eqs, epi.tgt, src, gT_hom, gG_hom,
                               {"base_lifts": base_lifts})
     words, brackets = _ternary_morphism_audit(cert.section, ternary_len)
@@ -311,8 +311,8 @@ def pullback_section(mor: XModMorphism, *, budget=None) -> SectionCertificate:
         for g in range(G.order))
     PB, prQ, prC = pullback(proj2, h)
     pb_index = {(prQ.table[i], prC.table[i]): i for i in range(PB.order)}
-    u = GroupHom(G, PB, tuple(pb_index[(mor.fG.table[g], proj1.table[g])]
-                              for g in range(G.order)), check=False)
+    u = GroupHom._trusted(G, PB, tuple(pb_index[(mor.fG.table[g], proj1.table[g])]
+                                       for g in range(G.order)))
     if not u.is_surjective():
         raise InvariantBreach(
             "comparison into the pullback must be surjective when the "
@@ -323,8 +323,8 @@ def pullback_section(mor: XModMorphism, *, budget=None) -> SectionCertificate:
     jz_count = 0
     for jz in lifts(h, identity_hom(C2), budget=budget):
         jz_count += 1
-        jq = GroupHom(Q, PB, tuple(pb_index[(q, jz[proj2.table[q]])]
-                                   for q in range(Q.order)), check=False)
+        jq = GroupHom._trusted(Q, PB, tuple(pb_index[(q, jz[proj2.table[q]])]
+                                            for q in range(Q.order)))
         gG = next(lifts(u, jq, budget=budget), None)
         if gG is not None:
             found = (jz, jq, gG)
@@ -354,7 +354,7 @@ def pullback_section(mor: XModMorphism, *, budget=None) -> SectionCertificate:
     eqs["section-of-fG"] = all(mor.fG.table[gG[q]] == q for q in range(Q.order))
     eqs["section-of-fT"] = all(mor.fT.table[gT[p]] == p for p in range(Pc.order))
     return _certified_section(eqs, tgt, src, gT_hom,
-                              GroupHom(Q, G, tuple(gG), check=False),
+                              GroupHom._trusted(Q, G, gG),
                               {"cokernel_sections": jz_count, "pullback_order": PB.order})
 
 
@@ -375,13 +375,13 @@ def find_xmod_lift(epi: XModMorphism, u: XModMorphism, *, budget=None):
     src, dom = epi.src, u.src
     d_src, d_dom = src.boundary.table, dom.boundary.table
     for vG in lifts(epi.fG, u.fG, budget=budget):
-        vG_hom = GroupHom(dom.codomain(), src.codomain(), vG, check=False)
+        vG_hom = GroupHom._trusted(dom.codomain(), src.codomain(), vG)
 
         def square(x, t):
             return d_src[t] == vG[d_dom[x]]
 
         for vT in lifts(epi.fT, u.fT, budget=budget, allow=square):
-            vT_hom = GroupHom(dom.domain(), src.domain(), vT, check=False)
+            vT_hom = GroupHom._trusted(dom.domain(), src.domain(), vT)
             if morphism_witness(dom, src, vT_hom, vG_hom) is None:
                 return XModMorphism(dom, src, vT_hom, vG_hom, check=False)
     return None

@@ -247,7 +247,7 @@ def xmod_product(a: CrossedModule, b: CrossedModule):
     act = GroupAction(G, T, [act_row(r1, g2) for r1 in a.action.table
                              for g2 in range(b.codomain().order)], check=False)
     d_row = _pair_rows((b.boundary.table,), b.codomain().order, a.codomain().order)
-    d = GroupHom(T, G, d_row(a.boundary.table, 0), check=False)
+    d = GroupHom._trusted(T, G, d_row(a.boundary.table, 0))
     xm = CrossedModule(act, d, check=False, label=f"{a.label}x{b.label}")
     inj1 = XModMorphism(a, xm, iT1, iG1, check=False)
     inj2 = XModMorphism(b, xm, iT2, iG2, check=False)
@@ -276,13 +276,13 @@ def relabel_xmod(xm: CrossedModule, perm_T, perm_G) -> CrossedModule:
     # values through perm
     at_T, at_G = (gatherer(sorted(range(len(p)), key=p.__getitem__)) for p in (perm_T, perm_G))
     # transport of a crossed module along bijections is a crossed module
-    T2 = FiniteGroup([gatherer(at_T(row))(perm_T) for row in at_T(T.table)],
-                     names=at_T(T.names), label=T.label + "'", check=False)
-    G2 = FiniteGroup([gatherer(at_G(row))(perm_G) for row in at_G(G.table)],
-                     names=at_G(G.names), label=G.label + "'", check=False)
+    T2, G2 = (FiniteGroup._trusted(tuple(gatherer(at(row))(perm) for row in at(H.table)),
+                                   perm[H.identity], gatherer(at(H._inv))(perm),
+                                   at(H.names), H.label + "'")
+              for H, at, perm in ((T, at_T, perm_T), (G, at_G, perm_G)))
     act = GroupAction(G2, T2, [gatherer(at_T(row))(perm_T) for row in at_G(xm.action.table)],
                       check=False)
-    d = GroupHom(T2, G2, gatherer(at_T(xm.boundary.table))(perm_G), check=False)
+    d = GroupHom._trusted(T2, G2, gatherer(at_T(xm.boundary.table))(perm_G))
     return CrossedModule(act, d, check=False, label=xm.label + "'")
 
 
@@ -428,7 +428,7 @@ def xmod_kernel(mor: XModMorphism):
     d_table = gatherer(at_KT(mor.src.boundary.table))(iG.preimage)
     if None in d_table:
         raise GroupError("boundary does not restrict to the kernels")
-    d = GroupHom(KT, KG, d_table, check=False)
+    d = GroupHom._trusted(KT, KG, d_table)
     ker_xm = CrossedModule(act, d, check=False, label=f"ker{mor.src.label}")
     incl = XModMorphism(ker_xm, mor.src, iT, iG, check=False)
     return ker_xm, incl

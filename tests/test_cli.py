@@ -691,6 +691,43 @@ def test_budget_only_where_searched(sample):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, prog, message", [
+    (["check", "SAMPLE", "--bogus"], "xmodkit", "unrecognized arguments: --bogus"),
+    (["check", "SAMPLE", "--word-len", "x"], "xmodkit check",
+     "argument --word-len: invalid int value: 'x'"),
+    (["condp", "nope"], "xmodkit condp",
+     "argument mode: invalid choice: 'nope' (choose from 'z4-pipeline', "
+     "'non-schreier', 'transfer', 'preservation')"),
+], ids=["unknown-flag", "bad-int", "bad-mode"])
+def test_usage_error_writes_the_error_report(argv, prog, message, sample, tmp_path, capsys):
+    """A usage error keeps argparse's exit 2 and stderr text, and --json gets
+    the report every other exit-2 path writes, argparse's message its error."""
+    rep_path = tmp_path / "rep.json"
+    argv = [sample if a == "SAMPLE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", str(rep_path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"usage: {prog} ") and err.endswith(f"\n{prog}: error: {message}\n")
+    assert out == f"report written to {rep_path}\n"
+    rep = json.loads(rep_path.read_text())
+    assert (rep["ok"], rep["exit_code"], rep["results"]) == (False, 2, None)
+    assert (rep["command"], rep["error"]) == (argv[0], message)
+
+
+def test_usage_error_without_a_readable_json_value_writes_nothing(sample, tmp_path,
+                                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for tail in (["--bogus", "--json"], ["--json", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", sample] + tail)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert (out, err.splitlines()[-1]) == (
+            "", "xmodkit check: error: argument --json: expected one argument")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sample.defs"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "SAMPLE", "--word-len", "-1", "--ternary-len", "-5"],
      "enumeration length -1 is negative"),

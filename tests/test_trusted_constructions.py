@@ -1,9 +1,12 @@
 """The checks that trusted constructions skip, run on their outputs.
 
 The package validates tables where they enter and builds its own results
-with check=False when they are correct by theorem.  Each test here rebuilds
-such a result with the validating public constructor, so a construction that
-stopped being correct would fail the suite rather than pass silently.
+unchecked when they are correct by theorem: groups and homs through
+`FiniteGroup._trusted` and `GroupHom._trusted`, which skip every entry
+check, and actions, extensions and crossed modules with check=False.  Each
+test here rebuilds such a result with the validating public constructor, so
+a construction that stopped being correct would fail the suite rather than
+pass silently.
 
 The dense tables are built and checked a row at a time.  The per-cell
 formulas they replaced are kept here as references, and the row-level
@@ -28,11 +31,11 @@ from xmodkit.corpus import (
 from xmodkit.errors import GroupError, InvariantBreach
 from xmodkit.groups import (
     FiniteGroup, GroupHom, MAX_ORDER, _cycle_notation, alternating_group,
-    cyclic_group, dihedral_group, direct_product, enumerate_homs,
-    first_difference, free_module_cover, gatherer, identity_hom, klein_four_group,
-    lifts, normal_closure, normal_subgroups, normality_witness, quaternion_group,
-    quotient, subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
-    z4_module_classes, _grow,
+    compose, cyclic_group, dihedral_group, direct_product, enumerate_homs, find_isomorphism,
+    find_section, first_difference, free_module_cover, gatherer, hom, identity_hom,
+    klein_four_group, lifts, normal_closure, normal_subgroups, normality_witness,
+    quaternion_group, quotient, subgroup, symmetric_group, trivial_group, trivial_hom,
+    z4_module, z4_module_classes, _grow,
 )
 from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi, total_map
 from xmodkit.xmod import (
@@ -1306,3 +1309,174 @@ def test_find_xmod_lift_matches_the_unpruned_fibre_search():
                     assert v.fG == identity_hom(base)
                 outcomes[v is None] += 1
     assert outcomes == [987, 158]  # lifts found, lifts proven absent
+
+
+# -- trusted builds: the entry checks they skip, run on every output ------------
+
+
+def _builder():
+    """The library function that called a `_trusted` constructor: the first
+    frame above the recorder that is not a comprehension or generator."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def _record_trusted(monkeypatch):
+    """(groups, homs): every trusted build from here on, with its builder."""
+    groups, homs = [], []
+    make_group, make_hom = FiniteGroup._trusted.__func__, GroupHom._trusted.__func__
+
+    def record_group(cls, *args):
+        groups.append((_builder(), make_group(cls, *args), args))
+        return groups[-1][1]
+
+    def record_hom(cls, *args):
+        homs.append((_builder(), make_hom(cls, *args)))
+        return homs[-1][1]
+
+    monkeypatch.setattr(FiniteGroup, "_trusted", classmethod(record_group))
+    monkeypatch.setattr(GroupHom, "_trusted", classmethod(record_hom))
+    return groups, homs
+
+
+def _run_corpora():
+    """Every corpus and its section searches, the condp studies at small
+    sizes, every z4_module to order 1024, relabeled corpus entries, pi0, and
+    each hom search on small groups."""
+    valid = [xm for _, xm, ok in axiom_corpus() if ok]
+    split_ses_corpus()
+    sse_morphism_corpus()
+    for epi, ext in projective_section_corpus():
+        lifting.projective_section(epi, ext)
+    for mor in pullback_section_corpus():
+        lifting.pullback_section(mor)
+        lifting.find_xmod_section(mor)
+    for i, xm in enumerate(valid[:12]):
+        pi0(_seeded_relabel(xm, i))
+    for c in z4_module_classes(MAX_ORDER):
+        z4_module(*c)
+    condp.non_schreier_demo(relabel_seed=1)
+    condp.pi0_preservation_suite()
+    condp.theorem_P_transfer_check(0, 4)
+    for f, s in condp.pipeline_pairs(2) + [((0, 0, 0), (1,))]:
+        condp.pipeline_diagram_P(f, s)
+    small = [symmetric_group(3), dihedral_group(4), quaternion_group(), cyclic_group(4),
+             klein_four_group(), alternating_group(4), trivial_group()]
+    for G in small:
+        find_isomorphism(G, _relabeled(G, 7))
+        for H in small[:5]:
+            enumerate_homs(G, H)
+        for elems in normal_subgroups(G):
+            proj = quotient(G, elems)[1]
+            find_section(proj)
+            compose(proj, subgroup(G, elems)[1])
+    hom(small[0], small[0], {1: 1, 2: 2})
+
+
+_GROUP_BUILDERS = {"subgroup", "quotient", "pullback", "direct_product",
+                   "semidirect_product", "z4_module", "cyclic_group",
+                   "from_permutations", "trivial_group", "relabel_xmod"}
+_HOM_BUILDERS = {
+    # the search outputs, and the maps every construction hands out
+    "enumerate_homs", "find_section", "find_isomorphism", "hom", "find_xmod_lift",
+    "pullback_section", "projective_section", "compose", "identity_hom",
+    "trivial_hom", "subgroup", "quotient", "pullback", "direct_product",
+    "semidirect_product", "relabel_xmod", "xmod_product", "xmod_kernel",
+    "free_module_cover", "collapse_epi"}
+
+
+@pytest.fixture(scope="module")
+def trusted_builds():
+    with pytest.MonkeyPatch.context() as mp:
+        groups, homs = _record_trusted(mp)
+        _run_corpora()
+    return groups, homs
+
+
+def _recheck_group(G, identity, inverses):
+    """The public entry checks on G's table and names must pass and find the
+    identity and the inverses that G's builder handed over."""
+    assert type(G.table) is tuple and all(type(row) is tuple for row in G.table)
+    assert type(G.names) is tuple and all(type(s) is str for s in G.names)
+    assert G.order == len(G.table) == len(G.names)
+    H = FiniteGroup(G.table, G.names, check=True)
+    assert (H.identity, H._inv) == (identity, inverses)
+
+
+def test_every_trusted_group_passes_the_public_checks(trusted_builds):
+    groups, _ = trusted_builds
+    assert {name for name, _, _ in groups} == _GROUP_BUILDERS
+    assert max(G.order for _, G, _ in groups) == MAX_ORDER
+    checked = {}
+    for name, G, (table, identity, inverses, names, label) in groups:
+        assert (G.table, G.identity, G._inv, G.names, G.label) == (
+            table, identity, inverses, names, label)
+        if id(G) not in checked:
+            checked[id(G)] = name
+            _recheck_group(G, identity, inverses)
+    assert len(checked) > 600
+
+
+def _other(x, n):
+    """An element other than x: in range unless the group has only x."""
+    return (x + 1) % max(n, 2)
+
+
+def test_every_trusted_group_recheck_fires_on_seeded_corruption(trusted_builds):
+    """One build per builder, corrupted three ways: one out-of-range cell,
+    one wrong inverse entry, a wrong identity."""
+    groups, _ = trusted_builds
+    first = {}
+    for name, G, _ in groups:
+        first.setdefault(name, G)
+    rng = random.Random(23)
+    for name, G in sorted(first.items()):
+        n = G.order
+        r, c, x = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        table = list(G.table)
+        table[r] = table[r][:c] + (n,) + table[r][c + 1:]
+        bad_cell = FiniteGroup._trusted(tuple(table), G.identity, G._inv, G.names, G.label)
+        with pytest.raises(GroupError, match="not square over 0..n-1"):
+            _recheck_group(bad_cell, G.identity, G._inv)
+        inverses = G._inv[:x] + (_other(G._inv[x], n),) + G._inv[x + 1:]
+        with pytest.raises(AssertionError):
+            _recheck_group(G, G.identity, inverses)
+        with pytest.raises(AssertionError):
+            _recheck_group(G, _other(G.identity, n), G._inv)
+
+
+def test_every_trusted_hom_passes_the_public_checks(trusted_builds):
+    """Range, identity and hom law, on every trusted hom the corpora built,
+    and on every table `lifts` yields."""
+    _, homs = trusted_builds
+    assert {name for name, _ in homs} == _HOM_BUILDERS
+    checked = set()
+    for _, f in homs:
+        if id(f) not in checked:
+            checked.add(id(f))
+            assert type(f.table) is tuple and len(f.table) == f.source.order
+            GroupHom(f.source, f.target, f.table, check=True)
+    assert len(checked) > 2000
+    for ext in _extensions():
+        for table in lifts(ext.p, identity_hom(ext.base)):
+            GroupHom(ext.base, ext.total, table, check=True)
+
+
+def test_every_trusted_hom_recheck_fires_on_a_corrupted_value(trusted_builds):
+    _, homs = trusted_builds
+    first = {}
+    for name, f in homs:
+        first.setdefault(name, f)
+    rng = random.Random(29)
+    for name, f in sorted(first.items()):
+        x = rng.randrange(f.source.order)
+        table = f.table[:x] + (f.target.order,) + f.table[x + 1:]
+        with pytest.raises(GroupError, match="out-of-range values"):
+            GroupHom(f.source, f.target, table, check=True)
+        if f.target.order > 1:
+            e = f.source.identity
+            table = f.table[:e] + (_other(f.target.identity, f.target.order),) + f.table[e + 1:]
+            with pytest.raises(GroupError, match="does not preserve the identity"):
+                GroupHom(f.source, f.target, table, check=True)
