@@ -269,7 +269,7 @@ def collapse_epi(ext, K):
     fG = GroupHom._trusted(E2, E, tuple(
         E.mul(ext.k.table[(e // np) // m], ext.s.table[e % np])
         for e in range(E2.order)))
-    return XModMorphism(src, tgt, fT, fG)
+    return XModMorphism(src, tgt, fT, fG, check=False)  # valid, as above
 
 
 def projective_section_corpus():

@@ -592,9 +592,11 @@ def trivial_group(label="1"):
 def cyclic_group(n, label=None):
     if not 1 <= n <= MAX_ORDER:
         raise GroupError(f"cyclic group order {n} is outside 1..{MAX_ORDER}")
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup._trusted(table, 0, tuple(-a % n for a in range(n)),
-                                tuple(map(str, range(n))), label or f"Z{n}")
+    idx = tuple(range(n))  # every cell and inverse is one of these n ints
+    table = tuple(idx[a:] + idx[:a] for a in idx)  # row a: (a + b) mod n
+    inverses = idx[:1] + idx[:0:-1]  # -a mod n
+    return FiniteGroup._trusted(table, 0, inverses, tuple(map(str, idx)),
+                                label or f"Z{n}")
 
 
 def _cycle_notation(perm):

@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -412,18 +413,96 @@ def test_lift_json_certificate(sample, tmp_path, capsys):
     assert "section" in cert
 
 
-def test_commands_leave_no_reference_cycles(capsys):
-    """Repeated commands are freed by reference counting: the parser, a web
-    of argparse cycles, is built once per process, not once per call."""
-    main(["condp", "preservation"])
-    gc.collect()
+# every command the CI runs through the installed script, by kind
+CI_COMMANDS = (
+    ["check", "SAMPLE"], ["pi0", "SAMPLE"], ["lift", "SAMPLE", "--cross-check"],
+    ["lift", "SAMPLE", "--algorithm", "pullback-section", "--cross-check"],
+    ["audit", "--quick"], ["condp", "z4-pipeline", "--input", "SAMPLE"],
+    ["condp", "z4-pipeline", "--map", "0,0,0", "--section", "0"],  # order 1024
+    ["condp", "non-schreier", "--seed", "1"], ["condp", "transfer"],
+    ["condp", "preservation"],
+)
+
+
+def _is_json_encoder_closure(obj):
+    # with indent set, json.dump encodes through nested closures that refer
+    # to one another: the one reference cycle a command leaves
+    return getattr(obj, "__module__", None) == "json.encoder"
+
+
+def test_commands_leave_no_reference_cycles(sample, capsys):
+    """Every command is freed by reference counting, which is what lets
+    `main` pause the cyclic collector: run plain it leaves no cycle, and with
+    --json it leaves only the JSON encoder's closures, no xmodkit object and
+    no large container.  The parser, a web of argparse cycles, is built once
+    per process, not once per call."""
+    was_enabled = gc.isenabled()
     gc.disable()
     try:
-        assert main(["condp", "preservation"]) == 0
-        assert main(["condp", "non-schreier", "--seed", "1"]) == 0
-        assert gc.collect() == 0
+        for argv in CI_COMMANDS:
+            argv = [sample if a == "SAMPLE" else a for a in argv]
+            assert main(argv + ["--json", "-"]) == 0  # first imports and caches
+            gc.collect()
+            assert main(argv) == 0
+            assert gc.collect() == 0, argv
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                assert main(argv + ["--json", "-"]) == 0
+                gc.collect()
+            finally:
+                gc.set_debug(0)
+            garbage, gc.garbage[:] = gc.garbage[:], []
+            assert not [o for o in garbage if type(o).__module__.startswith("xmodkit")], argv
+            assert not [o for o in garbage if isinstance(o, (tuple, list, dict, set))
+                        and len(o) >= 256], argv
+            assert all(map(_is_json_encoder_closure, [
+                o for o in garbage if isinstance(o, types.FunctionType)])), argv
     finally:
-        gc.enable()
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
+BAD_TABLE = "[group G]\nelements: a b\ntable:\n  a b\n  b b\n"
+
+
+def _raising(exc):
+    def raise_it(*args):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, text, fault, outcome", [
+    (["check", "SAMPLE"], None, None, 0),
+    (["check", "FILE"], VIOLATING, None, 1),
+    (["check", "FILE"], BAD_TABLE, None, 2),
+    (["audit", "--quick", "--budget", "6"], None, None, 3),
+    (["pi0", "SAMPLE"], None, InvariantBreach("injected"), 4),
+    (["check", "SAMPLE", "--bogus"], None, None, SystemExit),
+    (["pi0", "SAMPLE"], None, RuntimeError("injected"), RuntimeError),
+], ids=["exit-0", "exit-1", "exit-2", "exit-3", "exit-4", "usage-error", "crash"])
+def test_collector_setting_is_restored_on_every_exit_path(
+        argv, text, fault, outcome, enabled, sample, tmp_path, monkeypatch, capsys):
+    """`main` pauses the cyclic collector and hands back the caller's
+    setting, whether it returns or raises."""
+    path = tmp_path / "in.defs"
+    if text is not None:
+        path.write_text(text)
+    argv = [sample if a == "SAMPLE" else str(path) if a == "FILE" else a for a in argv]
+    if fault is not None:
+        monkeypatch.setattr("xmodkit.cli.pi0_comparison", _raising(fault))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
     capsys.readouterr()
 
 

@@ -19,7 +19,7 @@ import tracemalloc
 
 import pytest
 
-from xmodkit import condp, lifting
+from xmodkit import condp, corpus, lifting
 from xmodkit.actions import (
     GroupAction, SplitExtension, action_from_function, conjugation_action,
     conjugation_action_on, semidirect_product, trivial_action,
@@ -39,7 +39,7 @@ from xmodkit.groups import (
 )
 from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi, total_map
 from xmodkit.xmod import (
-    CrossedModule, check_axioms, equivariance_failures, identity_morphism,
+    CrossedModule, XModMorphism, check_axioms, equivariance_failures, identity_morphism,
     morphism_witness, pi0, relabel_xmod, xmod_product,
 )
 
@@ -117,6 +117,54 @@ def test_collapse_epi_actions():
         _revalidate(mor.tgt.action)
 
 
+def _collapse_epis(monkeypatch):
+    """Every `collapse_epi` output of the projective-section corpus, the
+    rank-1 and rank-2 pipelines and the non-Schreier demos."""
+    out, real = [], corpus.collapse_epi
+
+    def recording(ext, K):
+        out.append(real(ext, K))
+        return out[-1]
+
+    monkeypatch.setattr(corpus, "collapse_epi", recording)
+    monkeypatch.setattr(condp, "collapse_epi", recording)
+    projective_section_corpus()
+    for f, s in (((0, 0), (0,)), ((0, 0, 0), (0,))):
+        assert condp.pipeline_diagram_P(f, s)["materialized"] is not None
+    for seed in (None, 1):
+        condp.non_schreier_demo(relabel_seed=seed)
+    return out
+
+
+def _recheck_morphism(mor):
+    """The checked constructors accept both levels and the pair, and both
+    levels are onto."""
+    fT, fG = (GroupHom(f.source, f.target, f.table, check=True)
+              for f in (mor.fT, mor.fG))
+    XModMorphism(mor.src, mor.tgt, fT, fG)
+    assert len(set(fT.table)) == fT.target.order
+    assert len(set(fG.table)) == fG.target.order
+
+
+def test_collapse_epis_pass_the_morphism_check(monkeypatch):
+    """`collapse_epi` builds its morphism unchecked; a one-element bend of
+    fG makes the recheck fire."""
+    epis = _collapse_epis(monkeypatch)
+    assert len(epis) == 16 + 2 + 2 + 4  # the seeded demo also runs relabeled
+    assert max(mor.fG.source.order for mor in epis) == MAX_ORDER
+    for mor in epis:
+        _recheck_morphism(mor)
+    rng = random.Random(24)
+    for mor in epis:
+        fG = mor.fG
+        x = rng.randrange(fG.source.order)
+        table = fG.table[:x] + (_other(fG.table[x], fG.target.order),) + fG.table[x + 1:]
+        bent = XModMorphism(mor.src, mor.tgt, mor.fT,
+                            GroupHom._trusted(fG.source, fG.target, table), check=False)
+        with pytest.raises(GroupError):
+            _recheck_morphism(bent)
+
+
 def test_semidirect_products_of_corpus_actions():
     actions = _corpus_actions()
     assert len(actions) > 100
@@ -169,6 +217,16 @@ def test_z4_module_refuses_above_cap():
         z4_module(5, 1)
     with pytest.raises(GroupError, match=f"exceeds cap {MAX_ORDER}"):
         z4_module(0, 11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 256, 257, 1024])
+def test_cyclic_group_matches_per_cell_formula(n):
+    """Rows are rotations of one index tuple, so the table and the inverses
+    hold exactly n int objects, one per element."""
+    G = cyclic_group(n)
+    assert G.table == tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    assert G._inv == tuple(-a % n for a in range(n))
+    assert len({id(x) for row in G.table + (G._inv,) for x in row}) == n
 
 
 def _revalidate_xmod(xm):
