@@ -195,6 +195,29 @@ def _check_action_word(action: GroupAction, w):
         raise GroupError("word signature must be (actor, carrier) for this action")
 
 
+def core_walker(action: GroupAction):
+    """The evaluator of `action_core_word` with the action's tables bound once.
+
+    For callers whose words are built over (actor, carrier) of this action,
+    so the signature check cannot fail; the walk still refuses a word whose
+    actor projection is not trivial.
+    """
+    g, x, act = action.actor.table, action.carrier.table, action.table
+    one, r0 = action.actor.identity, action.carrier.identity
+
+    def walk(w):
+        a, r = one, r0
+        for slot, v in w.letters:
+            if slot:
+                r = x[r][act[a][v]]
+            else:
+                a = g[a][v]
+        if a != one:
+            raise GroupError("word does not project trivially to the actor")
+        return r
+    return walk
+
+
 def action_core_word(action: GroupAction, w) -> int:
     """Evaluate a word with trivial actor projection to a carrier element.
 
@@ -202,14 +225,4 @@ def action_core_word(action: GroupAction, w) -> int:
     the running actor product must return to the identity.
     """
     _check_action_word(action, w)
-    g, x, act = action.actor.table, action.carrier.table, action.table
-    a = one = action.actor.identity
-    r = action.carrier.identity
-    for slot, v in w.letters:
-        if slot:
-            r = x[r][act[a][v]]
-        else:
-            a = g[a][v]
-    if a != one:
-        raise GroupError("word does not project trivially to the actor")
-    return r
+    return core_walker(action)(w)

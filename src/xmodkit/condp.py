@@ -12,8 +12,11 @@ Dense multiplication tables stop at order 1024, but the nine-object pipeline
 diagram needs free modules of order up to 4^8.  It works on their ranks,
 with maps given as `MatrixZ4` basis images mod 4; every row is the split
 doubled row of one free module and every vertical map of the totals a
-doubled map.  Only the small kernel row is ever materialized back into dense
-tables for the section constructions.
+doubled map.  A vector of n digits mod 4 is packed into one int, two bits
+per digit, so a vector sum is three bitwise operations on all digits at
+once, and `MatrixZ4.image_span` returns a set of packed ints.  Only the
+small kernel row is ever materialized back into dense tables for the
+section constructions.
 """
 
 import itertools
@@ -44,30 +47,63 @@ class MatrixZ4:
     """Z/4-linear map (Z/4)^m -> (Z/4)^n, given by its m basis images.
 
     Used where dense tables would blow past the order cap: rank eight means
-    65536 elements, which digit tuples and spans handle fine.  Every basis
-    vector of a free module has order four, and so does every digit tuple,
-    so any m tuples of n digits mod 4 define a hom: nothing needs checking.
+    65536 elements.  A vector of n digits mod 4 is one int with digit j in
+    bits 2j and 2j + 1, and `columns` holds the m packed basis images.  The
+    digits of a sum come out of one xor and one carry: the low bits add
+    without carry, a low-bit carry lands in the high bit of its own digit,
+    and the high bit's own carry is a multiple of four, so it is dropped and
+    no carry crosses into the next digit.  Every basis vector of a free
+    module has order four, and so does every vector, so any m vectors of n
+    digits define a hom: nothing beyond their count and length needs
+    checking.  Digit tuples appear only at the constructor and `apply`.
     """
 
     def __init__(self, src_rank: int, tgt_rank: int, basis_images):
-        self.src_rank = src_rank
-        self.tgt_rank = tgt_rank
-        self.basis_images = tuple(basis_images)
+        images = tuple(map(tuple, basis_images))
+        if len(images) != src_rank:
+            raise GroupError(f"need {src_rank} basis images, got {len(images)}")
+        if any(len(v) != tgt_rank for v in images):
+            raise GroupError(f"every basis image needs {tgt_rank} digits")
+        self._set(src_rank, tgt_rank, map(_pack, images))
+
+    @classmethod
+    def _trusted(cls, src_rank: int, tgt_rank: int, columns):
+        """A matrix from packed columns the package built itself."""
+        m = cls.__new__(cls)
+        m._set(src_rank, tgt_rank, columns)
+        return m
+
+    def _set(self, src_rank, tgt_rank, columns):
+        self.src_rank, self.tgt_rank = src_rank, tgt_rank
+        self.columns = tuple(columns)
+        self._low = (4 ** tgt_rank - 1) // 3  # the low bit of every digit
+
+    def _apply(self, x: int) -> int:
+        """The image of a packed vector: its digits weight the columns."""
+        out, low = 0, self._low
+        for v in self.columns:
+            c, x = x & 3, x >> 2
+            if not c:
+                continue
+            if c != 1:
+                twice = (v & low) << 1
+                v = twice if c == 2 else v ^ twice  # 3v = -v
+            out = out ^ v ^ ((out & v & low) << 1)
+        return out
 
     def apply(self, x):
-        return tuple(sum(c * v[j] for c, v in zip(x, self.basis_images)) % 4
-                     for j in range(self.tgt_rank))
+        """The image of a digit tuple, as a digit tuple."""
+        y = self._apply(_pack(x))
+        return tuple(y >> 2 * j & 3 for j in range(self.tgt_rank))
 
     def image_span(self):
-        """All sums of basis images, breadth first; the image as a set."""
-        zero = (0,) * self.tgt_rank
-        seen = {zero}
-        frontier = [zero]
+        """All sums of columns, breadth first; the image as a set of packed ints."""
+        seen, frontier, low = {0}, [0], self._low
         while frontier:
             nxt = []
             for x in frontier:
-                for v in self.basis_images:
-                    y = tuple((a + b) % 4 for a, b in zip(x, v))
+                for v in self.columns:
+                    y = x ^ v ^ ((x & v & low) << 1)
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -75,22 +111,28 @@ class MatrixZ4:
         return seen
 
     def is_zero(self):
-        return not any(map(any, self.basis_images))
+        return not any(self.columns)
 
     def __eq__(self, other):
-        return (self.src_rank, self.tgt_rank, self.basis_images) == (
-            other.src_rank, other.tgt_rank, other.basis_images)
+        if not isinstance(other, MatrixZ4):
+            return NotImplemented
+        return (self.src_rank, self.tgt_rank, self.columns) == (
+            other.src_rank, other.tgt_rank, other.columns)
+
+
+def _pack(digits) -> int:
+    return sum((d & 3) << 2 * j for j, d in enumerate(digits))
 
 
 def _basis(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple(1 << 2 * i for i in range(n))
 
 
 def compose_linear(f: MatrixZ4, g: MatrixZ4) -> MatrixZ4:
     """f after g: the matrix product mod 4."""
     if g.tgt_rank != f.src_rank:
         raise GroupError("composition mismatch")
-    return MatrixZ4(g.src_rank, f.tgt_rank, map(f.apply, g.basis_images))
+    return MatrixZ4._trusted(g.src_rank, f.tgt_rank, map(f._apply, g.columns))
 
 
 def split_exact_z4(k: MatrixZ4, p: MatrixZ4, s: MatrixZ4) -> dict:
@@ -104,7 +146,7 @@ def split_exact_z4(k: MatrixZ4, p: MatrixZ4, s: MatrixZ4) -> dict:
     total, base = k.tgt_rank, p.tgt_rank
     if p.src_rank != total or s.src_rank != base or s.tgt_rank != total:
         raise GroupError("maps do not form a row")
-    section_ok = compose_linear(p, s).basis_images == _basis(base)
+    section_ok = compose_linear(p, s).columns == _basis(base)
     complex_ok = compose_linear(p, k).is_zero()
     im_k = len(k.image_span())
     inj_ok = im_k == 4 ** k.src_rank
@@ -210,18 +252,19 @@ def _doubled_row(n: int):
     the base block, s embeds into it and k embeds into the flat block.
     Returns k, p and s.
     """
-    b, z = _basis(n), (0,) * n
-    k = MatrixZ4(n, 2 * n, (z + v for v in b))
-    p = MatrixZ4(2 * n, n, b + (z,) * n)
-    s = MatrixZ4(n, 2 * n, (v + z for v in b))
+    b = _basis(n)
+    k = MatrixZ4._trusted(n, 2 * n, (v << 2 * n for v in b))
+    p = MatrixZ4._trusted(2 * n, n, b + (0,) * n)
+    s = MatrixZ4._trusted(n, 2 * n, b)
     return k, p, s
 
 
 def _doubled_map(f: MatrixZ4) -> MatrixZ4:
-    """f + f between the doubled source and target, block by block."""
-    z, imgs = (0,) * f.tgt_rank, f.basis_images
-    return MatrixZ4(2 * f.src_rank, 2 * f.tgt_rank,
-                    tuple(v + z for v in imgs) + tuple(z + v for v in imgs))
+    """f + f between the doubled source and target, block by block: the
+    second block's digits sit 2 * tgt_rank bits higher."""
+    cols = f.columns
+    return MatrixZ4._trusted(2 * f.src_rank, 2 * f.tgt_rank,
+                             cols + tuple(v << 2 * f.tgt_rank for v in cols))
 
 
 def pipeline_diagram_P(f, s) -> dict:
@@ -251,25 +294,20 @@ def pipeline_diagram_P(f, s) -> dict:
         if f[s[y]] != y:
             raise GroupError("s must be a section of f")
 
-    bX, bY = _basis(nX), _basis(nY)
     kX, pX, sX = _doubled_row(nX)
     kY, pY, sY = _doubled_row(nY)
-    vf = MatrixZ4(nX, nY, (bY[y] for y in f))
-    vs = MatrixZ4(nY, nX, (bX[x] for x in s))
+    vf = MatrixZ4._trusted(nX, nY, (1 << 2 * y for y in f))
+    vs = MatrixZ4._trusted(nY, nX, (1 << 2 * x for x in s))
     vf_tot, vs_tot = _doubled_map(vf), _doubled_map(vs)
 
     in_s = set(s)
     free_pos = [x for x in range(nX) if x not in in_s]
     r = len(free_pos)
 
-    def diff(x):
-        v = [0] * nX
-        v[x] = 1
-        v[s[f[x]]] = 3
-        return tuple(v)
-
     kZ, pZ, sZ = _doubled_row(r)
-    incl = MatrixZ4(r, nX, map(diff, free_pos))
+    # e_x - e_s(f(x)): digit 1 at x and 3 at s(f(x)), which differs from x
+    incl = MatrixZ4._trusted(r, nX, ((1 << 2 * x) | (3 << 2 * s[f[x]])
+                                     for x in free_pos))
     incl_tot = _doubled_map(incl)
 
     rows = {

@@ -43,7 +43,7 @@ from .groups import (
 from .groups import search_homs
 from .actions import SplitExtension
 from .words import (
-    FactorSignature, WordHom, commutator, enumerate_cosmash_words,
+    FactorSignature, Word, WordHom, enumerate_cosmash_words,
     enumerate_flat_words, enumerate_words, fold_word, format_word, in_flat,
     single,
 )
@@ -242,8 +242,10 @@ def _ternary_morphism_audit(mor: XModMorphism, max_len: int):
     carrier) of the morphism's source, plus the bracket words
     [[base letter, carrier letter], carrier letter] over generators, which
     are the shortest words the enumeration cannot reach at small lengths.
-    Each bracket is a ternary cosmash word of length 10 with no test: the
-    `generators` of a group never include its identity, so the word is
+    Each bracket [[e, q], u] = e q e^-1 q^-1 u q e q^-1 e^-1 u^-1 is built
+    as these ten letters, a ternary cosmash word with no test: the
+    `generators` of a group never include its identity, so no letter is
+    the identity and no two neighbours share a slot, which makes the word
     reduced, and deleting any one slot collapses one of its commutators.
     For each word both fold routes are evaluated on both sides; the two
     routes must agree on each side and the carrier map must carry source
@@ -269,13 +271,13 @@ def _ternary_morphism_audit(mor: XModMorphism, max_len: int):
     for w in enumerate_cosmash_words(sigA, max_len):
         check(w)
         n += 1
-    brackets = 0
+    brackets, e_inv, q_inv = 0, EA.inv, QA.inv
     for e in EA.generators:
-        we = single(sigA, 0, e)
         for q in QA.generators:
-            wq = commutator(we, single(sigA, 1, q))
+            head = ((0, e), (1, q), (0, e_inv(e)), (1, q_inv(q)))
+            tail = ((1, q), (0, e), (1, q_inv(q)), (0, e_inv(e)))
             for u in QA.generators:
-                check(commutator(wq, single(sigA, 2, u)))
+                check(Word(sigA, head + ((2, u),) + tail + ((2, q_inv(u)),)))
                 brackets += 1
     return n, brackets
 

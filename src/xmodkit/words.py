@@ -97,10 +97,6 @@ def single(sig, slot, value):
     return normalize(sig, ((slot, value),))
 
 
-def commutator(u, v):
-    return u * v * u.inverse() * v.inverse()
-
-
 def format_word(w):
     if not w.letters:
         return "()"

@@ -19,8 +19,8 @@ from functools import cached_property
 
 from .errors import GroupError
 from .actions import (
-    GroupAction, SplitExtension, action_core_word, conjugation_action,
-    conjugation_action_on, semidirect_product, trivial_action,
+    GroupAction, SplitExtension, conjugation_action, conjugation_action_on,
+    core_walker, semidirect_product, trivial_action,
 )
 from .groups import (
     FiniteGroup, GroupHom, _pair_rows, compose, direct_product, enumerate_homs,
@@ -150,11 +150,10 @@ def check_axioms_wordlevel(xm: CrossedModule, max_len: int = 4) -> dict:
             ("peiffer", pulled, (idT, idT), idT.table)):
         sig = FactorSignature((action.actor, action.carrier))
         straight = WordHom(sig, slot_maps, slot_maps[1].target)
-        words = enumerate_cosmash_words(sig, max_len)
+        words, core = enumerate_cosmash_words(sig, max_len), core_walker(action)
         out[f"{law}_words"] = len(words)
         viol[f"{law}_violations"] = [
-            format_word(w) for w in words
-            if on_core[action_core_word(action, w)] != straight.evaluate(w)]
+            format_word(w) for w in words if on_core[core(w)] != straight.evaluate(w)]
     out.update(viol)
     out["ok"] = not any(viol.values())
     return out
@@ -170,10 +169,11 @@ def ternary_routes(xm: CrossedModule):
     out_sig = FactorSignature((xm.codomain(), xm.domain()))
     d = xm.boundary.table
     push = (lambda v: v, lambda v: d[v], lambda v: v)
+    core = core_walker(xm.action)
 
     def routes(w):
-        return (action_core_word(xm.action, fold_word(w, out_sig, (0, 1, 1))),
-                action_core_word(xm.action, fold_word(w, out_sig, (0, 0, 1), push)))
+        return (core(fold_word(w, out_sig, (0, 1, 1))),
+                core(fold_word(w, out_sig, (0, 0, 1), push)))
     return routes
 
 
@@ -184,7 +184,7 @@ def check_ternary(xm: CrossedModule, max_len: int = 8) -> dict:
     equivariance gives d(s) = [g, d t] and Peiffer gives d(s).t' = s t' s^-1,
     so [[g, t], t'] = [[g, d t], t'].  So on input that passed
     `check_axioms` this check audits the word layer (`fold_word`,
-    `action_core_word`), and on merely precrossed input it detects Peiffer
+    `core_walker`), and on merely precrossed input it detects Peiffer
     failures at s in [G, T].
     """
     G, T = xm.codomain(), xm.domain()

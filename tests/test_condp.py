@@ -65,6 +65,81 @@ def test_split_exact_detects_failure():
         split_exact_z4(k2, p3, s2)
 
 
+def test_matrix_constructor_refuses_malformed_images():
+    """A wrong image count or length is refused, digits are reduced mod 4,
+    and a matrix compares unequal to anything that is not one."""
+    for src, tgt, images, message in (
+            (2, 1, ((1,),), "need 2 basis images, got 1"),
+            (1, 1, ((1,), (0,)), "need 1 basis images, got 2"),
+            (1, 1, ((1, 2),), "every basis image needs 1 digits"),
+            (2, 2, ((1, 0), (1,)), "every basis image needs 2 digits")):
+        with pytest.raises(GroupError) as exc:
+            MatrixZ4(src, tgt, images)
+        assert str(exc.value) == message
+    assert MatrixZ4(1, 1, ((5,),)) == MatrixZ4(1, 1, ((1,),))
+    assert MatrixZ4(1, 2, ((-1, 6),)).apply((1,)) == (3, 2)
+    m = MatrixZ4(1, 1, ((1,),))
+    assert m.__eq__(None) is NotImplemented
+    assert m != None and m != (1,)
+
+
+# The digit-tuple arithmetic `MatrixZ4` ran before its vectors were packed
+# into ints, kept as the reference the packed lanes must agree with.
+
+def _ref_apply(images, tgt_rank, x):
+    return tuple(sum(c * v[j] for c, v in zip(x, images)) % 4
+                 for j in range(tgt_rank))
+
+
+def _ref_span(images, tgt_rank):
+    zero = (0,) * tgt_rank
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for v in images:
+                y = tuple((a + b) % 4 for a, b in zip(x, v))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _unpack(y, n):
+    return tuple(y >> 2 * j & 3 for j in range(n))
+
+
+def test_packed_lanes_match_digit_tuples():
+    """Image sets, image sizes, `apply` and composition agree with the
+    digit-tuple reference on seeded random matrices at ranks 0..8 and on the
+    all-3 matrices, where every digit of every sum carries."""
+    rng = random.Random(25)
+
+    def digits(n):
+        return tuple(rng.randrange(4) for _ in range(n))
+
+    mats = {}
+    for m, n in itertools.product(range(9), repeat=2):
+        mats[m, n] = [tuple(digits(n) for _ in range(m)), ((3,) * n,) * m]
+    for (m, n), cases in mats.items():
+        for images in cases:
+            f = MatrixZ4(m, n, images)
+            for x in [digits(m) for _ in range(6)] + [(3,) * m, (2,) * m]:
+                assert f.apply(x) == _ref_apply(images, n, x), (images, x)
+            if m + n <= 12 or m == n == 8:
+                span = f.image_span()
+                assert {_unpack(y, n) for y in span} == _ref_span(images, n), images
+                assert all(0 <= y < 4 ** n for y in span)
+    assert len(MatrixZ4(8, 8, ((3,) * 8,) * 8).image_span()) == 4
+    for m, n, k in itertools.product(range(9), repeat=3):
+        for g_images, f_images in zip(mats[m, n], mats[n, k]):
+            fg = compose_linear(MatrixZ4(n, k, f_images), MatrixZ4(m, n, g_images))
+            want = tuple(_ref_apply(f_images, k, v) for v in g_images)
+            assert fg == MatrixZ4(m, k, want), (f_images, g_images)
+
+
 def test_projectivity_criterion_and_oracle():
     assert projective_z4(z4_module(2, 0))
     assert not projective_z4(z4_module(1, 1))

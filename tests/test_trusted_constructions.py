@@ -19,10 +19,11 @@ import tracemalloc
 
 import pytest
 
-from xmodkit import condp, corpus, lifting
+from xmodkit import condp, corpus, lifting, xmod
 from xmodkit.actions import (
-    GroupAction, SplitExtension, action_from_function, conjugation_action,
-    conjugation_action_on, semidirect_product, trivial_action,
+    GroupAction, SplitExtension, _check_action_word, action_core_word,
+    action_from_function, conjugation_action, conjugation_action_on,
+    semidirect_product, trivial_action,
 )
 from xmodkit.corpus import (
     axiom_corpus, collapse_epi, projective_section_corpus, pullback_section_corpus,
@@ -38,13 +39,15 @@ from xmodkit.groups import (
     z4_module, z4_module_classes, _grow,
 )
 from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi, total_map
+from xmodkit.words import FactorSignature, single
 from xmodkit.xmod import (
-    CrossedModule, XModMorphism, check_axioms, equivariance_failures, identity_morphism,
-    morphism_witness, pi0, relabel_xmod, xmod_product,
+    CrossedModule, XModMorphism, check_axioms, check_axioms_wordlevel, check_ternary,
+    equivariance_failures, identity_morphism, morphism_witness, pi0, relabel_xmod,
+    xmod_product,
 )
 
 from action_helpers import action_from_extension
-from word_helpers import in_ternary_cosmash
+from word_helpers import commutator, in_ternary_cosmash
 
 
 def _revalidate(action):
@@ -341,37 +344,86 @@ def test_projective_section_reads_the_extension_action(monkeypatch):
 
 
 def test_audited_bracket_words_are_ternary_cosmash_words(monkeypatch):
-    """The bracket words [[g, t], t'] over generators that the morphism audit
-    checks with no membership test have length 10 and lie in the ternary
-    cosmash, on every section of the projective-section corpus."""
-    words = []
-    real = lifting.ternary_routes
+    """The bracket words [[e, q], u] over generators that the morphism audit
+    builds letter by letter, with no membership test, equal the products of
+    single letters through `commutator`, have length 10 and lie in the
+    ternary cosmash, on every section of the projective-section corpus and
+    of the rank-1 and rank-2 pipelines."""
+    words, audits = [], []
+    real_routes, real_audit = lifting.ternary_routes, lifting._ternary_morphism_audit
 
-    def recording(xm):
-        routes = real(xm)
+    def recording_routes(xm):
+        routes = real_routes(xm)
 
         def record(w):
             words.append(w)
             return routes(w)
         return record
 
-    pairs = projective_section_corpus()
-    monkeypatch.setattr(lifting, "ternary_routes", recording)
-    total = 0
-    for epi, ext in pairs:
+    def recording_audit(mor, max_len):
         words.clear()
-        cert = lifting.projective_section(epi, ext)
-        assert cert.ok
+        n, brackets = real_audit(mor, max_len)
         # each audited word goes through the source's routes, then the target's
-        audited = words[::2]
-        n, brackets = cert.detail["ternary_words"], cert.detail["ternary_brackets"]
-        E, Q = ext.total, ext.kernel_group
-        assert brackets == len(E.generators) * len(Q.generators) ** 2
+        audits.append((mor, n, brackets, words[::2]))
+        return n, brackets
+
+    pairs = projective_section_corpus()
+    monkeypatch.setattr(lifting, "ternary_routes", recording_routes)
+    monkeypatch.setattr(lifting, "_ternary_morphism_audit", recording_audit)
+    for epi, ext in pairs:
+        assert lifting.projective_section(epi, ext).ok
+    for f, s in (((0, 0), (0,)), ((0, 0, 0), (0,))):
+        assert condp.pipeline_diagram_P(f, s)["materialized"] is not None
+    assert len(audits) == len(pairs) + 4
+    total = 0
+    for mor, n, brackets, audited in audits:
+        E, Q = mor.src.codomain(), mor.src.domain()
+        sig = FactorSignature((E, Q, Q))
         assert len(audited) == n + brackets
+        assert audited[n:] == [
+            commutator(commutator(single(sig, 0, e), single(sig, 1, q)), single(sig, 2, u))
+            for e in E.generators for q in Q.generators for u in Q.generators]
         for w in audited[n:]:
             assert len(w) == 10 and in_ternary_cosmash(w), w
         total += brackets
     assert total > 0
+
+
+def test_core_walker_agrees_with_the_checked_entry(monkeypatch):
+    """`check_axioms_wordlevel` and `ternary_routes` evaluate through
+    `core_walker`, which skips `action_core_word`'s signature check: on the
+    axiom corpus every word they evaluate passes that check and has the same
+    value through the checked entry.  Ternary words run at L=10, the first
+    length with non-empty ones, where the carrier has order at most four, and
+    at L=8 elsewhere.  The checked entry still refuses a word over another
+    signature and a word that does not project trivially."""
+    seen = []
+    real = xmod.core_walker
+
+    def recording(action):
+        walk = real(action)
+
+        def record(w):
+            seen.append((action, w, walk(w)))
+            return seen[-1][2]
+        return record
+
+    monkeypatch.setattr(xmod, "core_walker", recording)
+    for _, xm, _ in axiom_corpus():
+        check_axioms_wordlevel(xm, 4)
+        check_ternary(xm, 10 if xm.domain().order <= 4 else 8)
+    assert len(seen) > 40_000
+    for action, w, value in seen:
+        _check_action_word(action, w)
+        assert action_core_word(action, w) == value
+    action = seen[-1][0]
+    sig = FactorSignature((action.actor, action.carrier))
+    g = action.actor.generators[0]
+    with pytest.raises(GroupError, match="does not project trivially"):
+        action_core_word(action, single(sig, 0, g))
+    other = FactorSignature((action.carrier, action.actor))
+    with pytest.raises(GroupError, match="signature must be"):
+        action_core_word(action, single(other, 1, g))
 
 
 # -- row-level builders and checks against their per-cell references ---------

@@ -9,14 +9,14 @@ from xmodkit.groups import (
     cyclic_group, dihedral_group, hom, subgroup, symmetric_group,
 )
 from xmodkit.words import (
-    FactorSignature, WordHom, commutator, enumerate_cosmash_words,
+    FactorSignature, WordHom, enumerate_cosmash_words,
     enumerate_flat_words, enumerate_words, fold_word, format_word, in_flat,
     normalize, single,
 )
 
 from word_helpers import (
-    empty_word, fold_left, fold_right, in_binary_cosmash, in_ternary_cosmash,
-    parse_word,
+    commutator, empty_word, fold_left, fold_right, in_binary_cosmash,
+    in_ternary_cosmash, parse_word,
 )
 
 Z2 = cyclic_group(2)

@@ -1,12 +1,16 @@
-"""Word helpers that only the tests use: a word parser, membership in the
-binary and ternary cosmash, and the fold maps on three-slot words, kept beside
-the tests that pin their answers."""
+"""Word helpers that only the tests use: a word parser, the commutator,
+membership in the binary and ternary cosmash, and the fold maps on three-slot
+words, kept beside the tests that pin their answers."""
 from xmodkit.errors import GroupError
 from xmodkit.words import FactorSignature, Word, fold_word, normalize
 
 
 def empty_word(sig):
     return Word(sig, ())
+
+
+def commutator(u, v):
+    return u * v * u.inverse() * v.inverse()
 
 
 def parse_word(sig, text):
