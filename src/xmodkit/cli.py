@@ -11,14 +11,16 @@ Subcommands:
     xmodkit audit         built-in corpus sweep with cross checks
 
 Exit codes: 0 all checks passed, 1 a checked property is falsified or a
-searched section provably does not exist, 2 malformed input, 3 a search
-budget ran out before the question was settled, 4 an internal invariant
-failed (a bug in xmodkit, not in the input).  Budget exhaustion is never
-reported as nonexistence.
+searched section provably does not exist, 2 malformed input (a definition
+file that is not UTF-8 included) or a stdout closed by its reader, 3 a search
+budget ran out before the question was settled, 4 an internal error: an
+invariant failed or any other exception escaped, a bug in xmodkit, not in
+the input (its traceback goes to stderr).  KeyboardInterrupt and SystemExit
+pass through.  Budget exhaustion is never reported as nonexistence.
 
 Every subcommand accepts --json PATH to write a machine-readable report
 ("-" for stdout), also on exit 2, 3 or 4 (ok false, the error, null results),
-a usage error that argparse refuses included;
+a usage error that argparse refuses and an internal error included;
 the human summary goes to stdout.  lift and audit, the subcommands that run
 budgeted searches, also accept --budget N.
 
@@ -34,6 +36,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 import time
 
@@ -523,13 +526,24 @@ def _run(argv):
                 raise GroupError(f"enumeration length {length} is negative")
             if length > MAX_ENUM_LEN:
                 raise GroupError(f"enumeration length {length} exceeds cap {MAX_ENUM_LEN}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except (DefinitionError, GroupError) as exc:
         code, error = 2, f"input error: {exc}"
     except BudgetExhausted as exc:
         code, error = 3, f"budget exhausted: {exc}"
     except InvariantBreach as exc:
         code, error = 4, f"internal error: {exc}"
+    except BrokenPipeError:  # the reader of stdout is gone, as under `| head -1`
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the exit's own flush cannot fail
+        os.close(devnull)
+        code, error = 2, "output error: stdout was closed"
+    except Exception as exc:  # a bug: KeyboardInterrupt and SystemExit pass
+        import traceback  # imported here, as only a failing run needs it
+        traceback.print_exc()
+        code, error = 4, f"internal error: {type(exc).__name__}: {exc}"
     print(error, file=sys.stderr)
     if args.json:
         _write_report(args, None, False, code, error=error)

@@ -92,7 +92,9 @@ class MatrixZ4:
         return out
 
     def apply(self, x):
-        """The image of a digit tuple, as a digit tuple."""
+        """The image of a digit tuple of length src_rank, as a digit tuple."""
+        if len(x) != self.src_rank:
+            raise GroupError(f"need {self.src_rank} digits, got {len(x)}")
         y = self._apply(_pack(x))
         return tuple(y >> 2 * j & 3 for j in range(self.tgt_rank))
 

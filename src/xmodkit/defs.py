@@ -400,9 +400,18 @@ def parse_definitions(text, *, check_xmods: bool = True) -> Definitions:
 
 
 def load_definitions(path, *, check_xmods: bool = True) -> Definitions:
+    """Parse a UTF-8 definition file; a file that cannot be read or decoded
+    is bad input, and the error names the first byte that is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DefinitionError(f"cannot read {path}: {exc}")
-    return parse_definitions(text, check_xmods=check_xmods)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DefinitionError(f"{path} is not UTF-8 text: byte {data[exc.start]:#04x} "
+                              f"at offset {exc.start}") from None
+    # universal newlines, as a file read in text mode
+    return parse_definitions(text.replace("\r\n", "\n").replace("\r", "\n"),
+                             check_xmods=check_xmods)

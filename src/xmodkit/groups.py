@@ -39,14 +39,15 @@ for the failing cell only once a row differs.
 
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: ``hom``, hom enumeration, section searches, constrained lifts and
-isomorphism searches all go through ``search_homs``.  It checks generator
-images along Cayley edges z = x*s planned once per search, since a map with
-f(xs) = f(x)f(s) for all x and generators s is a hom: O(|G|.|gens|) work per
-full assignment.  Each level's edges are split when planned: a node runs the
-edges that define new values in one pass and the edges that check old ones
-in a second, both reading the target's table directly.  One generator,
-``_levels``, walks those edges for the search, ``closure``, ``normal_closure``
-and ``actions.conjugation_action_on``.  Every section and every lift along a
+isomorphism searches all go through ``search_homs``.  Each level adds one
+generator g to the subgroup H reached so far and plans K = <H, g> once per
+search as left cosets y*H (``_cosets``).  By Schreier's lemma the cosets'
+representatives carry every check: when f(s*y) = f(s)f(y) for each generator
+s and representative y, f is a hom of K.  So a node computes [K:H].|gens|
+products in Python, not |K|.|gens|, and fills each coset y*H with one C-level
+gather once it passes.  ``_levels``, the walk along Cayley edges z = x*s,
+grows the subgroups of ``closure``, ``normal_closure`` and
+``actions.conjugation_action_on``.  Every section and every lift along a
 surjection is found by ``lifts``, the one search over fibers.
 """
 from __future__ import annotations
@@ -205,6 +206,12 @@ class FiniteGroup:
         return tuple(out)
 
     @cached_property
+    def _ranked(self):
+        """Every element by largest order, then least index: `_greedy`'s ranking."""
+        return tuple(sorted(range(self.order), key=self.elem_orders.__getitem__,
+                            reverse=True))
+
+    @cached_property
     def commutative(self):
         """Generators that commute pairwise commute with every element."""
         t = self.table
@@ -335,10 +342,10 @@ def first_difference(xs, ys):
 
 def _greedy(G, covered):
     """The elements of `covered`, then every element of G ranked by largest
-    order, then least index.  Walked by `_levels`, the first ranked element
-    not yet reached is the largest outside the subgroup so far."""
-    return itertools.chain(covered, sorted(range(G.order), key=G.elem_orders.__getitem__,
-                                           reverse=True))
+    order, then least index (`FiniteGroup._ranked`).  Walked by `_levels`,
+    the first ranked element not yet reached is the largest outside the
+    subgroup so far."""
+    return itertools.chain(covered, G._ranked)
 
 
 def generating_sequence(G, covered):
@@ -806,6 +813,63 @@ def z4_module_classes(max_order):
 # -- backtracking homomorphism search -----------------------------------------
 
 
+def _cosets(t, members, pos, candidates):
+    """The left-coset plan of the hom search: yield a level per generator.
+
+    `members` is a subgroup H in member order, identity first, and `pos`
+    maps each element to its place there (None outside); both grow in place.
+    Each candidate g not yet reached joins the generators, and H grows to
+    K = <H, g> as blocks y*H in H's member order, each starting with its
+    representative y: first g*H at place m = |H|, then one block per new
+    representative z = s*y, met by stepping each representative y along
+    each generator s.  A level is (g, m, plan) with plan = (defines, checks,
+    blocks, |K|), all as places: a (z, s, y) per later representative
+    z = s*y, a (z, x, s, y) per step s*y that lands on z*x with z a
+    representative (or the identity) and x in H, and a (block, y) per block
+    after H.  When H is trivial, K = <g> is cyclic and each block is one
+    power of g, g times the one before: the one step left is g^n = e.
+    """
+    gens = []
+    for g in candidates:
+        if pos[g] is not None:
+            continue
+        gens.append(g)
+        m = len(members)
+        if m == 1:
+            y, defines = g, []
+            while pos[y] is None:
+                k = len(members)
+                pos[y] = k
+                members.append(y)
+                defines.append((k + 1, 1, k))  # g^(k+1) = g*g^k
+                y = t[g][y]
+            n = defines.pop()[0]  # g*g^(n-1) = e, met before
+            yield g, m, (defines, [(0, 0, 1, n - 1)], [], n)
+            continue
+        coset = gatherer(members)  # row y of t -> the block y*H
+        reps, defines, checks, blocks = [g], [], [], []
+
+        def join(y):  # the block y*H joins K: the place of y
+            at = len(members)
+            for x in coset(t[y]):
+                pos[x] = len(members)
+                members.append(x)
+            blocks.append((slice(at, at + m), at))
+            return at
+
+        join(g)
+        for y in reps:  # grows as representatives are met
+            for s in gens:
+                z = t[s][y]
+                if pos[z] is None:
+                    defines.append((join(z), pos[s], pos[y]))
+                    reps.append(z)
+                else:  # z = r*x: r starts the block of z, x sits as far into H
+                    p = pos[z]
+                    checks.append((p - p % m, p % m, pos[s], pos[y]))
+        yield g, m, (defines, checks, blocks, len(members))
+
+
 def search_homs(src, target, candidates, *, prescribed=None, budget=None,
                 injective=False):
     """Yield the value tuple of every hom from src to target, by backtracking.
@@ -814,14 +878,23 @@ def search_homs(src, target, candidates, *, prescribed=None, budget=None,
     spanned by `prescribed`, whose keys and values must be elements of src
     and target; `candidates(gen)` lists allowed images in the order they are
     tried, so output order is lexicographic in the generator-image tuple.
-    Each level's Cayley edges are planned once per search, split into
-    defines and checks.  A node sets its generator's image, runs the define
-    pass (each new f(z) = f(x)f(s)) and then the check pass (each old f(z)
-    against f(x)f(s)), both reading the target's table, in one flat map
-    that deeper levels overwrite, so nothing is copied or undone.  The node
-    passes exactly when its images extend to a hom of the subgroup so far.
-    Raises BudgetExhausted when the node budget runs out; a completed
-    iteration proves the enumeration exhaustive.
+    Each level grows the subgroup H reached so far to K = <H, g> by left
+    cosets y*H, planned once per search (`_cosets`).  A node keeps f on K in
+    member order, in one flat list that deeper levels overwrite, so nothing
+    is copied or undone.  It sets f(g) = h and f(z) = f(s)f(y) for each later
+    representative z = s*y, then checks, for each representative y and
+    generator s, that s*y = z*x, with z a representative and x in H, has
+    f(z)f(x) = f(s)f(y).  Nothing else needs a check: each k in K is some
+    y*u with u in H and f(y*u) = f(y)f(u), so f(s*k) = f(z)f(x)f(u) =
+    f(s)f(k) for each generator s, and the a with f(a*k) = f(a)f(k) for all
+    k are closed under products, so they are all of K.  A node thus passes
+    exactly when its images extend to a hom of the subgroup so far.
+    Only then does it fill its blocks, each in one C call: f(y*H) is row
+    f(y) of the target's table read at f(H), through a gatherer built once
+    per parent node; at the first level H is trivial, each block is one
+    element and no gatherer is built.  A leaf maps member order back to
+    element order.  Raises BudgetExhausted when the node budget runs out; a
+    completed iteration proves the enumeration exhaustive.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     if budget < 0:
@@ -833,45 +906,50 @@ def search_homs(src, target, candidates, *, prescribed=None, budget=None,
             raise GroupError(f"prescribed image {k!r} -> {v!r} lies outside "
                              f"{src.label} -> {target.label}")
     tt = target.table
-    phi = [None] * src.order
-    phi[src.identity] = target.identity
-    elems = [src.identity]
+    img = [target.identity] * src.order  # f in member order
+    pos = [None] * src.order
+    pos[src.identity] = 0
     # one walk: a level per prescribed key not yet reached, then the greedy plan
-    steps = _levels(src.table, elems, [], _greedy(src, prescribed))
+    steps = _cosets(src.table, [src.identity], pos, _greedy(src, prescribed))
 
-    def walk(defines, checks, size):
-        for z, x, s in defines:
-            phi[z] = tt[phi[x]][phi[s]]
-        for z, x, s in checks:
-            if phi[z] != tt[phi[x]][phi[s]]:
+    def walk(pick, defines, checks, blocks, size):  # once f(g) is set
+        for z, s, y in defines:  # the representatives
+            img[z] = tt[img[s]][img[y]]
+        for z, x, s, y in checks:  # f(s*y) = f(s)f(y), where s*y = z*x
+            if tt[img[z]][img[x]] != tt[img[s]][img[y]]:
                 return False
-        return not injective or len({phi[x] for x in elems[:size]}) == size
+        for block, y in blocks:  # f(y*H) = f(y)f(H)
+            img[block] = pick(tt[img[y]])
+        return not injective or len(set(img[:size])) == size
 
     for k, v in prescribed.items():
-        if phi[k] is None:  # not yet in the subgroup: the walk's next level
-            _, defines, checks = next(steps)
-            phi[k] = v
-            if not walk(defines, checks, len(elems)):
+        if pos[k] is None:  # not yet in the subgroup: the walk's next level
+            _, m, plan = next(steps)
+            img[m] = v
+            if not walk(gatherer(img[:m]) if m > 1 else None, *plan):
                 return
-        elif phi[k] != v:
+        elif img[pos[k]] != v:
             return
     # candidates are asked for only once every prescribed image has passed
-    levels = [(g, list(candidates(g)), defines, checks, len(elems))
-              for g, defines, checks in steps]
+    levels = [(list(candidates(g)), m, plan) for g, m, plan in steps]
+    # member order -> element order, a plain copy when the walk met the
+    # elements in index order, as it does on Z/n, (Z/4)^n and (Z/2)^n
+    leaf = tuple if pos == sorted(pos) else gatherer(pos)
     nodes = 0
 
     def rec(rec, i):  # passed itself: a self-closure is a reference cycle
         nonlocal nodes
         if i == len(levels):
-            yield tuple(phi)
+            yield leaf(img)
             return
-        g, cands, defines, checks, size = levels[i]
+        cands, m, (defines, checks, blocks, size) = levels[i]
+        pick = gatherer(img[:m]) if m > 1 else None  # row f(y) -> f(y)f(H)
         for h in cands:
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted(f"hom search exceeded {budget} nodes")
-            phi[g] = h
-            if walk(defines, checks, size):
+            img[m] = h  # f(g): g is first after H
+            if walk(pick, defines, checks, blocks, size):
                 yield from rec(rec, i + 1)
 
     yield from rec(rec, 0)

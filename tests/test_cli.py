@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -480,8 +483,10 @@ def _raising(exc):
     (["audit", "--quick", "--budget", "6"], None, None, 3),
     (["pi0", "SAMPLE"], None, InvariantBreach("injected"), 4),
     (["check", "SAMPLE", "--bogus"], None, None, SystemExit),
-    (["pi0", "SAMPLE"], None, RuntimeError("injected"), RuntimeError),
-], ids=["exit-0", "exit-1", "exit-2", "exit-3", "exit-4", "usage-error", "crash"])
+    (["pi0", "SAMPLE"], None, RuntimeError("injected"), 4),
+    (["pi0", "SAMPLE"], None, KeyboardInterrupt(), KeyboardInterrupt),
+], ids=["exit-0", "exit-1", "exit-2", "exit-3", "exit-4", "usage-error", "crash",
+        "interrupt"])
 def test_collector_setting_is_restored_on_every_exit_path(
         argv, text, fault, outcome, enabled, sample, tmp_path, monkeypatch, capsys):
     """`main` pauses the cyclic collector and hands back the caller's
@@ -668,6 +673,65 @@ def test_internal_error_exit_code(sample, monkeypatch, capsys):
     monkeypatch.setattr("xmodkit.cli.pi0_comparison", broken)
     assert main(["pi0", sample]) == 4
     assert "internal error: injected" in capsys.readouterr().err
+
+
+def test_any_other_exception_exits_four_with_its_report(sample, tmp_path, monkeypatch,
+                                                        capsys):
+    """An exception outside the package's own errors is a bug: exit 4, its
+    traceback and then `internal error: <type>: <message>` on stderr, and
+    the report still written."""
+    monkeypatch.setattr("xmodkit.cli.pi0_comparison", _raising(IndexError("tuple index")))
+    rep_path = tmp_path / "rep.json"
+    assert main(["pi0", sample, "--json", str(rep_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("IndexError: tuple index\ninternal error: IndexError: tuple index\n")
+    rep = json.loads(rep_path.read_text())
+    assert (rep["ok"], rep["exit_code"], rep["results"]) == (False, 4, None)
+    assert rep["error"] == "internal error: IndexError: tuple index"
+
+
+def test_non_utf8_definition_file_is_bad_input(tmp_path, capsys):
+    """A file that is not UTF-8 exits 2 with its report, naming the file and
+    the offset of the first bad byte; a UTF-8 file with CRLF line ends reads
+    as with LF."""
+    path, rep_path = tmp_path / "latin1.defs", tmp_path / "rep.json"
+    path.write_bytes(SAMPLE.encode().replace(b"elements: e a b ab", b"elements: e a b \xe9"))
+    offset = path.read_bytes().index(b"\xe9")
+    assert main(["check", str(path), "--json", str(rep_path)]) == 2
+    error = f"input error: {path} is not UTF-8 text: byte 0xe9 at offset {offset}"
+    assert capsys.readouterr().err == error + "\n"
+    rep = json.loads(rep_path.read_text())
+    assert (rep["ok"], rep["exit_code"], rep["results"], rep["error"]) == (
+        False, 2, None, error)
+    crlf = tmp_path / "crlf.defs"
+    crlf.write_bytes(SAMPLE.replace("\n", "\r\n").encode())
+    got, want = load_definitions(str(crlf)), parse_definitions(SAMPLE)
+    assert got.order == want.order and got["V"].table == want["V"].table
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_two_without_traceback(unbuffered, tmp_path):
+    """`xmodkit audit --quick | head -1` with the reader gone before the
+    first line: exit 2, one error line on stderr and no traceback, and the
+    --json report still written.  Buffered, the closed pipe shows only
+    when stdout is flushed, at the end of the command."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    rep_path = tmp_path / "rep.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xmodkit.cli", "audit", "--quick", "--json", str(rep_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert err == "output error: stdout was closed\n"
+    rep = json.loads(rep_path.read_text())
+    assert (rep["ok"], rep["exit_code"], rep["results"], rep["error"]) == (
+        False, 2, None, "output error: stdout was closed")
 
 
 def _total_maps_trivial(monkeypatch):

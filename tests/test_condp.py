@@ -83,6 +83,17 @@ def test_matrix_constructor_refuses_malformed_images():
     assert m != None and m != (1,)
 
 
+def test_matrix_apply_refuses_a_wrong_digit_count():
+    """apply takes exactly src_rank digits: extra digits are not dropped and
+    missing ones are not read as 0."""
+    m = MatrixZ4(2, 1, ((1,), (1,)))
+    assert m.apply((1, 2)) == (3,)
+    for x in ((1, 2, 3), (), (1,)):
+        with pytest.raises(GroupError) as exc:
+            m.apply(x)
+        assert str(exc.value) == f"need 2 digits, got {len(x)}"
+
+
 # The digit-tuple arithmetic `MatrixZ4` ran before its vectors were packed
 # into ints, kept as the reference the packed lanes must agree with.
 

@@ -9,7 +9,7 @@ from xmodkit.groups import (
     FiniteGroup, GroupHom, alternating_group, compose, cyclic_group,
     dihedral_group, direct_product, enumerate_homs, find_isomorphism,
     find_section, generating_sequence, hom, identity_hom, is_z4_module,
-    kernel, klein_four_group, normal_closure, normal_subgroups,
+    kernel, klein_four_group, lifts, normal_closure, normal_subgroups,
     normality_witness, pullback, quaternion_group, quotient, search_homs,
     subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
     z4_module_classes,
@@ -281,6 +281,20 @@ def test_direct_product_and_pullback():
     assert all(f(q1(x)) == f(q2(x)) for x in range(8))
 
 
+def _spread(G, H, gens, images):
+    """The map on <gens> that sends gens to images, extended along right
+    multiplication by BFS; a hom only if the images satisfy the relations."""
+    f = {G.identity: H.identity}
+    queue = [G.identity]
+    for x in queue:
+        for s, fs in zip(gens, images):
+            z = G.table[x][s]
+            if z not in f:
+                f[z] = H.table[f[x]][fs]
+                queue.append(z)
+    return f
+
+
 def _brute_force_homs(G, H):
     """Every hom G -> H, by trying each tuple of images of G.generators in
     lexicographic order: extend it along right multiplication by BFS and
@@ -288,14 +302,7 @@ def _brute_force_homs(G, H):
     gens = G.generators
     out = []
     for images in itertools.product(range(H.order), repeat=len(gens)):
-        f = {G.identity: H.identity}
-        queue = [G.identity]
-        for x in queue:
-            for s, fs in zip(gens, images):
-                z = G.table[x][s]
-                if z not in f:
-                    f[z] = H.table[f[x]][fs]
-                    queue.append(z)
+        f = _spread(G, H, gens, images)
         table = tuple(f[x] for x in range(G.order))
         try:
             GroupHom(G, H, table, check=True)
@@ -387,6 +394,141 @@ def test_search_budget_edges():
     assert find_isomorphism(D4xZ4, D4xZ4, budget=9) is not None
     with pytest.raises(BudgetExhausted):
         find_isomorphism(D4xZ4, D4xZ4, budget=8)
+
+
+def _oracle_groups():
+    """The sources and targets of the search oracle, all of order <= 16;
+    (Z2)^3 needs three generators."""
+    Z2, Z4 = cyclic_group(2), cyclic_group(4)
+    return [Z2, Z4, direct_product(Z4, Z2)[0], symmetric_group(3), dihedral_group(4),
+            quaternion_group(), alternating_group(4), z4_module(0, 3)]
+
+
+def _oracle_pairs():
+    groups = _oracle_groups()
+    Z4 = groups[1]
+    return [(G, H) for G in groups for H in groups] + [(Z4, direct_product(Z4, Z4)[0])]
+
+
+def _extends(G, H, gens, images):
+    """Whether gens -> images extends to a hom from <gens> to H: a checked
+    GroupHom on the subgroup decides."""
+    S, inc = subgroup(G, G.closure(gens))
+    f = _spread(G, H, gens, images)
+    try:
+        GroupHom(S, H, tuple(f[x] for x in inc.table), check=True)
+    except GroupError:
+        return False
+    return True
+
+
+def _divisible_images(G, H):
+    return lambda g: [h for h in range(H.order)
+                      if G.elem_orders[g] % H.elem_orders[h] == 0]
+
+
+def _brute_force_nodes(G, H, cands):
+    """The nodes of a search over G.generators: each prefix of images that
+    extends to a hom of the subgroup so far tries every candidate of the
+    next generator."""
+    gens, prefixes, nodes = G.generators, [()], 0
+    for i, g in enumerate(gens):
+        nodes += len(prefixes) * len(cands(g))
+        prefixes = [p + (h,) for p in prefixes for h in cands(g)
+                    if _extends(G, H, gens[:i + 1], p + (h,))]
+    return nodes
+
+
+def test_coset_search_matches_checked_brute_force():
+    """Over the oracle pairs, hom enumeration and a search that tries every
+    image, unpruned by element orders, both equal the checked brute force,
+    in order, and fit a node budget of exactly the brute-force node count
+    but not one less."""
+    for G, H in _oracle_pairs():
+        label = (G.label, H.label)
+        every = lambda g: range(H.order)
+        brute = _brute_force_homs(G, H)
+        assert [f.table for f in enumerate_homs(G, H)] == brute, label
+        assert list(search_homs(G, H, every)) == brute, label
+        nodes = _brute_force_nodes(G, H, _divisible_images(G, H))
+        assert len(enumerate_homs(G, H, budget=nodes)) == len(brute), label
+        with pytest.raises(BudgetExhausted):
+            enumerate_homs(G, H, budget=nodes - 1)
+        nodes = _brute_force_nodes(G, H, every)
+        assert len(list(search_homs(G, H, every, budget=nodes))) == len(brute), label
+        with pytest.raises(BudgetExhausted):
+            list(search_homs(G, H, every, budget=nodes - 1))
+
+
+def test_coset_search_prescribed_images():
+    """hom() passes exactly the generator images that extend, and a further
+    prescribed element, already reached, must carry its product's image."""
+    for G, H in ((symmetric_group(3), dihedral_group(4)),
+                 (dihedral_group(4), quaternion_group()),
+                 (direct_product(cyclic_group(4), cyclic_group(2))[0], dihedral_group(4))):
+        gens = G.generators
+        homs = set(_brute_force_homs(G, H))
+        product = G.table[gens[0]][gens[1]]
+        for images in itertools.product(range(H.order), repeat=len(gens)):
+            prescribed = dict(zip(gens, images))
+            table = next((t for t in homs if all(t[g] == h for g, h in prescribed.items())),
+                         None)
+            if table is None:
+                with pytest.raises(GroupError, match="images violate a relation"):
+                    hom(G, H, prescribed)
+                continue
+            assert hom(G, H, prescribed).table == table
+            prescribed[product] = table[product]
+            assert hom(G, H, prescribed).table == table
+            prescribed[product] = H.table[table[product]][H.generators[0]]
+            with pytest.raises(GroupError, match="images violate a relation"):
+                hom(G, H, prescribed)
+
+
+def test_coset_search_isomorphisms():
+    """find_isomorphism returns the first bijective hom of the brute force,
+    or None when there is none: Z4 x| Z4 and Q8 x Z2 share their element
+    orders and are not isomorphic."""
+    groups = _oracle_groups()
+    for G in groups:
+        for H in groups:
+            if G.order != H.order:
+                continue
+            found = find_isomorphism(G, H)
+            first = next((t for t in _brute_force_homs(G, H) if len(set(t)) == G.order),
+                         None)
+            assert (found and found.table) == first, (G.label, H.label)
+            assert found is None or found.is_injective()
+    Z2, Z4 = cyclic_group(2), cyclic_group(4)
+    Z4sZ4 = semidirect_product(action_from_function(
+        Z4, Z4, lambda g, x: (-x) % 4 if g % 2 else x)).total
+    Q8xZ2 = direct_product(quaternion_group(), Z2)[0]
+    assert sorted(Z4sZ4.elem_orders) == sorted(Q8xZ2.elem_orders)
+    assert find_isomorphism(Z4sZ4, Q8xZ2) is None
+    assert find_isomorphism(Q8xZ2, Z4sZ4) is None
+    for G in (Z4sZ4, Q8xZ2):
+        assert find_isomorphism(G, G).is_injective()
+
+
+def test_coset_search_lifts_with_allow():
+    """lifts(p, u, allow=...) lists the homs v with p v = u whose generator
+    images pass allow, in brute-force order."""
+    p1 = direct_product(cyclic_group(4), cyclic_group(2))[3]
+    D4 = dihedral_group(4)
+    center = [x for x in range(D4.order)
+              if all(D4.table[x][y] == D4.table[y][x] for y in range(D4.order))]
+    to_v4 = quotient(D4, center)[1]
+    A4 = alternating_group(4)
+    to_z3 = quotient(A4, next(N for N in normal_subgroups(A4) if len(N) == 4))[1]
+    allows = (None, lambda x, a: a % 2 == 0, lambda x, a: a != x, lambda x, a: False)
+    for p, u in ((p1, identity_hom(p1.target)), (to_v4, to_v4), (to_z3, to_z3)):
+        X, A = u.source, p.source
+        candidates = [t for t in _brute_force_homs(X, A)
+                      if all(p.table[t[x]] == u.table[x] for x in range(X.order))]
+        for allow in allows:
+            expected = [t for t in candidates
+                        if allow is None or all(allow(g, t[g]) for g in X.generators)]
+            assert list(lifts(p, u, allow=allow)) == expected, (p, allow)
 
 
 def test_hom_refusals():
