@@ -107,7 +107,7 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     table = [None] * G.order
     table[G.identity] = tuple(range(H.order))
     through = {}  # generator -> gatherer of its row
-    for g, defines, _ in _levels(t, [G.identity], [], range(G.order)):
+    for g, defines in _levels(t, [G.identity], [], range(G.order)):
         # g y g^-1 = g (y g^-1): the image rows' column at g^-1, read through row g
         column = tuple(row[G.inv(g)] for row in image_rows)
         table[g] = gatherer(gatherer(column)(t[g]))(embedding.preimage)

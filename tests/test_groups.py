@@ -12,7 +12,7 @@ from xmodkit.groups import (
     kernel, klein_four_group, lifts, normal_closure, normal_subgroups,
     normality_witness, pullback, quaternion_group, quotient, search_homs,
     subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
-    z4_module_classes,
+    z4_module_classes, _cosets, _greedy,
 )
 
 from group_helpers import find_retraction, is_normal
@@ -405,9 +405,28 @@ def _oracle_groups():
 
 
 def _oracle_pairs():
+    """Every pair of oracle groups, then sources with a level whose H has at
+    least five elements, so the search fills its cosets by a gather: D6 over
+    H = Z6, and D4 x Z2 over its H of order 8 after a level that fills the
+    cosets of Z4 element by element."""
     groups = _oracle_groups()
-    Z4 = groups[1]
-    return [(G, H) for G in groups for H in groups] + [(Z4, direct_product(Z4, Z4)[0])]
+    Z2, Z4, S3, D4 = groups[0], groups[1], groups[3], groups[4]
+    D6, D4xZ2 = dihedral_group(6), direct_product(D4, Z2)[0]
+    return ([(G, H) for G in groups for H in groups] + [(Z4, direct_product(Z4, Z4)[0])]
+            + [(D6, H) for H in (Z2, S3, D4, D6)] + [(D4xZ2, H) for H in (Z4, D4, D4xZ2)])
+
+
+def test_oracle_sources_reach_both_ways_of_filling_a_coset():
+    """The oracle's sources plan levels of both kinds: cosets filled one
+    element at a time and cosets filled by one gather."""
+    fills = blocks = False
+    for G in {id(G): G for G, _ in _oracle_pairs()}.values():
+        pos = [None] * G.order
+        pos[G.identity] = 0
+        for _, _, (_, _, level_fills, level_blocks, _) in _cosets(
+                G.table, [G.identity], pos, _greedy(G, ())):
+            fills, blocks = fills or bool(level_fills), blocks or bool(level_blocks)
+    assert fills and blocks
 
 
 def _extends(G, H, gens, images):
