@@ -9,9 +9,9 @@ kernel embedding, a retraction, and a section; the two views are equivalent:
 ``GroupAction`` and ``SplitExtension`` validate by default, where data
 enters; the constructions here are correct by theorem and build unchecked.
 Their tables are built a row at a time with ``groups.gatherer``: a
-semidirect-product row extends one list by blocks shared by every row with
-the same actor element, and a conjugation row reads one column of the image
-rows through the conjugating element's row.
+semidirect-product row, built on first read, extends one list by blocks
+shared by every row with the same actor element, and a conjugation row reads
+one column of the image rows through the conjugating element's row.
 
 Word evaluation convention: words live over the two-slot signature
 (actor, carrier), slot 0 for the actor.  Any word whose slot-0 projection
@@ -20,7 +20,7 @@ normalizes to the empty word evaluates to a carrier element.
 
 from .errors import GroupError
 from .groups import (
-    MAX_ORDER, FiniteGroup, GroupHom, _levels, _pair_rows, gatherer, identity_hom,
+    MAX_ORDER, FiniteGroup, GroupHom, _levels, _pair_rows, _Rows, gatherer, identity_hom,
 )
 
 
@@ -95,9 +95,10 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     """Action of the codomain on the domain by conjugation through `embedding`.
 
     The embedding must be injective with normal image; both are checked here.
-    Rows follow the Cayley edges of G (`_levels`): a generator's row is
-    read off the table and must stay in the image, which is then normal, and
-    every other z = x*s gets row x read through row s.
+    Rows follow the left Cayley edges of G (`_levels`), so only the
+    generators' rows of G's table and the image's rows are read: a
+    generator's row is read off the table and must stay in the image, which
+    is then normal, and every other z = s*x gets row s read through row x.
     """
     H, G = embedding.source, embedding.target
     if not embedding.is_injective():
@@ -106,16 +107,14 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     image_rows = gatherer(embedding.table)(t)
     table = [None] * G.order
     table[G.identity] = tuple(range(H.order))
-    through = {}  # generator -> gatherer of its row
-    for g, defines in _levels(t, [G.identity], [], range(G.order)):
+    for g, defines in _levels(t, [G.identity], range(G.order)):
         # g y g^-1 = g (y g^-1): the image rows' column at g^-1, read through row g
         column = tuple(row[G.inv(g)] for row in image_rows)
         table[g] = gatherer(gatherer(column)(t[g]))(embedding.preimage)
         if None in table[g]:
             raise GroupError("image of the embedding is not a normal subgroup")
-        through[g] = gatherer(table[g])
         for z, x, s in defines:
-            table[z] = through[s](table[x])  # conj by x*s is conj x after conj s
+            table[z] = gatherer(table[x])(table[s])  # conj by s*x: conj s after conj x
     # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
     return GroupAction(G, H, table, check=False)
 
@@ -171,10 +170,10 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     size = n * m
     if size > MAX_ORDER:
         raise GroupError(f"semidirect product order {size} exceeds cap {MAX_ORDER}")
-    # row (x1, g1): (x1 (g1.x2), g1 g2) over x2 and then g2
-    row = _pair_rows(G.table, m, n)
+    # row (x1, g1): (x1 (g1.x2), g1 g2) over x2 and then g2, built on first read
+    row, x_rows = _pair_rows(G.table, m, n), X.table
     twists = [gatherer(r) for r in action.table]
-    table = tuple(row(twists[g1](x1_row), g1) for x1_row in X.table for g1 in range(m))
+    table = _Rows(size, lambda i: row(twists[i % m](x_rows[i // m]), i % m))
     names = tuple(f"{X.names[x]}|{G.names[g]}" for x in range(n) for g in range(m))
     # (x, g)^-1 = (g^-1.x^-1, g^-1), read from the identity's row of every code
     e, g_inv = X.identity * m + G.identity, G._inv

@@ -1,7 +1,11 @@
 """Finite groups as dense multiplication tables.
 
-Carriers are index ranges 0..order-1 and tables are tuples of tuples, so every
-structural question is settled by exhaustion.  Entry checks run where tables
+Carriers are index ranges 0..order-1 and tables are sequences of row tuples,
+so every structural question is settled by exhaustion.  Tables that enter,
+and those of most constructions, are tuples of tuples; the products
+(``direct_product``, ``actions.semidirect_product``) and ``z4_module`` build
+each row on first read instead (``_Rows``), and read like the tuple of every
+row.  Entry checks run where tables
 enter, on input and in the public constructors only.  A public
 ``FiniteGroup`` build, ``check=False`` included, checks the shape, the range
 (the set of all cell values must lie in 0..n-1, one pass per table), the
@@ -14,7 +18,7 @@ for the identity, and a row where that fails too has no inverse.  By default
 ``FiniteGroup`` also checks associativity and ``GroupHom`` the hom law.
 The constructions here, and those of the other modules, are correct by
 theorem and skip every entry check: they build through the private
-``FiniteGroup._trusted`` and ``GroupHom._trusted``, handing over tuples with
+``FiniteGroup._trusted`` and ``GroupHom._trusted``, handing over tables with
 the identity and the inverses they already know, such as the pairwise
 inverses of a product.  Laws that hold on a
 subgroup are decided on one generating set per group, ``FiniteGroup._gens``:
@@ -46,8 +50,9 @@ representatives carry every check: when f(s*y) = f(s)f(y) for each generator
 s and representative y, f is a hom of K.  So a node computes [K:H].|gens|
 products in Python, not |K|.|gens|, and fills each coset y*H once it passes,
 with one C-level gather when H has at least ``_GATHER_FROM`` elements.
-``_levels``, the walk along Cayley edges z = x*s, grows the subgroups of
-``closure``, ``normal_closure`` and ``actions.conjugation_action_on``.
+``_levels``, the walk along left Cayley edges z = s*x, grows the subgroups of
+``closure``, ``normal_closure`` and ``actions.conjugation_action_on``, and
+reads only the generators' rows.
 Every section and every lift along a surjection is found by ``lifts``, the
 one search over fibers.
 """
@@ -136,9 +141,10 @@ class FiniteGroup:
 
     @classmethod
     def _trusted(cls, table, identity, inverses, names, label):
-        """A group the library built and knows to be one, from tuples taken
-        as given: a tuple of row tuples, its identity, the tuple of inverses
-        and one name string per element.  None of the entry checks runs;
+        """A group the library built and knows to be one, from parts taken
+        as given: its table (a tuple of row tuples, or a `_Rows` that builds
+        each row on first read), its identity, the tuple of inverses and one
+        name string per element.  None of the entry checks runs;
         `tests/test_trusted_constructions.py` runs them on every builder."""
         G = cls.__new__(cls)
         G.order, G.table, G.label, G.names = len(table), table, label, names
@@ -148,10 +154,14 @@ class FiniteGroup:
     def _check_associativity(self):
         """Light's test: every triple, from |gens| row comparisons per row.
 
-        The s with (xs)y = x(sy) for all x and y include the identity and are
-        closed under products, so checking the generators of a right-Cayley
-        closure that reaches every element decides all n^3 triples.  For each
-        generator s, row xs of the table must equal row x read at row s.
+        Call s good when (xs)y = x(sy) for all x and y.  The identity is good,
+        and a product ab of good a and b is good, in any table:
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), using a, b, a
+        and b good in turn.  `_gens` grows the left-Cayley closure of the
+        identity, each member z = s*x a product of a generator and a member,
+        until it reaches every element; so when every generator is good,
+        every element is, and all n^3 triples hold.  For each generator s,
+        row xs of the table must equal row x read at row s.
         """
         t = self.table
         for s in self._gens:
@@ -178,8 +188,9 @@ class FiniteGroup:
         out = self.identity
         if k < 0:
             a, k = self._inv[a], -k
+        row = self.table[a]
         for _ in range(k):
-            out = self.table[out][a]
+            out = row[out]
         return out
 
     @cached_property
@@ -197,10 +208,10 @@ class FiniteGroup:
         out[e] = 1
         for x, known in enumerate(out):
             if not known:
-                powers, y = [], x  # x^1 .. x^(m-1)
+                powers, y, row = [], x, t[x]  # x^1 .. x^(m-1), from row x alone
                 while y != e:
                     powers.append(y)
-                    y = t[y][x]
+                    y = row[y]
                 m = len(powers) + 1
                 for k, y in enumerate(powers, 1):
                     out[y] = m // math.gcd(k, m)
@@ -253,22 +264,25 @@ class FiniteGroup:
         return f"<FiniteGroup {self.label} order {self.order}>"
 
 
-def _levels(t, members, gens, candidates):
-    """The Cayley walk in table t: yield (g, defines) per generator.
+def _levels(t, members, candidates):
+    """The left Cayley walk in table t: yield (g, defines) per generator.
 
-    `members` is a subgroup, identity first; each candidate not yet reached
-    joins `gens` and grows it, both extended in place, to <members, g>: old
-    members step along g, new ones along all of `gens`.  The defines are the
-    edges (z, x, s), z = x*s with x reached before, where z is met first, in
-    order.  Candidates are read lazily, so a list may grow while the walk
-    reads it.  Only table lookups, so it ends on any square table, group or
-    not.
+    `members` is the list [identity], which the walk extends in place: each
+    candidate g not yet reached becomes a generator and grows the subgroup
+    H reached so far to <H, g>: old members step along g, new ones along
+    every generator.  The defines are the edges (z, x, s), z = s*x with x
+    reached before, where z is met first, in order.  Each step reads row s
+    of t, so only the generators' rows are read.  Candidates are read
+    lazily, so a list may grow while the walk reads it.  Only table
+    lookups, so it ends on any square table, group or not.
     """
     known = set(members)
+    edges = []  # (row s, s) per generator
     for g in candidates:
         if g in known:
             continue
-        gens.append(g)
+        step = ((t[g], g),)
+        edges += step
         old = len(members)
         members.append(g)
         known.add(g)
@@ -276,8 +290,8 @@ def _levels(t, members, gens, candidates):
         i = 1  # the identity steps along g to g itself, whose image is the choice
         while i < len(members):
             x = members[i]
-            for s in gens if i >= old else (g,):
-                z = t[x][s]
+            for row, s in edges if i >= old else step:
+                z = row[x]
                 if z not in known:
                     defines.append((z, x, s))
                     known.add(z)
@@ -287,11 +301,11 @@ def _levels(t, members, gens, candidates):
 
 
 def _grow(t, identity, elems):
-    """(members, gens): the right-Cayley closure of the identity in table t,
+    """(members, gens): the left-Cayley closure of the identity in table t,
     each element of `elems` not yet reached joining `gens` (`_levels`)."""
     members, gens = [identity], []
-    for _ in _levels(t, members, gens, elems):
-        pass
+    for g, _ in _levels(t, members, elems):
+        gens.append(g)
     return members, gens
 
 
@@ -305,6 +319,45 @@ def gatherer(indices):
         (i,) = indices
         return lambda seq: (seq[i],)
     return operator.itemgetter(*indices)
+
+
+class _Rows(dict):
+    """The rows of a built table, each made on first read and kept.
+
+    Row a is `build(a)`, a tuple of ints; once made, `t[a]` is one C-level
+    dict lookup.  Indexing, len, iteration in index order and == read like
+    the tuple of every row: == builds and compares the full rows.  Writes
+    raise TypeError, as on a tuple.  The rows made so far are `dict.keys(t)`.
+    """
+
+    __slots__ = ("_n", "_build")
+
+    def __init__(self, n, build):
+        self._n, self._build = n, build
+
+    def __missing__(self, a):
+        if not 0 <= a < self._n:  # as a tuple reads: negatives from the end, IndexError past it
+            return self[range(self._n)[a]]
+        row = self._build(a)
+        dict.__setitem__(self, a, row)
+        return row
+
+    def __len__(self):
+        return self._n
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._n))
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _Rows) else other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a group table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
 
 def _pair_rows(rows, m, n):
@@ -505,8 +558,8 @@ def normal_closure(G, elems):
     generators."""
     t, inv = G.table, G._inv
     members, queue = [G.identity], list(elems)
-    for n, _ in _levels(t, members, [], queue):  # the queue grows as generators join
-        queue += (t[t[g][n]][inv[g]] for g in G._gens)
+    for n, _ in _levels(t, members, queue):  # the queue grows as generators join
+        queue += (t[g][t[n][inv[g]]] for g in G._gens)  # g(ng^-1), from rows g and n
     return frozenset(members)
 
 
@@ -525,9 +578,9 @@ def quotient(G, elems, label=None):
             f"subset is not normal: {G.names[g]} conjugates {G.names[n]} "
             f"to {G.names[c]} outside it")
     coset_of, coset, reps = gatherer(sorted(es)), [None] * G.order, []
-    for g, row in enumerate(G.table):
-        if coset[g] is None:
-            for c in coset_of(row):  # gN
+    for g, known in enumerate(coset):
+        if known is None:
+            for c in coset_of(G.table[g]):  # gN, from the representatives' rows alone
                 coset[c] = len(reps)
             reps.append(g)
     at_reps = gatherer(reps)
@@ -567,9 +620,9 @@ def direct_product(A, B, label=None):
     size = n * m
     if size > MAX_ORDER:
         raise GroupError(f"product order {size} exceeds cap {MAX_ORDER}")
-    # row (a, b): (a a2, b b2) over a2 and then b2
-    row = _pair_rows(B.table, m, n)
-    table = tuple(row(a_row, b) for a_row in A.table for b in range(m))
+    # row (a, b): (a a2, b b2) over a2 and then b2, built on first read
+    row, a_rows = _pair_rows(B.table, m, n), A.table
+    table = _Rows(size, lambda i: row(a_rows[i // m], i % m))
     names = tuple(f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m))
     e = A.identity * m + B.identity
     codes = table[e]  # the identity's row: every code, one int object each
@@ -729,7 +782,8 @@ def z4_module(n4, n2, label=None):
     order, each W cells long, joined by extending one list.  The m copies of
     one old row are read through a gatherer from slices of one shared tuple
     of indices, so the table holds one int object per element rather than
-    one per cell.
+    one per cell.  Every table, the old ones too, builds each row on first
+    read (`_Rows`), so building row (x, a) builds old row a alone.
     """
     if n4 < 0 or n2 < 0:
         raise GroupError(f"module ranks must be nonnegative, got ({n4}, {n2})")
@@ -738,26 +792,33 @@ def z4_module(n4, n2, label=None):
     if order > MAX_ORDER:
         raise GroupError(f"module order {order} exceeds cap {MAX_ORDER}")
     indices = tuple(range(order))
-    table, names, inverses = [(0,)], [""], [0]
+    table, names, inverses = _Rows(1, lambda a: indices[:1]), [""], [0]
     for m in reversed(moduli):
         w = len(table)
         shifts = [indices[j * w:(j + 1) * w] for j in range(m)]
-        new = [None] * (m * w)
-        for a, row in enumerate(table):
-            copies = list(map(gatherer(row), shifts))  # copies[j]: row a shifted by j*W
-            copies += copies  # x + y over y in order is copies[x:x + m]
-            for x in range(m):
-                joined = []
-                for copy in copies[x:x + m]:
-                    joined += copy
-                new[x * w + a] = tuple(joined)
-        table = new
+        table = _Rows(m * w, _radix_row(table, shifts))
         names = [str(x) + s for x in range(m) for s in names]
         # digitwise negation: (x, a) -> (-x, -a), read from the shared indices
         inverses = [shifts[-x % m][a] for x in range(m) for a in inverses]
-    return FiniteGroup._trusted(tuple(table), 0, tuple(inverses),
+    return FiniteGroup._trusted(table, 0, tuple(inverses),
                                 tuple(names) if moduli else ("0",),
                                 label or f"M(4^{n4}.2^{n2})")
+
+
+def _radix_row(old, shifts):
+    """The map i -> row i = (x, a) of `z4_module`'s next table, over the
+    table `old` of W elements: shifts[j] is the shared indices j*W..j*W+W-1."""
+    w = len(old)
+    turns = [shifts[x:] + shifts[:x] for x in range(len(shifts))]  # x + y over y in order
+
+    def row(i):
+        x, a = divmod(i, w)
+        shifted = gatherer(old[a])  # shift j -> row a shifted by j*W
+        joined = []
+        for shift in turns[x]:
+            joined += shifted(shift)
+        return tuple(joined)
+    return row
 
 
 def free_module_cover(M, free=None):

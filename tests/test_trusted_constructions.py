@@ -13,6 +13,7 @@ formulas they replaced are kept here as references, and the row-level
 builders and checks must agree with them cell for cell, witness for witness.
 """
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -194,12 +195,18 @@ def test_conjugation_action_of_whole_group():
 
 
 def _z4_reference(n4, n2):
-    """Tables and names of (Z/4)^n4 + (Z/2)^n2 from digit tuples."""
+    """Tables and names of (Z/4)^n4 + (Z/2)^n2 on mixed-radix ints, first
+    digit most significant.  Cell (a, b) is the sum over digit places of
+    ((a's digit + b's digit) % modulus) * weight; b runs through the digit
+    tuples in index order, as itertools.product yields them, so row a sums,
+    cell by cell, the product of each place's m possible values."""
     moduli = (4,) * n4 + (2,) * n2
+    weights = [math.prod(moduli[p + 1:]) for p in range(len(moduli))]
     digits = list(itertools.product(*(range(m) for m in moduli)))
-    idx = {d: i for i, d in enumerate(digits)}
-    table = tuple(tuple(idx[tuple((a + b) % m for a, b, m in zip(da, db, moduli))]
-                        for db in digits) for da in digits)
+    table = tuple(
+        tuple(map(sum, itertools.product(*([(d + e) % m * w for e in range(m)]
+                                           for d, m, w in zip(da, moduli, weights)))))
+        for da in digits)
     names = tuple("".join(map(str, d)) for d in digits) if moduli else ("0",)
     return table, names
 
@@ -213,6 +220,61 @@ def test_z4_module_matches_digit_tuples(n4, n2):
     assert M.identity == 0
     assert M.label == f"M(4^{n4}.2^{n2})"
     FiniteGroup(M.table)
+
+
+def test_built_tables_read_like_the_tuple_of_their_rows():
+    """Products and modules build each row on first read, and read like the
+    tuple of every row: == builds and compares every row, not those built
+    so far."""
+    makers = [lambda: direct_product(symmetric_group(3), cyclic_group(4))[0].table,
+              lambda: semidirect_product(action_from_function(
+                  cyclic_group(2), cyclic_group(5), lambda g, x: -x % 5 if g else x)).total.table,
+              lambda: z4_module(1, 2).table]
+    for make in makers:
+        ref = tuple(make())
+        n = len(ref)
+        t = make()
+        built = set(dict.keys(t))  # at most the identity's row
+        assert len(t) == n and len(built) <= 1
+        assert t[3] == ref[3] and t[-1] == ref[-1] and t[-n] == ref[0]
+        assert set(dict.keys(t)) == built | {0, 3, n - 1}
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                t[bad]
+        with pytest.raises(TypeError, match="read-only"):
+            t[1] = ref[1]
+        assert list(t) == list(ref)
+        t, u = make(), make()
+        t[0], u[1]
+        assert t == u and t == ref and ref == t and not t != ref
+        assert t != list(ref)  # a tuple of rows is no list
+        t = make()
+        t[0]
+        assert t != ref[:-1] + (ref[0],) and ref[:-1] + (ref[0],) != t  # only the last row differs
+
+
+def test_products_and_modules_build_only_the_rows_they_read():
+    """The rank-2 pipeline's order-1024 collapse total builds at most 128 of
+    its rows through `collapse_epi` and both section constructions, and the
+    free cover F5 of each five-generator module M at most |M| + 1 through
+    `lifting_oracle_z4`: on (Z/2)^5 the search reads the identity's row and
+    the rows of all 32 candidates for the first generator, none of order
+    two.  Building the rest gives (Z/4)^5 cell for cell, in both: the
+    pipeline's actions are trivial, and its codes are base-4 digits."""
+    Q, P = z4_module(2, 0), z4_module(2, 0)
+    ext = semidirect_product(trivial_action(P, Q))
+    collapse = collapse_epi(ext, z4_module(1, 0))
+    E = collapse.fG.source
+    lifting.projective_section(identity_morphism(collapse.tgt), ext)
+    lifting.projective_section(collapse, ext)
+    assert E.order == MAX_ORDER and len(dict.keys(E.table)) <= 128
+    reference = _z4_reference(5, 0)[0]
+    assert tuple(E.table) == reference
+    for n4 in range(6):
+        M, free = z4_module(n4, 5 - n4), {}
+        condp.lifting_oracle_z4(M, free)
+        assert len(dict.keys(free[5].table)) <= M.order + 1, n4
+        assert tuple(free[5].table) == reference
 
 
 def test_z4_module_refuses_above_cap():
@@ -758,6 +820,32 @@ def _groups_to_order_1024():
     groups += [Z1024, _relabeled(Z1024, 1), _relabeled(z4_module(5, 0), 2),
                _relabeled(z4_module(0, 10), 3)]
     return groups
+
+
+def _right_closure_gens_reference(G):
+    """Each element not yet reached joins the generators, and the subgroup
+    grows along right Cayley edges x -> x*s, from every member, until no
+    new element appears."""
+    t, reached, gens = G.table, {G.identity}, []
+    for g in range(G.order):
+        if g not in reached:
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    z = t[x][s]
+                    if z not in reached:
+                        reached.add(z)
+                        frontier.append(z)
+    return tuple(gens)
+
+
+def test_left_walk_gens_match_the_right_closure():
+    """`_gens` walks left Cayley edges z = s*x and reads only generator rows;
+    both closures give the same subgroups, so the same generators."""
+    for G in _groups_to_order_1024():
+        assert G._gens == _right_closure_gens_reference(G), G.label
 
 
 def test_inverses_match_the_row_scan():
@@ -1508,7 +1596,9 @@ def trusted_builds():
 def _recheck_group(G, identity, inverses):
     """The public entry checks on G's table and names must pass and find the
     identity and the inverses that G's builder handed over."""
-    assert type(G.table) is tuple and all(type(row) is tuple for row in G.table)
+    # products and modules build each row on first read: every row, once read,
+    # is a tuple of ints
+    assert all(type(row) is tuple and set(map(type, row)) == {int} for row in G.table)
     assert type(G.names) is tuple and all(type(s) is str for s in G.names)
     assert G.order == len(G.table) == len(G.names)
     H = FiniteGroup(G.table, G.names, check=True)
