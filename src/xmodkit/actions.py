@@ -20,7 +20,7 @@ normalizes to the empty word evaluates to a carrier element.
 
 from .errors import GroupError
 from .groups import (
-    MAX_ORDER, FiniteGroup, GroupHom, _levels, _pair_rows, _Rows, gatherer, identity_hom,
+    MAX_ORDER, FiniteGroup, GroupHom, _cosets, _pair_rows, _Rows, gatherer, identity_hom,
 )
 
 
@@ -95,28 +95,30 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     """Action of the codomain on the domain by conjugation through `embedding`.
 
     The embedding must be injective with normal image; both are checked here.
-    Rows follow the left Cayley edges of G (`_levels`), so only the
-    generators' rows of G's table and the image's rows are read: a
+    Rows follow G's left-coset walk (`_cosets`), so only the rows of G's
+    generators and coset representatives and the image's rows are read: a
     generator's row is read off the table and must stay in the image, which
-    is then normal, and every other z = s*x gets row s read through row x.
+    is then normal, and every other z = a*b in the walk's plan (a
+    representative s*y or a coset member y*x) gets row a read through row b.
     """
     H, G = embedding.source, embedding.target
     if not embedding.is_injective():
         raise GroupError("embedding is not injective")
     t = G.table
     image_rows = gatherer(embedding.table)(t)
-    table = [None] * G.order
-    table[G.identity] = tuple(range(H.order))
-    for g, defines in _levels(t, [G.identity], range(G.order)):
+    pos = [None] * G.order
+    pos[G.identity] = 0
+    rows = [tuple(range(H.order))] + [None] * (G.order - 1)  # in member order
+    for g, m, (defines, _, fills, blocks, _) in _cosets(t, [G.identity], pos, range(G.order)):
         # g y g^-1 = g (y g^-1): the image rows' column at g^-1, read through row g
         column = tuple(row[G.inv(g)] for row in image_rows)
-        table[g] = gatherer(gatherer(column)(t[g]))(embedding.preimage)
-        if None in table[g]:
+        rows[m] = gatherer(gatherer(column)(t[g]))(embedding.preimage)
+        if None in rows[m]:
             raise GroupError("image of the embedding is not a normal subgroup")
-        for z, x, s in defines:
-            table[z] = gatherer(table[x])(table[s])  # conj by s*x: conj s after conj x
+        for z, a, b in defines + fills + [(y + j, y, j) for _, y in blocks for j in range(1, m)]:
+            rows[z] = gatherer(rows[b])(rows[a])  # conj by a*b: conj a after conj b
     # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
-    return GroupAction(G, H, table, check=False)
+    return GroupAction(G, H, gatherer(pos)(rows), check=False)
 
 
 class SplitExtension:

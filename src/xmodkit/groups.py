@@ -41,18 +41,22 @@ decodes its values a generator at a time, and ``GroupHom`` compares each
 generator's row read through the map with the matching target row, looking
 for the failing cell only once a row differs.
 
+One Cayley walk, ``_cosets``, grows every subgroup built from generators:
+each new generator g grows the subgroup H so far to K = <H, g> by left
+cosets y*H, one gather of row y each, so only the rows of the generators
+and of the cosets' representatives are read.  ``_grow`` (behind ``closure``,
+``FiniteGroup._gens`` and ``generating_sequence``), ``normal_closure``,
+``actions.conjugation_action_on`` and ``search_homs`` all read it.
+
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: ``hom``, hom enumeration, section searches, constrained lifts and
 isomorphism searches all go through ``search_homs``.  Each level adds one
 generator g to the subgroup H reached so far and plans K = <H, g> once per
-search as left cosets y*H (``_cosets``).  By Schreier's lemma the cosets'
-representatives carry every check: when f(s*y) = f(s)f(y) for each generator
-s and representative y, f is a hom of K.  So a node computes [K:H].|gens|
+search, by the same walk.  By Schreier's lemma the cosets' representatives
+carry every check: when f(s*y) = f(s)f(y) for each generator s and
+representative y, f is a hom of K.  So a node computes [K:H].|gens|
 products in Python, not |K|.|gens|, and fills each coset y*H once it passes,
 with one C-level gather when H has at least ``_GATHER_FROM`` elements.
-``_levels``, the walk along left Cayley edges z = s*x, grows the subgroups of
-``closure``, ``normal_closure`` and ``actions.conjugation_action_on``, and
-reads only the generators' rows.
 Every section and every lift along a surjection is found by ``lifts``, the
 one search over fibers.
 """
@@ -157,11 +161,13 @@ class FiniteGroup:
         Call s good when (xs)y = x(sy) for all x and y.  The identity is good,
         and a product ab of good a and b is good, in any table:
         (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), using a, b, a
-        and b good in turn.  `_gens` grows the left-Cayley closure of the
-        identity, each member z = s*x a product of a generator and a member,
-        until it reaches every element; so when every generator is good,
-        every element is, and all n^3 triples hold.  For each generator s,
-        row xs of the table must equal row x read at row s.
+        and b good in turn.  `_gens` are the generators of the left-coset walk
+        (`_cosets`), which in any table places every element, each after the
+        identity a generator or the product of two placed before it; so when
+        every generator is good, the good elements, closed under products,
+        cover the table, and all n^3 triples hold.  The walk ends on any
+        table, as each element becomes a representative at most once.  For
+        each generator s, row xs of the table must equal row x read at row s.
         """
         t = self.table
         for s in self._gens:
@@ -233,8 +239,9 @@ class FiniteGroup:
         """Subgroup generated by elems, as a frozenset of indices.
 
         Each element not yet covered joins as a generator and the subgroup
-        grows along Cayley edges (`_levels`): O(|H|.|gens|) products for
-        the subgroup H generated, not a product of every pair.
+        grows by left cosets (`_cosets`): one gather of row y per coset y*H
+        and |gens| products per representative y, not a product of every
+        pair.
         """
         return frozenset(_grow(self.table, self.identity, elems)[0])
 
@@ -264,49 +271,13 @@ class FiniteGroup:
         return f"<FiniteGroup {self.label} order {self.order}>"
 
 
-def _levels(t, members, candidates):
-    """The left Cayley walk in table t: yield (g, defines) per generator.
-
-    `members` is the list [identity], which the walk extends in place: each
-    candidate g not yet reached becomes a generator and grows the subgroup
-    H reached so far to <H, g>: old members step along g, new ones along
-    every generator.  The defines are the edges (z, x, s), z = s*x with x
-    reached before, where z is met first, in order.  Each step reads row s
-    of t, so only the generators' rows are read.  Candidates are read
-    lazily, so a list may grow while the walk reads it.  Only table
-    lookups, so it ends on any square table, group or not.
-    """
-    known = set(members)
-    edges = []  # (row s, s) per generator
-    for g in candidates:
-        if g in known:
-            continue
-        step = ((t[g], g),)
-        edges += step
-        old = len(members)
-        members.append(g)
-        known.add(g)
-        defines = []
-        i = 1  # the identity steps along g to g itself, whose image is the choice
-        while i < len(members):
-            x = members[i]
-            for row, s in edges if i >= old else step:
-                z = row[x]
-                if z not in known:
-                    defines.append((z, x, s))
-                    known.add(z)
-                    members.append(z)
-            i += 1
-        yield g, defines
-
-
 def _grow(t, identity, elems):
-    """(members, gens): the left-Cayley closure of the identity in table t,
-    each element of `elems` not yet reached joining `gens` (`_levels`)."""
-    members, gens = [identity], []
-    for g, _ in _levels(t, members, elems):
-        gens.append(g)
-    return members, gens
+    """(members, gens): the subgroup of table t generated by `elems`, grown by
+    left cosets (`_cosets`), each element of `elems` not yet reached joining
+    `gens`."""
+    members, pos = [identity], [None] * len(t)
+    pos[identity] = 0
+    return members, [g for g, _, _ in _cosets(t, members, pos, elems)]
 
 
 def gatherer(indices):
@@ -388,7 +359,7 @@ def first_difference(xs, ys):
 
 def _greedy(G, covered):
     """The elements of `covered`, then every element of G ranked by largest
-    order, then least index.  Walked by `_levels`, the first ranked element
+    order, then least index.  Walked by `_cosets`, the first ranked element
     not yet reached is the largest outside the subgroup so far."""
     return itertools.chain(covered, sorted(range(G.order), key=G.elem_orders.__getitem__,
                                            reverse=True))
@@ -553,12 +524,13 @@ def normality_witness(G, elems):
 
 
 def normal_closure(G, elems):
-    """Smallest normal subgroup containing elems, grown along Cayley edges
-    (`_levels`); each generator that joins queues its conjugates by G's
+    """Smallest normal subgroup containing elems, grown by left cosets
+    (`_cosets`); each generator that joins queues its conjugates by G's
     generators."""
     t, inv = G.table, G._inv
-    members, queue = [G.identity], list(elems)
-    for n, _ in _levels(t, members, queue):  # the queue grows as generators join
+    members, pos, queue = [G.identity], [None] * G.order, list(elems)
+    pos[G.identity] = 0
+    for n, _, _ in _cosets(t, members, pos, queue):  # the queue grows as generators join
         queue += (t[g][t[n][inv[g]]] for g in G._gens)  # g(ng^-1), from rows g and n
     return frozenset(members)
 
@@ -864,7 +836,7 @@ def z4_module_classes(max_order):
     return out
 
 
-# -- backtracking homomorphism search -----------------------------------------
+# -- the Cayley walk and the backtracking homomorphism search -----------------
 
 # The least |H| whose cosets are filled by one gather.  Below it the |H| - 1
 # steps f(y*x) = f(y)f(x) of a coset cost less than the gather, before the
@@ -874,7 +846,7 @@ _GATHER_FROM = 5
 
 
 def _cosets(t, members, pos, candidates):
-    """The left-coset plan of the hom search: yield a level per generator.
+    """The package's Cayley walk: yield a level per generator, with its plan.
 
     `members` is a subgroup H in member order, identity first, and `pos`
     maps each element to its place there (None outside); both grow in place.
@@ -882,14 +854,23 @@ def _cosets(t, members, pos, candidates):
     K = <H, g> as blocks y*H in H's member order, each starting with its
     representative y: first g*H at place m = |H|, then one block per new
     representative z = s*y, met by stepping each representative y along
-    each generator s.  A level is (g, m, plan) with plan = (defines, checks,
-    fills, blocks, |K|), all as places: a (z, s, y) per later representative
-    z = s*y, a (z, x, s, y) per step s*y that lands on z*x with z a
-    representative (or the identity) and x in H, and per block after H
-    either a (block, y) to gather or, when m < _GATHER_FROM, a (z, y, x) per
-    member z = y*x with x in H after the identity.  When H is trivial,
+    each generator s; each block is one gather of row y.  Candidates are
+    read lazily, so a list may grow while the walk reads it.  A level is
+    (g, m, plan) with plan = (defines, checks, fills, blocks, |K|), all as
+    places: a (z, s, y) per later representative z = s*y, a (z, x, s, y)
+    per step s*y that lands on z*x with z a representative (or the
+    identity) and x in H, and per block after H either a (block, y) to
+    gather or, when m < _GATHER_FROM, a (z, y, x) per member z = y*x with x
+    in H after the identity.  When H is trivial,
     K = <g> is cyclic and each block is one power of g, g times the one
     before: the one step left is g^n = e.
+
+    `FiniteGroup._gens` also walks tables not yet known to be groups.  There
+    a block may meet elements already placed and places only the new ones,
+    so the plan means nothing, but each element placed after the identity is
+    still a generator or a product of two elements placed before it, and the
+    walk ends: each element is placed once and becomes a representative
+    only then.  Placing them again could double the members at each level.
     """
     gens = []
     for g in candidates:
@@ -914,10 +895,11 @@ def _cosets(t, members, pos, candidates):
         def join(y):  # the block y*H joins K: the place of y
             at = len(members)
             for x in coset(t[y]):
-                pos[x] = len(members)
-                members.append(x)
+                if pos[x] is None:  # always, in a group: the cosets are disjoint
+                    pos[x] = len(members)
+                    members.append(x)
             if m < _GATHER_FROM:
-                fills.extend((at + j, at, j) for j in range(1, m))
+                fills.extend([(at + j, at, j) for j in range(1, m)])
             else:
                 blocks.append((slice(at, at + m), at))
             return at

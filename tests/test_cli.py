@@ -198,6 +198,10 @@ def test_parse_errors_carry_line_numbers():
          "line 5: table row has 1 entries, expected 2"),
         ("[group G]\nelements: a b\ntable:\n  a b\n  b b\n",
          "line 3: invalid multiplication table: element 1 has no inverse"),
+        # the smallest nonassociative loop: a square with identity and inverses
+        ("[group L]\nelements: e a b c d\ntable:\n  e a b c d\n  a e c d b\n"
+         "  b d e a c\n  c b d e a\n  d c a b e\n",
+         "line 3: invalid multiplication table: not associative at (1,1,2)"),
         ("[group G]\ndegree: 0\nperms: (1)\n",
          "line 2: degree must be a positive integer, got '0'"),
         ("[group G]\ndegree: 2\nperms: ;\n", "line 3: no permutations given"),

@@ -37,7 +37,7 @@ from xmodkit.groups import (
     find_section, first_difference, free_module_cover, gatherer, hom, identity_hom,
     klein_four_group, lifts, normal_closure, normal_subgroups, normality_witness,
     quaternion_group, quotient, subgroup, symmetric_group, trivial_group, trivial_hom,
-    z4_module, z4_module_classes, _grow,
+    z4_module, z4_module_classes, _cosets, _grow,
 )
 from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi, total_map
 from xmodkit.words import FactorSignature, single
@@ -186,12 +186,23 @@ def test_quotient_projections():
 
 
 def test_conjugation_action_of_whole_group():
-    for G in (symmetric_group(3), dihedral_group(4), quaternion_group(),
-              symmetric_group(4)):
+    """Every row matches G.conj cell by cell, on the library groups to order
+    64 (S3, D4, Q8 and S4 among them) and relabelled copies, and both kinds
+    of walk level are met: cosets filled one element at a time and cosets
+    filled by a gather (|H| >= _GATHER_FROM, as in A5 or S4 x Z2)."""
+    library = _library_groups_to_order_64()
+    fills = blocks = False
+    for G in library + [_relabeled(G, seed) for seed, G in enumerate(library)]:
+        pos = [None] * G.order
+        pos[G.identity] = 0
+        for _, _, (_, _, level_fills, level_blocks, _) in _cosets(
+                G.table, [G.identity], pos, range(G.order)):
+            fills, blocks = fills or bool(level_fills), blocks or bool(level_blocks)
         act = conjugation_action(G)
         _revalidate(act)
         assert act.table == tuple(tuple(G.conj(g, x) for x in range(G.order))
-                                  for g in range(G.order))
+                                  for g in range(G.order)), G.label
+    assert fills and blocks
 
 
 def _z4_reference(n4, n2):
@@ -842,8 +853,9 @@ def _right_closure_gens_reference(G):
 
 
 def test_left_walk_gens_match_the_right_closure():
-    """`_gens` walks left Cayley edges z = s*x and reads only generator rows;
-    both closures give the same subgroups, so the same generators."""
+    """`_gens` grows each subgroup by left cosets y*H (`_cosets`), reading
+    the generators' and the representatives' rows; both closures give the
+    same subgroups, so the same generators."""
     for G in _groups_to_order_1024():
         assert G._gens == _right_closure_gens_reference(G), G.label
 
@@ -920,6 +932,20 @@ def test_identity_twice_in_a_row_is_refused_as_non_associative():
     assert _inverse_reference(table) == "element 1 has no inverse"
     assert _built(table) == (0, 3, 2, 1)
     assert _built(table, check=True).startswith("not associative at")
+
+
+def test_walk_places_each_element_once_on_a_table_that_is_not_a_group():
+    """a*b = a off the identity's row and column, and a*a = e: every element
+    is its own inverse, so only Light's test refuses the table.  Each block
+    of the walk meets elements already placed, and placing them again would
+    double the members at every level, to 2^63 here."""
+    n = 64
+    table = tuple(tuple(b if a == 0 else a if b == 0 else 0 if a == b else a
+                        for b in range(n)) for a in range(n))
+    members, gens = _within_lines(lambda: _grow(table, 0, range(n)), 100_000)
+    assert sorted(members) == list(range(n)) and gens == list(range(1, n))
+    assert _associativity_reference(table) == (1, 1, 2)
+    assert _built(table, check=True) == "not associative at (1,1,2)"
 
 
 def _direct_product_reference(A, B):
@@ -1442,16 +1468,31 @@ def test_conjugation_rows_match_the_two_gather_reference():
                         "image of the embedding is not a normal subgroup"}
 
 
+def _closure_reference(G, elems):
+    """The subgroup generated by elems, grown one element at a time along
+    right Cayley edges x -> x*s from every member."""
+    reached, frontier = {G.identity}, [G.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in elems:
+            z = G.mul(x, s)
+            if z not in reached:
+                reached.add(z)
+                frontier.append(z)
+    return reached
+
+
 def _normal_closure_reference(G, elems):
-    """normal_closure by conjugating every element by every g, round by round."""
+    """normal_closure by conjugating every element by every g, round by round,
+    each round closed without the walk under test."""
     seed = set(elems)
     seed.update(G.conj(g, n) for g in range(G.order) for n in list(seed))
-    current = G.closure(seed)
+    current = _closure_reference(G, seed)
     while True:
         extra = {G.conj(g, n) for g in range(G.order) for n in current} - current
         if not extra:
             return current
-        current = G.closure(current | extra)
+        current = _closure_reference(G, current | extra)
 
 
 def test_normal_closure_matches_all_pairs_conjugation():
