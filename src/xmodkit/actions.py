@@ -109,13 +109,13 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     pos = [None] * G.order
     pos[G.identity] = 0
     rows = [tuple(range(H.order))] + [None] * (G.order - 1)  # in member order
-    for g, m, (defines, _, fills, blocks, _) in _cosets(t, [G.identity], pos, range(G.order)):
+    for g, m, (defines, _, size) in _cosets(t, [G.identity], pos, range(G.order)):
         # g y g^-1 = g (y g^-1): the image rows' column at g^-1, read through row g
         column = tuple(row[G.inv(g)] for row in image_rows)
         rows[m] = gatherer(gatherer(column)(t[g]))(embedding.preimage)
         if None in rows[m]:
             raise GroupError("image of the embedding is not a normal subgroup")
-        for z, a, b in defines + fills + [(y + j, y, j) for _, y in blocks for j in range(1, m)]:
+        for z, a, b in defines + [(y + j, y, j) for y in range(m, size, m) for j in range(1, m)]:
             rows[z] = gatherer(rows[b])(rows[a])  # conj by a*b: conj a after conj b
     # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
     return GroupAction(G, H, gatherer(pos)(rows), check=False)
@@ -190,18 +190,13 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     return SplitExtension(k, p, s, check=False)
 
 
-def _check_action_word(action: GroupAction, w):
-    facs = w.sig.factors
-    if len(facs) != 2 or facs[0] is not action.actor or facs[1] is not action.carrier:
-        raise GroupError("word signature must be (actor, carrier) for this action")
-
-
 def core_walker(action: GroupAction):
-    """The evaluator of `action_core_word` with the action's tables bound once.
+    """The evaluator of words with trivial actor projection, tables bound once.
 
-    For callers whose words are built over (actor, carrier) of this action,
-    so the signature check cannot fail; the walk still refuses a word whose
-    actor projection is not trivial.
+    A word over (actor, carrier) of this action is walked once, each carrier
+    letter twisted by the actor prefix, to a carrier element; the running
+    actor product must return to the identity.  The word's signature is not
+    checked: callers build their words over the action's own factors.
     """
     g, x, act = action.actor.table, action.carrier.table, action.table
     one, r0 = action.actor.identity, action.carrier.identity
@@ -218,12 +213,3 @@ def core_walker(action: GroupAction):
         return r
     return walk
 
-
-def action_core_word(action: GroupAction, w) -> int:
-    """Evaluate a word with trivial actor projection to a carrier element.
-
-    Walks the letters once, twisting each carrier letter by the actor prefix;
-    the running actor product must return to the identity.
-    """
-    _check_action_word(action, w)
-    return core_walker(action)(w)

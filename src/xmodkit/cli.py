@@ -279,8 +279,9 @@ def cmd_condp(args):
             if not jobs:
                 raise DefinitionError(f"{args.input}: no [setmap] sections")
         else:
-            f = _parse_int_list(args.map, "--map") if args.map else (0, 0)
-            s = _parse_int_list(args.section, "--section") if args.section else (0,)
+            # an empty --map= or --section= is an empty set, refused downstream
+            f = (0, 0) if args.map is None else _parse_int_list(args.map, "--map")
+            s = (0,) if args.section is None else _parse_int_list(args.section, "--section")
             jobs = [("cli", f, s)]
         rows = []
         for name, f, s in jobs:

@@ -191,6 +191,11 @@ def _need(entries, key, lineno, kind):
     return entries[key]
 
 
+def _names(val, block, lineno):
+    """A key's names: its value line, then the indented lines under it."""
+    return tokenize_names(val, lineno) + [t for row, rln in block for t in tokenize_names(row, rln)]
+
+
 def _lookup(defs, name, want_kind, lineno):
     if name not in defs:
         _err(lineno, f"{name!r} is not defined yet (sections are read top to bottom)")
@@ -230,7 +235,7 @@ def _parse_perm(text, degree, lineno):
 def _build_group(name, entries, lineno):
     if "table" in entries:
         val, block, ln = _need(entries, "elements", lineno, "group")
-        names = tokenize_names(val, ln) + [t for row, rln in block for t in tokenize_names(row, rln)]
+        names = _names(val, block, ln)
         if len(set(names)) != len(names):
             _err(ln, "element names are not distinct")
         idx = {nm: i for i, nm in enumerate(names)}
@@ -295,7 +300,7 @@ def _build_xmod(defs, name, entries, lineno, check_axioms):
         aval, _, aln = entries["action"]
         action = _lookup(defs, aval, "action", aln)
         bval, bblock, bln = _need(entries, "boundary", lineno, "xmod")
-        toks = tokenize_names(bval, bln) + [t for row, rln in bblock for t in tokenize_names(row, rln)]
+        toks = _names(bval, bblock, bln)
         if len(toks) != action.carrier.order:
             _err(bln, f"boundary lists {len(toks)} images, expected {action.carrier.order}")
         table = _indices(action.actor, toks, bln, "boundary")
@@ -308,7 +313,7 @@ def _build_xmod(defs, name, entries, lineno, check_axioms):
         gval, _, gln = entries["group"]
         G = _lookup(defs, gval, "group", gln)
         nval, nblock, nln = _need(entries, "normal", lineno, "xmod")
-        toks = tokenize_names(nval, nln) + [t for row, rln in nblock for t in tokenize_names(row, rln)]
+        toks = _names(nval, nblock, nln)
         elems = _indices(G, toks, nln, "normal")
         try:
             xm = xmod_from_normal_subgroup(G, elems)
@@ -329,7 +334,7 @@ def _build_morphism(defs, entries, lineno):
     for key, dom, cod in (("fT", src.domain(), tgt.domain()),
                           ("fG", src.codomain(), tgt.codomain())):
         val, block, ln = _need(entries, key, lineno, "morphism")
-        toks = tokenize_names(val, ln) + [t for row, rln in block for t in tokenize_names(row, rln)]
+        toks = _names(val, block, ln)
         if len(toks) != dom.order:
             _err(ln, f"{key} lists {len(toks)} images, expected {dom.order}")
         table = _indices(cod, toks, ln, key)

@@ -44,9 +44,11 @@ for the failing cell only once a row differs.
 One Cayley walk, ``_cosets``, grows every subgroup built from generators:
 each new generator g grows the subgroup H so far to K = <H, g> by left
 cosets y*H, one gather of row y each, so only the rows of the generators
-and of the cosets' representatives are read.  ``_grow`` (behind ``closure``,
-``FiniteGroup._gens`` and ``generating_sequence``), ``normal_closure``,
-``actions.conjugation_action_on`` and ``search_homs`` all read it.
+and of the cosets' representatives are read; block y*H lands at one of
+the places m, 2m, ... of K's member order (m = |H|).  ``_grow`` (behind
+``closure``, ``FiniteGroup._gens`` and ``generating_sequence``),
+``normal_closure``, ``actions.conjugation_action_on`` and ``search_homs``
+all read it.
 
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: ``hom``, hom enumeration, section searches, constrained lifts and
@@ -56,7 +58,7 @@ search, by the same walk.  By Schreier's lemma the cosets' representatives
 carry every check: when f(s*y) = f(s)f(y) for each generator s and
 representative y, f is a hom of K.  So a node computes [K:H].|gens|
 products in Python, not |K|.|gens|, and fills each coset y*H once it passes,
-with one C-level gather when H has at least ``_GATHER_FROM`` elements.
+by steps or, when H has at least ``_GATHER_FROM`` elements, one C gather.
 Every section and every lift along a surjection is found by ``lifts``, the
 one search over fibers.
 """
@@ -80,7 +82,9 @@ class FiniteGroup:
     """A finite group on 0..order-1 given by its full multiplication table.
 
     Two groups are equal only if they are the same object; equal tables on
-    distinct carriers are deliberately distinct.
+    distinct carriers are deliberately distinct.  `check=False` skips only
+    Light's associativity test; a table that would fail it is not a group,
+    and no later result (closures, searches, actions) holds for it.
     """
 
     def __init__(self, table, names=None, label="G", check=True):
@@ -854,16 +858,13 @@ def _cosets(t, members, pos, candidates):
     K = <H, g> as blocks y*H in H's member order, each starting with its
     representative y: first g*H at place m = |H|, then one block per new
     representative z = s*y, met by stepping each representative y along
-    each generator s; each block is one gather of row y.  Candidates are
-    read lazily, so a list may grow while the walk reads it.  A level is
-    (g, m, plan) with plan = (defines, checks, fills, blocks, |K|), all as
-    places: a (z, s, y) per later representative z = s*y, a (z, x, s, y)
-    per step s*y that lands on z*x with z a representative (or the
-    identity) and x in H, and per block after H either a (block, y) to
-    gather or, when m < _GATHER_FROM, a (z, y, x) per member z = y*x with x
-    in H after the identity.  When H is trivial,
-    K = <g> is cyclic and each block is one power of g, g times the one
-    before: the one step left is g^n = e.
+    each generator s; each block is one gather of row y, so block y*H sits
+    at one of the places m, 2m, ..., |K| - m.  Candidates are read lazily,
+    so a list may grow while the walk reads it.  A level is (g, m, plan)
+    with plan = (defines, checks, |K|), as places: a (z, s, y) per later
+    representative z = s*y, and a (z, x, s, y) per step s*y that lands on
+    z*x with z a representative (or the identity) and x in H.  When H is
+    trivial each block is one power of g and the one check is g^n = e.
 
     `FiniteGroup._gens` also walks tables not yet known to be groups.  There
     a block may meet elements already placed and places only the new ones,
@@ -878,19 +879,8 @@ def _cosets(t, members, pos, candidates):
             continue
         gens.append(g)
         m = len(members)
-        if m == 1:
-            y, defines = g, []
-            while pos[y] is None:
-                k = len(members)
-                pos[y] = k
-                members.append(y)
-                defines.append((k + 1, 1, k))  # g^(k+1) = g*g^k
-                y = t[g][y]
-            n = defines.pop()[0]  # g*g^(n-1) = e, met before
-            yield g, m, (defines, [(0, 0, 1, n - 1)], [], [], n)
-            continue
         coset = gatherer(members)  # row y of t -> the block y*H
-        reps, defines, checks, fills, blocks = [g], [], [], [], []
+        reps, defines, checks = [g], [], []
 
         def join(y):  # the block y*H joins K: the place of y
             at = len(members)
@@ -898,10 +888,6 @@ def _cosets(t, members, pos, candidates):
                 if pos[x] is None:  # always, in a group: the cosets are disjoint
                     pos[x] = len(members)
                     members.append(x)
-            if m < _GATHER_FROM:
-                fills.extend([(at + j, at, j) for j in range(1, m)])
-            else:
-                blocks.append((slice(at, at + m), at))
             return at
 
         join(g)
@@ -914,7 +900,7 @@ def _cosets(t, members, pos, candidates):
                 else:  # z = r*x: r starts the block of z, x sits as far into H
                     p = pos[z]
                     checks.append((p - p % m, p % m, pos[s], pos[y]))
-        yield g, m, (defines, checks, fills, blocks, len(members))
+        yield g, m, (defines, checks, len(members))
 
 
 def search_homs(src, target, candidates, *, prescribed=None, budget=None,
@@ -936,12 +922,12 @@ def search_homs(src, target, candidates, *, prescribed=None, budget=None,
     f(s)f(k) for each generator s, and the a with f(a*k) = f(a)f(k) for all
     k are closed under products, so they are all of K.  A node thus passes
     exactly when its images extend to a hom of the subgroup so far.
-    Only then does it fill its blocks: f(y*H) is row f(y) of the target's
-    table read at f(H), in one C call through a gatherer built once per
-    parent node, or one element at a time when H is smaller than
-    _GATHER_FROM; at the first level H is trivial, each block is one element
-    and there is nothing to fill.  A leaf maps member order back to element
-    order.  Raises BudgetExhausted when the node budget runs out; a
+    Only then does it fill the blocks y*H, at places m, 2m, ..., |K| - m
+    (m = |H|): f(y*H) is row f(y) of the target's table read at f(H), one
+    element at a time when H is smaller than _GATHER_FROM, else in one C
+    call through a gatherer built once per parent node; the search picks
+    between them from m, once per search.  A leaf maps member order back to
+    element order.  Raises BudgetExhausted when the node budget runs out; a
     completed iteration proves the enumeration exhaustive.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -960,6 +946,12 @@ def search_homs(src, target, candidates, *, prescribed=None, budget=None,
     # one walk: a level per prescribed key not yet reached, then the greedy plan
     steps = _cosets(src.table, [src.identity], pos, _greedy(src, prescribed))
 
+    def fill(m, size):  # the blocks y*H at m, 2m, ..., size - m: steps or gathers
+        firsts = range(m, size, m)
+        if m < _GATHER_FROM:  # f(y*x) = f(y)f(x) for each x in H after e
+            return [(y + j, y, j) for y in firsts for j in range(1, m)], []
+        return [], [(slice(y, y + m), y) for y in firsts]
+
     def walk(pick, defines, checks, fills, blocks, size):  # once f(g) is set
         for z, s, y in defines:  # the representatives
             img[z] = tt[img[s]][img[y]]
@@ -974,15 +966,17 @@ def search_homs(src, target, candidates, *, prescribed=None, budget=None,
 
     for k, v in prescribed.items():
         if pos[k] is None:  # not yet in the subgroup: the walk's next level
-            _, m, (defines, checks, fills, blocks, size) = next(steps)
+            _, m, (defines, checks, size) = next(steps)
             img[m] = v
+            fills, blocks = fill(m, size)
             pick = gatherer(img[:m]) if blocks else None
             if not walk(pick, defines, checks, fills, blocks, size):
                 return
         elif img[pos[k]] != v:
             return
     # candidates are asked for only once every prescribed image has passed
-    levels = [(list(candidates(g)), m, plan) for g, m, plan in steps]
+    levels = [(list(candidates(g)), m, (defines, checks, *fill(m, size), size))
+              for g, m, (defines, checks, size) in steps]
     leaf = gatherer(pos)  # member order -> element order
     nodes = 0
 

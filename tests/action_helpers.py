@@ -3,8 +3,7 @@ extension, the comparison isomorphism of a split extension and the second,
 semidirect-product route for evaluating words with trivial actor part, kept
 beside the tests that pin their answers."""
 from xmodkit.actions import (
-    GroupAction, SplitExtension, _check_action_word, action_core_word,
-    conjugation_action_on, semidirect_product,
+    GroupAction, SplitExtension, conjugation_action_on, core_walker, semidirect_product,
 )
 from xmodkit.errors import GroupError
 from xmodkit.groups import GroupHom
@@ -53,20 +52,24 @@ def action_signature(action: GroupAction) -> FactorSignature:
     return FactorSignature((action.actor, action.carrier))
 
 
-def action_core_eval(action: GroupAction, w) -> int:
-    """Evaluate through the semidirect product and pull back along the kernel.
-
-    Independent of `action_core_word`; both must agree on every word with
-    trivial actor projection.
-    """
-    _check_action_word(action, w)
+def semidirect_route(action: GroupAction):
+    """The evaluator of words with trivial actor projection through the
+    semidirect product, pulled back along the kernel: independent of
+    `actions.core_walker`, and both must agree on every such word.  Unlike
+    the walker it refuses a word over any signature but (actor, carrier)."""
     ext = semidirect_product(action)
-    wh = WordHom(w.sig, [ext.s, ext.k], ext.total)
-    e = wh.evaluate(w)
-    if ext.p.table[e] != ext.base.identity:
-        raise GroupError("word does not project trivially to the actor")
+    wh = WordHom(action_signature(action), [ext.s, ext.k], ext.total)
     lookup = {ext.k.table[x]: x for x in range(action.carrier.order)}
-    return lookup[e]
+
+    def evaluate(w):
+        facs = w.sig.factors
+        if len(facs) != 2 or facs[0] is not action.actor or facs[1] is not action.carrier:
+            raise GroupError("word signature must be (actor, carrier) for this action")
+        e = wh.evaluate(w)
+        if ext.p.table[e] != ext.base.identity:
+            raise GroupError("word does not project trivially to the actor")
+        return lookup[e]
+    return evaluate
 
 
 def action_core_consistency(action: GroupAction, max_len: int = 4) -> int:
@@ -75,15 +78,10 @@ def action_core_consistency(action: GroupAction, max_len: int = 4) -> int:
     Returns the number of words checked.  Uses the flat-word enumeration, which
     contains the binary cosmash words as a subset.
     """
-    sig = action_signature(action)
-    ext = semidirect_product(action)
-    wh = WordHom(sig, [ext.s, ext.k], ext.total)
-    lookup = {ext.k.table[x]: x for x in range(action.carrier.order)}
+    via_ext, via_word = semidirect_route(action), core_walker(action)
     count = 0
-    for w in enumerate_flat_words(sig, max_len):
-        via_ext = lookup[wh.evaluate(w)]
-        via_word = action_core_word(action, w)
-        if via_ext != via_word:
+    for w in enumerate_flat_words(action_signature(action), max_len):
+        if via_ext(w) != via_word(w):
             raise GroupError(f"evaluation routes disagree on {w!r}")
         count += 1
     return count

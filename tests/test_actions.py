@@ -6,14 +6,13 @@ from xmodkit.groups import (
     klein_four_group, subgroup, symmetric_group,
 )
 from xmodkit.actions import (
-    GroupAction, SplitExtension, action_core_word, action_from_function,
-    conjugation_action, conjugation_action_on, semidirect_product,
-    trivial_action,
+    GroupAction, SplitExtension, action_from_function, conjugation_action,
+    conjugation_action_on, core_walker, semidirect_product, trivial_action,
 )
 
 from action_helpers import (
-    action_core_consistency, action_core_eval, action_from_extension,
-    action_signature, extension_iso,
+    action_core_consistency, action_from_extension, action_signature,
+    extension_iso, semidirect_route,
 )
 from word_helpers import parse_word
 
@@ -116,15 +115,15 @@ def test_action_core_frozen_values():
     sig = action_signature(act)
     # commutator of the actor generator with a carrier element: x^g * x^-1
     w = parse_word(sig, "(0:1 1:1 0:1 1:2)")
-    assert action_core_word(act, w) == 1
-    assert action_core_eval(act, w) == 1
+    assert core_walker(act)(w) == 1
+    assert semidirect_route(act)(w) == 1
     # flat word with a conjugation window: x * (y^g)
     w2 = parse_word(sig, "(1:1 0:1 1:1 0:1)")
-    assert action_core_word(act, w2) == Z3.mul(1, 2)
-    assert action_core_eval(act, w2) == 0
+    assert core_walker(act)(w2) == Z3.mul(1, 2)
+    assert semidirect_route(act)(w2) == 0
     # trivial action: evaluation is plain multiplication of carrier letters
     tr = trivial_action(Z2, Z3)
-    assert action_core_word(tr, w2) == 2
+    assert core_walker(tr)(w2) == 2
 
 
 def test_action_core_rejects_unbalanced_words():
@@ -132,12 +131,12 @@ def test_action_core_rejects_unbalanced_words():
     sig = action_signature(act)
     bad = parse_word(sig, "(0:1 1:1)")
     with pytest.raises(GroupError):
-        action_core_word(act, bad)
+        core_walker(act)(bad)
     with pytest.raises(GroupError):
-        action_core_eval(act, bad)
+        semidirect_route(act)(bad)
     wrong_sig = parse_word(action_signature(trivial_action(Z2, Z4)), "()")
     with pytest.raises(GroupError):
-        action_core_word(act, wrong_sig)
+        semidirect_route(act)(wrong_sig)
 
 
 def test_action_core_consistency_counts():

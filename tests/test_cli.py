@@ -798,11 +798,12 @@ EMPTY_SETMAP_DEFS = "[setmap f]\nsource: 0\ntarget: 0\nmap:\nsection:\n"
      "--map must be a list of integers, got '0,x'"),
     (["condp", "z4-pipeline", "--input", "FILE"], EMPTY_SETMAP_DEFS,
      "need nonempty index sets"),
+    (["condp", "z4-pipeline", "--map=", "--section="], None, "need nonempty index sets"),
     (["condp", "z4-pipeline", "--input", "FILE"], GROUP_ONLY_DEFS,
      "FILE: no [setmap] sections"),
     (["pi0", "FILE"], GROUP_ONLY_DEFS, "FILE: no [xmod] sections"),
     (["lift", "FILE"], GROUP_ONLY_DEFS, "FILE: no [morphism] sections"),
-], ids=["not-a-section", "map-not-integers", "empty-setmap", "no-setmap",
+], ids=["not-a-section", "map-not-integers", "empty-setmap", "empty-map-flags", "no-setmap",
         "no-xmod", "no-morphism"])
 def test_refused_inputs_exit_two(argv, text, message, tmp_path, capsys):
     """Each refusal exits 2 with its message and a JSON error report."""

@@ -12,7 +12,7 @@ from xmodkit.groups import (
     kernel, klein_four_group, lifts, normal_closure, normal_subgroups,
     normality_witness, pullback, quaternion_group, quotient, search_homs,
     subgroup, symmetric_group, trivial_group, trivial_hom, z4_module,
-    z4_module_classes, _cosets, _greedy,
+    z4_module_classes, _GATHER_FROM, _cosets, _greedy,
 )
 
 from group_helpers import find_retraction, is_normal
@@ -332,6 +332,8 @@ def test_hom_counts():
     assert len(enumerate_homs(Q8, Z2)) == 4
     assert len(enumerate_homs(S3, S3)) == 10
     assert len(enumerate_homs(Q8, Q8)) == 28
+    # one cyclic first level of 1024 elements, through the walk and the search
+    assert len(enumerate_homs(cyclic_group(1024), Z4)) == 4
 
 
 def test_aut_counts():
@@ -417,16 +419,16 @@ def _oracle_pairs():
 
 
 def test_oracle_sources_reach_both_ways_of_filling_a_coset():
-    """The oracle's sources plan levels of both kinds: cosets filled one
-    element at a time and cosets filled by one gather."""
-    fills = blocks = False
+    """The oracle's sources plan levels of both kinds: cosets of an H with
+    1 < |H| < _GATHER_FROM, which the search fills one element at a time,
+    and cosets of an H with |H| >= _GATHER_FROM, filled by one gather."""
+    sizes = set()
     for G in {id(G): G for G, _ in _oracle_pairs()}.values():
         pos = [None] * G.order
         pos[G.identity] = 0
-        for _, _, (_, _, level_fills, level_blocks, _) in _cosets(
-                G.table, [G.identity], pos, _greedy(G, ())):
-            fills, blocks = fills or bool(level_fills), blocks or bool(level_blocks)
-    assert fills and blocks
+        sizes.update(m for _, m, _ in _cosets(G.table, [G.identity], pos, _greedy(G, ())))
+    assert any(1 < m < _GATHER_FROM for m in sizes)
+    assert any(m >= _GATHER_FROM for m in sizes)
 
 
 def _extends(G, H, gens, images):

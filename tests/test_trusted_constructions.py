@@ -22,9 +22,8 @@ import pytest
 
 from xmodkit import condp, corpus, lifting, xmod
 from xmodkit.actions import (
-    GroupAction, SplitExtension, _check_action_word, action_core_word,
-    action_from_function, conjugation_action, conjugation_action_on,
-    semidirect_product, trivial_action,
+    GroupAction, SplitExtension, action_from_function, conjugation_action,
+    conjugation_action_on, core_walker, semidirect_product, trivial_action,
 )
 from xmodkit.corpus import (
     axiom_corpus, collapse_epi, projective_section_corpus, pullback_section_corpus,
@@ -47,7 +46,7 @@ from xmodkit.xmod import (
     xmod_product,
 )
 
-from action_helpers import action_from_extension
+from action_helpers import action_from_extension, semidirect_route
 from word_helpers import commutator, in_ternary_cosmash
 
 
@@ -187,22 +186,19 @@ def test_quotient_projections():
 
 def test_conjugation_action_of_whole_group():
     """Every row matches G.conj cell by cell, on the library groups to order
-    64 (S3, D4, Q8 and S4 among them) and relabelled copies, and both kinds
-    of walk level are met: cosets filled one element at a time and cosets
-    filled by a gather (|H| >= _GATHER_FROM, as in A5 or S4 x Z2)."""
+    64 (S3, D4, Q8 and S4 among them) and relabelled copies, and the walk
+    meets levels whose cosets y*H have members after y to fill (|H| >= 2)."""
     library = _library_groups_to_order_64()
-    fills = blocks = False
+    sizes = set()
     for G in library + [_relabeled(G, seed) for seed, G in enumerate(library)]:
         pos = [None] * G.order
         pos[G.identity] = 0
-        for _, _, (_, _, level_fills, level_blocks, _) in _cosets(
-                G.table, [G.identity], pos, range(G.order)):
-            fills, blocks = fills or bool(level_fills), blocks or bool(level_blocks)
+        sizes.update(m for _, m, _ in _cosets(G.table, [G.identity], pos, range(G.order)))
         act = conjugation_action(G)
         _revalidate(act)
         assert act.table == tuple(tuple(G.conj(g, x) for x in range(G.order))
                                   for g in range(G.order)), G.label
-    assert fills and blocks
+    assert max(sizes) >= 2
 
 
 def _z4_reference(n4, n2):
@@ -462,14 +458,15 @@ def test_audited_bracket_words_are_ternary_cosmash_words(monkeypatch):
     assert total > 0
 
 
-def test_core_walker_agrees_with_the_checked_entry(monkeypatch):
+def test_core_walker_agrees_with_the_semidirect_route(monkeypatch):
     """`check_axioms_wordlevel` and `ternary_routes` evaluate through
-    `core_walker`, which skips `action_core_word`'s signature check: on the
-    axiom corpus every word they evaluate passes that check and has the same
-    value through the checked entry.  Ternary words run at L=10, the first
-    length with non-empty ones, where the carrier has order at most four, and
-    at L=8 elsewhere.  The checked entry still refuses a word over another
-    signature and a word that does not project trivially."""
+    `core_walker`, which does not check a word's signature: on the axiom
+    corpus every word they evaluate is over (actor, carrier) of its action
+    and has the same value through the semidirect product
+    (`semidirect_route`, which checks the signature).  Ternary words run at
+    L=10, the first length with non-empty ones, where the carrier has order
+    at most four, and at L=8 elsewhere.  The walker still refuses a word
+    that does not project trivially."""
     seen = []
     real = xmod.core_walker
 
@@ -486,17 +483,15 @@ def test_core_walker_agrees_with_the_checked_entry(monkeypatch):
         check_axioms_wordlevel(xm, 4)
         check_ternary(xm, 10 if xm.domain().order <= 4 else 8)
     assert len(seen) > 40_000
+    routes = {}  # by id: every action stays alive in `seen`
     for action, w, value in seen:
-        _check_action_word(action, w)
-        assert action_core_word(action, w) == value
+        if id(action) not in routes:
+            routes[id(action)] = semidirect_route(action)
+        assert routes[id(action)](w) == value
     action = seen[-1][0]
     sig = FactorSignature((action.actor, action.carrier))
-    g = action.actor.generators[0]
     with pytest.raises(GroupError, match="does not project trivially"):
-        action_core_word(action, single(sig, 0, g))
-    other = FactorSignature((action.carrier, action.actor))
-    with pytest.raises(GroupError, match="signature must be"):
-        action_core_word(action, single(other, 1, g))
+        core_walker(action)(single(sig, 0, action.actor.generators[0]))
 
 
 # -- row-level builders and checks against their per-cell references ---------
