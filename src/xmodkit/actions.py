@@ -8,19 +8,21 @@ kernel embedding, a retraction, and a section; the two views are equivalent:
 
 ``GroupAction`` and ``SplitExtension`` validate by default, where data
 enters; the constructions here are correct by theorem and build unchecked.
-Their tables are built a row at a time with ``groups.gatherer``: a
-semidirect-product row, built on first read, extends one list by blocks
-shared by every row with the same actor element, and a conjugation row reads
-one column of the image rows through the conjugating element's row.
+Their tables are built a row at a time with ``groups.gatherer``, each on
+first read: a semidirect-product row extends one list by blocks shared by
+every row with the same actor element, and a conjugation row reads one
+column of the image rows through the conjugating element's row.
 
 Word evaluation convention: words live over the two-slot signature
 (actor, carrier), slot 0 for the actor.  Any word whose slot-0 projection
 normalizes to the empty word evaluates to a carrier element.
 """
 
+from operator import itemgetter
+
 from .errors import GroupError
 from .groups import (
-    MAX_ORDER, FiniteGroup, GroupHom, _cosets, _pair_rows, _Rows, gatherer, identity_hom,
+    MAX_ORDER, FiniteGroup, GroupHom, _pair_rows, _Rows, gatherer, identity_hom,
 )
 
 
@@ -28,14 +30,20 @@ class GroupAction:
     """Left action of `actor` on `carrier` by automorphisms.
 
     table[g][x] is the image of carrier element x under actor element g.
+    A `_Rows` table, built by the library a row on first read, is kept as
+    given; the shape check, which reads every row, runs on plain tables.
     """
 
     def __init__(self, actor: FiniteGroup, carrier: FiniteGroup, table, *, check: bool = True):
         self.actor = actor
         self.carrier = carrier
-        self.table = tuple(tuple(row) for row in table)
-        if len(self.table) != actor.order or any(len(r) != carrier.order for r in self.table):
-            raise GroupError("action table shape does not match the groups")
+        if isinstance(table, _Rows):
+            self.table = table
+        else:
+            self.table = tuple(tuple(row) for row in table)
+            if (len(self.table) != actor.order
+                    or any(len(r) != carrier.order for r in self.table)):
+                raise GroupError("action table shape does not match the groups")
         if check:
             self._validate()
 
@@ -68,8 +76,8 @@ class GroupAction:
         return (isinstance(other, GroupAction) and self.actor is other.actor
                 and self.carrier is other.carrier and self.table == other.table)
 
-    def __hash__(self):
-        return hash((id(self.actor), id(self.carrier), self.table))
+    def __hash__(self):  # equal actions share both groups; no row is read
+        return hash((id(self.actor), id(self.carrier)))
 
     def __repr__(self):
         kind = "trivial " if self.is_trivial() else ""
@@ -94,31 +102,30 @@ def conjugation_action(G: FiniteGroup) -> GroupAction:
 def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     """Action of the codomain on the domain by conjugation through `embedding`.
 
-    The embedding must be injective with normal image; both are checked here.
-    Rows follow G's left-coset walk (`_cosets`), so only the rows of G's
-    generators and coset representatives and the image's rows are read: a
-    generator's row is read off the table and must stay in the image, which
-    is then normal, and every other z = a*b in the walk's plan (a
-    representative s*y or a coset member y*x) gets row a read through row b.
+    The embedding must be injective with normal image; both are checked here,
+    normality on the rows of G's generators (`_gens`): conjugation by a
+    product keeps the image once conjugation by each factor does.  The table
+    builds row g on first read (`_Rows`), from tables alone: the conjugates
+    g k(h) g^-1 (`_conjugates`) read back through the embedding's preimage.
+    A fresh action holds only the generators' rows, which that check read.
     """
     H, G = embedding.source, embedding.target
     if not embedding.is_injective():
         raise GroupError("embedding is not injective")
-    t = G.table
-    image_rows = gatherer(embedding.table)(t)
-    pos = [None] * G.order
-    pos[G.identity] = 0
-    rows = [tuple(range(H.order))] + [None] * (G.order - 1)  # in member order
-    for g, m, (defines, _, size) in _cosets(t, [G.identity], pos, range(G.order)):
-        # g y g^-1 = g (y g^-1): the image rows' column at g^-1, read through row g
-        column = tuple(row[G.inv(g)] for row in image_rows)
-        rows[m] = gatherer(gatherer(column)(t[g]))(embedding.preimage)
-        if None in rows[m]:
-            raise GroupError("image of the embedding is not a normal subgroup")
-        for z, a, b in defines + [(y + j, y, j) for y in range(m, size, m) for j in range(1, m)]:
-            rows[z] = gatherer(rows[b])(rows[a])  # conj by a*b: conj a after conj b
+    conj, pre = _conjugates(G.table, G._inv, embedding.table), embedding.preimage
+    table = _Rows(G.order, lambda g: gatherer(conj(g))(pre))
+    if any(None in table[g] for g in G._gens):
+        raise GroupError("image of the embedding is not a normal subgroup")
     # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
-    return GroupAction(G, H, gatherer(pos)(rows), check=False)
+    return GroupAction(G, H, table, check=False)
+
+
+def _conjugates(t, inv, elems):
+    """The map g -> (g x g^-1 for x in elems), in a group with table t and
+    inverses inv: g x g^-1 = g (x g^-1), so the rows of `elems` are read at
+    column g^-1 and then through row g.  It holds tables only."""
+    rows = gatherer(elems)(t)
+    return lambda g: gatherer(tuple(map(itemgetter(inv[g]), rows)))(t[g])
 
 
 class SplitExtension:

@@ -3,10 +3,10 @@
 Carriers are index ranges 0..order-1 and tables are sequences of row tuples,
 so every structural question is settled by exhaustion.  Tables that enter,
 and those of most constructions, are tuples of tuples; the products
-(``direct_product``, ``actions.semidirect_product``) and ``z4_module`` build
-each row on first read instead (``_Rows``), and read like the tuple of every
-row.  Entry checks run where tables
-enter, on input and in the public constructors only.  A public
+(``direct_product``, ``actions.semidirect_product``), ``z4_module`` and the
+actions of ``actions.conjugation_action_on`` build each row on first read
+instead (``_Rows``), and read like the tuple of every row.  Entry checks
+run where tables enter, on input and in the public constructors only.  A public
 ``FiniteGroup`` build, ``check=False`` included, checks the shape, the range
 (the set of all cell values must lie in 0..n-1, one pass per table), the
 identity and the inverses; a public ``GroupHom`` checks that its values lie
@@ -24,8 +24,9 @@ inverses of a product.  Laws that hold on a
 subgroup are decided on one generating set per group, ``FiniteGroup._gens``:
 associativity (Light's test), the hom law, the action laws of
 ``actions.GroupAction``, commutativity, normality (of the image in
-``actions.conjugation_action_on`` and as ``normal_closure`` grows) and
-``xmod.morphism_witness``'s equivariance;
+``actions.conjugation_action_on`` and as ``normal_closure`` grows),
+``xmod.morphism_witness``'s equivariance and the crossed-module witnesses
+``xmod.precrossed_witness`` and ``xmod.peiffer_witness``;
 only normality runs a full loop, after a failure, for its witness.
 
 Dense tables are built and checked a row at a time, except by ``pullback``,
@@ -47,8 +48,7 @@ cosets y*H, one gather of row y each, so only the rows of the generators
 and of the cosets' representatives are read; block y*H lands at one of
 the places m, 2m, ... of K's member order (m = |H|).  ``_grow`` (behind
 ``closure``, ``FiniteGroup._gens`` and ``generating_sequence``),
-``normal_closure``, ``actions.conjugation_action_on`` and ``search_homs``
-all read it.
+``normal_closure`` and ``search_homs`` all read it.
 
 The backtracking homomorphism search at the bottom is the engine for most of
 the package: ``hom``, hom enumeration, section searches, constrained lifts and
@@ -864,7 +864,8 @@ def _cosets(t, members, pos, candidates):
     with plan = (defines, checks, |K|), as places: a (z, s, y) per later
     representative z = s*y, and a (z, x, s, y) per step s*y that lands on
     z*x with z a representative (or the identity) and x in H.  When H is
-    trivial each block is one power of g and the one check is g^n = e.
+    trivial each block is one power of g, placed without a gather or a read
+    of its row, and the one check is g^n = e.
 
     `FiniteGroup._gens` also walks tables not yet known to be groups.  There
     a block may meet elements already placed and places only the new ones,
@@ -879,16 +880,22 @@ def _cosets(t, members, pos, candidates):
             continue
         gens.append(g)
         m = len(members)
-        coset = gatherer(members)  # row y of t -> the block y*H
         reps, defines, checks = [g], [], []
+        if m == 1:  # H trivial: the block y*H is y, joined without reading row y
+            def join(y):
+                pos[y] = at = len(members)
+                members.append(y)
+                return at
+        else:
+            coset = gatherer(members)  # row y of t -> the block y*H
 
-        def join(y):  # the block y*H joins K: the place of y
-            at = len(members)
-            for x in coset(t[y]):
-                if pos[x] is None:  # always, in a group: the cosets are disjoint
-                    pos[x] = len(members)
-                    members.append(x)
-            return at
+            def join(y):  # the block y*H joins K: the place of y
+                at = len(members)
+                for x in coset(t[y]):
+                    if pos[x] is None:  # always, in a group: the cosets are disjoint
+                        pos[x] = len(members)
+                        members.append(x)
+                return at
 
         join(g)
         for y in reps:  # grows as representatives are met

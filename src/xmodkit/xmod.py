@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .errors import GroupError
 from .actions import (
-    GroupAction, SplitExtension, conjugation_action, conjugation_action_on,
+    GroupAction, SplitExtension, _conjugates, conjugation_action, conjugation_action_on,
     core_walker, semidirect_product, trivial_action,
 )
 from .groups import (
@@ -80,40 +80,59 @@ class CrossedModule:
 
 
 def equivariance_failures(action: GroupAction, boundary: GroupHom):
-    """Every (g, t) with d(g.t) != g d(t) g^-1, in index order.
+    """Every (g, t) with d(g.t) != g d(t) g^-1, in index order."""
+    return _equivariance_failures(action, boundary, range(action.actor.order))
+
+
+def _equivariance_failures(action, boundary, gs):
+    """Every (g, t) with d(g.t) != g d(t) g^-1, over g in gs and then t.
 
     Compared a row of g at a time; only a row that differs is searched.
     """
-    G = action.actor
-    d = boundary.table
-    # g d(t) g^-1 = g (d(t) g^-1): column c of the image rows holds every d(t) c
-    cols = tuple(zip(*gatherer(d)(G.table)))
-    for g, row in enumerate(action.table):
-        lhs = gatherer(row)(d)
-        rhs = gatherer(cols[G.inv(g)])(G.table[g])
+    G, d = action.actor, boundary.table
+    conj = _conjugates(G.table, G._inv, d)  # g -> g d(t) g^-1 for every t
+    for g in gs:
+        lhs, rhs = gatherer(action.table[g])(d), conj(g)
         if lhs != rhs:
             yield from ((g, t) for t, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def peiffer_failures(action: GroupAction, boundary: GroupHom):
     """Every (t, t') with (d t).t' != t t' t^-1, in index order."""
-    T = action.carrier
-    d = boundary.table
-    for t in range(T.order):
-        row = action.table[d[t]]
-        for u in range(T.order):
-            if row[u] != T.conj(t, u):
-                yield (t, u)
+    return _peiffer_failures(action, boundary, range(action.carrier.order))
+
+
+def _peiffer_failures(action, boundary, ts):
+    """Every (t, t') with (d t).t' != t t' t^-1, over t in ts and then t'.
+
+    Compared a row of t at a time; only a row that differs is searched.
+    """
+    T, d = action.carrier, boundary.table
+    conj = _conjugates(T.table, T._inv, range(T.order))  # t -> t t' t^-1 for every t'
+    for t in ts:
+        lhs, rhs = action.table[d[t]], conj(t)
+        if lhs != rhs:
+            yield from ((t, u) for u, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def precrossed_witness(action: GroupAction, boundary: GroupHom):
-    """First (g, t) with d(g.t) != g d(t) g^-1, or None."""
-    return next(equivariance_failures(action, boundary), None)
+    """First (g, t) with d(g.t) != g d(t) g^-1, or None.
+
+    Decided on the rows of the actor's `_gens`: with d a hom and the action
+    an action, as for every validated or trusted input, the g where
+    equivariance holds form a subgroup, so the first generator that fails is
+    the first element that fails."""
+    return next(_equivariance_failures(action, boundary, action.actor._gens), None)
 
 
 def peiffer_witness(action: GroupAction, boundary: GroupHom):
-    """First (t, t') with (d t).t' != t t' t^-1, or None."""
-    return next(peiffer_failures(action, boundary), None)
+    """First (t, t') with (d t).t' != t t' t^-1, or None.
+
+    Decided on the rows of the carrier's `_gens`: with d a hom and the action
+    an action by automorphisms, the t where the law holds for every t' form
+    a subgroup, so the first generator that fails is the first element that
+    fails."""
+    return next(_peiffer_failures(action, boundary, action.carrier._gens), None)
 
 
 def check_axioms(xm: CrossedModule) -> dict:

@@ -74,6 +74,20 @@ def test_split_extension_validation():
         SplitExtension(bad_k, ext.p, ext.s)
 
 
+def test_equal_actions_hash_equal_without_building_rows():
+    """An action hashes by its two groups, as == compares them first, so a
+    conjugation action, whose rows are built on first read, hashes without
+    building any, and equal actions hash equal."""
+    S4 = symmetric_group(4)
+    a, b = conjugation_action(S4), conjugation_action(S4)
+    built = set(dict.keys(a.table)), set(dict.keys(b.table))
+    assert hash(a) == hash(b)
+    assert (set(dict.keys(a.table)), set(dict.keys(b.table))) == built
+    plain = GroupAction(S4, S4, tuple(a.table))
+    assert a == b == plain and hash(a) == hash(plain)
+    assert len({a, b, plain, trivial_action(S4, S4)}) == 2
+
+
 def test_action_extension_round_trip():
     for act in (inversion(Z2, Z3), inversion(Z2, Z4), trivial_action(Z3, Z4),
                 conjugation_action(symmetric_group(3))):

@@ -36,14 +36,14 @@ from xmodkit.groups import (
     find_section, first_difference, free_module_cover, gatherer, hom, identity_hom,
     klein_four_group, lifts, normal_closure, normal_subgroups, normality_witness,
     quaternion_group, quotient, subgroup, symmetric_group, trivial_group, trivial_hom,
-    z4_module, z4_module_classes, _cosets, _grow,
+    z4_module, z4_module_classes, _cosets, _grow, _Rows,
 )
 from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi, total_map
 from xmodkit.words import FactorSignature, single
 from xmodkit.xmod import (
     CrossedModule, XModMorphism, check_axioms, check_axioms_wordlevel, check_ternary,
-    equivariance_failures, identity_morphism, morphism_witness, pi0, relabel_xmod,
-    xmod_product,
+    equivariance_failures, identity_morphism, morphism_witness, peiffer_failures,
+    peiffer_witness, pi0, precrossed_witness, relabel_xmod, xmod_product,
 )
 
 from action_helpers import action_from_extension, semidirect_route
@@ -185,20 +185,21 @@ def test_quotient_projections():
 
 
 def test_conjugation_action_of_whole_group():
-    """Every row matches G.conj cell by cell, on the library groups to order
-    64 (S3, D4, Q8 and S4 among them) and relabelled copies, and the walk
-    meets levels whose cosets y*H have members after y to fill (|H| >= 2)."""
+    """Rows are built on first read: a fresh action holds only the rows of
+    G's generators, which the normality check read, and every row, read in
+    a seeded order, matches G.conj cell by cell, on the library groups to
+    order 64 (S3, D4, Q8 and S4 among them) and relabelled copies."""
+    rng = random.Random(30)
     library = _library_groups_to_order_64()
-    sizes = set()
     for G in library + [_relabeled(G, seed) for seed, G in enumerate(library)]:
-        pos = [None] * G.order
-        pos[G.identity] = 0
-        sizes.update(m for _, m, _ in _cosets(G.table, [G.identity], pos, range(G.order)))
         act = conjugation_action(G)
-        _revalidate(act)
+        assert isinstance(act.table, _Rows) and set(dict.keys(act.table)) == set(G._gens)
+        order = rng.sample(range(G.order), G.order)
+        assert [act.table[g] for g in order] == [
+            tuple(G.conj(g, x) for x in range(G.order)) for g in order], G.label
         assert act.table == tuple(tuple(G.conj(g, x) for x in range(G.order))
                                   for g in range(G.order)), G.label
-    assert max(sizes) >= 2
+        _revalidate(act)
 
 
 def _z4_reference(n4, n2):
@@ -262,12 +263,14 @@ def test_built_tables_read_like_the_tuple_of_their_rows():
 
 def test_products_and_modules_build_only_the_rows_they_read():
     """The rank-2 pipeline's order-1024 collapse total builds at most 128 of
-    its rows through `collapse_epi` and both section constructions, and the
-    free cover F5 of each five-generator module M at most |M| + 1 through
+    its rows through `collapse_epi` and both section constructions, its
+    conjugation action on the order-64 kernel at most 32, and the free cover
+    F5 of each five-generator module M at most |M| + 1 through
     `lifting_oracle_z4`: on (Z/2)^5 the search reads the identity's row and
     the rows of all 32 candidates for the first generator, none of order
-    two.  Building the rest gives (Z/4)^5 cell for cell, in both: the
-    pipeline's actions are trivial, and its codes are base-4 digits."""
+    two.  Building the rest gives (Z/4)^5 cell for cell, in both tables, as
+    the pipeline's actions are trivial and its codes are base-4 digits, and
+    the two-gather reference's conjugation rows."""
     Q, P = z4_module(2, 0), z4_module(2, 0)
     ext = semidirect_product(trivial_action(P, Q))
     collapse = collapse_epi(ext, z4_module(1, 0))
@@ -275,6 +278,9 @@ def test_products_and_modules_build_only_the_rows_they_read():
     lifting.projective_section(identity_morphism(collapse.tgt), ext)
     lifting.projective_section(collapse, ext)
     assert E.order == MAX_ORDER and len(dict.keys(E.table)) <= 128
+    conj = collapse.src.action.table
+    assert len(conj) == MAX_ORDER and len(dict.keys(conj)) <= 32
+    assert conj == _conjugation_rows_reference(collapse.src.boundary)
     reference = _z4_reference(5, 0)[0]
     assert tuple(E.table) == reference
     for n4 in range(6):
@@ -543,11 +549,26 @@ def test_conjugation_action_on_matches_conj():
 
 
 def test_conjugation_action_on_refuses_non_normal_image():
+    """A non-normal image is refused when the action is built, with the text
+    of the check over every row, also where G's first generator keeps the
+    image and only a later one moves it out."""
     S3 = symmetric_group(3)
     swap = next(x for x in range(6) if S3.elem_orders[x] == 2)
     _, incl = subgroup(S3, [S3.identity, swap])
     with pytest.raises(GroupError, match="not a normal subgroup"):
         conjugation_action_on(incl)
+    later = 0
+    for G in (symmetric_group(4), dihedral_group(8), direct_product(S3, cyclic_group(4))[0]):
+        for x in range(G.order):
+            N = G.closure([x])
+            if normal_closure(G, N) == N:
+                continue
+            emb = subgroup(G, N)[1]
+            expected = _conjugation_rows_reference(emb)
+            assert expected == "image of the embedding is not a normal subgroup"
+            assert _outcome(conjugation_action_on, emb) == expected
+            later += all(G.conj(G._gens[0], y) in N for y in N)
+    assert later
 
 
 def _cover_reference(M, R):
@@ -624,14 +645,91 @@ def _equivariance_reference(action, boundary):
             if d[action.table[g][t]] != G.conj(g, d[t])]
 
 
+def _peiffer_reference(action, boundary):
+    T, d = action.carrier, boundary.table
+    return [(t, u) for t in range(T.order) for u in range(T.order)
+            if action.table[d[t]][u] != T.conj(t, u)]
+
+
 def test_equivariance_failures_match_per_cell_loop():
     entries = axiom_corpus() + ternary_fixtures()
     failing = 0
     for _, xm, _ in entries:
         expected = _equivariance_reference(xm.action, xm.boundary)
         assert list(equivariance_failures(xm.action, xm.boundary)) == expected
+        assert list(peiffer_failures(xm.action, xm.boundary)) == _peiffer_reference(
+            xm.action, xm.boundary)
         failing += bool(expected)
     assert failing >= 4
+
+
+def _endomorphisms(G, rng, count):
+    """Up to `count` seeded endomorphisms of G (of order 24 or less), and a
+    seeded pick of its automorphisms."""
+    if G.order > 24:
+        return [], []
+    homs = [f.table for f in enumerate_homs(G, G)]
+    autos = [f for f in homs if len(set(f)) == G.order]
+    return (rng.sample(homs, min(count, len(homs))),
+            rng.sample(autos, min(count, len(autos))))
+
+
+def _law_corruptions(xm, rng):
+    """Seeded corruptions of xm that keep an action by automorphisms and a
+    hom boundary: the boundary after an endomorphism of the base or before
+    one of the carrier, the action read at an endomorphism of the base
+    (g -> row a(g)) or carried along an automorphism b of the carrier
+    (t -> b(g.b^-1(t))), and the trivial action."""
+    T, G, d, act = xm.domain(), xm.codomain(), xm.boundary.table, xm.action.table
+    ends_G, _ = _endomorphisms(G, rng, 2)
+    ends_T, autos_T = _endomorphisms(T, rng, 2)
+    boundaries = [gatherer(d)(a) for a in ends_G] + [gatherer(b)(d) for b in ends_T]
+    actions = [[act[a[g]] for g in range(G.order)] for a in ends_G]
+    for b in autos_T:
+        b_inv = gatherer(sorted(range(T.order), key=b.__getitem__))
+        actions.append([gatherer(b_inv(row))(b) for row in act])
+    actions.append(trivial_action(G, T).table)
+    out = [CrossedModule(xm.action, GroupHom(T, G, table), check=False)
+           for table in boundaries]
+    return out + [CrossedModule(GroupAction(G, T, table), xm.boundary, check=False)
+                  for table in actions]
+
+
+def test_witnesses_on_generators_match_the_first_per_cell_failure():
+    """precrossed_witness and peiffer_witness read only the rows of the
+    actor's and the carrier's generators, and give the first failure of the
+    per-cell loops, on the corpus crossed modules, seeded relabelings and
+    seeded corruptions of both that keep an action and a hom boundary."""
+    rng = random.Random(30)
+    xmods = [xm for _, xm, _ in axiom_corpus() + ternary_fixtures()]
+    xmods += [_seeded_relabel(xm, seed) for seed, xm in enumerate(xmods)]
+    cases = list(xmods)
+    for xm in xmods:
+        cases += _law_corruptions(xm, rng)
+    failing = {"equivariance": set(), "peiffer": set()}
+    for xm in cases:
+        G, T = xm.codomain(), xm.domain()
+        expected = next(iter(_equivariance_reference(xm.action, xm.boundary)), None)
+        assert precrossed_witness(xm.action, xm.boundary) == expected, xm.label
+        if expected is not None:
+            failing["equivariance"].add(expected[0] == G._gens[0])
+        expected = next(iter(_peiffer_reference(xm.action, xm.boundary)), None)
+        assert peiffer_witness(xm.action, xm.boundary) == expected, xm.label
+        if expected is not None:
+            failing["peiffer"].add(expected[0] == T._gens[0])
+    # witnesses at the first generator and at a later one, for both laws
+    assert failing == {"equivariance": {True, False}, "peiffer": {True, False}}
+
+
+def test_witnesses_build_only_generator_rows():
+    """On a conjugation action, the witnesses build the rows of the actor's
+    generators and of the boundary's values at the carrier's generators."""
+    for G in (symmetric_group(4), z4_module(2, 1),
+              direct_product(dihedral_group(8), cyclic_group(4))[0]):
+        xm = xmod.conjugation_xmod(G)
+        assert precrossed_witness(xm.action, xm.boundary) is None
+        assert peiffer_witness(xm.action, xm.boundary) is None
+        assert set(dict.keys(xm.action.table)) == set(G._gens), G.label
 
 
 def _morphism_reference(src, tgt, fT, fG):
@@ -853,6 +951,21 @@ def test_left_walk_gens_match_the_right_closure():
     same subgroups, so the same generators."""
     for G in _groups_to_order_1024():
         assert G._gens == _right_closure_gens_reference(G), G.label
+
+
+def test_trivial_first_level_places_powers_without_reading_their_rows():
+    """With H trivial each block of the walk is one power of g: the level
+    reads the generator's row alone, and its plan chains g^k = g*g^(k-1)
+    with the one check g*g^(n-1) = e."""
+    n = 64
+    C = direct_product(cyclic_group(n), trivial_group())[0]  # rows built on first read
+    members, pos = [C.identity], [None] * n
+    pos[C.identity] = 0
+    [(g, m, (defines, checks, size))] = _cosets(C.table, members, pos, range(n))
+    assert (g, m, size) == (1, 1, n) and members == list(range(n))
+    assert defines == [(k, 1, k - 1) for k in range(2, n)]
+    assert checks == [(0, 0, 1, n - 1)]
+    assert set(dict.keys(C.table)) <= {C.identity, 1}
 
 
 def test_inverses_match_the_row_scan():
@@ -1293,7 +1406,9 @@ def _action_laws_reference(actor, carrier, table):
 def _corrupted_rows(table, rng):
     """Four corruptions of one action table, each at random rows and cells:
     a swapped pair in a row, a copied row, an overwritten cell, and a row
-    read through a random permutation."""
+    read through a random permutation.  A row mapping is read as the tuple
+    of its rows."""
+    table = tuple(table)
     m, n = len(table), len(table[0])
 
     def with_row(g, row):
