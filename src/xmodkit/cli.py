@@ -269,58 +269,56 @@ def _parse_int_list(text, what):
         raise DefinitionError(f"{what} must be a list of integers, got {text!r}")
 
 
-def cmd_condp(args):
-    results = {}
-    if args.mode == "z4-pipeline":
-        jobs = []
-        if args.input:
-            defs = load_definitions(args.input)
-            jobs = [(n, sm.table, sm.section) for n, sm in defs.of_kind("setmap")]
-            if not jobs:
-                raise DefinitionError(f"{args.input}: no [setmap] sections")
-        else:
-            # an empty --map= or --section= is an empty set, refused downstream
-            f = (0, 0) if args.map is None else _parse_int_list(args.map, "--map")
-            s = (0,) if args.section is None else _parse_int_list(args.section, "--section")
-            jobs = [("cli", f, s)]
-        rows = []
-        for name, f, s in jobs:
-            rep = pipeline_diagram_P(list(f), list(s))
-            rows.append({"name": name, "map": list(f), "section": list(s),
-                         "report": rep})
-            mat = rep["materialized"]
-            extra = "" if mat is None else f", sections {mat}"
-            print(f"pipeline {name}: kernel rank {len(rep['objects']['kernel_flat'])}"
-                  f", squares ok {all(rep['squares'].values())}{extra}")
-        results["pipelines"] = rows
-        ok = all(r["report"]["ok"] for r in rows)
-    elif args.mode == "non-schreier":
-        rep = non_schreier_demo(relabel_seed=args.seed)
-        results["demo"] = rep
-        print(f"non-schreier: carrier {rep['carrier_order']}, family {rep['family']}, "
-              f"free shape {rep['shape']['free_shape']}")
-        ok = rep["ok"]
-    elif args.mode == "transfer":
-        free = {}  # rank -> free module, shared by the sweep and the survey
-        rep = theorem_P_transfer_check(seed=args.seed or 0, count=args.count,
-                                       free=free)
-        survey = projectivity_survey(args.max_order, free=free)
-        results["transfer"] = {k: v for k, v in rep.items() if k != "instances"}
-        results["transfer"]["instances"] = rep["instances"]
-        results["survey"] = survey
-        print(f"transfer: {rep['count']} instances, {rep['vacuous']} vacuous, "
-              f"{rep['oracle_checked']} oracle-checked, "
-              f"counterexamples {rep['counterexamples']}")
-        print(f"survey: {len(survey)} classes up to order {args.max_order}, "
-              f"all agree {all(r['ok'] for r in survey)}")
-        ok = rep["ok"] and all(r["ok"] for r in survey)
+def cmd_z4_pipeline(args):
+    if args.input:
+        defs = load_definitions(args.input)
+        jobs = [(n, sm.table, sm.section) for n, sm in defs.of_kind("setmap")]
+        if not jobs:
+            raise DefinitionError(f"{args.input}: no [setmap] sections")
     else:
-        rep = pi0_preservation_suite()
-        results["preservation"] = rep
-        print(f"preservation: split rows {rep['split_rows']['count']} ok, "
-              f"left-exactness failures {rep['left_exactness_failures']}")
-        ok = rep["ok"]
-    return _emit(args, results, ok)
+        # an empty --map= or --section= is an empty set, refused downstream
+        f = (0, 0) if args.map is None else _parse_int_list(args.map, "--map")
+        s = (0,) if args.section is None else _parse_int_list(args.section, "--section")
+        jobs = [("cli", f, s)]
+    rows = []
+    for name, f, s in jobs:
+        rep = pipeline_diagram_P(list(f), list(s))
+        rows.append({"name": name, "map": list(f), "section": list(s),
+                     "report": rep})
+        mat = rep["materialized"]
+        extra = "" if mat is None else f", sections {mat}"
+        print(f"pipeline {name}: kernel rank {len(rep['objects']['kernel_flat'])}"
+              f", squares ok {all(rep['squares'].values())}{extra}")
+    return _emit(args, {"pipelines": rows}, all(r["report"]["ok"] for r in rows))
+
+
+def cmd_non_schreier(args):
+    rep = non_schreier_demo(relabel_seed=args.seed)
+    print(f"non-schreier: carrier {rep['carrier_order']}, family {rep['family']}, "
+          f"free shape {rep['shape']['free_shape']}")
+    return _emit(args, {"demo": rep}, rep["ok"])
+
+
+def cmd_transfer(args):
+    check_survey_cap(args.max_order)  # refused before the sweep runs
+    free = {}  # rank -> free module, shared by the sweep and the survey
+    rep = theorem_P_transfer_check(seed=args.seed or 0, count=args.count, free=free)
+    survey = projectivity_survey(args.max_order, free=free)
+    instances = rep.pop("instances")  # last in the report
+    results = {"transfer": {**rep, "instances": instances}, "survey": survey}
+    print(f"transfer: {rep['count']} instances, {rep['vacuous']} vacuous, "
+          f"{rep['oracle_checked']} oracle-checked, "
+          f"counterexamples {rep['counterexamples']}")
+    print(f"survey: {len(survey)} classes up to order {args.max_order}, "
+          f"all agree {all(r['ok'] for r in survey)}")
+    return _emit(args, results, rep["ok"] and all(r["ok"] for r in survey))
+
+
+def cmd_preservation(args):
+    rep = pi0_preservation_suite()
+    print(f"preservation: split rows {rep['split_rows']['count']} ok, "
+          f"left-exactness failures {rep['left_exactness_failures']}")
+    return _emit(args, {"preservation": rep}, rep["ok"])
 
 
 # -- audit ----------------------------------------------------------------------
@@ -468,20 +466,32 @@ def build_parser():
     sp.set_defaults(func=cmd_lift)
 
     sp = sub.add_parser("condp", help="exponent-4 projectivity studies")
-    sp.add_argument("mode", choices=("z4-pipeline", "non-schreier", "transfer",
-                                     "preservation"))
-    sp.add_argument("--input", help="definition file with [setmap] sections "
-                                    "(z4-pipeline only)")
+    modes = sp.add_subparsers(dest="mode", required=True)
+    sp = modes.add_parser("z4-pipeline", help="the nine-object pipeline diagram")
+    sp.add_argument("--input", help="definition file with [setmap] sections")
     sp.add_argument("--map", help="set surjection as integers, e.g. '0,0,1'")
     sp.add_argument("--section", help="section of --map, e.g. '0,2'")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="relabel seed (non-schreier) or sweep seed (transfer)")
+    common(sp)
+    sp.set_defaults(func=cmd_z4_pipeline)
+
+    sp = modes.add_parser("non-schreier", help="a relatively projective pair "
+                                               "not of free shape")
+    sp.add_argument("--seed", type=int, default=None, help="relabel seed")
+    common(sp)
+    sp.set_defaults(func=cmd_non_schreier)
+
+    sp = modes.add_parser("transfer", help="kernel-transfer sweep and projectivity survey")
+    sp.add_argument("--seed", type=int, default=None, help="sweep seed (default 0)")
     sp.add_argument("--count", type=int, default=12,
                     help="transfer sweep size (default 12)")
     sp.add_argument("--max-order", type=int, default=64,
-                    help="survey cap for transfer mode (default 64)")
+                    help="survey order cap (default 64)")
     common(sp)
-    sp.set_defaults(func=cmd_condp)
+    sp.set_defaults(func=cmd_transfer)
+
+    sp = modes.add_parser("preservation", help="cokernel behaviour suite")
+    common(sp)
+    sp.set_defaults(func=cmd_preservation)
 
     sp = sub.add_parser("audit", help="run the built-in corpus sweep")
     sp.add_argument("--quick", action="store_true",
@@ -520,8 +530,6 @@ def _run(argv):
     args.started = started
     try:
         # refused up front, so no command or algorithm can ignore a bad number
-        if args.command == "condp":
-            check_survey_cap(args.max_order)
         for length in (getattr(args, "word_len", 0), getattr(args, "ternary_len", 0)):
             if length < 0:
                 raise GroupError(f"enumeration length {length} is negative")

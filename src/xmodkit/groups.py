@@ -5,17 +5,13 @@ so every structural question is settled by exhaustion.  Tables that enter,
 and those of most constructions, are tuples of tuples; the products
 (``direct_product``, ``actions.semidirect_product``), ``z4_module`` and the
 actions of ``actions.conjugation_action_on`` build each row on first read
-instead (``_Rows``), and read like the tuple of every row.  Entry checks
-run where tables enter, on input and in the public constructors only.  A public
-``FiniteGroup`` build, ``check=False`` included, checks the shape, the range
-(the set of all cell values must lie in 0..n-1, one pass per table), the
-identity and the inverses; a public ``GroupHom`` checks that its values lie
-in the target.  Inverses are read off cyclic walks: the powers x, x^2, ... of
-each element not yet covered run until they reach the identity at x^m, and
-x^k gets x^(m-k), with at most 4n steps over all walks.  Every candidate y
-must give x*y = y*x = e; a row whose candidate is missing or fails is scanned
-for the identity, and a row where that fails too has no inverse.  By default
-``FiniteGroup`` also checks associativity and ``GroupHom`` the hom law.
+instead (``_Rows``), and read like the tuple of every row.  Tables are
+trusted at one of two levels.  The public constructors take input tables
+and check them in full: ``FiniteGroup`` the shape, the range (the set of all
+cell values must lie in 0..n-1, one pass per table), the identity, the
+inverses and associativity, and ``GroupHom`` the range, the identity and the
+hom law.  The inverse of x is read off one scan of row x, for the place of
+the identity, and must also give the identity on the left of x.
 The constructions here, and those of the other modules, are correct by
 theorem and skip every entry check: they build through the private
 ``FiniteGroup._trusted`` and ``GroupHom._trusted``, handing over tables with
@@ -82,12 +78,13 @@ class FiniteGroup:
     """A finite group on 0..order-1 given by its full multiplication table.
 
     Two groups are equal only if they are the same object; equal tables on
-    distinct carriers are deliberately distinct.  `check=False` skips only
-    Light's associativity test; a table that would fail it is not a group,
-    and no later result (closures, searches, actions) holds for it.
+    distinct carriers are deliberately distinct.  The table is checked in
+    full: a square over 0..n-1, an identity, a two-sided inverse per row
+    (one scan of the row) and Light's associativity test.  The library's own
+    constructions skip the checks through `_trusted`.
     """
 
-    def __init__(self, table, names=None, label="G", check=True):
+    def __init__(self, table, names=None, label="G"):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
@@ -116,36 +113,19 @@ class FiniteGroup:
             raise GroupError("table has no identity element")
         self.identity = ident
 
-        # candidates from cyclic walks: the powers x, x^2, ... of an element
-        # not yet covered reach the identity at x^m, and x^k gets x^(m-k);
-        # the cap ends a walk that cycles short of the identity
-        inv = [None] * n
-        inv[ident] = ident
-        steps = 4 * n
-        for x in elems:
-            if inv[x] is None:
-                powers, y = [ident], x
-                while y != ident and len(powers) <= steps:
-                    powers.append(y)
-                    y = table[y][x]
-                if y != ident:
-                    break
-                steps -= len(powers)
-                for a, b in zip(powers[1:], reversed(powers)):
-                    inv[a] = b
-        for x, y in enumerate(inv):
-            if y is None or table[x][y] != ident or table[y][x] != ident:
-                try:  # a missing or failed candidate: scan the row once
-                    y = table[x].index(ident)
-                except ValueError:
-                    y = None
-                if y is None or table[y][x] != ident:
-                    raise GroupError(f"element {x} has no inverse")
-                inv[x] = y
+        # one scan per row: x^-1 is the place of the identity in row x, and
+        # it must give the identity on the left of x too
+        inv = []
+        for x, row in enumerate(table):
+            try:
+                y = row.index(ident)
+            except ValueError:
+                y = None
+            if y is None or table[y][x] != ident:
+                raise GroupError(f"element {x} has no inverse")
+            inv.append(y)
         self._inv = tuple(inv)
-
-        if check:
-            self._check_associativity()
+        self._check_associativity()
 
     @classmethod
     def _trusted(cls, table, identity, inverses, names, label):
@@ -382,25 +362,24 @@ class GroupHom:
     checked on the rows of the source's `_gens`: once f(e) = e, the a with
     f(a*b) = f(a)*f(b) for every b form a subgroup."""
 
-    def __init__(self, source, target, table, check=True):
+    def __init__(self, source, target, table):
         table = tuple(table)
         if len(table) != source.order:
             raise GroupError("hom table length does not match the source order")
         if min(table) < 0 or max(table) >= target.order:  # not empty: orders are >= 1
             raise GroupError("hom table has out-of-range values")
-        if check:
-            if table[source.identity] != target.identity:
-                raise GroupError("map does not preserve the identity")
-            through_f = gatherer(table)
-            for a in source._gens:
-                # f(a*b) = f(a)*f(b) for every b: the image of row a is row f(a)
-                # of the target read through f
-                lhs, rhs = gatherer(source.table[a])(table), through_f(target.table[table[a]])
-                if lhs != rhs:
-                    b = first_difference(lhs, rhs)
-                    raise GroupError(
-                        f"not a homomorphism at "
-                        f"({source.names[a]},{source.names[b]})")
+        if table[source.identity] != target.identity:
+            raise GroupError("map does not preserve the identity")
+        through_f = gatherer(table)
+        for a in source._gens:
+            # f(a*b) = f(a)*f(b) for every b: the image of row a is row f(a)
+            # of the target read through f
+            lhs, rhs = gatherer(source.table[a])(table), through_f(target.table[table[a]])
+            if lhs != rhs:
+                b = first_difference(lhs, rhs)
+                raise GroupError(
+                    f"not a homomorphism at "
+                    f"({source.names[a]},{source.names[b]})")
         self.source = source
         self.target = target
         self.table = table

@@ -15,7 +15,7 @@ and restricts to the carriers.
 Both run exhaustive backtracking searches, so a failure status is a proof of
 nonexistence, not a timeout; running out of budget raises instead.  Both
 re-verify every claimed equation before reporting success.  The hom law of
-a constructed section goes through ``GroupHom(check=True)``, which compares
+a constructed section goes through the public ``GroupHom``, which compares
 the dense tables a row at a time.  A verification failure after successful
 searches cannot be caused by input that passed the preconditions, so it
 raises InvariantBreach rather than returning a bad certificate.

@@ -79,37 +79,29 @@ class CrossedModule:
         return f"<CrossedModule {self.label}>"
 
 
-def equivariance_failures(action: GroupAction, boundary: GroupHom):
-    """Every (g, t) with d(g.t) != g d(t) g^-1, in index order."""
-    return _equivariance_failures(action, boundary, range(action.actor.order))
-
-
-def _equivariance_failures(action, boundary, gs):
-    """Every (g, t) with d(g.t) != g d(t) g^-1, over g in gs and then t.
+def equivariance_failures(action: GroupAction, boundary: GroupHom, gs=None):
+    """Every (g, t) with d(g.t) != g d(t) g^-1, over g in gs (every element
+    by default) and then t, in index order.
 
     Compared a row of g at a time; only a row that differs is searched.
     """
     G, d = action.actor, boundary.table
     conj = _conjugates(G.table, G._inv, d)  # g -> g d(t) g^-1 for every t
-    for g in gs:
+    for g in range(G.order) if gs is None else gs:
         lhs, rhs = gatherer(action.table[g])(d), conj(g)
         if lhs != rhs:
             yield from ((g, t) for t, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
-def peiffer_failures(action: GroupAction, boundary: GroupHom):
-    """Every (t, t') with (d t).t' != t t' t^-1, in index order."""
-    return _peiffer_failures(action, boundary, range(action.carrier.order))
-
-
-def _peiffer_failures(action, boundary, ts):
-    """Every (t, t') with (d t).t' != t t' t^-1, over t in ts and then t'.
+def peiffer_failures(action: GroupAction, boundary: GroupHom, ts=None):
+    """Every (t, t') with (d t).t' != t t' t^-1, over t in ts (every element
+    by default) and then t', in index order.
 
     Compared a row of t at a time; only a row that differs is searched.
     """
     T, d = action.carrier, boundary.table
     conj = _conjugates(T.table, T._inv, range(T.order))  # t -> t t' t^-1 for every t'
-    for t in ts:
+    for t in range(T.order) if ts is None else ts:
         lhs, rhs = action.table[d[t]], conj(t)
         if lhs != rhs:
             yield from ((t, u) for u, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
@@ -122,7 +114,7 @@ def precrossed_witness(action: GroupAction, boundary: GroupHom):
     an action, as for every validated or trusted input, the g where
     equivariance holds form a subgroup, so the first generator that fails is
     the first element that fails."""
-    return next(_equivariance_failures(action, boundary, action.actor._gens), None)
+    return next(equivariance_failures(action, boundary, action.actor._gens), None)
 
 
 def peiffer_witness(action: GroupAction, boundary: GroupHom):
@@ -132,7 +124,7 @@ def peiffer_witness(action: GroupAction, boundary: GroupHom):
     an action by automorphisms, the t where the law holds for every t' form
     a subgroup, so the first generator that fails is the first element that
     fails."""
-    return next(_peiffer_failures(action, boundary, action.carrier._gens), None)
+    return next(peiffer_failures(action, boundary, action.carrier._gens), None)
 
 
 def check_axioms(xm: CrossedModule) -> dict:

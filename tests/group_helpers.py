@@ -16,5 +16,5 @@ def find_retraction(f, budget=None):
     cands = lambda g: range(src.order)
     for table in search_homs(tgt, src, cands, prescribed=prescribed,
                              budget=budget):
-        return GroupHom(tgt, src, table, check=False)
+        return GroupHom(tgt, src, table)
     return None

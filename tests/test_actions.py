@@ -63,13 +63,12 @@ def test_split_extension_validation():
     assert ext.kernel_group is Z3 and ext.base is Z2
     # break the section: compose with the nonidentity automorphism of the base? Z2
     # has none, so use a wrong constant section instead
-    bad_s = GroupHom(Z2, ext.total, (ext.total.identity, ext.total.identity),
-                     check=False)
+    bad_s = GroupHom(Z2, ext.total, (ext.total.identity, ext.total.identity))
     with pytest.raises(GroupError):
         SplitExtension(ext.k, ext.p, bad_s)
     # break the kernel: embed only the identity
     one = cyclic_group(1)
-    bad_k = GroupHom(one, ext.total, (ext.total.identity,), check=False)
+    bad_k = GroupHom(one, ext.total, (ext.total.identity,))
     with pytest.raises(GroupError):
         SplitExtension(bad_k, ext.p, ext.s)
 

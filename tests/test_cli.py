@@ -198,6 +198,9 @@ def test_parse_errors_carry_line_numbers():
          "line 5: table row has 1 entries, expected 2"),
         ("[group G]\nelements: a b\ntable:\n  a b\n  b b\n",
          "line 3: invalid multiplication table: element 1 has no inverse"),
+        # 1*1*1 = e, but row 1 holds no identity
+        ("[group G]\nelements: e a b\ntable:\n  e a b\n  a b a\n  b e b\n",
+         "line 3: invalid multiplication table: element 1 has no inverse"),
         # the smallest nonassociative loop: a square with identity and inverses
         ("[group L]\nelements: e a b c d\ntable:\n  e a b c d\n  a e c d b\n"
          "  b d e a c\n  c b d e a\n  d c a b e\n",
@@ -569,10 +572,11 @@ def test_audit_quick(tmp_path, capsys):
     assert "VERDICT: pass" in out
 
 
-def _bend(monkeypatch, name, change, when=None):
-    """Pass a result of cli.<name> through change: the first call's, or with
-    `when` every call's whose first argument satisfies it."""
-    real = getattr(cli, name)
+def _bend(monkeypatch, name, change, when=None, module=cli):
+    """Pass a result of module.<name> (cli by default) through change: the
+    first call's, or with `when` every call's whose first argument satisfies
+    it."""
+    real = getattr(module, name)
     calls = []
 
     def bent(*args, **kwargs):
@@ -581,7 +585,7 @@ def _bend(monkeypatch, name, change, when=None):
         calls.append(name)
         return change(out) if hit else out
 
-    monkeypatch.setattr(cli, name, bent)
+    monkeypatch.setattr(module, name, bent)
 
 
 def _bend_on_fixture(monkeypatch, fixture, name, change):
@@ -653,6 +657,66 @@ def test_each_audit_subcheck_fails_alone(fault, tmp_path, monkeypatch, capsys):
     expected[section][field] = value
     bend(monkeypatch)
     assert main(["audit", "--json", str(rep_path)]) == 1
+    rep = json.loads(rep_path.read_text())
+    assert rep["ok"] is False
+    assert rep["results"] == expected
+    assert capsys.readouterr().out.endswith("VERDICT: falsified\n")
+
+
+# one fault per conjunct of each condp mode's ok:
+# (argv, bend, the path of the results field it moves, to)
+CONDP_FAULTS = {
+    "pipeline-row": (
+        ["condp", "z4-pipeline"],
+        lambda mp: _bend(mp, "split_exact_z4", _not_ok, module=condp),
+        ("pipelines", 0, "report", "rows", "X", "ok"), False),
+    "non-schreier-shape": (
+        ["condp", "non-schreier"],
+        # 64 != 16^2 decides the shape alone, so bend the witness itself
+        lambda mp: _bend(mp, "free_shape_witness",
+                         lambda rep: {**rep, "free_shape": True}, module=condp),
+        ("demo", "shape", "free_shape"), True),
+    "transfer-sweep": (
+        ["condp", "transfer"],
+        # a failing instance also counts a counterexample: bend the verdict
+        lambda mp: _bend(mp, "theorem_P_transfer_check", _not_ok),
+        ("transfer", "ok"), False),
+    "transfer-survey": (
+        ["condp", "transfer"],
+        lambda mp: _bend(mp, "projectivity_survey",
+                         lambda rows: [_not_ok(rows[0])] + rows[1:]),
+        ("survey", 0, "ok"), False),
+    "preservation-split-rows": (
+        ["condp", "preservation"],
+        lambda mp: _bend(mp, "pi0_preserves_split_ses", _not_ok, module=condp),
+        ("preservation", "split_rows", "ok"), False),
+}
+
+
+def _moved(results, path, value):
+    """Set the field at `path` to `value`, and each ok flag of a dict above
+    it to False: those flags are conjunctions that read the field."""
+    node = results
+    for key in path[:-1]:
+        if isinstance(node, dict) and "ok" in node:
+            node["ok"] = False
+        node = node[key]
+    assert node[path[-1]] != value
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("fault", list(CONDP_FAULTS))
+def test_each_condp_check_fails_alone(fault, tmp_path, monkeypatch, capsys):
+    """Each condp mode's ok can turn false on one fault: one bent routine
+    moves exactly one results field (and the ok flags that read it), and the
+    mode exits 1 through main."""
+    argv, bend, path, value = CONDP_FAULTS[fault]
+    rep_path = tmp_path / "condp.json"
+    assert main(argv + ["--json", str(rep_path)]) == 0
+    expected = json.loads(rep_path.read_text())["results"]
+    _moved(expected, path, value)
+    bend(monkeypatch)
+    assert main(argv + ["--json", str(rep_path)]) == 1
     rep = json.loads(rep_path.read_text())
     assert rep["ok"] is False
     assert rep["results"] == expected
@@ -863,6 +927,28 @@ def test_usage_error_writes_the_error_report(argv, prog, message, sample, tmp_pa
     assert (rep["command"], rep["error"]) == (argv[0], message)
 
 
+def test_condp_modes_take_only_the_flags_they_read(capsys):
+    """Each condp mode is its own subparser.  Of the 24 mode-flag pairs, the
+    7 that a mode reads parse; any other is a usage error through main,
+    exit 2, not a value that is checked or ignored."""
+    values = {"--input": "x", "--map": "0", "--section": "0", "--seed": "3",
+              "--count": "0", "--max-order": "0"}
+    reads = {("z4-pipeline", "--input"), ("z4-pipeline", "--map"),
+             ("z4-pipeline", "--section"), ("non-schreier", "--seed"),
+             ("transfer", "--seed"), ("transfer", "--count"), ("transfer", "--max-order")}
+    for mode in ("z4-pipeline", "non-schreier", "transfer", "preservation"):
+        for flag, value in values.items():
+            argv = ["condp", mode, flag, value]
+            if (mode, flag) in reads:
+                cli.build_parser().parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"xmodkit: error: unrecognized arguments: {flag} {value}\n"), argv
+
+
 def test_usage_error_without_a_readable_json_value_writes_nothing(sample, tmp_path,
                                                                   monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -891,8 +977,6 @@ def test_usage_error_without_a_readable_json_value_writes_nothing(sample, tmp_pa
     (["audit", "--quick", "--ternary-len", "13"], "enumeration length 13 exceeds cap 12"),
     (["condp", "transfer", "--max-order", "2048"],
      "survey order cap 2048 exceeds the dense-table cap 1024"),
-    (["condp", "z4-pipeline", "--max-order", "1025"],
-     "survey order cap 1025 exceeds the dense-table cap 1024"),
 ])
 def test_bad_numbers_are_input_errors(argv, message, sample, tmp_path, capsys):
     """Nothing checked on an empty range, and no budget exhaustion below zero."""

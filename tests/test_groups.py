@@ -72,7 +72,7 @@ def test_table_validation():
     for bad in (((0, 1), (1,)), ((0, 1), (1, 0, 1)), ((0, 1), (1, 2)),
                 ((0, 1), (-1, 0)), ((0,), (0,))):
         with pytest.raises(GroupError, match="not square over 0..n-1"):
-            FiniteGroup(bad, check=False)
+            FiniteGroup(bad)
     # one bad cell in an otherwise valid order-8 table, wherever it sits; the
     # range check covers every row, the last one included
     z8 = [list(row) for row in cyclic_group(8).table]
@@ -80,7 +80,7 @@ def test_table_validation():
         bad = [row[:] for row in z8]
         bad[r][c] = value
         with pytest.raises(GroupError, match="not square over 0..n-1"):
-            FiniteGroup(bad, check=False)
+            FiniteGroup(bad)
     # smallest nonassociative loop: identity and inverses exist, law fails
     loop = (
         (0, 1, 2, 3, 4),
@@ -186,7 +186,7 @@ def test_hom_validation_and_composition():
         GroupHom(Z4, Z2, (0, 1, 1, 0))
     for values in ((0, -1, 0, 1), (0, 1, 0, Z2.order)):
         with pytest.raises(GroupError, match="out-of-range values"):
-            GroupHom(Z4, Z2, values, check=False)
+            GroupHom(Z4, Z2, values)
     g = hom(Z2, Z4, {1: 2})
     assert g.table == (0, 2)
     assert compose(f, g).table == (0, 0)
@@ -305,7 +305,7 @@ def _brute_force_homs(G, H):
         f = _spread(G, H, gens, images)
         table = tuple(f[x] for x in range(G.order))
         try:
-            GroupHom(G, H, table, check=True)
+            GroupHom(G, H, table)
         except GroupError:
             continue
         out.append(table)
@@ -437,7 +437,7 @@ def _extends(G, H, gens, images):
     S, inc = subgroup(G, G.closure(gens))
     f = _spread(G, H, gens, images)
     try:
-        GroupHom(S, H, tuple(f[x] for x in inc.table), check=True)
+        GroupHom(S, H, tuple(f[x] for x in inc.table))
     except GroupError:
         return False
     return True

@@ -142,7 +142,7 @@ def _collapse_epis(monkeypatch):
 def _recheck_morphism(mor):
     """The checked constructors accept both levels and the pair, and both
     levels are onto."""
-    fT, fG = (GroupHom(f.source, f.target, f.table, check=True)
+    fT, fG = (GroupHom(f.source, f.target, f.table)
               for f in (mor.fT, mor.fG))
     XModMorphism(mor.src, mor.tgt, fT, fG)
     assert len(set(fT.table)) == fT.target.order
@@ -899,19 +899,25 @@ def _inverse_reference(table):
     return tuple(inv)
 
 
-def _relabeled(G, seed):
-    """G with its elements renumbered by a seeded permutation."""
+def _relabeled(G, seed, trusted=False):
+    """G with its elements renumbered by a seeded permutation, through the
+    checked constructor, or with `trusted` through `_trusted`, the identity
+    and the inverses carried along the permutation: the checks of the
+    relabeled order-1024 groups would slow the suite."""
     n = G.order
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
     table = [[0] * n for _ in range(n)]
-    names = [None] * n
+    names, inverses = [None] * n, [None] * n
     for a in range(n):
         row, new = G.table[a], table[perm[a]]
         for b in range(n):
             new[perm[b]] = perm[row[b]]
-        names[perm[a]] = G.names[a]
-    return FiniteGroup(table, names, label=G.label, check=False)
+        names[perm[a]], inverses[perm[a]] = G.names[a], perm[G._inv[a]]
+    if trusted:
+        return FiniteGroup._trusted(tuple(map(tuple, table)), perm[G.identity],
+                                    tuple(inverses), tuple(names), G.label)
+    return FiniteGroup(table, names, label=G.label)
 
 
 def _groups_to_order_1024():
@@ -921,8 +927,8 @@ def _groups_to_order_1024():
     groups += [_relabeled(G, seed) for seed, G in enumerate(groups)]
     groups += [z4_module(n4, n2) for n4, n2 in z4_module_classes(MAX_ORDER)]
     Z1024 = cyclic_group(1024)
-    groups += [Z1024, _relabeled(Z1024, 1), _relabeled(z4_module(5, 0), 2),
-               _relabeled(z4_module(0, 10), 3)]
+    groups += [Z1024] + [_relabeled(G, seed, trusted=True) for seed, G in (
+        (1, Z1024), (2, z4_module(5, 0)), (3, z4_module(0, 10)))]
     return groups
 
 
@@ -969,8 +975,12 @@ def test_trivial_first_level_places_powers_without_reading_their_rows():
 
 
 def test_inverses_match_the_row_scan():
-    for G in _groups_to_order_1024():
+    groups = _groups_to_order_1024()
+    for G in groups:
         assert G._inv == _inverse_reference(G.table), G.label
+    # one checked order-1024 build: the relabeled (Z/4)^5
+    G = groups[-2]
+    assert FiniteGroup(G.table, G.names)._inv == _inverse_reference(G.table)
 
 
 def _within_lines(fn, limit=10_000):
@@ -992,10 +1002,10 @@ def _within_lines(fn, limit=10_000):
         sys.settrace(None)
 
 
-def _built(table, check=False):
+def _built(table):
     """The inverses of FiniteGroup(table), or the text of its refusal."""
     try:
-        return FiniteGroup(table, check=check)._inv
+        return FiniteGroup(table)._inv
     except GroupError as exc:
         return str(exc)
 
@@ -1009,12 +1019,14 @@ def _identity_cell_moved(G, r):
 
 
 def test_inverse_errors_match_the_row_scan():
+    """A table refused for its inverses gets the row scan's text; one where
+    every row holds a two-sided inverse is no group and fails Light's test."""
     loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
             (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))  # smallest nonassociative loop
-    # the walk of 1 reaches 0 at 1^3, but 1*1^2 = 1: row 1 has no identity
+    # 1^3 = 0, but row 1 holds no identity
     one_sided = ((0, 1, 2), (1, 2, 1), (2, 0, 2))
-    # 1*1 = 1, so the walk of 1 cycles short of the identity until the cap
-    # ends it; the rows are then scanned, and each finds a two-sided inverse
+    # 1*1 = 1, so the powers of 1 never reach the identity, yet every row
+    # holds a two-sided inverse
     stuck = ((0, 1, 2), (1, 1, 0), (2, 0, 1))
     stuck_no_inverse = ((0, 1, 2), (1, 1, 2), (2, 2, 0))
     long_cycle = [list(row) for row in cyclic_group(12).table]
@@ -1025,21 +1037,25 @@ def test_inverse_errors_match_the_row_scan():
     refused = 0
     for table in tables:
         expected = _inverse_reference(table)
-        refused += isinstance(expected, str)
-        assert _within_lines(lambda: _built(table)) == expected, table
+        got = _within_lines(lambda: _built(table))
+        if isinstance(expected, str):
+            refused += 1
+            assert got == expected, table
+        else:
+            assert got.startswith("not associative at"), table
     assert refused >= 10
     for table in (loop, stuck, long_cycle):
-        assert _within_lines(lambda: _built(table, check=True)).startswith("not associative at")
+        assert _within_lines(lambda: _built(table)).startswith("not associative at")
 
 
 def test_identity_twice_in_a_row_is_refused_as_non_associative():
     """Row 1 holds the identity at 2 and 3.  The scan stops at 2, where
-    2*1 != 0, but the walk's candidate 3 = 1^2 works on both sides, so the
-    table passes the inverse check and fails the associativity check."""
+    2*1 != 0, so the table is refused for its inverses before Light's test
+    runs, though 3 would be a two-sided inverse of 1."""
     table = ((0, 1, 2, 3), (1, 3, 0, 0), (2, 1, 0, 3), (3, 0, 2, 1))
     assert _inverse_reference(table) == "element 1 has no inverse"
-    assert _built(table) == (0, 3, 2, 1)
-    assert _built(table, check=True).startswith("not associative at")
+    assert _built(table) == "element 1 has no inverse"
+    assert table[1][3] == table[3][1] == 0
 
 
 def test_walk_places_each_element_once_on_a_table_that_is_not_a_group():
@@ -1053,7 +1069,7 @@ def test_walk_places_each_element_once_on_a_table_that_is_not_a_group():
     members, gens = _within_lines(lambda: _grow(table, 0, range(n)), 100_000)
     assert sorted(members) == list(range(n)) and gens == list(range(1, n))
     assert _associativity_reference(table) == (1, 1, 2)
-    assert _built(table, check=True) == "not associative at (1,1,2)"
+    assert _built(table) == "not associative at (1,1,2)"
 
 
 def _direct_product_reference(A, B):
@@ -1266,7 +1282,7 @@ def test_quotients_of_order_1024_match_per_cell_references():
     M, Z1024 = z4_module(5, 0), cyclic_group(1024)
     doubles = [x for x in range(M.order) if set(M.names[x]) <= {"0", "2"}]
     for G, elems in ((M, doubles), (Z1024, range(0, 1024, 4)),
-                     (_relabeled(Z1024, 4), [0, 1])):
+                     (_relabeled(Z1024, 4, trusted=True), [0, 1])):
         _assert_subgroup_and_quotient_match(G, elems)
 
 
@@ -1525,8 +1541,8 @@ def test_morphism_witness_matches_per_cell_loop():
         cases += [(src, tgt, fT, fG),
                   (src, tgt, trivial_hom(src.domain(), tgt.domain()), fG),
                   (src, tgt, fT, trivial_hom(src.codomain(), tgt.codomain())),
-                  (src, tgt, GroupHom(src.domain(), tgt.domain(), fT.table[::-1],
-                                      check=False), fG)]
+                  (src, tgt, GroupHom._trusted(src.domain(), tgt.domain(), fT.table[::-1]),
+                   fG)]
         cases += [(_swapped_rows(src, alpha), tgt, fT, fG)
                   for alpha in _row_swaps(src.codomain())]
     kinds = set()
@@ -1565,7 +1581,7 @@ def test_conjugation_rows_match_the_two_gather_reference():
         pairs = itertools.combinations_with_replacement(
             range(G.order), 2 if G.order <= 24 else 1)
         embeddings += [subgroup(G, N)[1] for N in {G.closure(p) for p in pairs}]
-        embeddings.append(GroupHom(cyclic_group(2), G, (G.identity,) * 2, check=False))
+        embeddings.append(GroupHom(cyclic_group(2), G, (G.identity,) * 2))
     for G in _groups_to_order_1024()[-4:]:
         embeddings += [identity_hom(G), subgroup(G, G.closure([G.order - 1]))[1]]
     outcomes = set()
@@ -1614,7 +1630,7 @@ def test_normal_closure_matches_all_pairs_conjugation():
         cases += [(G, [])] + [(G, [rng.randrange(G.order)]) for _ in range(3)]
         cases += [(G, rng.sample(range(G.order), min(G.order, 3)))]
     Z1024, M = cyclic_group(1024), z4_module(5, 0)
-    cases += [(Z1024, [0, 4]), (_relabeled(Z1024, 6), [5]), (M, [1, M.order - 1])]
+    cases += [(Z1024, [0, 4]), (_relabeled(Z1024, 6, trusted=True), [5]), (M, [1, M.order - 1])]
     grew = 0
     for G, elems in cases:
         expected = _normal_closure_reference(G, elems)
@@ -1629,7 +1645,7 @@ def _lift_along_reference(epi, u):
     filtered by the morphism check."""
     ident = identity_hom(epi.src.codomain())
     for table in lifts(epi.fT, u.fT):
-        v = GroupHom(u.src.domain(), epi.src.domain(), table, check=False)
+        v = GroupHom._trusted(u.src.domain(), epi.src.domain(), table)
         if morphism_witness(u.src, epi.src, v, ident) is None:
             return table
     return None
@@ -1752,7 +1768,7 @@ def _recheck_group(G, identity, inverses):
     assert all(type(row) is tuple and set(map(type, row)) == {int} for row in G.table)
     assert type(G.names) is tuple and all(type(s) is str for s in G.names)
     assert G.order == len(G.table) == len(G.names)
-    H = FiniteGroup(G.table, G.names, check=True)
+    H = FiniteGroup(G.table, G.names)
     assert (H.identity, H._inv) == (identity, inverses)
 
 
@@ -1808,11 +1824,11 @@ def test_every_trusted_hom_passes_the_public_checks(trusted_builds):
         if id(f) not in checked:
             checked.add(id(f))
             assert type(f.table) is tuple and len(f.table) == f.source.order
-            GroupHom(f.source, f.target, f.table, check=True)
+            GroupHom(f.source, f.target, f.table)
     assert len(checked) > 2000
     for ext in _extensions():
         for table in lifts(ext.p, identity_hom(ext.base)):
-            GroupHom(ext.base, ext.total, table, check=True)
+            GroupHom(ext.base, ext.total, table)
 
 
 def test_every_trusted_hom_recheck_fires_on_a_corrupted_value(trusted_builds):
@@ -1825,9 +1841,9 @@ def test_every_trusted_hom_recheck_fires_on_a_corrupted_value(trusted_builds):
         x = rng.randrange(f.source.order)
         table = f.table[:x] + (f.target.order,) + f.table[x + 1:]
         with pytest.raises(GroupError, match="out-of-range values"):
-            GroupHom(f.source, f.target, table, check=True)
+            GroupHom(f.source, f.target, table)
         if f.target.order > 1:
             e = f.source.identity
             table = f.table[:e] + (_other(f.target.identity, f.target.order),) + f.table[e + 1:]
             with pytest.raises(GroupError, match="does not preserve the identity"):
-                GroupHom(f.source, f.target, table, check=True)
+                GroupHom(f.source, f.target, table)

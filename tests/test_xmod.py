@@ -107,7 +107,7 @@ def test_pi0_routes_agree():
 def test_pi0_refuses_non_normal_image():
     t = S3.index_of("(1 2)")
     raw = CrossedModule(trivial_action(S3, Z2),
-                        GroupHom(Z2, S3, (0, t), check=False), check=False)
+                        GroupHom(Z2, S3, (0, t)), check=False)
     with pytest.raises(GroupError, match="not normal"):
         pi0(raw)
 
