@@ -48,7 +48,7 @@ from .xmod import (
     pi0_preserves_split_ses,
 )
 from .sse import is_regular_epi
-from .words import MAX_ENUM_LEN
+from .words import check_length
 from .lifting import (
     find_xmod_section, inclusion_extension, projective_section,
     pullback_section,
@@ -104,13 +104,13 @@ def _write_report(args, results, ok, code, error=None):
             pass  # an unreadable input is what the error reports
     if getattr(args, "seed", None) is not None:
         report["seed"] = args.seed
+    text = json.dumps(report, indent=2, default=_json_safe)
     if args.json == "-":
-        json.dump(report, sys.stdout, indent=2, default=_json_safe)
-        sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
     else:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, default=_json_safe)
+                fh.write(text)
         except OSError as exc:
             print(f"input error: cannot write report {args.json}: "
                   f"{exc.strerror or exc}", file=sys.stderr)
@@ -157,6 +157,7 @@ def cmd_check(args):
         elem = check_axioms(xm)
         word = check_axioms_wordlevel(xm, args.word_len)
         tern = check_ternary(xm, args.ternary_len) if elem["ok"] else None
+        words = word["equivariance_words"] + word["peiffer_words"]
         entry = {
             "name": name,
             "ok": elem["ok"] and word["ok"] and (tern is None or tern["ok"]),
@@ -170,9 +171,12 @@ def cmd_check(args):
             "wordlevel": {
                 "ok": word["ok"],
                 "max_len": word["max_len"],
-                "words": word["equivariance_words"] + word["peiffer_words"],
+                "words": words,
                 "first_violation": _first(word["equivariance_violations"])
                 or _first(word["peiffer_violations"]),
+                # each law counts the empty word; below L=4 it is the only one
+                "nonempty_words": words - 2,
+                "vacuous": words == 2,
             },
         }
         if tern is not None:
@@ -188,7 +192,7 @@ def cmd_check(args):
         print(f"check {name}: {state} "
               f"(eq viol {entry['elementwise']['equivariance_violations']}, "
               f"pf viol {entry['elementwise']['peiffer_violations']}, "
-              f"{entry['wordlevel']['words']} words at L={args.word_len}, "
+              f"{words} words at L={args.word_len}{', vacuous' if words == 2 else ''}, "
               f"ternary {reach})")
     return _emit(args, results, all(r["ok"] for r in results))
 
@@ -531,10 +535,7 @@ def _run(argv):
     try:
         # refused up front, so no command or algorithm can ignore a bad number
         for length in (getattr(args, "word_len", 0), getattr(args, "ternary_len", 0)):
-            if length < 0:
-                raise GroupError(f"enumeration length {length} is negative")
-            if length > MAX_ENUM_LEN:
-                raise GroupError(f"enumeration length {length} exceeds cap {MAX_ENUM_LEN}")
+            check_length(length)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code

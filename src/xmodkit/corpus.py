@@ -6,8 +6,10 @@ abelian and nonabelian carriers, trivial and faithful actions, split and
 non-split quotients, valid crossed modules and known axiom violations.
 """
 
+from itertools import chain
+
 from .groups import (
-    GroupHom, cyclic_group, dihedral_group, direct_product, identity_hom,
+    GroupHom, cyclic_group, dihedral_group, direct_product, gatherer, identity_hom,
     klein_four_group, normal_subgroups, quaternion_group, subgroup,
     symmetric_group, trivial_group, trivial_hom,
 )
@@ -262,13 +264,12 @@ def collapse_epi(ext, K):
     ext2 = semidirect_product(act2)
     src = inclusion_xmod(ext2.k)
     fT = GroupHom._trusted(QK, Q, tuple(x // m for x in range(QK.order)))
-    # the source total is canonically encoded as e = (q*|K| + k)*|P| + p; the
-    # target may use any encoding, so go through its own k and s maps
-    E2, E = ext2.total, ext.total
-    np = P.order
-    fG = GroupHom._trusted(E2, E, tuple(
-        E.mul(ext.k.table[(e // np) // m], ext.s.table[e % np])
-        for e in range(E2.order)))
+    # the source total is canonically encoded as e = (q*|K| + k)*|P| + p and
+    # e goes to k(q) s(p); the target may use any encoding, so go through its
+    # own k and s maps: block q is row k(q) read at s, once per element of K
+    at_s = gatherer(ext.s.table)
+    fG = GroupHom._trusted(ext2.total, ext.total, tuple(chain.from_iterable(
+        at_s(ext.total.table[kq]) * m for kq in ext.k.table)))
     return XModMorphism(src, tgt, fT, fG, check=False)  # valid, as above
 
 

@@ -152,6 +152,14 @@ def in_flat(w):
 # -- enumeration ---------------------------------------------------------------
 
 
+def check_length(max_len):
+    """Refuse an enumeration length below 0 or above MAX_ENUM_LEN."""
+    if max_len < 0:
+        raise GroupError(f"enumeration length {max_len} is negative")
+    if max_len > MAX_ENUM_LEN:
+        raise GroupError(f"enumeration length {max_len} exceeds cap {MAX_ENUM_LEN}")
+
+
 @cache  # process-wide: one table per (slot count, keeps)
 def _distance_table(k, keeps):
     """Fewest letters that empty every stack, per abstract state of _kernel_words.
@@ -267,10 +275,7 @@ def _kernel_words(sig, max_len, keeps):
     same length.  When only a cancellation keeps the child alive, the value
     must invert a top.
     """
-    if max_len < 0:
-        raise GroupError(f"enumeration length {max_len} is negative")
-    if max_len > MAX_ENUM_LEN:
-        raise GroupError(f"enumeration length {max_len} exceeds cap {MAX_ENUM_LEN}")
+    check_length(max_len)
     if all(len(keep) == 1 for keep in keeps):
         return _pattern_words(sig, max_len, {s for keep in keeps for s in keep})
     k = len(sig)

@@ -6,9 +6,10 @@ boundary hom T -> G satisfying, elementwise,
   equivariance:  d(g.t) = g d(t) g^-1          (precrossed)
   conjugation:   (d t).t' = t t' t^-1          (Peiffer)
 
-Both laws also have word-level forms quantified over cosmash words, checked
-here by enumeration: the binary forms at modest length and a ternary form
-whose two evaluation routes must agree on every ternary cosmash word.  The
+Both laws also have word-level forms quantified over cosmash words: the
+binary forms, checked at modest length in one walk over word prefixes, and a
+ternary form, checked by enumeration, whose two evaluation routes must agree
+on every ternary cosmash word.  The
 shortest non-empty ternary cosmash word has length 10, so at the default
 length 8 the ternary check sees only the empty word and is vacuous; its
 "words" count says so.  Non-empty ternary words at short lengths come from
@@ -28,7 +29,7 @@ from .groups import (
     subgroup, trivial_group, trivial_hom,
 )
 from .words import (
-    FactorSignature, WordHom, enumerate_cosmash_words, fold_word, format_word,
+    FactorSignature, Word, check_length, enumerate_cosmash_words, fold_word, format_word,
 )
 
 
@@ -151,23 +152,94 @@ def check_axioms_wordlevel(xm: CrossedModule, max_len: int = 4) -> dict:
     core value through d, the slots through (id, d) into G.  Peiffer: T acting
     on T through the boundary, t.u = (d t).u, the core value as it is, the
     slots multiplied in T.
+
+    The words are walked, not listed (`_binary_law_walk`), in the length-lex
+    order of `enumerate_cosmash_words`, so counts and violations come out as
+    enumeration would give them.  Below length 4 the only binary cosmash word
+    is the empty word, so each count is 1 and the check is vacuous.
     """
+    check_length(max_len)
     G, T = xm.codomain(), xm.domain()
-    d, idT = xm.boundary, identity_hom(T)
-    pulled = GroupAction(T, T, gatherer(d.table)(xm.action.table), check=False)
+    d, ids = xm.boundary.table, tuple(range(T.order))
     out, viol = {"max_len": max_len}, {}
-    for law, action, slot_maps, on_core in (
-            ("equivariance", xm.action, (identity_hom(G), d), d.table),
-            ("peiffer", pulled, (idT, idT), idT.table)):
-        sig = FactorSignature((action.actor, action.carrier))
-        straight = WordHom(sig, slot_maps, slot_maps[1].target)
-        words, core = enumerate_cosmash_words(sig, max_len), core_walker(action)
-        out[f"{law}_words"] = len(words)
-        viol[f"{law}_violations"] = [
-            format_word(w) for w in words if on_core[core(w)] != straight.evaluate(w)]
+    for law, sig, act, on_core, maps, target in (
+            ("equivariance", FactorSignature((G, T)), xm.action.table, d,
+             (tuple(range(G.order)), d), G),
+            ("peiffer", FactorSignature((T, T)), gatherer(d)(xm.action.table), ids,
+             (ids, ids), T)):
+        out[f"{law}_words"], viol[f"{law}_violations"] = _binary_law_walk(
+            sig, act, on_core, maps, target, max_len)
     out.update(viol)
     out["ok"] = not any(viol.values())
     return out
+
+
+def _binary_law_walk(sig, act, on_core, maps, target, max_len):
+    """(count, formatted violations) of one word-level law, in length-lex order.
+
+    sig is (actor A, carrier X) of the action table act; a word w fails when
+    on_core[core(w)] differs from the product of maps[slot][value] over its
+    letters, multiplied in target.  A reduced binary cosmash word
+    alternates its slots and each slot's letters multiply to the identity,
+    so its length n >= 4 and first slot fix its slot pattern, and its last
+    two letters, one per slot, invert their slots' running products (no word
+    when such a product is the identity).  A depth-first walk over the free
+    prefixes, values increasing, carries the actor prefix a, the core value
+    r (r = r * a.v, as in `core_walker`), the straight value and the
+    carrier's running product, and closes each prefix of length >= 2 inline:
+    first the slot other than its last letter's, then that one.  Prefixes of
+    length k close to words of length k + 2, bucketed by length and first
+    slot, so no sort is needed.
+    """
+    A, X = sig.factors
+    mA, mX, act_one = A.table, X.table, act[A.identity]
+    one, x1, a_inv, x_inv = A.identity, X.identity, A._inv, X._inv
+    (m0, m1), mT = maps, target.table
+    vals = ([v for v in range(A.order) if v != one], [v for v in range(X.order) if v != x1])
+    found = [[[] for _ in range(max_len + 1)] for _ in (0, 1)]  # [first slot][length]
+    deepest = max_len - 2  # the longest prefix that closes within max_len
+
+    def bad(s0, pre):  # a violating word's letters, formatted
+        return format_word(Word(sig, tuple(((s0 + i) % 2, v) for i, v in enumerate(pre))))
+
+    def rec(rec, s0, pre, a, r, st, p):  # no self-closure, as in search_homs
+        k, n = len(pre) + 1, 0  # k: the length of each child prefix
+        out, deeper, close = found[s0][k + 2], k < deepest, k >= 2
+        row_t = mT[st]
+        if (s0 + k) % 2:  # the child's letter is in slot 0, the actor
+            row_a, row_x = mA[a], mX[r]
+            close = close and p != x1
+            c1 = x_inv[p]
+            t1 = m1[c1]
+            for v in vals[0]:
+                a2, st2 = row_a[v], row_t[m0[v]]
+                if close and a2 != one:  # close slot 1, then slot 0
+                    n += 1
+                    if on_core[row_x[act[a2][c1]]] != mT[mT[st2][t1]][m0[a_inv[a2]]]:
+                        out.append(bad(s0, pre + (v, c1, a_inv[a2])))
+                if deeper:
+                    n += rec(rec, s0, pre + (v,), a2, r, st2, p)
+        else:  # in slot 1, the carrier
+            row_a, row_x, row_p = act[a], mX[r], mX[p]
+            close = close and a != one
+            c0 = a_inv[a]
+            t0 = m0[c0]
+            for v in vals[1]:
+                r2, st2, p2 = row_x[row_a[v]], row_t[m1[v]], row_p[v]
+                if close and p2 != x1:  # close slot 0, then slot 1
+                    n += 1
+                    c1 = x_inv[p2]
+                    if on_core[mX[r2][act_one[c1]]] != mT[mT[st2][t0]][m1[c1]]:
+                        out.append(bad(s0, pre + (v, c0, c1)))
+                if deeper:
+                    n += rec(rec, s0, pre + (v,), a, r2, st2, p2)
+        return n
+
+    count = 1  # the empty word
+    if max_len >= 4:
+        count += sum(rec(rec, s0, (), one, x1, target.identity, x1) for s0 in (0, 1))
+    viol = [] if on_core[x1] == target.identity else ["()"]
+    return count, viol + [w for n in range(max_len + 1) for s0 in (0, 1) for w in found[s0][n]]
 
 
 def ternary_routes(xm: CrossedModule):

@@ -17,6 +17,8 @@ from xmodkit.errors import DefinitionError, InvariantBreach
 from xmodkit.groups import find_isomorphism, symmetric_group, trivial_hom
 from xmodkit.lifting import SectionCertificate
 
+from xmod_helpers import wordlevel_reference
+
 SAMPLE = """\
 # Klein four group with a distinguished order-2 subgroup
 [group V]
@@ -296,6 +298,30 @@ def test_check_summary_counts_ternary_words(sample, capsys):
     assert "vacuous" not in out
 
 
+@pytest.mark.parametrize("word_len, reach", [
+    (3, [(2, 0, True), (2, 0, True)]),
+    (4, [(26, 24, False), (10, 8, False)]),
+    (6, [(140, 138, False), (16, 14, False)]),  # as the installed-script step reads
+])
+def test_check_wordlevel_reach(word_len, reach, sample, tmp_path, capsys):
+    """Below L=4 the only binary cosmash word is the empty word, one per law:
+    each `wordlevel` entry says vacuous, and so does the summary line.  The
+    counts are those of the enumerating reference."""
+    rep_path = tmp_path / "w.json"
+    assert main(["check", sample, "--word-len", str(word_len), "--json", str(rep_path)]) == 0
+    out = capsys.readouterr().out
+    words = [r["wordlevel"] for r in json.loads(rep_path.read_text())["results"]]
+    assert [(w["words"], w["nonempty_words"], w["vacuous"]) for w in words] == reach
+    refs = [wordlevel_reference(xm, word_len)
+            for _, xm in load_definitions(sample).of_kind("xmod")]
+    assert [n for n, _, _ in reach] == [
+        ref["equivariance_words"] + ref["peiffer_words"] for ref in refs]
+    assert all(w["ok"] for w in words)
+    for (n, _, vacuous), name in zip(reach, ("M", "incl")):
+        assert (f"check {name}: ok (eq viol 0, pf viol 0, {n} words at L={word_len}"
+                + (", vacuous, " if vacuous else ", ternary ")) in out
+
+
 def test_check_json_report(sample, tmp_path, capsys):
     rep_path = tmp_path / "report.json"
     assert main(["check", sample, "--json", str(rep_path)]) == 0
@@ -435,7 +461,7 @@ CI_COMMANDS = (
 
 
 def _is_json_encoder_closure(obj):
-    # with indent set, json.dump encodes through nested closures that refer
+    # with indent set, json.dumps encodes through nested closures that refer
     # to one another: the one reference cycle a command leaves
     return getattr(obj, "__module__", None) == "json.encoder"
 

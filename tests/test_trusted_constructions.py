@@ -41,7 +41,7 @@ from xmodkit.groups import (
 from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi, total_map
 from xmodkit.words import FactorSignature, single
 from xmodkit.xmod import (
-    CrossedModule, XModMorphism, check_axioms, check_axioms_wordlevel, check_ternary,
+    CrossedModule, XModMorphism, check_axioms, check_ternary,
     equivariance_failures, identity_morphism, morphism_witness, peiffer_failures,
     peiffer_witness, pi0, precrossed_witness, relabel_xmod, xmod_product,
 )
@@ -121,13 +121,14 @@ def test_collapse_epi_actions():
 
 
 def _collapse_epis(monkeypatch):
-    """Every `collapse_epi` output of the projective-section corpus, the
-    rank-1 and rank-2 pipelines and the non-Schreier demos."""
+    """Every `collapse_epi` call of the projective-section corpus, the
+    rank-1 and rank-2 pipelines and the non-Schreier demos, as
+    (ext, K, morphism) triples."""
     out, real = [], corpus.collapse_epi
 
     def recording(ext, K):
-        out.append(real(ext, K))
-        return out[-1]
+        out.append((ext, K, real(ext, K)))
+        return out[-1][2]
 
     monkeypatch.setattr(corpus, "collapse_epi", recording)
     monkeypatch.setattr(condp, "collapse_epi", recording)
@@ -152,7 +153,7 @@ def _recheck_morphism(mor):
 def test_collapse_epis_pass_the_morphism_check(monkeypatch):
     """`collapse_epi` builds its morphism unchecked; a one-element bend of
     fG makes the recheck fire."""
-    epis = _collapse_epis(monkeypatch)
+    epis = [mor for _, _, mor in _collapse_epis(monkeypatch)]
     assert len(epis) == 16 + 2 + 2 + 4  # the seeded demo also runs relabeled
     assert max(mor.fG.source.order for mor in epis) == MAX_ORDER
     for mor in epis:
@@ -166,6 +167,19 @@ def test_collapse_epis_pass_the_morphism_check(monkeypatch):
                             GroupHom._trusted(fG.source, fG.target, table), check=False)
         with pytest.raises(GroupError):
             _recheck_morphism(bent)
+
+
+def test_collapse_epi_base_map_matches_the_per_element_product(monkeypatch):
+    """fG sends e = (q*|K| + k)*|P| + p of the source total to k(q) s(p) in
+    the target's own encoding: the table built a block per q matches that
+    product taken one element at a time, on every collapse epi up to the
+    order-1024 source of the rank-2 pipeline."""
+    calls = _collapse_epis(monkeypatch)
+    assert max(mor.fG.source.order for _, _, mor in calls) == MAX_ORDER
+    for ext, K, mor in calls:
+        E, k, s, np = ext.total, ext.k.table, ext.s.table, ext.base.order
+        assert mor.fG.table == tuple(E.mul(k[e // np // K.order], s[e % np])
+                                     for e in range(mor.fG.source.order))
 
 
 def test_semidirect_products_of_corpus_actions():
@@ -465,14 +479,16 @@ def test_audited_bracket_words_are_ternary_cosmash_words(monkeypatch):
 
 
 def test_core_walker_agrees_with_the_semidirect_route(monkeypatch):
-    """`check_axioms_wordlevel` and `ternary_routes` evaluate through
-    `core_walker`, which does not check a word's signature: on the axiom
-    corpus every word they evaluate is over (actor, carrier) of its action
-    and has the same value through the semidirect product
-    (`semidirect_route`, which checks the signature).  Ternary words run at
-    L=10, the first length with non-empty ones, where the carrier has order
-    at most four, and at L=8 elsewhere.  The walker still refuses a word
-    that does not project trivially."""
+    """`ternary_routes` evaluates through `core_walker`, which does not
+    check a word's signature: on the axiom corpus every folded word it
+    evaluates is over (actor, carrier) of its action and has the same value
+    through the semidirect product (`semidirect_route`, which checks the
+    signature).  Ternary words run at L=10, the first length with non-empty
+    ones, where the carrier has order at most four, and at L=8 elsewhere.
+    `check_axioms_wordlevel` walks its words with its own running values,
+    not through `core_walker`; the enumerating reference in the tests does,
+    and the walk is compared with it.  The walker still refuses a word that
+    does not project trivially."""
     seen = []
     real = xmod.core_walker
 
@@ -486,7 +502,6 @@ def test_core_walker_agrees_with_the_semidirect_route(monkeypatch):
 
     monkeypatch.setattr(xmod, "core_walker", recording)
     for _, xm, _ in axiom_corpus():
-        check_axioms_wordlevel(xm, 4)
         check_ternary(xm, 10 if xm.domain().order <= 4 else 8)
     assert len(seen) > 40_000
     routes = {}  # by id: every action stays alive in `seen`

@@ -1,5 +1,10 @@
+import random
+from functools import cache
+
 import pytest
 
+from xmodkit.actions import GroupAction
+from xmodkit.corpus import axiom_corpus, ternary_fixtures
 from xmodkit.errors import GroupError
 from xmodkit.groups import (
     GroupHom, cyclic_group, identity_hom, klein_four_group, normal_subgroups,
@@ -17,7 +22,7 @@ from xmodkit.xmod import (
     xmod_kernel, xmod_product,
 )
 
-from xmod_helpers import compose_morphisms
+from xmod_helpers import compose_morphisms, wordlevel_reference
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -77,6 +82,58 @@ def test_wordlevel_checks():
     # elementwise-clean implies wordlevel-clean on every fixture here
     for xm in (a3_in_s3(), inversion_module(), discrete_xmod(S3)):
         assert check_axioms_wordlevel(xm, 4)["ok"]
+
+
+@cache
+def _wordlevel_inputs():
+    """Every axiom-corpus entry, the ternary fixtures (Peiffer fails), a
+    seeded relabeling of every third of them up to |G|*|T| = 144, and seeded
+    one-cell corruptions of the action and of the boundary of those with
+    |T| > 2 and |G|*|T| <= 36; the boundary of the first is bent at the
+    identity, where the empty word fails."""
+    entries = [(name, xm) for name, xm, _ in axiom_corpus() + ternary_fixtures()]
+    out, rng = list(entries), random.Random(32)
+    for name, xm in entries[::3]:
+        T, G = xm.domain(), xm.codomain()
+        if T.order * G.order > 144:
+            continue  # S4 over itself alone would double the time at L=6
+        out.append((name + "'", relabel_xmod(xm, rng.sample(range(T.order), T.order),
+                                             rng.sample(range(G.order), G.order))))
+    small = [(name, xm) for name, xm in entries
+             if xm.domain().order > 2 and xm.domain().order * xm.codomain().order <= 36]
+    for i, (name, xm) in enumerate(small):
+        T, G = xm.domain(), xm.codomain()
+        rows = [list(row) for row in xm.action.table]
+        row = rows[rng.randrange(G.order)]
+        x, y = rng.sample(range(T.order), 2)
+        row[x], row[y] = row[y], row[x]
+        out.append((name + ":action", CrossedModule(
+            GroupAction(G, T, rows, check=False), xm.boundary, check=False)))
+        d = list(xm.boundary.table)
+        t = T.identity if i == 0 else rng.randrange(T.order)
+        d[t] = (d[t] + 1) % G.order
+        out.append((name + ":boundary", CrossedModule(
+            xm.action, GroupHom._trusted(T, G, tuple(d)), check=False)))
+    return out
+
+
+@pytest.mark.parametrize("max_len", range(8))
+def test_wordlevel_walk_matches_the_enumerating_reference(max_len):
+    """The depth-first walk of `check_axioms_wordlevel` returns the dict of
+    listing every binary cosmash word and evaluating it (`wordlevel_reference`):
+    the same counts and the same violations in the same order.  L=7 runs
+    where |G|*|T| <= 100.  At L=4 the inputs fire both laws and the empty
+    word."""
+    inputs = [(name, xm) for name, xm in _wordlevel_inputs()
+              if max_len < 7 or xm.domain().order * xm.codomain().order <= 100]
+    reps = []
+    for name, xm in inputs:
+        reps.append(check_axioms_wordlevel(xm, max_len))
+        assert reps[-1] == wordlevel_reference(xm, max_len), name
+    if max_len == 4:
+        eq, pf = ([v for rep in reps for v in rep[f"{law}_violations"]]
+                  for law in ("equivariance", "peiffer"))
+        assert "()" in eq and len(eq) > 100 and len(pf) > 100
 
 
 def test_ternary_checks():
