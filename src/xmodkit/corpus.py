@@ -9,8 +9,8 @@ non-split quotients, valid crossed modules and known axiom violations.
 from itertools import chain
 
 from .groups import (
-    GroupHom, cyclic_group, dihedral_group, direct_product, gatherer, identity_hom,
-    klein_four_group, normal_subgroups, quaternion_group, subgroup,
+    GroupHom, _pair_table, cyclic_group, dihedral_group, direct_product, gatherer,
+    identity_hom, klein_four_group, normal_subgroups, quaternion_group, subgroup,
     symmetric_group, trivial_group, trivial_hom,
 )
 from .actions import (
@@ -259,8 +259,9 @@ def collapse_epi(ext, K):
     psi = inclusion_base_action(tgt, ext)
     QK = direct_product(Q, K)[0]
     m = K.order
-    act2 = GroupAction(P, QK, [[row[x // m] * m + x % m for x in range(QK.order)]
-                               for row in psi], check=False)  # valid, as above
+    # row p: (p.q, k) over q and then k, K's identity row being K's trivial action
+    act2 = GroupAction(P, QK, _pair_table(psi, (K.table[K.identity],), m, Q.order),
+                       check=False)  # valid, as above
     ext2 = semidirect_product(act2)
     src = inclusion_xmod(ext2.k)
     fT = GroupHom._trusted(QK, Q, tuple(x // m for x in range(QK.order)))

@@ -37,7 +37,8 @@ Kinds and their keys:
 
 Element names that contain spaces must be parenthesized, e.g. ``(1 2 3)``;
 adjacent parenthesized chunks with no space between them form one name, so the
-permutation name ``(1 2)(3 4)`` is a single token.
+permutation name ``(1 2)(3 4)`` is a single token.  Where a kind has two
+forms, a section gives keys of one of them; keys of both are refused.
 """
 
 import re
@@ -58,6 +59,13 @@ _KEYS = {
     "xmod": {"action", "boundary", "group", "normal"},
     "morphism": {"source", "target", "fT", "fG"},
     "setmap": {"source", "target", "map", "section"},
+}
+
+# the alternative forms of a kind, by their keys; a section gives one of them
+_FORMS = {
+    "group": ({"elements", "table"}, {"degree", "perms"}),
+    "action": ({"table"}, {"trivial"}),
+    "xmod": ({"action", "boundary"}, {"group", "normal"}),
 }
 
 
@@ -183,6 +191,16 @@ def _split_sections(text):
     for _, _, _, entries in sections:
         entries.pop("_last", None)
     return sections
+
+
+def _one_form(kind, entries):
+    """Refuse a section with keys of two forms of its kind, at the first key
+    of the second form, rather than read one form and drop the other."""
+    keys = [key for key in entries if any(key in f for f in _FORMS.get(kind, ()))]
+    for key in keys:  # in file order
+        if not any({keys[0], key} <= f for f in _FORMS[kind]):
+            _err(entries[key][2],
+                 f"[{kind}] section mixes two forms: {key!r} cannot go with {keys[0]!r}")
 
 
 def _need(entries, key, lineno, kind):
@@ -390,6 +408,7 @@ def parse_definitions(text, *, check_xmods: bool = True) -> Definitions:
     for kind, name, lineno, entries in _split_sections(text):
         if name in defs:
             _err(lineno, f"name {name!r} is already defined")
+        _one_form(kind, entries)
         if kind == "group":
             obj = _build_group(name, entries, lineno)
         elif kind == "action":

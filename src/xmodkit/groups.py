@@ -3,8 +3,9 @@
 Carriers are index ranges 0..order-1 and tables are sequences of row tuples,
 so every structural question is settled by exhaustion.  Tables that enter,
 and those of most constructions, are tuples of tuples; the products
-(``direct_product``, ``actions.semidirect_product``), ``z4_module`` and the
-actions of ``actions.conjugation_action_on`` build each row on first read
+(``direct_product``, ``actions.semidirect_product``), ``z4_module``, the
+actions of ``actions.conjugation_action_on`` and of ``xmod.xmod_product``,
+and ``corpus.collapse_epi``'s source action build each row on first read
 instead (``_Rows``), and read like the tuple of every row.  Tables are
 trusted at one of two levels.  The public constructors take input tables
 and check them in full: ``FiniteGroup`` the shape, the range (the set of all
@@ -29,14 +30,16 @@ Dense tables are built and checked a row at a time, except by ``pullback``,
 ``from_permutations`` and ``cyclic_group``, which go a cell at a time;
 ``xmod.xmod_kernel`` and ``xmod.relabel_xmod`` gather rows through
 ``GroupHom.preimage`` or an inverse permutation.  ``gatherer`` turns an index
-tuple into one C call that reads a sequence at those indices; ``z4_module``
-builds each row by extending one list with shifted copies of one row of the
-module built so far, read from one shared index tuple, ``_pair_rows`` builds
-every row of pair codes the same way, ``subgroup`` and ``quotient`` gather
-each row at the chosen elements and representatives, ``free_module_cover``
-decodes its values a generator at a time, and ``GroupHom`` compares each
-generator's row read through the map with the matching target row, looking
-for the failing cell only once a row differs.
+tuple into one C call that reads a sequence at those indices; ``_pair_rows``
+builds each row of pair codes by extending one list with blocks read from
+one shared index tuple, ``_pair_table`` the tables whose row (a, j) pairs a
+row a with a row j (direct products, ``z4_module`` as the product of
+``cyclic_group(m)`` with the module built so far, product actions),
+``subgroup`` and ``quotient`` gather each row at the chosen elements and
+representatives, ``free_module_cover`` decodes its values a generator at a
+time, and ``GroupHom`` compares each generator's row read through the map
+with the matching target row, looking for the failing cell only once a row
+differs.
 
 One Cayley walk, ``_cosets``, grows every subgroup built from generators:
 each new generator g grows the subgroup H so far to K = <H, g> by left
@@ -279,7 +282,7 @@ def gatherer(indices):
 class _Rows(dict):
     """The rows of a built table, each made on first read and kept.
 
-    Row a is `build(a)`, a tuple of ints; once made, `t[a]` is one C-level
+    Row a is `build(a)`, a tuple; once made, `t[a]` is one C-level
     dict lookup.  Indexing, len, iteration in index order and == read like
     the tuple of every row: == builds and compares the full rows.  Writes
     raise TypeError, as on a tuple.  The rows made so far are `dict.keys(t)`.
@@ -322,11 +325,13 @@ def _pair_rows(rows, m, n):
     Every product and semidirect product stores (v, w) at code v*m + w.  The
     row is one block per v, joined by extending one list; block v of row j is
     picked from a slice of one shared index tuple, so a table holds one int
-    object per element rather than one per cell.
+    object per element rather than one per cell.  The blocks of row j are
+    built the first time a row asks for them, so `rows` is read only at the
+    rows asked for.
     """
     indices = tuple(range(n * m))
-    blocks = [[pick(indices[i:i + m]) for i in range(0, n * m, m)]
-              for pick in map(gatherer, rows)]
+    slices = [indices[i:i + m] for i in range(0, n * m, m)]
+    blocks = _Rows(len(rows), lambda j: tuple(map(gatherer(rows[j]), slices)))
 
     def row(firsts, j):
         out = []
@@ -334,6 +339,14 @@ def _pair_rows(rows, m, n):
             out += block
         return tuple(out)
     return row
+
+
+def _pair_table(a_rows, rows, m, n):
+    """The table whose row i is `_pair_rows(rows, m, n)`'s row for
+    (a_rows[i // k], i % k), k = len(rows), built on first read: the rows of
+    a product, or of a product action, one per pair."""
+    row, k = _pair_rows(rows, m, n), len(rows)
+    return _Rows(len(a_rows) * k, lambda i: row(a_rows[i // k], i % k))
 
 
 def first_difference(xs, ys):
@@ -576,8 +589,7 @@ def direct_product(A, B, label=None):
     if size > MAX_ORDER:
         raise GroupError(f"product order {size} exceeds cap {MAX_ORDER}")
     # row (a, b): (a a2, b b2) over a2 and then b2, built on first read
-    row, a_rows = _pair_rows(B.table, m, n), A.table
-    table = _Rows(size, lambda i: row(a_rows[i // m], i % m))
+    table = _pair_table(A.table, B.table, m, n)
     names = tuple(f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m))
     e = A.identity * m + B.identity
     codes = table[e]  # the identity's row: every code, one int object each
@@ -732,13 +744,10 @@ def z4_module(n4, n2, label=None):
     Built in mixed radix one factor at a time, first factor most significant,
     adding the factors from the last to the first so that each new factor of
     modulus m is the leading digit over the W elements built so far:
-    (x, a) + (y, b) = ((x + y) % m, a + b) at index x*W + a.  Row (x, a) is
-    then m copies of the old row a, shifted by ((x + y) % m)*W for y in
-    order, each W cells long, joined by extending one list.  The m copies of
-    one old row are read through a gatherer from slices of one shared tuple
-    of indices, so the table holds one int object per element rather than
-    one per cell.  Every table, the old ones too, builds each row on first
-    read (`_Rows`), so building row (x, a) builds old row a alone.
+    (x, a) + (y, b) = ((x + y) % m, a + b) at index x*W + a, the product of
+    `cyclic_group(m)` with the module so far (`_pair_table`).  Every table,
+    the old ones too, builds each row on first read, so building row (x, a)
+    builds old row a alone.
     """
     if n4 < 0 or n2 < 0:
         raise GroupError(f"module ranks must be nonnegative, got ({n4}, {n2})")
@@ -746,34 +755,16 @@ def z4_module(n4, n2, label=None):
     order = math.prod(moduli)
     if order > MAX_ORDER:
         raise GroupError(f"module order {order} exceeds cap {MAX_ORDER}")
-    indices = tuple(range(order))
-    table, names, inverses = _Rows(1, lambda a: indices[:1]), [""], [0]
+    table, names, inverses = ((0,),), [""], [0]
     for m in reversed(moduli):
         w = len(table)
-        shifts = [indices[j * w:(j + 1) * w] for j in range(m)]
-        table = _Rows(m * w, _radix_row(table, shifts))
+        table = _pair_table(cyclic_group(m).table, table, w, m)
         names = [str(x) + s for x in range(m) for s in names]
-        # digitwise negation: (x, a) -> (-x, -a), read from the shared indices
-        inverses = [shifts[-x % m][a] for x in range(m) for a in inverses]
+        # digitwise negation: (x, a) -> (-x, -a)
+        inverses = [-x % m * w + a for x in range(m) for a in inverses]
     return FiniteGroup._trusted(table, 0, tuple(inverses),
                                 tuple(names) if moduli else ("0",),
                                 label or f"M(4^{n4}.2^{n2})")
-
-
-def _radix_row(old, shifts):
-    """The map i -> row i = (x, a) of `z4_module`'s next table, over the
-    table `old` of W elements: shifts[j] is the shared indices j*W..j*W+W-1."""
-    w = len(old)
-    turns = [shifts[x:] + shifts[:x] for x in range(len(shifts))]  # x + y over y in order
-
-    def row(i):
-        x, a = divmod(i, w)
-        shifted = gatherer(old[a])  # shift j -> row a shifted by j*W
-        joined = []
-        for shift in turns[x]:
-            joined += shifted(shift)
-        return tuple(joined)
-    return row
 
 
 def free_module_cover(M, free=None):

@@ -10,8 +10,6 @@ carries a plain group, which is checked once, where a signature is built.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product, starmap
-from operator import add, itemgetter
 
 from .errors import GroupError
 from .groups import FiniteGroup, GroupHom
@@ -164,25 +162,26 @@ def check_length(max_len):
 def _distance_table(k, keeps):
     """Fewest letters that empty every stack, per abstract state of _kernel_words.
 
-    Every stack keeps two slots (single-slot keeps go to _pattern_words), so
-    it alternates, and its slot pattern is 0 when empty, else 1 + bottom *
-    cap + height - 1, bottom 0 or 1 over its sorted slots, or `dead` past
-    cap = MAX_ENUM_LEN // 2, a height no word that short can reach and then
-    clear.  State (prev, patterns) has index prev + 1 +
-    sum(weights[p] * patterns[p]).  Returns (dist, weights, push, touch):
-    push[p][c][s] is the pattern after a letter in slot s lands on pattern
-    c, or -1 when s is c's top slot, where the letter merges or cancels;
-    touch[s] lists the stacks keeping slot s.  dist (255 past MAX_ENUM_LEN)
-    is filled by a breadth-first search back from the empty states, as a
-    push and a cancel undo each other and a merge undoes itself.
+    A stack keeps one or two slots, so it alternates, and its slot pattern
+    is 0 when empty, else 1 + bottom * cap + height - 1 over its w sorted
+    slots, or `dead` = 1 + w * cap past cap = MAX_ENUM_LEN // 2, a height no
+    word that short can reach and then clear.  State (prev, patterns) has
+    index prev + 1 + sum(weights[p] * patterns[p]).  Returns (dist, weights,
+    push, touch): push[p][c][s] is the pattern after a letter in slot s
+    lands on pattern c, or -1 when s is c's top slot, where the letter
+    merges or cancels; touch[s] lists the stacks keeping slot s.  dist (255
+    past MAX_ENUM_LEN) is filled by a breadth-first search back from the
+    empty states, as a push and a cancel undo each other and a merge undoes
+    itself.
     """
     cap, push, below, weights, size = MAX_ENUM_LEN // 2, [], [], [], k + 1
-    dead = 1 + 2 * cap
     for slots in keeps:
+        w = len(slots)
+        dead = 1 + w * cap
         rows = [[1 + slots.index(s) * cap if s in slots else dead for s in range(k)]]
         for c in range(1, dead):
             b, h = divmod(c - 1, cap)
-            rows.append([-1 if s == slots[(b + h) % 2] else dead if h + 1 == cap
+            rows.append([-1 if s == slots[(b + h) % w] else dead if h + 1 == cap
                          else c + 1 for s in range(k)])
         push.append(rows + [[dead] * k])
         below.append([0] + [c - 1 if (c - 1) % cap else 0 for c in range(1, dead)])
@@ -211,73 +210,22 @@ def _distance_table(k, keeps):
     return dist, weights, push, touch
 
 
-def _pattern_words(sig, max_len, kept):
-    """_kernel_words when every keep is one slot; `kept` holds those slots.
-
-    Such a projection is the product of that slot's letters in order, so a
-    word belongs exactly when each kept slot's letters multiply to the
-    identity.  No search: a slot pattern is a sequence of slots with no two
-    neighbours equal, and each slot in it takes a run, the values of its
-    letters in order.  A free slot takes every run of non-identity values; a
-    kept slot takes the runs whose last value inverts the product of the
-    values before it, and none when that product is the identity (so none of
-    length one).  The pattern interleaves one run per slot into each word.
-    """
-    k, out, patterns, runs = len(sig), [()], [()], {}
-
-    def slot_runs(s, m):  # every run of m letters in slot s, as letter tuples
-        if (s, m) not in runs:
-            f = sig.factors[s]
-            letter = [(s, v) for v in range(f.order)]
-            vals = [v for v in range(f.order) if v != f.identity]
-            heads = [((), f.identity)]
-            for _ in range(m - (s in kept)):
-                heads = [(h + (letter[v],), f.table[p][v]) for h, p in heads for v in vals]
-            runs[s, m] = ([h + (letter[f._inv[p]],) for h, p in heads if p != f.identity]
-                          if s in kept else [h for h, _ in heads])
-        return runs[s, m]
-
-    for n in range(1, max_len + 1):
-        patterns = [pat + (s,) for pat in patterns for s in range(k)
-                    if not pat or s != pat[-1]]
-        found = []
-        for pat in patterns:
-            counts = [pat.count(s) for s in range(k)]
-            if any(counts[s] and not slot_runs(s, counts[s]) for s in kept):
-                continue
-            slots = [s for s in range(k) if counts[s]]
-            flats = slot_runs(slots[0], counts[slots[0]])
-            for s in slots[1:]:
-                flats = list(starmap(add, product(flats, slot_runs(s, counts[s]))))
-            # each flat holds the runs slot by slot: flat index i is position
-            # where[i] (a stable sort), and perm reads them in pattern order
-            where = sorted(range(n), key=pat.__getitem__)
-            perm = sorted(range(n), key=where.__getitem__)
-            found.extend(flats if perm == sorted(perm) else map(itemgetter(*perm), flats))
-        found.sort()
-        out += found
-    return [Word(sig, ls) for ls in out]
-
-
 def _kernel_words(sig, max_len, keeps):
     """Reduced words of length <= max_len whose kept-slot projections all vanish.
 
     keeps is a tuple of slot tuples; for each, the projection deleting the other
-    slots must normalize to the empty word.  When every keep is a single slot
-    (plain, flat and binary cosmash words) `_pattern_words` builds the words
-    directly.  Otherwise (the ternary cosmash keeps slot pairs) a DFS holds
-    each projection's reduction stack as linked cells (value, pattern, rest)
-    and skips a child whose abstract state, the previous slot and each
-    stack's slot pattern, needs more letters to empty every stack than remain
-    (_distance_table).  No word is lost: a letter in a stack's top slot
-    cancels or merges there, any other letter pushes, and the abstract moves
-    allow each of these, so every real completion is an abstract one of the
-    same length.  When only a cancellation keeps the child alive, the value
-    must invert a top.
+    slots must normalize to the empty word.  Plain words keep nothing, flat
+    and binary cosmash words keep single slots, the ternary cosmash keeps
+    slot pairs.  One DFS lists them all: it holds each projection's
+    reduction stack as linked cells (value, pattern, rest) and skips a child
+    whose abstract state, the previous slot and each stack's slot pattern,
+    needs more letters to empty every stack than remain (_distance_table).
+    No word is lost: a letter in a stack's top slot cancels or merges there,
+    any other letter pushes, and the abstract moves allow each of these, so
+    every real completion is an abstract one of the same length.  When only
+    a cancellation keeps the child alive, the value must invert a top.
     """
     check_length(max_len)
-    if all(len(keep) == 1 for keep in keeps):
-        return _pattern_words(sig, max_len, {s for keep in keeps for s in keep})
     k = len(sig)
     factors = sig.factors
     muls = [f.table for f in factors]
@@ -335,19 +283,14 @@ def _kernel_words(sig, max_len, keeps):
 
 
 def enumerate_words(sig, max_len):
-    """All reduced words of length <= max_len, in length-lexicographic order.
-
-    Built slot pattern by slot pattern (`_pattern_words`), as nothing is kept.
-    """
+    """All reduced words of length <= max_len, in length-lexicographic order."""
     return _kernel_words(sig, max_len, ())
 
 
 def enumerate_cosmash_words(sig, max_len):
     """Binary or ternary cosmash members up to max_len, length-lex order.
 
-    Binary members (keeps {0} and {1}) are built slot pattern by slot pattern
-    (`_pattern_words`); ternary ones (keeps on slot pairs) come from the
-    pruned DFS of `_kernel_words`.
+    Binary members keep each slot alone, ternary ones each pair of slots.
     """
     k = len(sig)
     if k == 2:
@@ -360,10 +303,7 @@ def enumerate_cosmash_words(sig, max_len):
 
 
 def enumerate_flat_words(sig, max_len):
-    """Words over (A, X) killed by (keep A, drop X), up to max_len.
-
-    Built slot pattern by slot pattern (`_pattern_words`), keeping slot 0.
-    """
+    """Words over (A, X) killed by (keep A, drop X), up to max_len."""
     if len(sig) != 2:
         raise GroupError("flat enumeration needs a two-slot signature")
     return _kernel_words(sig, max_len, ((0,),))

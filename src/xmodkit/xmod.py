@@ -24,7 +24,7 @@ from .actions import (
     core_walker, semidirect_product, trivial_action,
 )
 from .groups import (
-    FiniteGroup, GroupHom, _pair_rows, compose, direct_product, enumerate_homs,
+    FiniteGroup, GroupHom, _pair_rows, _pair_table, compose, direct_product, enumerate_homs,
     first_difference, gatherer, identity_hom, kernel, normal_closure, quotient,
     subgroup, trivial_group, trivial_hom,
 )
@@ -326,9 +326,8 @@ def xmod_product(a: CrossedModule, b: CrossedModule):
     T, iT1, iT2, pT1, pT2 = direct_product(a.domain(), b.domain())
     G, iG1, iG2, pG1, pG2 = direct_product(a.codomain(), b.codomain())
     # (g1, g2).(t1, t2) = (g1.t1, g2.t2) and d(t1, t2) = (d t1, d t2)
-    act_row = _pair_rows(b.action.table, b.domain().order, a.domain().order)
-    act = GroupAction(G, T, [act_row(r1, g2) for r1 in a.action.table
-                             for g2 in range(b.codomain().order)], check=False)
+    act = GroupAction(G, T, _pair_table(a.action.table, b.action.table, b.domain().order,
+                                        a.domain().order), check=False)
     d_row = _pair_rows((b.boundary.table,), b.codomain().order, a.codomain().order)
     d = GroupHom._trusted(T, G, d_row(a.boundary.table, 0))
     xm = CrossedModule(act, d, check=False, label=f"{a.label}x{b.label}")

@@ -165,6 +165,7 @@ def test_tokenizer_splits_plain_rows_like_the_character_loop():
 def test_parse_errors_carry_line_numbers():
     """Every refusal of the definition parser, matched by line and text."""
     Z2 = "[group Z2]\nelements: e a\ntable:\n  e a\n  a e\n\n"
+    Z3 = "[group Z3]\nelements: 0 1 2\ntable:\n  0 1 2\n  1 2 0\n  2 0 1\n\n"
     ACT = Z2 + "[action A]\nactor: Z2\ncarrier: Z2\n"
     XM = ACT + "trivial: yes\n\n[xmod X]\naction: A\n"
     INCL = Z2 + "[xmod X]\ngroup: Z2\nnormal: e a\n\n[morphism m]\nsource: X\ntarget: X\n"
@@ -213,6 +214,17 @@ def test_parse_errors_carry_line_numbers():
         ("[group G]\nelements: e\n",
          "line 1: [group] needs either a table (with elements) or perms (with degree)"),
         (ACT + "trivial: no\n", "line 10: trivial takes 'yes', got 'no'"),
+        # a section giving keys of both forms of its kind is refused, not half read
+        (Z2 + Z3 + "[action inv]\nactor: Z2\ncarrier: Z3\ntrivial: yes\ntable:\n"
+         "  0 1 2\n  0 2 1\n",
+         "line 18: [action] section mixes two forms: 'table' cannot go with 'trivial'"),
+        (Z2 + Z3 + "[action inv]\nactor: Z2\ncarrier: Z3\ntable:\n  0 1 2\n  0 2 1\n"
+         "trivial: yes\n",
+         "line 20: [action] section mixes two forms: 'trivial' cannot go with 'table'"),
+        ("[group G]\nelements: e a\ntable:\n  e a\n  a e\ndegree: 3\nperms: (1 2 3)\n",
+         "line 6: [group] section mixes two forms: 'degree' cannot go with 'elements'"),
+        (XM + "boundary: e e\ngroup: Z2\nnormal: e a\n",
+         "line 15: [xmod] section mixes two forms: 'group' cannot go with 'action'"),
         (ACT + "table:\n  e a\n",
          "line 10: action table has 1 rows, expected 2 (one per actor element)"),
         (ACT + "table:\n  e a\n  a\n", "line 12: action row has 1 entries, expected 2"),

@@ -284,7 +284,18 @@ def test_products_and_modules_build_only_the_rows_they_read():
     the rows of all 32 candidates for the first generator, none of order
     two.  Building the rest gives (Z/4)^5 cell for cell, in both tables, as
     the pipeline's actions are trivial and its codes are base-4 digits, and
-    the two-gather reference's conjugation rows."""
+    the two-gather reference's conjugation rows.  A product over a module
+    reads only the module rows its own rows need: its row 5 and the
+    identity's, read for the inverses.  A product crossed module builds its
+    action's rows on first read too."""
+    M = z4_module(2, 0)
+    direct_product(cyclic_group(2), M)[0].table[5]
+    assert len(dict.keys(M.table)) == 2
+    act = xmod_product(xmod.conjugation_xmod(symmetric_group(3)),
+                       xmod.conjugation_xmod(cyclic_group(4)))[0].action.table
+    assert len(act) == 24 and not dict.keys(act)
+    row = act[7]
+    assert set(dict.keys(act)) == {7} and row == tuple(act)[7]
     Q, P = z4_module(2, 0), z4_module(2, 0)
     ext = semidirect_product(trivial_action(P, Q))
     collapse = collapse_epi(ext, z4_module(1, 0))

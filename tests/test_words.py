@@ -6,7 +6,7 @@ import pytest
 from xmodkit.corpus import axiom_corpus
 from xmodkit.errors import GroupError
 from xmodkit.groups import (
-    cyclic_group, dihedral_group, hom, subgroup, symmetric_group,
+    cyclic_group, dihedral_group, hom, subgroup, symmetric_group, trivial_group,
 )
 from xmodkit.words import (
     FactorSignature, WordHom, enumerate_cosmash_words,
@@ -24,6 +24,7 @@ Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 S3 = symmetric_group(3)
 D4 = dihedral_group(4)
+ONE = trivial_group()
 
 
 def naive_members(sig, max_len, keeps):
@@ -184,10 +185,16 @@ def test_enumeration_against_naive_oracle():
         (FactorSignature((S3, S3)), 6, [{0}, {1}], enumerate_cosmash_words),
         (FactorSignature((S3, D4)), 5, [{0}], enumerate_flat_words),
         (FactorSignature((S3, Z2, Z3)), 4, [], enumerate_words),
+        # one slot, and trivial factors, whose slots hold no letter
+        (FactorSignature((Z3,)), 3, [], enumerate_words),
+        (FactorSignature((Z2, ONE, Z3)), 5, [], enumerate_words),
+        (FactorSignature((ONE, S3)), 4, [{0}], enumerate_flat_words),
+        (FactorSignature((S3, ONE)), 4, [{0}, {1}], enumerate_cosmash_words),
     ]
     for sig, L, keeps, enum in cases:
         mine = [w.letters for w in enum(sig, L)]
         assert mine == naive_members(sig, L, keeps)
+    assert [len(enum(sig, L)) for sig, L, _, enum in cases[-4:]] == [3, 34, 6, 1]
 
 
 def test_ternary_dfs_merges_that_do_not_cancel():
