@@ -13,9 +13,9 @@ first read: a semidirect-product row extends one list by blocks shared by
 every row with the same actor element, and a conjugation row reads one
 column of the image rows through the conjugating element's row.
 
-Word evaluation convention: words live over the two-slot signature
-(actor, carrier), slot 0 for the actor.  Any word whose slot-0 projection
-normalizes to the empty word evaluates to a carrier element.
+Word evaluation convention: one letter walk in T x| G (`semidirect_walker`)
+evaluates every word, each slot read as the actor or the carrier, by default
+slot 0 as the actor.  A word with trivial actor part has a carrier value.
 """
 
 from operator import itemgetter
@@ -197,26 +197,39 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     return SplitExtension(k, p, s, check=False)
 
 
-def core_walker(action: GroupAction):
-    """The evaluator of words with trivial actor projection, tables bound once.
+def semidirect_walker(action: GroupAction, slots=None):
+    """The evaluator of words in T x| G as pairs (t, g), tables bound once.
 
-    A word over (actor, carrier) of this action is walked once, each carrier
-    letter twisted by the actor prefix, to a carrier element; the running
-    actor product must return to the identity.  The word's signature is not
-    checked: callers build their words over the action's own factors.
+    Slot s is read through slots[s] = (level, values): letter (s, v) is the
+    actor letter (1, values[v]) at level 0, the carrier letter (values[v], 1)
+    at level 1, and (t, g)(t', g') = (t g.t', g g').  This is a hom on the
+    free product, so every spelling of a word, reduced or not, has the same
+    value.  Signatures are not checked: callers read into the action's groups.
     """
     g, x, act = action.actor.table, action.carrier.table, action.table
     one, r0 = action.actor.identity, action.carrier.identity
+    if slots is None:
+        slots = ((0, range(action.actor.order)), (1, range(action.carrier.order)))
 
     def walk(w):
         a, r = one, r0
-        for slot, v in w.letters:
-            if slot:
-                r = x[r][act[a][v]]
+        for s, v in w.letters:
+            level, values = slots[s]
+            if level:
+                r = x[r][act[a][values[v]]]
             else:
-                a = g[a][v]
+                a = g[a][values[v]]
+        return r, a
+    return walk
+
+
+def core_walker(action: GroupAction, slots=None):
+    """`semidirect_walker`'s carrier value; a nontrivial actor part is refused."""
+    walk, one = semidirect_walker(action, slots), action.actor.identity
+
+    def core(w):
+        r, a = walk(w)
         if a != one:
             raise GroupError("word does not project trivially to the actor")
         return r
-    return walk
-
+    return core

@@ -44,7 +44,7 @@ forms, a section gives keys of one of them; keys of both are refused.
 import re
 
 from .errors import DefinitionError, GroupError
-from .groups import FiniteGroup, GroupHom, from_permutations
+from .groups import MAX_ORDER, FiniteGroup, GroupHom, from_permutations
 from .actions import GroupAction, trivial_action
 from .xmod import CrossedModule, XModMorphism, xmod_from_normal_subgroup
 
@@ -278,12 +278,17 @@ def _build_group(name, entries, lineno):
         if not dval.isdigit() or int(dval) < 1:
             _err(dln, f"degree must be a positive integer, got {dval!r}")
         degree = int(dval)
+        if degree > MAX_ORDER:  # a transitive group of this degree is over the cap too
+            _err(dln, f"degree {degree} exceeds the dense-table cap {MAX_ORDER}")
         pval, pblock, pln = entries["perms"]
         text = " ".join([pval] + [row for row, _ in pblock])
         perms = [_parse_perm(p.strip(), degree, pln) for p in text.split(";") if p.strip()]
         if not perms:
             _err(pln, "no permutations given")
-        return from_permutations(perms, degree, label=name)
+        try:
+            return from_permutations(perms, degree, label=name)
+        except GroupError as exc:
+            _err(pln, f"perms: {exc}")
     else:
         _err(lineno, "[group] needs either a table (with elements) or perms (with degree)")
 

@@ -641,7 +641,8 @@ def _cycle_notation(perm):
 def from_permutations(perms, degree, label="P"):
     """Group generated by permutations (tuples of images on 0..degree-1).
 
-    The composite p.q, i -> p[q[i]], is one C-level gather of p at q.
+    The composite p.q, i -> p[q[i]], is one C-level gather of p at q.  The
+    closure stops, refused, as soon as it holds more than MAX_ORDER elements.
     """
     ident = tuple(range(degree))
     elems = {ident}
@@ -655,9 +656,9 @@ def from_permutations(perms, degree, label="P"):
                     if r not in elems:
                         elems.add(r)
                         new.append(r)
+            if len(elems) > MAX_ORDER:
+                raise GroupError(f"order exceeds the dense-table cap {MAX_ORDER}")
         frontier = new
-    if len(elems) > MAX_ORDER:
-        raise GroupError(f"order {len(elems)} exceeds the dense-table cap {MAX_ORDER}")
     order = sorted(elems)
     idx = {p: i for i, p in enumerate(order)}
     table = tuple(tuple(idx[tuple(map(p.__getitem__, q))] for q in order) for p in order)

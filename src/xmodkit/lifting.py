@@ -26,26 +26,25 @@ regular epis over a fixed base with it.
 
 The free-object calculus works with words, because free crossed modules on a
 nontrivial group have infinite carriers.  A pair of homs (f: H -> T,
-g: H -> G) extends to an evaluator on two-slot words over (H, H): base
-values through the copairing [g, d f], carrier values of flat words read off
-inside the semidirect product T x| G.  `hom_bijection_check` confirms that
-every pair reads back from its evaluator and distinct pairs give distinct
-evaluators.
+g: H -> G) extends to an evaluator on two-slot words over (H, H): one walk
+in T x| G, slot 0 through g and slot 1 through f, gives a pair (t, a) whose
+base value is d(t) a and, for a flat word, whose carrier value is t.
+`hom_bijection_check` confirms that every pair reads back from its
+evaluator and distinct pairs give distinct evaluators.
 """
 
 from .errors import GroupError, InvariantBreach
 from .groups import (
-    FiniteGroup, GroupHom, compose, enumerate_homs, find_section,
+    FiniteGroup, GroupHom, enumerate_homs, find_section,
     identity_hom, lifts, pullback,
 )
 # Not called here: perfbench/tests checks that the tracer rebinds this name in
 # every xmodkit module that holds it, this one included.
 from .groups import search_homs
-from .actions import SplitExtension
+from .actions import SplitExtension, semidirect_walker
 from .words import (
-    FactorSignature, Word, WordHom, enumerate_cosmash_words,
-    enumerate_flat_words, enumerate_words, fold_word, format_word, in_flat,
-    single,
+    FactorSignature, Word, enumerate_cosmash_words, enumerate_flat_words,
+    enumerate_words, format_word, in_flat, single,
 )
 from .xmod import (
     CrossedModule, XModMorphism, identity_morphism, morphism_witness, pi0,
@@ -247,23 +246,20 @@ def _ternary_morphism_audit(mor: XModMorphism, max_len: int):
     `generators` of a group never include its identity, so no letter is
     the identity and no two neighbours share a slot, which makes the word
     reduced, and deleting any one slot collapses one of its commutators.
-    For each word both fold routes are evaluated on both sides; the two
-    routes must agree on each side and the carrier map must carry source
+    Both `ternary_routes` evaluate each word on both sides, the target's
+    through (fG, fT); they must agree on each side and fT must carry source
     values to target values.  Returns (enumerated, brackets) counts; any
     mismatch raises InvariantBreach.
     """
     A, B = mor.src, mor.tgt
     EA, QA = A.codomain(), A.domain()
-    GB, TB = B.codomain(), B.domain()
     sigA = FactorSignature((EA, QA, QA))
-    sigB = FactorSignature((GB, TB, TB))
-    fG, fT = mor.fG.table, mor.fT.table
-    letter_maps = (lambda v: fG[v], lambda v: fT[v], lambda v: fT[v])
-    routes_A, routes_B = ternary_routes(A), ternary_routes(B)
+    fT = mor.fT.table
+    routes_A, routes_B = ternary_routes(A), ternary_routes(B, (mor.fG.table, fT))
 
     def check(w):
         rA, lA = routes_A(w)
-        rB, lB = routes_B(fold_word(w, sigB, (0, 1, 2), letter_maps))
+        rB, lB = routes_B(w)
         if not (rA == lA and rB == lB and fT[rA] == rB):
             raise InvariantBreach(f"ternary audit failed on {format_word(w)}")
 
@@ -405,10 +401,10 @@ def find_xmod_section(epi: XModMorphism, *, budget=None):
 class FreeXModMorphism:
     """Evaluator pair extending letter homs (f: H -> T, g: H -> G) to words.
 
-    Base values come from the copairing [g, d f] on two-slot words over
-    (H, H).  Carrier values of flat words are computed in the semidirect
-    product T x| G through the slot maps (s g, k f); flatness is exactly
-    what keeps the value inside the embedded copy of T.
+    A two-slot word over (H, H) walks to a pair (t, a) of T x| G, slot 0
+    through g and slot 1 through f (`semidirect_walker`).  Its base value is
+    d(t) a, the image under the hom (t, a) -> d(t) a, which is the
+    copairing [g, d f].  A flat word has a = e, and its carrier value is t.
     """
 
     def __init__(self, H: FiniteGroup, xm: CrossedModule, f: GroupHom,
@@ -422,18 +418,16 @@ class FreeXModMorphism:
         self.f = f
         self.g = g
         self.sig = FactorSignature((H, H))
-        self.base_hom = WordHom(self.sig, (g, compose(xm.boundary, f)),
-                                xm.codomain())
-        ext = xm.extension
-        self._eval = WordHom(self.sig, (compose(ext.s, g), compose(ext.k, f)),
-                             ext.total)
-        self._klook = ext.k.preimage
+        self._walk = semidirect_walker(xm.action, ((0, g.table), (1, f.table)))
+        G = xm.codomain()  # its table, d and identity bound once, not read per word
+        self._mul, self._d, self._one = G.table, xm.boundary.table, G.identity
 
     def base_value(self, w) -> int:
         """Evaluate any two-slot word in the base group."""
         if w.sig != self.sig:
             raise GroupError("word signature mismatch")
-        return self.base_hom.evaluate(w)
+        t, a = self._walk(w)
+        return self._mul[self._d[t]][a]
 
     def carrier_value(self, w) -> int:
         """Evaluate a flat word (trivial slot-0 projection) in the carrier."""
@@ -441,8 +435,8 @@ class FreeXModMorphism:
             raise GroupError("word signature mismatch")
         if not in_flat(w):
             raise GroupError("carrier evaluation needs a flat word")
-        t = self._klook[self._eval.evaluate(w)]
-        if t is None:
+        t, a = self._walk(w)
+        if a != self._one:
             raise InvariantBreach("flat word escaped the embedded kernel")
         return t
 

@@ -1,18 +1,20 @@
 """Reduced words in free products of finite groups.
 
 Free products, cosmash products and flat objects are infinite, so they are
-never materialized: everything is an evaluator over reduced words.  A word is
-a sequence of letters (slot, value) with no identity letters and no two
-adjacent letters in the same slot.  Slots are positions in a signature; the
-same group may occupy several slots and the slots stay distinct.  Every slot
-carries a plain group, which is checked once, where a signature is built.
+never materialized: their members are reduced words, built, listed and
+formatted here and evaluated by one letter walk in a semidirect product
+(`actions.semidirect_walker`).  A word is a sequence of letters (slot, value)
+with no identity letters and no two adjacent letters in the same slot.
+Slots are positions in a signature; the same group may occupy several slots
+and the slots stay distinct.  Every slot carries a plain group, which is
+checked once, where a signature is built.
 """
 from __future__ import annotations
 
 from functools import cache
 
 from .errors import GroupError
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup
 
 MAX_ENUM_LEN = 12
 
@@ -100,44 +102,6 @@ def format_word(w):
         return "()"
     fs = w.sig.factors
     return "(" + " ".join(f"{s}:{fs[s].names[v]}" for s, v in w.letters) + ")"
-
-
-class WordHom:
-    """Slot-wise homomorphisms into one common target; evaluates words there."""
-
-    def __init__(self, sig, maps, target):
-        maps = tuple(maps)
-        if len(maps) != len(sig):
-            raise GroupError("need one map per slot")
-        for i, m in enumerate(maps):
-            if not isinstance(m, GroupHom) or m.target is not target:
-                raise GroupError("slot maps must be homs into the common target")
-            if m.source is not sig.factors[i]:
-                raise GroupError(f"slot {i} map source does not match the factor")
-        self.sig = sig
-        self.maps = maps
-        self.target = target
-
-    def evaluate(self, w):
-        out, t, maps = self.target.identity, self.target.table, self.maps
-        for s, v in w.letters:
-            out = t[out][maps[s].table[v]]
-        return out
-
-
-def fold_word(w, tgt_sig, slot_map, value_maps=None):
-    """Send slot i to slot_map[i] (None deletes it), mapping values; renormalizes.
-
-    Deleting a slot is the induced map that kills that factor; merging slots is
-    the induced copairing.  Always a homomorphism on the free product.
-    """
-    letters = []
-    for s, v in w.letters:
-        t = slot_map[s]
-        if t is None:
-            continue
-        letters.append((t, value_maps[s](v) if value_maps else v))
-    return normalize(tgt_sig, tuple(letters))
 
 
 def in_flat(w):

@@ -29,7 +29,7 @@ from .groups import (
     subgroup, trivial_group, trivial_hom,
 )
 from .words import (
-    FactorSignature, Word, check_length, enumerate_cosmash_words, fold_word, format_word,
+    FactorSignature, Word, check_length, enumerate_cosmash_words, format_word,
 )
 
 
@@ -242,22 +242,18 @@ def _binary_law_walk(sig, act, on_core, maps, target, max_len):
     return count, viol + [w for n in range(max_len + 1) for s0 in (0, 1) for w in found[s0][n]]
 
 
-def ternary_routes(xm: CrossedModule):
+def ternary_routes(xm: CrossedModule, maps=None):
     """The two evaluations of (G, T, T) words of xm, as w -> (right, left).
 
-    Route one (right) folds the two T slots by multiplication and takes the
-    core evaluation.  Route two (left) first pushes the middle slot through
-    the boundary into the actor slot, then evaluates.  Both land in T.
+    Letters are read through maps = (on G, on T), identities by default, so
+    a morphism's maps evaluate its source's words in xm.  Route one (right)
+    reads the slots as (actor, carrier, carrier), route two (left) as
+    (actor, actor through d, carrier).  Both land in T (`core_walker`).
     """
-    out_sig = FactorSignature((xm.codomain(), xm.domain()))
-    d = xm.boundary.table
-    push = (lambda v: v, lambda v: d[v], lambda v: v)
-    core = core_walker(xm.action)
-
-    def routes(w):
-        return (core(fold_word(w, out_sig, (0, 1, 1))),
-                core(fold_word(w, out_sig, (0, 0, 1), push)))
-    return routes
+    mG, mT = maps or (range(xm.codomain().order), range(xm.domain().order))
+    right = core_walker(xm.action, ((0, mG), (1, mT), (1, mT)))
+    left = core_walker(xm.action, ((0, mG), (0, gatherer(mT)(xm.boundary.table)), (1, mT)))
+    return lambda w: (right(w), left(w))
 
 
 def check_ternary(xm: CrossedModule, max_len: int = 8) -> dict:
@@ -266,9 +262,8 @@ def check_ternary(xm: CrossedModule, max_len: int = 8) -> dict:
     On valid input the law holds on the bracket words: for s = [g, t] in T,
     equivariance gives d(s) = [g, d t] and Peiffer gives d(s).t' = s t' s^-1,
     so [[g, t], t'] = [[g, d t], t'].  So on input that passed
-    `check_axioms` this check audits the word layer (`fold_word`,
-    `core_walker`), and on merely precrossed input it detects Peiffer
-    failures at s in [G, T].
+    `check_axioms` this check audits the word layer (`core_walker`), and on
+    merely precrossed input it detects Peiffer failures at s in [G, T].
     """
     G, T = xm.codomain(), xm.domain()
     sig = FactorSignature((G, T, T))

@@ -7,7 +7,9 @@ from xmodkit.actions import (
 )
 from xmodkit.errors import GroupError
 from xmodkit.groups import GroupHom
-from xmodkit.words import FactorSignature, WordHom, enumerate_flat_words
+from xmodkit.words import FactorSignature, enumerate_flat_words
+
+from word_helpers import WordHom
 
 
 def action_from_extension(ext: SplitExtension) -> GroupAction:

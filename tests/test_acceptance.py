@@ -13,9 +13,7 @@ import time
 from xmodkit.groups import (
     cyclic_group, direct_product, hom, symmetric_group, trivial_group,
 )
-from xmodkit.words import (
-    FactorSignature, WordHom, enumerate_cosmash_words, fold_word, single,
-)
+from xmodkit.words import FactorSignature, enumerate_cosmash_words, single
 from xmodkit.xmod import (
     check_axioms, check_axioms_wordlevel, check_ternary, conjugation_xmod,
     module_xmod, pi0_comparison, pi0_preserves_split_ses,
@@ -38,7 +36,7 @@ from xmodkit.corpus import (
 )
 
 from word_helpers import (
-    fold_left, fold_right, in_binary_cosmash, in_ternary_cosmash,
+    WordHom, fold_left, fold_right, fold_word, in_binary_cosmash, in_ternary_cosmash,
 )
 
 Z2 = cyclic_group(2)

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from xmodkit.corpus import axiom_corpus
 from xmodkit.errors import GroupError
 from xmodkit.groups import (
     GroupHom, cyclic_group, dihedral_group, find_isomorphism, hom,
     klein_four_group, subgroup, symmetric_group,
 )
+from xmodkit.words import Word, normalize
 from xmodkit.actions import (
     GroupAction, SplitExtension, action_from_function, conjugation_action,
     conjugation_action_on, core_walker, semidirect_product, trivial_action,
@@ -150,6 +154,36 @@ def test_action_core_rejects_unbalanced_words():
     wrong_sig = parse_word(action_signature(trivial_action(Z2, Z4)), "()")
     with pytest.raises(GroupError):
         semidirect_route(act)(wrong_sig)
+
+
+def test_a_walk_is_blind_to_spelling():
+    """The morphism audit walks mapped letters, which may hold identity
+    letters and same-slot neighbours.  On every axiom corpus action, seeded
+    random letter sequences with both, closed by an actor letter to a
+    trivial actor part, walk to the value of their reduced word, and that
+    value is the semidirect product's."""
+    rng = random.Random(0)
+    identities = neighbours = 0
+    for _, xm, _ in axiom_corpus():
+        action = xm.action
+        factors = (action.actor, action.carrier)
+        sig = action_signature(action)
+        walk, route = core_walker(action), semidirect_route(action)
+        for _ in range(25):
+            letters, a = [], action.actor.identity
+            for _ in range(rng.randrange(1, 10)):
+                s = rng.randrange(2)
+                f = factors[s]
+                v = f.identity if rng.random() < 0.2 else rng.randrange(f.order)
+                letters.append((s, v))
+                if s == 0:
+                    a = f.mul(a, v)
+            letters.append((0, action.actor.inv(a)))
+            identities += any(v == factors[s].identity for s, v in letters)
+            neighbours += any(p[0] == q[0] for p, q in zip(letters, letters[1:]))
+            raw, reduced = Word(sig, tuple(letters)), normalize(sig, letters)
+            assert walk(raw) == walk(reduced) == route(reduced), letters
+    assert identities > 500 and neighbours > 500
 
 
 def test_action_core_consistency_counts():

@@ -211,6 +211,12 @@ def test_parse_errors_carry_line_numbers():
         ("[group G]\ndegree: 0\nperms: (1)\n",
          "line 2: degree must be a positive integer, got '0'"),
         ("[group G]\ndegree: 2\nperms: ;\n", "line 3: no permutations given"),
+        # refused before a point list is built
+        ("[group G]\ndegree: 1000000000\nperms: (1 2)\n",
+         "line 2: degree 1000000000 exceeds the dense-table cap 1024"),
+        # S10 is refused once its closure passes the cap, not after 10! elements
+        ("[group G]\ndegree: 10\nperms: (1 2); (1 2 3 4 5 6 7 8 9 10)\n",
+         "line 3: perms: order exceeds the dense-table cap 1024"),
         ("[group G]\nelements: e\n",
          "line 1: [group] needs either a table (with elements) or perms (with degree)"),
         (ACT + "trivial: no\n", "line 10: trivial takes 'yes', got 'no'"),

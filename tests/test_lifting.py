@@ -6,7 +6,10 @@ from xmodkit import lifting
 from xmodkit.cli import main
 from xmodkit.defs import load_definitions
 from xmodkit.errors import GroupError, InvariantBreach
-from xmodkit.groups import cyclic_group, direct_product, hom, symmetric_group, z4_module
+from xmodkit.groups import (
+    compose, cyclic_group, dihedral_group, direct_product, enumerate_homs, hom,
+    klein_four_group, symmetric_group, z4_module,
+)
 from xmodkit.actions import semidirect_product, trivial_action
 from xmodkit.xmod import (
     CrossedModule, conjugation_xmod, identity_morphism, inclusion_xmod,
@@ -20,7 +23,9 @@ from xmodkit.lifting import (
     FreeXModMorphism, find_xmod_section, hom_bijection_check,
     inclusion_extension, projective_section, pullback_section,
 )
-from xmodkit.words import FactorSignature, single
+from xmodkit.words import FactorSignature, enumerate_words, in_flat, single
+
+from word_helpers import WordHom
 
 S3 = symmetric_group(3)
 Z2 = cyclic_group(2)
@@ -215,6 +220,32 @@ def test_carrier_value_refuses_a_word_outside_the_kernel(monkeypatch):
     assert str(exc.value) == "flat word escaped the embedded kernel"
 
 
+def test_free_morphism_walk_matches_the_semidirect_total():
+    """The free-object evaluator walks each word once, to a pair of T x| G:
+    on every word of length <= 3, for every letter pair of the hom-search
+    bijection cases and of Z3 into S3, its base value is the copairing
+    [g, d f] and its carrier value, on flat words, the value of the slot
+    maps (s g, k f) into the semidirect total read back through k."""
+    cases = [(cyclic_group(4), conjugation_xmod(dihedral_group(4))),
+             (klein_four_group(), conjugation_xmod(S3)),
+             (cyclic_group(3), conjugation_xmod(S3))]
+    pairs = 0
+    for H, xm in cases:
+        ext, sig = semidirect_product(xm.action), FactorSignature((H, H))
+        words = enumerate_words(sig, 3)
+        for g in enumerate_homs(H, xm.codomain()):
+            for f in enumerate_homs(H, xm.domain()):
+                pairs += 1
+                mor = FreeXModMorphism(H, xm, f, g)
+                base = WordHom(sig, (g, compose(xm.boundary, f)), xm.codomain())
+                total = WordHom(sig, (compose(ext.s, g), compose(ext.k, f)), ext.total)
+                for w in words:
+                    assert mor.base_value(w) == base.evaluate(w), w
+                    if in_flat(w):
+                        assert mor.carrier_value(w) == ext.k.preimage[total.evaluate(w)], w
+    assert pairs == 64 + 100 + 9
+
+
 def test_hom_bijection_frozen_counts():
     r = hom_bijection_check(Z2, conjugation_xmod(S3))
     assert r == {"pairs": 16, "round_trips": 16,
@@ -290,8 +321,8 @@ def _carrier_lift_not_a_hom(mor):
 def _routes_disagree(mor):
     real = lifting.ternary_routes
 
-    def bent(xm):
-        routes = real(xm)
+    def bent(xm, *maps):
+        routes = real(xm, *maps)
         return lambda w: (routes(w)[0], None) if len(w) else routes(w)
     return {"ternary_routes": bent}
 

@@ -47,7 +47,7 @@ from xmodkit.xmod import (
 )
 
 from action_helpers import action_from_extension, semidirect_route
-from word_helpers import commutator, in_ternary_cosmash
+from word_helpers import commutator, fold_word, in_ternary_cosmash
 
 
 def _revalidate(action):
@@ -452,8 +452,8 @@ def test_audited_bracket_words_are_ternary_cosmash_words(monkeypatch):
     words, audits = [], []
     real_routes, real_audit = lifting.ternary_routes, lifting._ternary_morphism_audit
 
-    def recording_routes(xm):
-        routes = real_routes(xm)
+    def recording_routes(xm, *maps):
+        routes = real_routes(xm, *maps)
 
         def record(w):
             words.append(w)
@@ -490,36 +490,42 @@ def test_audited_bracket_words_are_ternary_cosmash_words(monkeypatch):
 
 
 def test_core_walker_agrees_with_the_semidirect_route(monkeypatch):
-    """`ternary_routes` evaluates through `core_walker`, which does not
-    check a word's signature: on the axiom corpus every folded word it
-    evaluates is over (actor, carrier) of its action and has the same value
-    through the semidirect product (`semidirect_route`, which checks the
-    signature).  Ternary words run at L=10, the first length with non-empty
-    ones, where the carrier has order at most four, and at L=8 elsewhere.
-    `check_axioms_wordlevel` walks its words with its own running values,
-    not through `core_walker`; the enumerating reference in the tests does,
-    and the walk is compared with it.  The walker still refuses a word that
-    does not project trivially."""
+    """`ternary_routes` evaluates through `core_walker`, which reads each
+    letter through its slot's (level, values) and does not check a word's
+    signature: on the axiom corpus every word it evaluates, folded onto
+    (actor, carrier) through the recorded slots by the reference
+    `fold_word`, has the same value through the semidirect product
+    (`semidirect_route`, which checks the signature).  Ternary words run at
+    L=10, the first length with non-empty ones, where the carrier has order
+    at most four, and at L=8 elsewhere.  `check_axioms_wordlevel` walks its
+    words with its own running values, not through `core_walker`; the
+    enumerating reference in the tests does, and the walk is compared with
+    it.  The walker still refuses a word that does not project trivially."""
     seen = []
     real = xmod.core_walker
 
-    def recording(action):
-        walk = real(action)
+    def recording(action, slots=None):
+        walk = real(action, slots)
 
         def record(w):
-            seen.append((action, w, walk(w)))
-            return seen[-1][2]
+            seen.append((action, slots, w, walk(w)))
+            return seen[-1][3]
         return record
 
     monkeypatch.setattr(xmod, "core_walker", recording)
     for _, xm, _ in axiom_corpus():
         check_ternary(xm, 10 if xm.domain().order <= 4 else 8)
     assert len(seen) > 40_000
-    routes = {}  # by id: every action stays alive in `seen`
-    for action, w, value in seen:
+    routes, folds = {}, {}  # by id: every action and slot tuple stays alive in `seen`
+    for action, slots, w, value in seen:
         if id(action) not in routes:
-            routes[id(action)] = semidirect_route(action)
-        assert routes[id(action)](w) == value
+            routes[id(action)] = (semidirect_route(action),
+                                  FactorSignature((action.actor, action.carrier)))
+        if id(slots) not in folds:
+            folds[id(slots)] = (tuple(level for level, _ in slots),
+                                tuple(values.__getitem__ for _, values in slots))
+        route, sig = routes[id(action)]
+        assert route(fold_word(w, sig, *folds[id(slots)])) == value
     action = seen[-1][0]
     sig = FactorSignature((action.actor, action.carrier))
     with pytest.raises(GroupError, match="does not project trivially"):

@@ -1,8 +1,13 @@
 """Word helpers that only the tests use: a word parser, the commutator,
-membership in the binary and ternary cosmash, and the fold maps on three-slot
-words, kept beside the tests that pin their answers."""
+membership in the binary and ternary cosmash, and the reference evaluators,
+`WordHom` and the fold maps, kept beside the tests that pin their answers.
+
+`WordHom` and `fold_word` are the route the library's one letter walk
+(`actions.semidirect_walker`) is compared with: slot-wise homs into a common
+target, and the induced maps between free products, renormalizing."""
 from xmodkit.errors import GroupError
-from xmodkit.words import FactorSignature, Word, fold_word, normalize
+from xmodkit.groups import GroupHom
+from xmodkit.words import FactorSignature, Word, normalize
 
 
 def empty_word(sig):
@@ -63,6 +68,44 @@ def in_ternary_cosmash(w):
     if len(w.sig) != 3:
         raise GroupError("ternary membership needs a three-slot signature")
     return all(_collapses_without(w, i) for i in range(3))
+
+
+class WordHom:
+    """Slot-wise homomorphisms into one common target; evaluates words there."""
+
+    def __init__(self, sig, maps, target):
+        maps = tuple(maps)
+        if len(maps) != len(sig):
+            raise GroupError("need one map per slot")
+        for i, m in enumerate(maps):
+            if not isinstance(m, GroupHom) or m.target is not target:
+                raise GroupError("slot maps must be homs into the common target")
+            if m.source is not sig.factors[i]:
+                raise GroupError(f"slot {i} map source does not match the factor")
+        self.sig = sig
+        self.maps = maps
+        self.target = target
+
+    def evaluate(self, w):
+        out, t, maps = self.target.identity, self.target.table, self.maps
+        for s, v in w.letters:
+            out = t[out][maps[s].table[v]]
+        return out
+
+
+def fold_word(w, tgt_sig, slot_map, value_maps=None):
+    """Send slot i to slot_map[i] (None deletes it), mapping values; renormalizes.
+
+    Deleting a slot is the induced map that kills that factor; merging slots is
+    the induced copairing.  Always a homomorphism on the free product.
+    """
+    letters = []
+    for s, v in w.letters:
+        t = slot_map[s]
+        if t is None:
+            continue
+        letters.append((t, value_maps[s](v) if value_maps else v))
+    return normalize(tgt_sig, tuple(letters))
 
 
 def _require_same_factor(sig, i, j):

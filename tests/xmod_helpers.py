@@ -4,8 +4,10 @@ that pin their answers."""
 from xmodkit.actions import GroupAction, core_walker
 from xmodkit.errors import GroupError
 from xmodkit.groups import compose, gatherer, identity_hom
-from xmodkit.words import FactorSignature, WordHom, enumerate_cosmash_words, format_word
+from xmodkit.words import FactorSignature, enumerate_cosmash_words, format_word
 from xmodkit.xmod import XModMorphism
+
+from word_helpers import WordHom
 
 
 def compose_morphisms(f, g):
