@@ -278,7 +278,9 @@ def _build_group(name, entries, lineno):
         if not dval.isdigit() or int(dval) < 1:
             _err(dln, f"degree must be a positive integer, got {dval!r}")
         degree = int(dval)
-        if degree > MAX_ORDER:  # a transitive group of this degree is over the cap too
+        # Elements are tuples of `degree` points, so memory is degree x order:
+        # past the cap even Z2 is refused, before any point list is built.
+        if degree > MAX_ORDER:
             _err(dln, f"degree {degree} exceeds the dense-table cap {MAX_ORDER}")
         pval, pblock, pln = entries["perms"]
         text = " ".join([pval] + [row for row, _ in pblock])

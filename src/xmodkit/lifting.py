@@ -26,16 +26,16 @@ regular epis over a fixed base with it.
 
 The free-object calculus works with words, because free crossed modules on a
 nontrivial group have infinite carriers.  A pair of homs (f: H -> T,
-g: H -> G) extends to an evaluator on two-slot words over (H, H): one walk
-in T x| G, slot 0 through g and slot 1 through f, gives a pair (t, a) whose
-base value is d(t) a and, for a flat word, whose carrier value is t.
-`hom_bijection_check` confirms that every pair reads back from its
-evaluator and distinct pairs give distinct evaluators.
+g: H -> G) extends to an evaluator on two-slot words over (H, H): base
+values walk the copairing [g, d f] in G, carrier values of flat words walk
+T x| G, slot 0 through g and slot 1 through f.  `hom_bijection_check`
+confirms that every pair reads back from its evaluator and distinct pairs
+give distinct evaluators.
 """
 
 from .errors import GroupError, InvariantBreach
 from .groups import (
-    FiniteGroup, GroupHom, enumerate_homs, find_section,
+    FiniteGroup, GroupHom, enumerate_homs, find_section, gatherer,
     identity_hom, lifts, pullback,
 )
 # Not called here: perfbench/tests checks that the tracer rebinds this name in
@@ -401,10 +401,10 @@ def find_xmod_section(epi: XModMorphism, *, budget=None):
 class FreeXModMorphism:
     """Evaluator pair extending letter homs (f: H -> T, g: H -> G) to words.
 
-    A two-slot word over (H, H) walks to a pair (t, a) of T x| G, slot 0
-    through g and slot 1 through f (`semidirect_walker`).  Its base value is
-    d(t) a, the image under the hom (t, a) -> d(t) a, which is the
-    copairing [g, d f].  A flat word has a = e, and its carrier value is t.
+    Two `semidirect_walker` walks that share no step, so `verify`'s boundary
+    square compares two routes: the base value reads both slots as actor
+    letters, through g and d f, to the copairing [g, d f]; a flat word walks
+    slot 0 through g and slot 1 through f to (t, e) in T x| G, and is t.
     """
 
     def __init__(self, H: FiniteGroup, xm: CrossedModule, f: GroupHom,
@@ -419,15 +419,15 @@ class FreeXModMorphism:
         self.g = g
         self.sig = FactorSignature((H, H))
         self._walk = semidirect_walker(xm.action, ((0, g.table), (1, f.table)))
-        G = xm.codomain()  # its table, d and identity bound once, not read per word
-        self._mul, self._d, self._one = G.table, xm.boundary.table, G.identity
+        d_f = gatherer(f.table)(xm.boundary.table)
+        self._base_walk = semidirect_walker(xm.action, ((0, g.table), (0, d_f)))
+        self._one = xm.codomain().identity  # bound once, not read per word
 
     def base_value(self, w) -> int:
         """Evaluate any two-slot word in the base group."""
         if w.sig != self.sig:
             raise GroupError("word signature mismatch")
-        t, a = self._walk(w)
-        return self._mul[self._d[t]][a]
+        return self._base_walk(w)[1]
 
     def carrier_value(self, w) -> int:
         """Evaluate a flat word (trivial slot-0 projection) in the carrier."""

@@ -214,6 +214,9 @@ def test_parse_errors_carry_line_numbers():
         # refused before a point list is built
         ("[group G]\ndegree: 1000000000\nperms: (1 2)\n",
          "line 2: degree 1000000000 exceeds the dense-table cap 1024"),
+        # a narrowing: this is Z2, which loaded before the degree was capped
+        ("[group G]\ndegree: 1100\nperms: (1 2)\n",
+         "line 2: degree 1100 exceeds the dense-table cap 1024"),
         # S10 is refused once its closure passes the cap, not after 10! elements
         ("[group G]\ndegree: 10\nperms: (1 2); (1 2 3 4 5 6 7 8 9 10)\n",
          "line 3: perms: order exceeds the dense-table cap 1024"),

@@ -7,8 +7,8 @@ from xmodkit.cli import main
 from xmodkit.defs import load_definitions
 from xmodkit.errors import GroupError, InvariantBreach
 from xmodkit.groups import (
-    compose, cyclic_group, dihedral_group, direct_product, enumerate_homs, hom,
-    klein_four_group, symmetric_group, z4_module,
+    GroupHom, compose, cyclic_group, dihedral_group, direct_product,
+    enumerate_homs, hom, klein_four_group, symmetric_group, z4_module,
 )
 from xmodkit.actions import semidirect_product, trivial_action
 from xmodkit.xmod import (
@@ -23,7 +23,9 @@ from xmodkit.lifting import (
     FreeXModMorphism, find_xmod_section, hom_bijection_check,
     inclusion_extension, projective_section, pullback_section,
 )
-from xmodkit.words import FactorSignature, enumerate_words, in_flat, single
+from xmodkit.words import (
+    FactorSignature, enumerate_words, format_word, in_flat, single,
+)
 
 from word_helpers import WordHom
 
@@ -134,7 +136,6 @@ def test_projective_section_precondition_errors():
         projective_section(identity_morphism(other), ext)
     # non-surjective carrier level is refused
     sub = xmod_from_normal_subgroup(S3, {0})
-    from xmodkit.groups import GroupHom
     from xmodkit.xmod import XModMorphism
     inc = XModMorphism(sub, xm,
                        GroupHom(sub.domain(), xm.domain(), (0,)),
@@ -218,6 +219,27 @@ def test_carrier_value_refuses_a_word_outside_the_kernel(monkeypatch):
     with pytest.raises(InvariantBreach) as exc:
         mor.carrier_value(single(FactorSignature((Z2, Z2)), 0, 1))
     assert str(exc.value) == "flat word escaped the embedded kernel"
+
+
+def test_free_morphism_square_compares_two_routes():
+    """The base value walks the copairing [g, d f] and the carrier value the
+    action, so a boundary that is not equivariant breaks the square: with the
+    trivial action of S3 on itself and d the identity, (1 2)(1 3)(1 2) is
+    (2 3) in the base, but the carrier value of that word is (1 3)."""
+    raw = CrossedModule(trivial_action(S3, S3),
+                        GroupHom(S3, S3, tuple(range(6))), check=False)
+    f = hom(Z2, S3, {1: S3.index_of("(1 3)")})
+    g = hom(Z2, S3, {1: S3.index_of("(1 2)")})
+    mor = FreeXModMorphism(Z2, raw, f, g)
+    sig = FactorSignature((Z2, Z2))
+    w = single(sig, 0, 1) * single(sig, 1, 1) * single(sig, 0, 1).inverse()
+    assert mor.base_value(w) == S3.index_of("(2 3)")
+    assert mor.carrier_value(w) == S3.index_of("(1 3)")
+    base = WordHom(sig, (g, compose(raw.boundary, f)), S3)
+    assert all(mor.base_value(v) == base.evaluate(v) for v in enumerate_words(sig, 4))
+    rep = mor.verify(4)
+    assert format_word(w) in rep["square_violations"]
+    assert not rep["ok"]
 
 
 def test_free_morphism_walk_matches_the_semidirect_total():
