@@ -6,8 +6,8 @@ kernel embedding, a retraction, and a section; the two views are equivalent:
 `semidirect_product` builds the extension of an action, and
 `lifting.inclusion_base_action` reads the action back off an extension.
 
-``GroupAction`` and ``SplitExtension`` validate by default, where data
-enters; the constructions here are correct by theorem and build unchecked.
+``GroupAction`` and ``SplitExtension`` always check, where data enters; the
+constructions here are correct by theorem and build unchecked (``_trusted``).
 Their tables are built a row at a time with ``groups.gatherer``, each on
 first read: a semidirect-product row extends one list by blocks shared by
 every row with the same actor element, and a conjugation row reads one
@@ -30,22 +30,24 @@ class GroupAction:
     """Left action of `actor` on `carrier` by automorphisms.
 
     table[g][x] is the image of carrier element x under actor element g.
-    A `_Rows` table, built by the library a row on first read, is kept as
-    given; the shape check, which reads every row, runs on plain tables.
+    The table is copied into row tuples and checked: its shape, then the
+    action laws (`_validate`).
     """
 
-    def __init__(self, actor: FiniteGroup, carrier: FiniteGroup, table, *, check: bool = True):
-        self.actor = actor
-        self.carrier = carrier
-        if isinstance(table, _Rows):
-            self.table = table
-        else:
-            self.table = tuple(tuple(row) for row in table)
-            if (len(self.table) != actor.order
-                    or any(len(r) != carrier.order for r in self.table)):
-                raise GroupError("action table shape does not match the groups")
-        if check:
-            self._validate()
+    def __init__(self, actor: FiniteGroup, carrier: FiniteGroup, table):
+        self.actor, self.carrier = actor, carrier
+        self.table = tuple(tuple(row) for row in table)
+        if (len(self.table) != actor.order
+                or any(len(r) != carrier.order for r in self.table)):
+            raise GroupError("action table shape does not match the groups")
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, actor, carrier, table):
+        """The table, row tuples or a `_Rows` built on first read, as given."""
+        a = cls.__new__(cls)
+        a.actor, a.carrier, a.table = actor, carrier, table
+        return a
 
     def _validate(self):
         """Each row is a bijection and, through `GroupHom`'s row check, a hom;
@@ -87,7 +89,7 @@ class GroupAction:
 
 def trivial_action(actor: FiniteGroup, carrier: FiniteGroup) -> GroupAction:
     row = tuple(range(carrier.order))
-    return GroupAction(actor, carrier, [row] * actor.order, check=False)
+    return GroupAction._trusted(actor, carrier, (row,) * actor.order)
 
 
 def action_from_function(actor: FiniteGroup, carrier: FiniteGroup, fn) -> GroupAction:
@@ -117,7 +119,7 @@ def conjugation_action_on(embedding: GroupHom) -> GroupAction:
     if any(None in table[g] for g in G._gens):
         raise GroupError("image of the embedding is not a normal subgroup")
     # conjugation preserving a normal image is an automorphism of it, and g -> row is a hom
-    return GroupAction(G, H, table, check=False)
+    return GroupAction._trusted(G, H, table)
 
 
 def _conjugates(t, inv, elems):
@@ -134,12 +136,15 @@ class SplitExtension:
     The kernel of p must equal the image of k elementwise.
     """
 
-    def __init__(self, k: GroupHom, p: GroupHom, s: GroupHom, *, check: bool = True):
-        self.k = k
-        self.p = p
-        self.s = s
-        if check:
-            self._validate()
+    def __init__(self, k: GroupHom, p: GroupHom, s: GroupHom):
+        self.k, self.p, self.s = k, p, s
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, k, p, s):
+        ext = cls.__new__(cls)
+        ext.k, ext.p, ext.s = k, p, s
+        return ext
 
     @property
     def kernel_group(self) -> FiniteGroup:
@@ -194,7 +199,7 @@ def semidirect_product(action: GroupAction) -> SplitExtension:
     k = GroupHom._trusted(X, E, tuple(x * m + G.identity for x in range(n)))
     p = GroupHom._trusted(E, G, tuple(e % m for e in range(size)))
     s = GroupHom._trusted(G, E, tuple(X.identity * m + g for g in range(m)))
-    return SplitExtension(k, p, s, check=False)
+    return SplitExtension._trusted(k, p, s)
 
 
 def semidirect_walker(action: GroupAction, slots=None):

@@ -42,7 +42,7 @@ import time
 
 from . import __version__
 from .errors import BudgetExhausted, DefinitionError, GroupError, InvariantBreach
-from .defs import load_definitions
+from .defs import load_definitions, nonneg_int
 from .xmod import (
     check_axioms, check_axioms_wordlevel, check_ternary, pi0, pi0_comparison,
     pi0_preserves_split_ses,
@@ -267,10 +267,10 @@ def cmd_lift(args):
 
 
 def _parse_int_list(text, what):
-    try:
-        return tuple(int(t) for t in text.replace(",", " ").split())
-    except ValueError:
-        raise DefinitionError(f"{what} must be a list of integers, got {text!r}")
+    values = tuple(map(nonneg_int, text.replace(",", " ").split()))
+    if None in values:
+        raise DefinitionError(f"{what} must be a list of nonnegative integers, got {text!r}")
+    return values
 
 
 def cmd_z4_pipeline(args):

@@ -45,7 +45,8 @@ def axiom_corpus():
     """Labeled crossed modules with their expected validity.
 
     Returns a list of (name, crossed module, valid) triples.  The invalid
-    entries are built with check=False and each breaks a known axiom: two
+    entries are raw pairs built through `CrossedModule._trusted`, which the
+    public constructor refuses, and each breaks a known axiom: two
     break only the Peiffer identity, three break only equivariance, one
     breaks both.
     """
@@ -107,26 +108,21 @@ def axiom_corpus():
 
     one = trivial_group()
     out.append(("bad:both:S3-id-trivial-action",
-                CrossedModule(trivial_action(S3, S3), identity_hom(S3),
-                              check=False), False))
+                CrossedModule._trusted(trivial_action(S3, S3), identity_hom(S3)), False))
     out.append(("bad:peiffer:S3-over-1",
-                CrossedModule(trivial_action(one, S3), trivial_hom(S3, one),
-                              check=False), False))
+                CrossedModule._trusted(trivial_action(one, S3), trivial_hom(S3, one)), False))
     out.append(("bad:peiffer:D4-over-1",
-                CrossedModule(trivial_action(one, D4), trivial_hom(D4, one),
-                              check=False), False))
+                CrossedModule._trusted(trivial_action(one, D4), trivial_hom(D4, one)), False))
     A3sub, A3incl = subgroup(S3, a3)
     out.append(("bad:equivariance:A3-in-S3-trivial-action",
-                CrossedModule(trivial_action(S3, A3sub), A3incl,
-                              check=False), False))
+                CrossedModule._trusted(trivial_action(S3, A3sub), A3incl), False))
     Z6, Z3s, incl36 = _z3_in_z6()
     out.append(("bad:equivariance:Z3-in-Z6-inversion",
-                CrossedModule(_inversion_action(Z6, Z3s, lambda g: g % 2),
-                              incl36, check=False), False))
+                CrossedModule._trusted(_inversion_action(Z6, Z3s, lambda g: g % 2),
+                                       incl36), False))
     V, Vincl = _d4_normal_four(D4, 2)
     out.append(("bad:equivariance:V4-in-D4-trivial-action",
-                CrossedModule(trivial_action(D4, V), Vincl,
-                              check=False), False))
+                CrossedModule._trusted(trivial_action(D4, V), Vincl), False))
     return out
 
 
@@ -144,8 +140,8 @@ def ternary_fixtures():
     out = []
     for G, fires in ((symmetric_group(3), True), (dihedral_group(4), False),
                      (quaternion_group(), False)):
-        xm = CrossedModule(conjugation_action(G), trivial_hom(G, G), check=False,
-                           label=f"({G.label}=>{G.label},1)")
+        xm = CrossedModule._trusted(conjugation_action(G), trivial_hom(G, G),
+                                    f"({G.label}=>{G.label},1)")
         out.append((f"ternary:conj-trivial:{G.label}", xm, fires))
     return out
 
@@ -260,8 +256,8 @@ def collapse_epi(ext, K):
     QK = direct_product(Q, K)[0]
     m = K.order
     # row p: (p.q, k) over q and then k, K's identity row being K's trivial action
-    act2 = GroupAction(P, QK, _pair_table(psi, (K.table[K.identity],), m, Q.order),
-                       check=False)  # valid, as above
+    act2 = GroupAction._trusted(P, QK, _pair_table(psi, (K.table[K.identity],), m,
+                                                   Q.order))  # valid, as above
     ext2 = semidirect_product(act2)
     src = inclusion_xmod(ext2.k)
     fT = GroupHom._trusted(QK, Q, tuple(x // m for x in range(QK.order)))
@@ -271,7 +267,7 @@ def collapse_epi(ext, K):
     at_s = gatherer(ext.s.table)
     fG = GroupHom._trusted(ext2.total, ext.total, tuple(chain.from_iterable(
         at_s(ext.total.table[kq]) * m for kq in ext.k.table)))
-    return XModMorphism(src, tgt, fT, fG, check=False)  # valid, as above
+    return XModMorphism._trusted(src, tgt, fT, fG)  # valid, as above
 
 
 def projective_section_corpus():

@@ -108,6 +108,13 @@ class Definitions:
         return len(self.order)
 
 
+def nonneg_int(tok):
+    """The integer that 1 to 18 ASCII digits spell, else None.  `str.isdigit`
+    passes '²', which `int` refuses; `int` reads '0_0', '+1' and other scripts'
+    digits, and refuses over 4300 digits.  18 digits exceed every size."""
+    return int(tok) if re.fullmatch(r"[0-9]{1,18}", tok) else None
+
+
 def _err(lineno, msg):
     raise DefinitionError(f"line {lineno}: {msg}")
 
@@ -240,9 +247,9 @@ def _parse_perm(text, degree, lineno):
     for cyc in cycles:
         pts = []
         for tok in cyc.split():
-            if not tok.isdigit() or not 1 <= int(tok) <= degree:
+            if (p := nonneg_int(tok)) is None or not 1 <= p <= degree:
                 _err(lineno, f"cycle entry {tok!r} is not in 1..{degree}")
-            pts.append(int(tok) - 1)
+            pts.append(p - 1)
         if len(set(pts)) != len(pts):
             _err(lineno, f"repeated point in cycle ({cyc})")
         for i, p in enumerate(pts):
@@ -275,9 +282,9 @@ def _build_group(name, entries, lineno):
             _err(tln, f"invalid multiplication table: {exc}")
     elif "perms" in entries:
         dval, _, dln = _need(entries, "degree", lineno, "group")
-        if not dval.isdigit() or int(dval) < 1:
+        degree = nonneg_int(dval)
+        if not degree:  # None, or 0
             _err(dln, f"degree must be a positive integer, got {dval!r}")
-        degree = int(dval)
         # Elements are tuples of `degree` points, so memory is degree x order:
         # past the cap even Z2 is refused, before any point list is built.
         if degree > MAX_ORDER:
@@ -331,7 +338,8 @@ def _build_xmod(defs, name, entries, lineno, check_axioms):
         table = _indices(action.actor, toks, bln, "boundary")
         try:
             boundary = GroupHom(action.carrier, action.actor, table)
-            return CrossedModule(action, boundary, check=check_axioms, label=name)
+            build = CrossedModule if check_axioms else CrossedModule._trusted
+            return build(action, boundary, label=name)
         except GroupError as exc:
             _err(bln, f"not a crossed module: {exc}")
     elif "group" in entries:
@@ -376,11 +384,9 @@ def _build_morphism(defs, entries, lineno):
 def _int_list(entries, key, lineno, kind):
     val, block, ln = _need(entries, key, lineno, kind)
     toks = (val + " " + " ".join(row for row, _ in block)).split()
-    out = []
-    for t in toks:
-        if not t.isdigit():
-            _err(ln, f"{key} entries must be nonnegative integers, got {t!r}")
-        out.append(int(t))
+    out = [nonneg_int(t) for t in toks]
+    if None in out:
+        _err(ln, f"{key} entries must be nonnegative integers, got {toks[out.index(None)]!r}")
     return out, ln
 
 
@@ -388,9 +394,9 @@ def _build_setmap(entries, lineno):
     sizes = {}
     for key in ("source", "target"):
         val, _, ln = _need(entries, key, lineno, "setmap")
-        if not val.isdigit():
+        sizes[key] = nonneg_int(val)
+        if sizes[key] is None:
             _err(ln, f"{key} must be a nonnegative integer, got {val!r}")
-        sizes[key] = int(val)
     table, mln = _int_list(entries, "map", lineno, "setmap")
     section, sln = _int_list(entries, "section", lineno, "setmap")
     if len(table) != sizes["source"]:
@@ -408,9 +414,9 @@ def _build_setmap(entries, lineno):
 
 
 def parse_definitions(text, *, check_xmods: bool = True) -> Definitions:
-    """Build every section in order.  check_xmods=False skips the crossed
-    module axioms (the action and boundary are still validated), so callers
-    that want to report axiom violations can build the raw pair first."""
+    """Build every section in order through the checking constructors.
+    check_xmods=False builds an [xmod]'s validated action and boundary as a
+    raw pair (`CrossedModule._trusted`) for `xmod.check_axioms` to audit."""
     defs = Definitions()
     for kind, name, lineno, entries in _split_sections(text):
         if name in defs:

@@ -114,7 +114,7 @@ def inclusion_extension(xm: CrossedModule, budget=None) -> SplitExtension:
     if s is None:
         raise GroupError("cokernel projection of the boundary does not split")
     # k injective, p the quotient by its image, s a found section: split exact
-    return SplitExtension(xm.boundary, proj, s, check=False)
+    return SplitExtension._trusted(xm.boundary, proj, s)
 
 
 def _require_inclusion(xm: CrossedModule):
@@ -231,7 +231,7 @@ def _certified_section(eqs, src, tgt, gT, gG, detail) -> SectionCertificate:
         if not okay:
             raise InvariantBreach(f"section verification failed: {name}")
     return SectionCertificate("success", eqs, detail=detail,
-                              section=XModMorphism(src, tgt, gT, gG, check=False))
+                              section=XModMorphism._trusted(src, tgt, gT, gG))
 
 
 def _ternary_morphism_audit(mor: XModMorphism, max_len: int):
@@ -381,7 +381,7 @@ def find_xmod_lift(epi: XModMorphism, u: XModMorphism, *, budget=None):
         for vT in lifts(epi.fT, u.fT, budget=budget, allow=square):
             vT_hom = GroupHom._trusted(dom.domain(), src.domain(), vT)
             if morphism_witness(dom, src, vT_hom, vG_hom) is None:
-                return XModMorphism(dom, src, vT_hom, vG_hom, check=False)
+                return XModMorphism._trusted(dom, src, vT_hom, vG_hom)
     return None
 
 

@@ -60,7 +60,7 @@ def enumerate_sse_morphisms(src: CrossedModule, tgt: CrossedModule,
     out = []
     for fT in enumerate_homs(src.domain(), tgt.domain(), budget=budget):
         if morphism_witness(src, tgt, fT, ident) is None:
-            out.append(XModMorphism(src, tgt, fT, ident, check=False))
+            out.append(XModMorphism._trusted(src, tgt, fT, ident))
     return out
 
 
@@ -107,6 +107,6 @@ def free_cover(xm: CrossedModule) -> XModMorphism:
     if not xm.action.is_trivial():
         raise GroupError("free covers here require a trivial action")
     R, phi = free_module_cover(T)
-    F = CrossedModule(trivial_action(G, R), compose(xm.boundary, phi), check=False,
-                      label=f"F({xm.label})")
-    return XModMorphism(F, xm, phi, identity_hom(G), check=False)
+    F = CrossedModule._trusted(trivial_action(G, R), compose(xm.boundary, phi),
+                               f"F({xm.label})")
+    return XModMorphism._trusted(F, xm, phi, identity_hom(G))

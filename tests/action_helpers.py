@@ -17,8 +17,7 @@ def action_from_extension(ext: SplitExtension) -> GroupAction:
     the extension alone: the reference for `lifting.inclusion_base_action`."""
     conj = conjugation_action_on(ext.k).table
     # the conjugation action pulled back along the hom s is again an action
-    return GroupAction(ext.base, ext.kernel_group, [conj[e] for e in ext.s.table],
-                       check=False)
+    return GroupAction._trusted(ext.base, ext.kernel_group, tuple(conj[e] for e in ext.s.table))
 
 
 def extension_iso(ext: SplitExtension) -> GroupHom:

@@ -193,6 +193,10 @@ def test_parse_errors_carry_line_numbers():
         ("[group G]\ndegree: 3\nperms: 1 2\n",
          "line 3: cannot read permutation '1 2' (use cycles like (1 2)(3 4))"),
         ("[group G]\ndegree: 3\nperms: (1 4)\n", "line 3: cycle entry '4' is not in 1..3"),
+        # integers are ASCII digits: str.isdigit passes '²', which int() refuses
+        ("[group G]\ndegree: 3\nperms: (1 ²)\n", "line 3: cycle entry '²' is not in 1..3"),
+        ("[group G]\ndegree: ²\nperms: (1 2)\n",
+         "line 2: degree must be a positive integer, got '²'"),
         ("[group G]\ndegree: 3\nperms: (1 2 1)\n", "line 3: repeated point in cycle (1 2 1)"),
         ("[group G]\nelements: a a\ntable:\n  a a\n  a a\n",
          "line 2: element names are not distinct"),
@@ -256,6 +260,12 @@ def test_parse_errors_carry_line_numbers():
         (INCL + "fT: e a\nfG: e e\n",
          "line 11: not a morphism of crossed modules: boundary square fails at t=a"),
         ("[setmap s]\nsource: -1\n", "line 2: source must be a nonnegative integer, got '-1'"),
+        # past 18 digits, refused before int(), which stops at 4300 digits
+        ("[setmap s]\nsource: " + "1" * 5000 + "\n",
+         "line 2: source must be a nonnegative integer, got '" + "1" * 5000 + "'"),
+        # int() reads the Arabic-Indic zero as 0
+        (SET + "map: 0 \u0660\nsection: 0\n",
+         "line 4: map entries must be nonnegative integers, got '\u0660'"),
         (SET + "map: 0 x\nsection: 0\n",
          "line 4: map entries must be nonnegative integers, got 'x'"),
         (SET + "map: 0\nsection: 0\n", "line 4: map lists 1 values, expected 2"),
@@ -906,7 +916,12 @@ EMPTY_SETMAP_DEFS = "[setmap f]\nsource: 0\ntarget: 0\nmap:\nsection:\n"
     (["condp", "z4-pipeline", "--map", "0,1", "--section", "1,0"], None,
      "s must be a section of f"),
     (["condp", "z4-pipeline", "--map", "0,x"], None,
-     "--map must be a list of integers, got '0,x'"),
+     "--map must be a list of nonnegative integers, got '0,x'"),
+    # int() reads '0_0' as 0 and the Arabic-Indic zero as 0
+    (["condp", "z4-pipeline", "--map", "0_0", "--section", "0"], None,
+     "--map must be a list of nonnegative integers, got '0_0'"),
+    (["condp", "z4-pipeline", "--map", "\u0660,\u0660"], None,
+     "--map must be a list of nonnegative integers, got '\u0660,\u0660'"),
     (["condp", "z4-pipeline", "--input", "FILE"], EMPTY_SETMAP_DEFS,
      "need nonempty index sets"),
     (["condp", "z4-pipeline", "--map=", "--section="], None, "need nonempty index sets"),
@@ -914,8 +929,8 @@ EMPTY_SETMAP_DEFS = "[setmap f]\nsource: 0\ntarget: 0\nmap:\nsection:\n"
      "FILE: no [setmap] sections"),
     (["pi0", "FILE"], GROUP_ONLY_DEFS, "FILE: no [xmod] sections"),
     (["lift", "FILE"], GROUP_ONLY_DEFS, "FILE: no [morphism] sections"),
-], ids=["not-a-section", "map-not-integers", "empty-setmap", "empty-map-flags", "no-setmap",
-        "no-xmod", "no-morphism"])
+], ids=["not-a-section", "map-not-integers", "map-underscore", "map-arabic-indic",
+        "empty-setmap", "empty-map-flags", "no-setmap", "no-xmod", "no-morphism"])
 def test_refused_inputs_exit_two(argv, text, message, tmp_path, capsys):
     """Each refusal exits 2 with its message and a JSON error report."""
     path, rep_path = tmp_path / "in.defs", tmp_path / "rep.json"

@@ -69,8 +69,7 @@ def test_inclusion_extension_refusals():
         inclusion_extension(xmod_from_normal_subgroup(Z4, {0, 2}))
     # A3 inside S3 with S3 acting trivially: injective, but not conjugation
     a3 = a3_inclusion()
-    fixed = CrossedModule(trivial_action(a3.codomain(), a3.domain()), a3.boundary,
-                          check=False)
+    fixed = CrossedModule._trusted(trivial_action(a3.codomain(), a3.domain()), a3.boundary)
     with pytest.raises(GroupError, match="not conjugation through the boundary"):
         inclusion_extension(fixed)
 
@@ -226,8 +225,7 @@ def test_free_morphism_square_compares_two_routes():
     action, so a boundary that is not equivariant breaks the square: with the
     trivial action of S3 on itself and d the identity, (1 2)(1 3)(1 2) is
     (2 3) in the base, but the carrier value of that word is (1 3)."""
-    raw = CrossedModule(trivial_action(S3, S3),
-                        GroupHom(S3, S3, tuple(range(6))), check=False)
+    raw = CrossedModule._trusted(trivial_action(S3, S3), GroupHom(S3, S3, tuple(range(6))))
     f = hom(Z2, S3, {1: S3.index_of("(1 3)")})
     g = hom(Z2, S3, {1: S3.index_of("(1 2)")})
     mor = FreeXModMorphism(Z2, raw, f, g)

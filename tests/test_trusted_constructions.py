@@ -1,11 +1,15 @@
 """The checks that trusted constructions skip, run on their outputs.
 
 The package validates tables where they enter and builds its own results
-unchecked when they are correct by theorem: groups and homs through
-`FiniteGroup._trusted` and `GroupHom._trusted`, which skip every entry
-check, and actions, extensions and crossed modules with check=False.  Each
-test here rebuilds such a result with the validating public constructor, so
-a construction that stopped being correct would fail the suite rather than
+unchecked when they are correct by theorem.  Each of its seven structures,
+`FiniteGroup`, `GroupHom`, `GroupAction`, `SplitExtension`, `CrossedModule`,
+`XModMorphism` and `XModSplitSES`, has a public constructor that always
+checks and a private `_trusted` that takes its parts as given and runs no
+check.  The registry at the end records every `_trusted` build of a run
+over the corpora, pins the library functions that make them, rebuilds each
+with the public constructor and shows that one corrupted cell makes that
+recheck fire; the tests before it recheck single constructions.  So a
+construction that stopped being correct would fail the suite rather than
 pass silently.
 
 The dense tables are built and checked a row at a time.  The per-cell
@@ -34,16 +38,17 @@ from xmodkit.groups import (
     FiniteGroup, GroupHom, MAX_ORDER, _cycle_notation, alternating_group,
     compose, cyclic_group, dihedral_group, direct_product, enumerate_homs, find_isomorphism,
     find_section, first_difference, free_module_cover, gatherer, hom, identity_hom,
-    klein_four_group, lifts, normal_closure, normal_subgroups, normality_witness,
+    is_z4_module, klein_four_group, lifts, normal_closure, normal_subgroups, normality_witness,
     quaternion_group, quotient, subgroup, symmetric_group, trivial_group, trivial_hom,
     z4_module, z4_module_classes, _cosets, _grow, _Rows,
 )
-from xmodkit.sse import enumerate_sse_morphisms, is_regular_epi, total_map
+from xmodkit.defs import parse_definitions
+from xmodkit.sse import enumerate_sse_morphisms, free_cover, is_regular_epi, total_map
 from xmodkit.words import FactorSignature, single
 from xmodkit.xmod import (
-    CrossedModule, XModMorphism, check_axioms, check_ternary,
-    equivariance_failures, identity_morphism, morphism_witness, peiffer_failures,
-    peiffer_witness, pi0, precrossed_witness, relabel_xmod, xmod_product,
+    CrossedModule, XModMorphism, XModSplitSES, check_axioms, check_ternary,
+    discrete_adjunction_check, equivariance_failures, identity_morphism, morphism_witness,
+    peiffer_failures, peiffer_witness, pi0, precrossed_witness, relabel_xmod, xmod_product,
 )
 
 from action_helpers import action_from_extension, semidirect_route
@@ -163,8 +168,8 @@ def test_collapse_epis_pass_the_morphism_check(monkeypatch):
         fG = mor.fG
         x = rng.randrange(fG.source.order)
         table = fG.table[:x] + (_other(fG.table[x], fG.target.order),) + fG.table[x + 1:]
-        bent = XModMorphism(mor.src, mor.tgt, mor.fT,
-                            GroupHom._trusted(fG.source, fG.target, table), check=False)
+        bent = XModMorphism._trusted(mor.src, mor.tgt, mor.fT,
+                                     GroupHom._trusted(fG.source, fG.target, table))
         with pytest.raises(GroupError):
             _recheck_morphism(bent)
 
@@ -721,9 +726,8 @@ def _law_corruptions(xm, rng):
         b_inv = gatherer(sorted(range(T.order), key=b.__getitem__))
         actions.append([gatherer(b_inv(row))(b) for row in act])
     actions.append(trivial_action(G, T).table)
-    out = [CrossedModule(xm.action, GroupHom(T, G, table), check=False)
-           for table in boundaries]
-    return out + [CrossedModule(GroupAction(G, T, table), xm.boundary, check=False)
+    out = [CrossedModule._trusted(xm.action, GroupHom(T, G, table)) for table in boundaries]
+    return out + [CrossedModule._trusted(GroupAction(G, T, table), xm.boundary)
                   for table in actions]
 
 
@@ -1537,9 +1541,9 @@ def _row_swaps(G):
 def _swapped_rows(xm, alpha):
     """xm with the action rows of the two elements alpha swaps exchanged; as
     alpha is an automorphism, g -> row alpha(g) is still an action."""
-    act = GroupAction(xm.codomain(), xm.domain(),
-                      [xm.action.table[a] for a in alpha], check=False)
-    return CrossedModule(act, xm.boundary, check=False)
+    act = GroupAction._trusted(xm.codomain(), xm.domain(),
+                               tuple(xm.action.table[a] for a in alpha))
+    return CrossedModule._trusted(act, xm.boundary)
 
 
 def _sign_modules():
@@ -1551,8 +1555,8 @@ def _sign_modules():
         M = z4_module(n4, n2)
         rows = [M._inv if V4.names[g][1] == "1" else tuple(range(M.order))
                 for g in range(V4.order)]
-        act = GroupAction(V4, M, rows, check=False)
-        out.append(CrossedModule(act, trivial_hom(M, V4), check=False))
+        act = GroupAction._trusted(V4, M, tuple(rows))
+        out.append(CrossedModule._trusted(act, trivial_hom(M, V4)))
     return out
 
 
@@ -1711,38 +1715,61 @@ def test_find_xmod_lift_matches_the_unpruned_fibre_search():
 # -- trusted builds: the entry checks they skip, run on every output ------------
 
 
+_TRUSTED = (FiniteGroup, GroupHom, GroupAction, SplitExtension, CrossedModule,
+            XModMorphism, XModSplitSES)
+
+
 def _builder():
     """The library function that called a `_trusted` constructor: the first
-    frame above the recorder that is not a comprehension or generator."""
+    frame above the recorder that is not a comprehension, a generator, a
+    recorder or a `_trusted` (`XModSplitSES._trusted` builds its two
+    extensions through `SplitExtension._trusted`)."""
     frame = sys._getframe(2)
-    while frame.f_code.co_name.startswith("<"):
+    while frame.f_code.co_name.startswith("<") or frame.f_code.co_name in ("record", "_trusted"):
         frame = frame.f_back
     return frame.f_code.co_name
 
 
 def _record_trusted(monkeypatch):
-    """(groups, homs): every trusted build from here on, with its builder."""
-    groups, homs = [], []
-    make_group, make_hom = FiniteGroup._trusted.__func__, GroupHom._trusted.__func__
+    """Class -> every trusted build of that class from here on, as
+    (builder, build, positional arguments), for each class in `_TRUSTED`."""
+    builds = {cls: [] for cls in _TRUSTED}
 
-    def record_group(cls, *args):
-        groups.append((_builder(), make_group(cls, *args), args))
-        return groups[-1][1]
+    def recorder(make):
+        def record(cls, *args, **kwargs):
+            builds[cls].append((_builder(), make(cls, *args, **kwargs), args))
+            return builds[cls][-1][1]
+        return classmethod(record)
 
-    def record_hom(cls, *args):
-        homs.append((_builder(), make_hom(cls, *args)))
-        return homs[-1][1]
+    for cls in _TRUSTED:
+        monkeypatch.setattr(cls, "_trusted", recorder(cls._trusted.__func__))
+    return builds
 
-    monkeypatch.setattr(FiniteGroup, "_trusted", classmethod(record_group))
-    monkeypatch.setattr(GroupHom, "_trusted", classmethod(record_hom))
-    return groups, homs
+
+# parse_definitions(check_xmods=False) builds this [xmod] as a raw pair: Z2
+# acting trivially on itself, with the identity boundary
+_RAW_XMOD_DEFS = ("[group Z2]\nelements: e a\ntable:\n  e a\n  a e\n\n"
+                  "[action A]\nactor: Z2\ncarrier: Z2\ntable:\n  e a\n  e a\n\n"
+                  "[xmod X]\naction: A\nboundary: e a\n")
 
 
 def _run_corpora():
     """Every corpus and its section searches, the condp studies at small
-    sizes, every z4_module to order 1024, relabeled corpus entries, pi0, and
-    each hom search on small groups."""
-    valid = [xm for _, xm, ok in axiom_corpus() if ok]
+    sizes, every z4_module to order 1024, relabeled corpus entries, pi0,
+    free covers, morphisms into discrete crossed modules, each hom search on
+    small groups, and the raw pairs built to be audited: the invalid axiom
+    corpus entries, the ternary fixtures and a parsed [xmod].  Returns the
+    raw pairs that are not crossed modules."""
+    entries = axiom_corpus()
+    valid = [xm for _, xm, ok in entries if ok]
+    audited = [xm for _, xm, ok in entries if not ok]
+    audited += [xm for _, xm, _ in ternary_fixtures()]
+    parse_definitions(_RAW_XMOD_DEFS, check_xmods=False)
+    for xm in valid:
+        if xm.action.is_trivial() and is_z4_module(xm.domain()):
+            free_cover(xm)
+    for xm in valid[:8]:
+        discrete_adjunction_check(xm, cyclic_group(2))
     split_ses_corpus()
     sse_morphism_corpus()
     for epi, ext in projective_section_corpus():
@@ -1770,6 +1797,7 @@ def _run_corpora():
             find_section(proj)
             compose(proj, subgroup(G, elems)[1])
     hom(small[0], small[0], {1: 1, 2: 2})
+    return audited
 
 
 _GROUP_BUILDERS = {"subgroup", "quotient", "pullback", "direct_product",
@@ -1782,14 +1810,28 @@ _HOM_BUILDERS = {
     "trivial_hom", "subgroup", "quotient", "pullback", "direct_product",
     "semidirect_product", "relabel_xmod", "xmod_product", "xmod_kernel",
     "free_module_cover", "collapse_epi"}
+_ACTION_BUILDERS = {"trivial_action", "conjugation_action_on", "xmod_product", "relabel_xmod",
+                    "xmod_kernel", "collapse_epi"}
+_EXTENSION_BUILDERS = {"semidirect_product", "inclusion_extension", "product_split_ses"}
+_XMOD_BUILDERS = {
+    "conjugation_xmod", "inclusion_xmod", "discrete_xmod", "xmod_product", "relabel_xmod",
+    "xmod_kernel", "free_cover",
+    # the raw pairs built to be audited, not all of them crossed modules
+    "axiom_corpus", "ternary_fixtures", "_build_xmod"}
+_MORPHISM_BUILDERS = {
+    "xmod_product", "identity_morphism", "enumerate_xmod_morphisms", "xmod_kernel",
+    "collapse_epi", "_certified_section", "find_xmod_lift", "enumerate_sse_morphisms",
+    "free_cover"}
+_SES_BUILDERS = {"product_split_ses"}
 
 
 @pytest.fixture(scope="module")
 def trusted_builds():
+    """(class -> its trusted builds, the audited raw pairs among them)."""
     with pytest.MonkeyPatch.context() as mp:
-        groups, homs = _record_trusted(mp)
-        _run_corpora()
-    return groups, homs
+        builds = _record_trusted(mp)
+        audited = _run_corpora()
+    return builds, audited
 
 
 def _recheck_group(G, identity, inverses):
@@ -1805,7 +1847,7 @@ def _recheck_group(G, identity, inverses):
 
 
 def test_every_trusted_group_passes_the_public_checks(trusted_builds):
-    groups, _ = trusted_builds
+    groups = trusted_builds[0][FiniteGroup]
     assert {name for name, _, _ in groups} == _GROUP_BUILDERS
     assert max(G.order for _, G, _ in groups) == MAX_ORDER
     checked = {}
@@ -1826,7 +1868,7 @@ def _other(x, n):
 def test_every_trusted_group_recheck_fires_on_seeded_corruption(trusted_builds):
     """One build per builder, corrupted three ways: one out-of-range cell,
     one wrong inverse entry, a wrong identity."""
-    groups, _ = trusted_builds
+    groups = trusted_builds[0][FiniteGroup]
     first = {}
     for name, G, _ in groups:
         first.setdefault(name, G)
@@ -1849,10 +1891,10 @@ def test_every_trusted_group_recheck_fires_on_seeded_corruption(trusted_builds):
 def test_every_trusted_hom_passes_the_public_checks(trusted_builds):
     """Range, identity and hom law, on every trusted hom the corpora built,
     and on every table `lifts` yields."""
-    _, homs = trusted_builds
-    assert {name for name, _ in homs} == _HOM_BUILDERS
+    homs = trusted_builds[0][GroupHom]
+    assert {name for name, _, _ in homs} == _HOM_BUILDERS
     checked = set()
-    for _, f in homs:
+    for _, f, _ in homs:
         if id(f) not in checked:
             checked.add(id(f))
             assert type(f.table) is tuple and len(f.table) == f.source.order
@@ -1864,9 +1906,8 @@ def test_every_trusted_hom_passes_the_public_checks(trusted_builds):
 
 
 def test_every_trusted_hom_recheck_fires_on_a_corrupted_value(trusted_builds):
-    _, homs = trusted_builds
     first = {}
-    for name, f in homs:
+    for name, f, _ in trusted_builds[0][GroupHom]:
         first.setdefault(name, f)
     rng = random.Random(29)
     for name, f in sorted(first.items()):
@@ -1879,3 +1920,158 @@ def test_every_trusted_hom_recheck_fires_on_a_corrupted_value(trusted_builds):
             table = f.table[:e] + (_other(f.target.identity, f.target.order),) + f.table[e + 1:]
             with pytest.raises(GroupError, match="does not preserve the identity"):
                 GroupHom(f.source, f.target, table)
+
+
+def _first_builds(builds, usable):
+    """Builder -> the first of its builds that `usable` accepts."""
+    first = {}
+    for name, b, _ in builds:
+        if usable(b):
+            first.setdefault(name, b)
+    return first
+
+
+def _moved(row, x, value):
+    return row[:x] + (value,) + row[x + 1:]
+
+
+def test_every_trusted_action_passes_the_public_checks(trusted_builds):
+    """Shape and action laws on every trusted action, whose table, a tuple
+    or a `_Rows`, reads as a tuple of row tuples of ints."""
+    actions = trusted_builds[0][GroupAction]
+    assert {name for name, _, _ in actions} == _ACTION_BUILDERS
+    for _, a, _ in actions:
+        assert type(a.table) in (tuple, _Rows)
+        assert all(type(row) is tuple and set(map(type, row)) == {int} for row in a.table)
+        assert GroupAction(a.actor, a.carrier, a.table) == a
+    assert len(actions) > 300
+
+
+def test_every_trusted_action_recheck_fires_on_a_corrupted_cell(trusted_builds):
+    """One build per builder, one cell moved to another value: that row is
+    no longer a bijection of the carrier."""
+    rng = random.Random(31)
+    first = _first_builds(trusted_builds[0][GroupAction], lambda a: True)
+    for name, a in sorted(first.items()):
+        g, x = rng.randrange(a.actor.order), rng.randrange(a.carrier.order)
+        rows = list(a.table)
+        rows[g] = _moved(rows[g], x, _other(rows[g][x], a.carrier.order))
+        with pytest.raises(GroupError, match="identity must act|does not act bijectively"):
+            GroupAction(a.actor, a.carrier, rows)
+
+
+def test_every_trusted_extension_passes_the_public_checks(trusted_builds):
+    exts = trusted_builds[0][SplitExtension]
+    assert {name for name, _, _ in exts} == _EXTENSION_BUILDERS
+    for _, ext, args in exts:
+        assert (ext.k, ext.p, ext.s) == args
+        SplitExtension(*args)
+    assert len(exts) > 150
+
+
+def test_every_trusted_extension_recheck_fires_on_a_bent_section(trusted_builds):
+    """One build per builder with a nontrivial base: s(g) replaced by the
+    value of s at another element is not split by p."""
+    first = _first_builds(trusted_builds[0][SplitExtension], lambda ext: ext.base.order > 1)
+    assert set(first) == _EXTENSION_BUILDERS
+    rng = random.Random(37)
+    for name, ext in sorted(first.items()):
+        s, n = ext.s, ext.base.order
+        g = rng.randrange(n)
+        bent = GroupHom._trusted(s.source, s.target, _moved(s.table, g, s.table[_other(g, n)]))
+        with pytest.raises(GroupError, match="section is not split by the retraction"):
+            SplitExtension(ext.k, ext.p, bent)
+
+
+def test_every_trusted_xmod_passes_the_public_checks(trusted_builds):
+    """Endpoints and both laws on every trusted crossed module.  The public
+    constructor refuses exactly the raw pairs built to be audited that are
+    not crossed modules: the six invalid axiom-corpus entries and the three
+    ternary fixtures."""
+    builds, audited = trusted_builds
+    xmods = builds[CrossedModule]
+    assert {name for name, _, _ in xmods} == _XMOD_BUILDERS
+    refused = set()
+    for _, xm, _ in xmods:
+        try:
+            CrossedModule(xm.action, xm.boundary)
+        except GroupError:
+            refused.add(id(xm))
+    assert len(audited) == 9
+    assert refused == {id(xm) for xm in audited}
+    assert len(xmods) > 250
+
+
+def test_every_trusted_xmod_recheck_fires_on_a_corrupted_action_cell(trusted_builds):
+    """One crossed module per builder with a nontrivial carrier T: one cell
+    of the action row of d(t), t the first of T's `_gens`, moved to another
+    value.  The Peiffer law makes that row conjugation by t, so the recheck
+    fires.  `discrete_xmod` builds only the trivial carrier, where no cell
+    can move in range; the raw pairs of the audit are already refused."""
+    builds, audited = trusted_builds
+    raw = {id(xm) for xm in audited}
+    first = _first_builds(builds[CrossedModule],
+                          lambda xm: id(xm) not in raw and xm.domain().order > 1)
+    assert set(first) == _XMOD_BUILDERS - {"discrete_xmod", "axiom_corpus", "ternary_fixtures"}
+    rng = random.Random(41)
+    for name, xm in sorted(first.items()):
+        T, G = xm.domain(), xm.codomain()
+        a, x = xm.boundary.table[T._gens[0]], rng.randrange(T.order)
+        rows = list(xm.action.table)
+        rows[a] = _moved(rows[a], x, _other(rows[a][x], T.order))
+        bent = GroupAction._trusted(G, T, tuple(rows))
+        with pytest.raises(GroupError, match="equivariance fails|Peiffer law fails"):
+            CrossedModule(bent, xm.boundary)
+
+
+def test_every_trusted_morphism_passes_the_public_checks(trusted_builds):
+    mors = trusted_builds[0][XModMorphism]
+    assert {name for name, _, _ in mors} == _MORPHISM_BUILDERS
+    for _, mor, _ in mors:
+        XModMorphism(mor.src, mor.tgt, mor.fT, mor.fG)
+    assert len(mors) > 500
+
+
+def test_every_trusted_morphism_recheck_fires_on_a_corrupted_base_value(trusted_builds):
+    """One morphism per builder with a nontrivial target base: fG moved at
+    d(t) for one t breaks the boundary square at t."""
+    first = _first_builds(trusted_builds[0][XModMorphism],
+                          lambda mor: mor.tgt.codomain().order > 1)
+    assert set(first) == _MORPHISM_BUILDERS
+    rng = random.Random(43)
+    for name, mor in sorted(first.items()):
+        fG, t = mor.fG, rng.randrange(mor.src.domain().order)
+        c = mor.src.boundary.table[t]
+        bent = GroupHom._trusted(fG.source, fG.target,
+                                 _moved(fG.table, c, _other(fG.table[c], fG.target.order)))
+        with pytest.raises(GroupError, match="boundary square fails"):
+            XModMorphism(mor.src, mor.tgt, mor.fT, bent)
+
+
+def test_every_trusted_split_ses_passes_the_public_checks(trusted_builds):
+    """Both levelwise extensions of every trusted sequence are split exact,
+    and they are the levels of kappa, pi and sigma."""
+    sess = trusted_builds[0][XModSplitSES]
+    assert {name for name, _, _ in sess} == _SES_BUILDERS
+    for _, ses, (kappa, pi, sigma) in sess:
+        XModSplitSES(kappa, pi, sigma)
+        assert (ses.ext_T.k, ses.ext_T.p, ses.ext_T.s) == (kappa.fT, pi.fT, sigma.fT)
+        assert (ses.ext_G.k, ses.ext_G.p, ses.ext_G.s) == (kappa.fG, pi.fG, sigma.fG)
+    assert len(sess) > 50
+
+
+def test_every_trusted_split_ses_recheck_fires_on_a_bent_section(trusted_builds):
+    """Sequences with a nontrivial quotient carrier: sigma's carrier map
+    moved at one element to its value at another is not split by pi's."""
+    sess = [ses for _, ses, _ in trusted_builds[0][XModSplitSES]
+            if ses.pi.tgt.domain().order > 1]
+    assert len(sess) > 20
+    rng = random.Random(47)
+    for ses in sess:
+        sigma = ses.sigma
+        fT, n = sigma.fT, sigma.fT.source.order
+        x = rng.randrange(n)
+        bent = XModMorphism._trusted(sigma.src, sigma.tgt, GroupHom._trusted(
+            fT.source, fT.target, _moved(fT.table, x, fT.table[_other(x, n)])), sigma.fG)
+        with pytest.raises(GroupError, match="section is not split by the retraction"):
+            XModSplitSES(ses.kappa, ses.pi, bent)

@@ -42,8 +42,7 @@ def a3_in_s3():
 
 def broken_xmod():
     """Trivial action with the identity boundary on S3: both laws fail."""
-    return CrossedModule(trivial_action(S3, S3),
-                         GroupHom(S3, S3, tuple(range(6))), check=False)
+    return CrossedModule._trusted(trivial_action(S3, S3), GroupHom(S3, S3, tuple(range(6))))
 
 
 def test_constructor_validates():
@@ -107,13 +106,13 @@ def _wordlevel_inputs():
         row = rows[rng.randrange(G.order)]
         x, y = rng.sample(range(T.order), 2)
         row[x], row[y] = row[y], row[x]
-        out.append((name + ":action", CrossedModule(
-            GroupAction(G, T, rows, check=False), xm.boundary, check=False)))
+        out.append((name + ":action", CrossedModule._trusted(
+            GroupAction._trusted(G, T, tuple(map(tuple, rows))), xm.boundary)))
         d = list(xm.boundary.table)
         t = T.identity if i == 0 else rng.randrange(T.order)
         d[t] = (d[t] + 1) % G.order
-        out.append((name + ":boundary", CrossedModule(
-            xm.action, GroupHom._trusted(T, G, tuple(d)), check=False)))
+        out.append((name + ":boundary", CrossedModule._trusted(
+            xm.action, GroupHom._trusted(T, G, tuple(d)))))
     return out
 
 
@@ -163,8 +162,7 @@ def test_pi0_routes_agree():
 
 def test_pi0_refuses_non_normal_image():
     t = S3.index_of("(1 2)")
-    raw = CrossedModule(trivial_action(S3, Z2),
-                        GroupHom(Z2, S3, (0, t)), check=False)
+    raw = CrossedModule._trusted(trivial_action(S3, Z2), GroupHom(Z2, S3, (0, t)))
     with pytest.raises(GroupError, match="not normal"):
         pi0(raw)
 
@@ -218,14 +216,14 @@ def test_kernel_refusals_on_pairs_that_break_a_law():
     K4 = klein_four_group()  # 1 = (0,1) and 2 = (1,0), which the swap exchanges
     swap = module_xmod(action_from_function(Z2, K4, lambda g, x: (0, 2, 1, 3)[x] if g else x))
     # fT kills 1, which the swap moves out of its kernel; fG kills the swap
-    moved = XModMorphism(swap, module_xmod(trivial_action(Z2, Z2)),
-                         GroupHom(K4, Z2, (0, 0, 1, 1)), trivial_hom(Z2, Z2), check=False)
+    moved = XModMorphism._trusted(swap, module_xmod(trivial_action(Z2, Z2)),
+                                  GroupHom(K4, Z2, (0, 0, 1, 1)), trivial_hom(Z2, Z2))
     with pytest.raises(GroupError, match="kernel is not closed under the action"):
         xmod_kernel(moved)
     # fG is injective, so the boundary of the carrier's nontrivial element,
     # which fT kills, leaves the kernel of fG
     cx = conjugation_xmod(Z2)
-    escape = XModMorphism(cx, cx, trivial_hom(Z2, Z2), identity_hom(Z2), check=False)
+    escape = XModMorphism._trusted(cx, cx, trivial_hom(Z2, Z2), identity_hom(Z2))
     with pytest.raises(GroupError, match="boundary does not restrict to the kernels"):
         xmod_kernel(escape)
 

@@ -14,8 +14,7 @@ def compose_morphisms(f, g):
     """f after g."""
     if g.tgt is not f.src:
         raise GroupError("morphism composition mismatch")
-    return XModMorphism(g.src, f.tgt, compose(f.fT, g.fT), compose(f.fG, g.fG),
-                        check=False)
+    return XModMorphism._trusted(g.src, f.tgt, compose(f.fT, g.fT), compose(f.fG, g.fG))
 
 
 def wordlevel_reference(xm, max_len=4):
@@ -24,7 +23,7 @@ def wordlevel_reference(xm, max_len=4):
     `core_walker` and a `WordHom`.  The walk must return the same dict."""
     G, T = xm.codomain(), xm.domain()
     d, idT = xm.boundary, identity_hom(T)
-    pulled = GroupAction(T, T, gatherer(d.table)(xm.action.table), check=False)
+    pulled = GroupAction._trusted(T, T, gatherer(d.table)(xm.action.table))
     out, viol = {"max_len": max_len}, {}
     for law, action, slot_maps, on_core in (
             ("equivariance", xm.action, (identity_hom(G), d), d.table),
